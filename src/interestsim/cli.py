@@ -78,9 +78,7 @@ def _parse_window(text: str) -> tuple[int, int]:
 def _parse_int_list(text: str) -> tuple[int, ...]:
     if ".." in text:
         lo, hi = text.split("..")
-        lo, hi = int(lo), int(hi)
-        step = 10 if hi - lo >= 10 else 1
-        return tuple(range(lo, hi + 1, step))
+        return tuple(range(int(lo), int(hi) + 1))
     return tuple(int(tok) for tok in text.split(","))
 
 
@@ -179,16 +177,16 @@ def _train_model(samples: SampleTable, model_kind: str, task: str, seed: int, fo
     sims = samples.labels
     if sims is None:
         raise ValueError("training samples carry no labels")
-    label_mean = float(np.mean(sims))
+    labeling = evalkit.BinaryLabeling.from_similarities(sims, sims)
     if task == "clf":
-        y = (sims > label_mean).astype(float)
+        y = labeling.labels
         if y.min() == y.max():
             raise ValueError("degenerate labels: all on one side of the mean")
     else:
         y = sims
     data = samples.to_design(labels=y)
     model = evalkit.fit_model(model_kind, data, task, folds=folds, seed=seed)
-    return model, label_mean
+    return model, labeling.threshold
 
 
 def cmd_train(args) -> int:

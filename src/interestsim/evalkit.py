@@ -4,7 +4,7 @@ mean-threshold binarization, bucketed similarity tables."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.stats import rankdata
@@ -83,10 +83,6 @@ def pearson(x, y) -> float:
     if vx <= 0 or vy <= 0:
         raise ValueError("zero variance input")
     return float(dx @ dy) / math.sqrt(vx * vy)
-
-
-def spearman(x, y) -> float:
-    return pearson(rankdata(x), rankdata(y))
 
 
 # -- bucketed similarity tables --------------------------------------------
@@ -220,8 +216,6 @@ def bucket_similarity(
         ordered = [f"{i:02d} {labels[i]}" for i in idx]
         return _aggregate(ordered, sims, key)
     # individuality: product of both sides' day-0 individuality
-    from .profiling import ProfileIndex
-
     base = fz.day0
     ia = base.individuality_values(a)
     ib = base.individuality_values(b)
@@ -275,7 +269,7 @@ def run_protocol(
     folds: int = 10,
     train_fraction: float = 0.7,
     params: dict | None = None,
-) -> dict:
+) -> tuple[dict, object]:
     """70/30 split, mean-threshold binarization for classification, CV
     inside training for model selection, metric on the held-out test."""
     if task not in ("clf", "reg"):

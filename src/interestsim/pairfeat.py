@@ -1,4 +1,4 @@
-"""Ten-slot feature records for ordered (target, helper) user pairs.
+"""Fifteen-column feature records for ordered (target, helper) user pairs.
 
 The target plays the cold-start role: its day-0 behavior is masked from
 every feature, including the population statistics behind the helper's
@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .corpus import Corpus, Window, active_users
 from .mlcore.data import DesignMatrix
@@ -113,15 +112,6 @@ class FeatureRecord:
             self.helper_individuality,
             float(self.has_individuality),
         ]
-
-
-@dataclass(frozen=True)
-class PairSample:
-    target: int
-    helper: int
-    kind: str
-    features: FeatureRecord
-    label_sim: float | None = None
 
 
 def canonical_gender_pair(g1: str, g2: str) -> str:
@@ -247,49 +237,11 @@ class PairFeaturizer:
         self.kind = kind
         self.day0 = ProfileIndex(c, DAY0, kind)
         self.past = ProfileIndex(c, PAST_WINDOW, kind)
-        # day-0 PTP/VBP structure drives individuality for every kind
-        self.day0_base = self.day0 if kind in ("ptp", "vbp") else ProfileIndex(c, DAY0, "ptp")
 
         ids = list(c.user_ids)
         self._ages = np.array([c.users[u].age for u in ids], dtype=np.float64)
         self._cities = np.array([c.users[u].city for u in ids], dtype=np.float64)
         self._is_f = np.array([c.users[u].gender == "F" for u in ids])
-
-        base = self.day0_base
-        Wp = base.ptp_matrix if self.kind != "vbp" else base.W
-        self._Wp = Wp.tocsr()
-        self._own = (self._Wp != 0).astype(np.float64).tocsr()
-        counts = base.item_user_counts.astype(np.float64)
-        self._counts = counts
-        self._num0 = np.asarray(self._Wp @ counts).ravel()
-        self._pnorm = np.sqrt(np.asarray(self._Wp.multiply(self._Wp).sum(axis=1)).ravel())
-        self._n_active = base.n_active
-        if self.kind == "rtp":
-            lgc = np.zeros_like(counts)
-            owned = counts > 0
-            lgc[owned] = np.log2(counts[owned])
-            b_ok = counts > 1
-            b_col = np.zeros_like(counts)
-            b_col[b_ok] = lgc[b_ok] - np.log2(counts[b_ok] - 1.0)
-            self._lgc = lgc
-
-            def colscale(cols):
-                return self._Wp.multiply(cols[np.newaxis, :]).tocsr()
-
-            P = self._Wp
-            self._SA1 = np.asarray(P @ counts).ravel()
-            self._SA2 = np.asarray(P @ (counts * lgc)).ravel()
-            self._SB1 = np.asarray(P.multiply(P).sum(axis=1)).ravel()
-            P2 = P.multiply(P).tocsr()
-            self._SB2 = np.asarray(P2 @ lgc).ravel()
-            self._SB3 = np.asarray(P2 @ (lgc * lgc)).ravel()
-            # per-entry matrices for overlap corrections (B_i = p_i * b_col)
-            self._M_p = P
-            self._M_plgc = colscale(lgc)
-            self._M_Bc1 = colscale(b_col * (counts - 1.0))  # B_i * (c_i - 1) entries are p_i*b*(c-1)
-            self._M_pB = P.multiply(colscale(b_col))  # p_i * B_i = p_i^2 * b
-            self._M_plgcB = P.multiply(colscale(b_col * lgc))
-            self._M_B2 = colscale(b_col).multiply(colscale(b_col))
 
     def rows(self, user_ids) -> np.ndarray:
         return self.day0.rows_for(user_ids)
@@ -298,46 +250,34 @@ class PairFeaturizer:
         return self.day0.similarity_pairs(targets, helpers)
 
     def _batch_individuality(self, rt: np.ndarray, rh: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        target_active = self.day0_base.active_mask[rt]
-        n_masked = self._n_active - target_active.astype(np.float64)
-        has = self._pnorm[rh] > 0
-        own_t = self._own[rt]
+        """Masked individuality over the nonzeros of the helper rows: an
+        item's owner count drops by one where the target owns it too, and
+        rtp damps the helper's PTP weights under the masked population."""
+        day0 = self.day0
+        # day-0 PTP counts (VBP indicators) drive individuality for every kind
+        P = day0.W if self.kind == "vbp" else day0.ptp_matrix
+        n_masked = day0.n_active - day0.active_mask[rt].astype(np.float64)
+        H = P[rh].tocoo()
+        pair, item, w = H.row, H.col, H.data
+        # look each helper entry up among the target's entries, whose keys
+        # ascend because P keeps its column indices sorted within a row
+        n_items = P.shape[1]
+        T = P[rt].tocoo()
+        target_keys = np.append(T.row.astype(np.int64) * n_items + T.col, -1)
+        keys = pair.astype(np.int64) * n_items + item
+        target_owns = target_keys[np.searchsorted(target_keys[:-1], keys)] == keys
+        # the helper owns each item and differs from the target, so the
+        # masked owner count and the masked population are both >= 1 here
+        owners = day0.item_user_counts[item] - target_owns
+        if self.kind == "rtp":
+            factor = np.log2(n_masked[pair] / owners)
+            w = np.where(factor > 0, w * factor, 0.0)
+        num = np.bincount(pair, weights=w * owners, minlength=len(rt))
+        norm = np.sqrt(np.bincount(pair, weights=w * w, minlength=len(rt)))
         values = np.zeros(len(rt))
-        ok = has & (n_masked > 0)
-        if self.kind in ("ptp", "vbp"):
-            corr = np.asarray(self._Wp[rh].multiply(own_t).sum(axis=1)).ravel()
-            num = self._num0[rh] - corr
-            values[ok] = num[ok] / (self._pnorm[rh][ok] * n_masked[ok])
-            return values, has
-        # rtp: recompute damped weights under the masked population
-        L = np.zeros(len(rt))
-        pos = n_masked > 0
-        L[pos] = np.log2(n_masked[pos])
-        ov_p = np.asarray(self._M_p[rh].multiply(own_t).sum(axis=1)).ravel()
-        ov_plgc = np.asarray(self._M_plgc[rh].multiply(own_t).sum(axis=1)).ravel()
-        ov_Bc1 = np.asarray(self._M_Bc1[rh].multiply(own_t).sum(axis=1)).ravel()
-        ov_pB = np.asarray(self._M_pB[rh].multiply(own_t).sum(axis=1)).ravel()
-        ov_plgcB = np.asarray(self._M_plgcB[rh].multiply(own_t).sum(axis=1)).ravel()
-        ov_B2 = np.asarray(self._M_B2[rh].multiply(own_t).sum(axis=1)).ravel()
-        num = (
-            L * self._SA1[rh]
-            - self._SA2[rh]
-            + ov_Bc1
-            - L * ov_p
-            + ov_plgc
-        )
-        norm_sq = (
-            L * L * self._SB1[rh]
-            - 2.0 * L * self._SB2[rh]
-            + self._SB3[rh]
-            + 2.0 * (L * ov_pB - ov_plgcB)
-            + ov_B2
-        )
-        norm_sq = np.maximum(norm_sq, 0.0)
-        norm = np.sqrt(norm_sq)
-        good = ok & (norm > 1e-12)
-        values[good] = num[good] / (norm[good] * n_masked[good])
-        return values, has
+        ok = norm > 0
+        values[ok] = num[ok] / (norm[ok] * n_masked[ok])
+        return values, day0.active_mask[rh]
 
     def extract_batch(self, targets, helpers) -> dict[str, np.ndarray]:
         c = self.corpus
@@ -414,7 +354,7 @@ class PairFeaturizer:
 
 
 class SampleTable:
-    """Columnar sequence of PairSample rows."""
+    """Columnar pair features: one array per column, plus day-0 labels."""
 
     def __init__(self, kind: str, columns: dict[str, np.ndarray], labels: np.ndarray | None):
         self.kind = kind
@@ -424,29 +364,6 @@ class SampleTable:
 
     def __len__(self) -> int:
         return self._n
-
-    def __getitem__(self, i: int) -> PairSample:
-        cols = self.columns
-        code = int(cols["gender_pair"][i])
-        rec = FeatureRecord(
-            gender_pair=("MM", "MF", "FF")[code],
-            age_target=int(cols["age_target"][i]),
-            age_helper=int(cols["age_helper"][i]),
-            city_target=int(cols["city_target"][i]),
-            city_helper=int(cols["city_helper"][i]),
-            same_city=bool(cols["same_city"][i]),
-            friendship=bool(cols["friendship"][i]),
-            common_friend_ratio=float(cols["common_friend_ratio"][i]),
-            common_groups=int(cols["common_groups"][i]),
-            msg_count_month=int(cols["msg_count_month"][i]),
-            msg_days_month=int(cols["msg_days_month"][i]),
-            past_sim_month=float(cols["past_sim_month"][i]),
-            has_past=bool(cols["has_past"][i]),
-            helper_individuality=float(cols["helper_individuality"][i]),
-            has_individuality=bool(cols["has_individuality"][i]),
-        )
-        label = float(self.labels[i]) if self.labels is not None else None
-        return PairSample(int(cols["target"][i]), int(cols["helper"][i]), self.kind, rec, label)
 
     def feature_matrix(self, categories=None) -> tuple[np.ndarray, tuple[int, ...], tuple[str, ...]]:
         if categories is None:

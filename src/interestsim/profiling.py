@@ -32,13 +32,6 @@ class TagProfile:
 
 
 @dataclass(frozen=True)
-class VideoProfile:
-    owner: int
-    window: Window
-    videos: frozenset[int]
-
-
-@dataclass(frozen=True)
 class Individuality:
     user: int
     kind: str
@@ -83,12 +76,6 @@ def build_rtp(c: Corpus, u: int, window: Window) -> TagProfile:
         if factor > 0.0:
             weights[t] = w * factor
     return TagProfile(u, window, "rtp", weights)
-
-
-def build_vbp(c: Corpus, u: int, window: Window) -> VideoProfile:
-    if u not in c.users:
-        raise KeyError(f"unknown user {u}")
-    return VideoProfile(u, window, c.view_set(u, window))
 
 
 def tag_similarity(p: TagProfile, q: TagProfile) -> float:
@@ -263,9 +250,6 @@ class ProfileIndex:
         A = self.W_normalized[ra]
         B = self.W_normalized[rb]
         return np.asarray(A.multiply(B).sum(axis=1)).ravel()
-
-    def is_active(self, user_ids) -> np.ndarray:
-        return self.active_mask[self.rows_for(user_ids)]
 
     def individuality_values(self, user_ids) -> np.ndarray:
         """Vectorized individuality; 0 for empty profiles."""

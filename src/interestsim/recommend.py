@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import csv
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,7 +19,6 @@ from ._util import subrng
 from .corpus import Corpus, active_users
 from .mlcore import predict as model_predict
 from .pairfeat import PairFeaturizer
-from .profiling import KINDS, ProfileIndex
 
 
 @dataclass(frozen=True)
@@ -91,23 +90,12 @@ class ExperimentConfig:
 
 
 class RecommenderContext:
-    """Shared per-corpus caches: profile indexes and featurizers."""
+    """Per-corpus featurizer cache; their day-0 and past indexes also serve
+    the oracle and past strategies."""
 
     def __init__(self, corpus: Corpus):
         self.corpus = corpus
-        self._day0: dict[str, ProfileIndex] = {}
-        self._past: dict[str, ProfileIndex] = {}
         self._featurizers: dict[str, PairFeaturizer] = {}
-
-    def day0_index(self, kind: str) -> ProfileIndex:
-        if kind not in self._day0:
-            self._day0[kind] = ProfileIndex(self.corpus, (0, 0), kind)
-        return self._day0[kind]
-
-    def past_index(self, kind: str) -> ProfileIndex:
-        if kind not in self._past:
-            self._past[kind] = ProfileIndex(self.corpus, (-30, -1), kind)
-        return self._past[kind]
 
     def featurizer(self, kind: str) -> PairFeaturizer:
         if kind not in self._featurizers:
@@ -123,7 +111,7 @@ def _top_k(scores: np.ndarray, ids: np.ndarray, k: int) -> list[int]:
 def _pair_scores(c: Corpus, target: int, candidates: np.ndarray, strategy, ctx: RecommenderContext) -> np.ndarray:
     t_arr = np.full(len(candidates), target, dtype=np.int64)
     if isinstance(strategy, OracleSim):
-        return ctx.day0_index(strategy.kind).similarity_pairs(t_arr, candidates)
+        return ctx.featurizer(strategy.kind).day0.similarity_pairs(t_arr, candidates)
     if isinstance(strategy, PredictedSim):
         fz = ctx.featurizer(strategy.kind)
         cols = fz.extract_batch(t_arr, candidates)
@@ -133,7 +121,7 @@ def _pair_scores(c: Corpus, target: int, candidates: np.ndarray, strategy, ctx: 
         X, _, _ = table.feature_matrix()
         return model_predict(strategy.model, X)
     if isinstance(strategy, PastLongTerm):
-        return ctx.past_index("vbp").similarity_pairs(t_arr, candidates)
+        return ctx.featurizer("vbp").past.similarity_pairs(t_arr, candidates)
     if isinstance(strategy, DemographicSim):
         ut = c.users[target]
         scores = np.zeros(len(candidates))
@@ -181,7 +169,7 @@ def select_neighbors(
     return _top_k(scores, candidates, k)
 
 
-def recommend_topn(c: Corpus, neighbors, n: int, ctx: RecommenderContext | None = None) -> list[int]:
+def recommend_topn(c: Corpus, neighbors, n: int) -> list[int]:
     """Videos ranked by day-0 view count among the neighbors, ties by
     ascending video id, truncated at N."""
     counts: Counter[int] = Counter()
@@ -263,7 +251,7 @@ def run_experiment(c: Corpus, cfg: ExperimentConfig, strategies) -> list[dict]:
             ranked_videos: dict[int, list[int]] = {}
             for t in targets:
                 neighbors = select_neighbors(c, t, candidates[t], strategy, k, rng=rng, ctx=ctx)
-                ranked_videos[t] = recommend_topn(c, neighbors, max_n, ctx)
+                ranked_videos[t] = recommend_topn(c, neighbors, max_n)
             for n in cfg.n_values:
                 lists = {t: ranked_videos[t][:n] for t in targets}
                 precision, recall, f = accuracy_report(lists, truth)

@@ -67,17 +67,42 @@ def feature_corpus():
     return corpus
 
 
-@pytest.mark.parametrize("kind", ["ptp", "rtp", "vbp"])
-def test_batch_matches_reference(feature_corpus, kind):
-    c = feature_corpus
+@pytest.fixture(scope="module")
+def tiny_corpus():
+    """Twelve users, a third of them inactive: removing the target from so
+    small a population moves the masked individuality a long way."""
+    cfg = GenConfig(
+        seed=1, n_users=12, n_videos=10, n_tags=6, n_topics=2, n_cities=2, n_groups=2, inactive_fraction=0.3
+    )
+    corpus, _ = generate(cfg)
+    return corpus
+
+
+def _random_pairs(c: Corpus):
     rng = np.random.default_rng(0)
     ids = np.array(c.user_ids)
     a = rng.choice(ids, 150)
     b = rng.choice(ids, 150)
     keep = a != b
-    a, b = a[keep], b[keep]
+    return a[keep], b[keep]
+
+
+def _all_ordered_pairs(c: Corpus):
+    pairs = [(t, h) for t in c.user_ids for h in c.user_ids if t != h]
+    return np.array([t for t, _ in pairs]), np.array([h for _, h in pairs])
+
+
+@pytest.mark.parametrize(
+    "corpus_name, pairs, kind",
+    [pytest.param("feature_corpus", _random_pairs, k, id=k) for k in ("ptp", "rtp", "vbp")]
+    + [pytest.param("tiny_corpus", _all_ordered_pairs, k, id=f"tiny-{k}") for k in ("ptp", "rtp", "vbp")],
+)
+def test_batch_matches_reference(request, corpus_name, pairs, kind):
+    c = request.getfixturevalue(corpus_name)
+    a, b = pairs(c)
     fz = PairFeaturizer(c, kind)
     batch = fz.extract_batch(a, b)
+    assert np.all(batch["helper_individuality"] >= 0)
     for i in range(len(a)):
         row = extract(c, int(a[i]), int(b[i]), kind).as_row()
         for name, ref in zip(FEATURE_COLUMNS, row):
