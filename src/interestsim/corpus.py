@@ -174,14 +174,9 @@ class Corpus:
             u: frozenset(vs) for u, vs in adj.items()
         }
         gr: dict[int, set[int]] = {}
-        members: dict[int, set[int]] = {}
         for u, g in self.memberships:
             gr.setdefault(u, set()).add(g)
-            members.setdefault(g, set()).add(u)
         self.groups_of: dict[int, frozenset[int]] = {u: frozenset(v) for u, v in gr.items()}
-        self.group_members: dict[int, frozenset[int]] = {
-            g: frozenset(v) for g, v in members.items()
-        }
         # monthly message aggregates: pair -> (total count, days communicated)
         self.msg_totals: dict[tuple[int, int], tuple[int, int]] = {
             pair: (sum(days.values()), len(days)) for pair, days in self.messages.items()

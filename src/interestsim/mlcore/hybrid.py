@@ -67,12 +67,7 @@ def fit_hybrid(
     [leaf one-hots, original features]."""
     if task not in ("clf", "reg"):
         raise ValueError(f"task must be 'clf' or 'reg', got {task!r}")
-    params = dict(gbdt_params or {})
-    params.setdefault("n_trees", 30)
-    params.setdefault("max_depth", 3)
-    params.setdefault("learning_rate", 0.1)
-    params.setdefault("min_leaf", 10)
-    params.setdefault("seed", 0)
+    params = gbdt_params or {}
     loss = "logistic" if task == "clf" else "squared"
     encoder = fit_gbdt(data, loss=loss, **params)
     augmented = _augmented_design(encoder, data)
@@ -83,7 +78,7 @@ def fit_hybrid(
         cv_table = {lam: float("nan")}
     else:
         linear, cv_table = fit_linear_cv(
-            augmented, link, l1_grid, folds=folds, seed=params["seed"],
+            augmented, link, l1_grid, folds=folds, seed=params.get("seed", 0),
             max_iter=max_iter, tol=tol,
         )
     return HybridModel(

@@ -12,7 +12,7 @@ from .hybrid import HybridModel
 from .linear import CategoricalEncoder, LinearModel
 from .tree import Tree, TreeNode
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 def _node_to_dict(node: TreeNode) -> dict:
@@ -84,6 +84,8 @@ def _linear_to_dict(model: LinearModel) -> dict:
         },
         "feature_names": list(model.feature_names),
         "n_raw_features": model.n_raw_features,
+        "converged": model.converged,
+        "n_sweeps": model.n_sweeps,
     }
 
 
@@ -101,6 +103,8 @@ def _linear_from_dict(d: dict) -> LinearModel:
         ),
         feature_names=tuple(d["feature_names"]),
         n_raw_features=d["n_raw_features"],
+        converged=d["converged"],
+        n_sweeps=d["n_sweeps"],
     )
 
 

@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from .corpus import Corpus, Window, active_users
 from .mlcore.data import DesignMatrix
@@ -227,6 +228,16 @@ def extract(c: Corpus, target: int, helper: int, kind: str) -> FeatureRecord:
     )
 
 
+def _entries(M: sp.csr_matrix, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Dense ``M[rows[k], cols[k]]`` (scipy returns a sparse matrix for no pairs)."""
+    return np.asarray(M[rows, cols]).ravel() if len(rows) else np.zeros(0)
+
+
+def _row_products(M: sp.csr_matrix, rows_a: np.ndarray, rows_b: np.ndarray) -> np.ndarray:
+    """Dot product of row ``rows_a[k]`` with row ``rows_b[k]`` of ``M``."""
+    return np.asarray(M[rows_a].multiply(M[rows_b]).sum(axis=1)).ravel()
+
+
 class PairFeaturizer:
     """Vectorized feature extraction over many pairs of one corpus/kind."""
 
@@ -243,6 +254,26 @@ class PairFeaturizer:
         self._cities = np.array([c.users[u].city for u in ids], dtype=np.float64)
         self._is_f = np.array([c.users[u].gender == "F" for u in ids])
 
+        self._friends = self._symmetric(np.asarray(list(c.friend_edges), dtype=np.int64), 1.0)
+        self._degrees = np.diff(self._friends.indptr).astype(np.float64)
+        members = np.asarray(list(c.memberships), dtype=np.int64).reshape(-1, 2)
+        groups, group_cols = np.unique(members[:, 1], return_inverse=True)
+        self._groups = sp.csr_matrix(
+            (np.ones(len(members)), (self.rows(members[:, 0]), group_cols)),
+            shape=(len(ids), len(groups)),
+        )
+        msgs = np.asarray([(*ab, n, d) for ab, (n, d) in c.msg_totals.items()], dtype=np.int64).reshape(-1, 4)
+        self._msg_count = self._symmetric(msgs[:, :2], msgs[:, 2])
+        self._msg_days = self._symmetric(msgs[:, :2], msgs[:, 3])
+
+    def _symmetric(self, pairs: np.ndarray, values) -> sp.csr_matrix:
+        """User-by-user matrix holding ``values`` at (a, b) and (b, a) for
+        each row (a, b) of ``pairs``; the corpus keeps such pairs as a < b."""
+        a, b = self.rows(pairs).reshape(-1, 2).T
+        n = len(self.corpus.user_ids)
+        upper = sp.csr_matrix((np.broadcast_to(values, len(a)).astype(np.float64), (a, b)), shape=(n, n))
+        return (upper + upper.T).tocsr()
+
     def rows(self, user_ids) -> np.ndarray:
         return self.day0.rows_for(user_ids)
 
@@ -255,7 +286,7 @@ class PairFeaturizer:
         rtp damps the helper's PTP weights under the masked population."""
         day0 = self.day0
         # day-0 PTP counts (VBP indicators) drive individuality for every kind
-        P = day0.W if self.kind == "vbp" else day0.ptp_matrix
+        P = day0.counts
         n_masked = day0.n_active - day0.active_mask[rt].astype(np.float64)
         H = P[rh].tocoo()
         pair, item, w = H.row, H.col, H.data
@@ -280,7 +311,6 @@ class PairFeaturizer:
         return values, day0.active_mask[rh]
 
     def extract_batch(self, targets, helpers) -> dict[str, np.ndarray]:
-        c = self.corpus
         targets = np.asarray(targets, dtype=np.int64)
         helpers = np.asarray(helpers, dtype=np.int64)
         if np.any(targets == helpers):
@@ -289,47 +319,13 @@ class PairFeaturizer:
         rh = self.rows(helpers)
 
         n_f = self._is_f[rt].astype(np.int64) + self._is_f[rh].astype(np.int64)
-        edge_set = c.friend_edges
-        friendship = np.fromiter(
-            (
-                (min(int(a), int(b)), max(int(a), int(b))) in edge_set
-                for a, b in zip(targets, helpers)
-            ),
-            dtype=bool,
-            count=len(targets),
-        )
-        cfr = np.empty(len(targets))
-        groups = np.empty(len(targets), dtype=np.int64)
-        msg_count = np.empty(len(targets), dtype=np.int64)
-        msg_days = np.empty(len(targets), dtype=np.int64)
-        friends_of = c.friends_of
-        groups_of = c.groups_of
-        totals = c.msg_totals
-        empty: frozenset[int] = frozenset()
-        for i in range(len(targets)):
-            a = int(targets[i])
-            b = int(helpers[i])
-            fa = friends_of.get(a, empty)
-            fb = friends_of.get(b, empty)
-            if fa and fb:
-                cfr[i] = len(fa & fb) / math.sqrt(len(fa) * len(fb))
-            else:
-                cfr[i] = 0.0
-            groups[i] = len(groups_of.get(a, empty) & groups_of.get(b, empty))
-            key = (a, b) if a < b else (b, a)
-            mc, md = totals.get(key, (0, 0))
-            msg_count[i] = mc
-            msg_days[i] = md
+        common_friends = _row_products(self._friends, rt, rh)
+        degree_norm = np.sqrt(self._degrees[rt] * self._degrees[rh])
+        cfr = np.divide(common_friends, degree_norm, out=np.zeros(len(rt)), where=degree_norm > 0)
 
-        past_t_norm = self.past.row_norms[self.past.rows_for(targets)]
-        past_h_norm = self.past.row_norms[self.past.rows_for(helpers)]
-        has_past = (past_t_norm > 0) & (past_h_norm > 0)
-        past_sim = np.zeros(len(targets))
-        any_past = np.nonzero(has_past)[0]
-        if any_past.size:
-            past_sim[any_past] = self.past.similarity_pairs(
-                targets[any_past], helpers[any_past]
-            )
+        has_past = (self.past.row_norms[rt] > 0) & (self.past.row_norms[rh] > 0)
+        # an empty row scores exactly 0, so pairs without a past need no mask
+        past_sim = self.past.similarity_pairs(targets, helpers)
         indiv, has_indiv = self._batch_individuality(rt, rh)
 
         return {
@@ -341,11 +337,11 @@ class PairFeaturizer:
             "city_target": self._cities[rt],
             "city_helper": self._cities[rh],
             "same_city": (self._cities[rt] == self._cities[rh]).astype(np.float64),
-            "friendship": friendship.astype(np.float64),
+            "friendship": _entries(self._friends, rt, rh),
             "common_friend_ratio": cfr,
-            "common_groups": groups.astype(np.float64),
-            "msg_count_month": msg_count.astype(np.float64),
-            "msg_days_month": msg_days.astype(np.float64),
+            "common_groups": _row_products(self._groups, rt, rh),
+            "msg_count_month": _entries(self._msg_count, rt, rh),
+            "msg_days_month": _entries(self._msg_days, rt, rh),
             "past_sim_month": past_sim,
             "has_past": has_past.astype(np.float64),
             "helper_individuality": indiv,

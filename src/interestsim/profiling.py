@@ -160,6 +160,15 @@ class ProfileIndex:
     Rows follow ``corpus.user_ids`` order and include inactive users as
     empty rows, so the same row indexing works across windows.  Columns
     are sorted tag ids for tag kinds and sorted video ids for ``vbp``.
+
+    ``counts`` holds the undamped weights.  With ``V`` the binary
+    user-by-video matrix of the distinct videos viewed in the window and
+    ``T`` the video-by-tag incidence, ``counts`` is ``V`` for ``vbp`` and
+    ``V @ T`` (viewed videos per tag) for the tag kinds.  ``W`` equals
+    ``counts``, except that ``rtp`` damps each tag by
+    ``log2(n_active / item_user_counts)`` and drops exact zeros.  Both are
+    canonical CSR.  ``rows_for`` finds rows by binary search over the
+    sorted ``user_ids`` and raises KeyError for an id the corpus lacks.
     """
 
     def __init__(self, corpus: Corpus, window: Window, kind: str):
@@ -170,62 +179,46 @@ class ProfileIndex:
         self.window = window
         self.kind = kind
         self.user_ids = np.asarray(corpus.user_ids, dtype=np.int64)
-        self.row_of = {u: i for i, u in enumerate(corpus.user_ids)}
+        video_ids = np.asarray(sorted(corpus.videos), dtype=np.int64)
 
         lo, hi = window
-        rows, cols = [], []
-        if kind == "vbp":
-            items = sorted(corpus.videos)
-        else:
-            items = sorted(corpus.tag_vocab)
-        self.item_ids = np.asarray(items, dtype=np.int64)
-        item_col = {m: j for j, m in enumerate(items)}
+        users: list[int] = []
+        videos: list[int] = []
+        for u, days in corpus.views_by_user.items():
+            seen: set[int] = set()
+            for d, vids in days.items():
+                if lo <= d <= hi:
+                    seen.update(vids)
+            users.extend([u] * len(seen))
+            videos.extend(seen)
+        cols = np.searchsorted(video_ids, np.array(videos, dtype=np.int64))
+        V = sp.csr_matrix(
+            (np.ones(len(cols)), (self.rows_for(users), cols)), shape=(len(self.user_ids), len(video_ids))
+        )
 
         if kind == "vbp":
-            for u, days in corpus.views_by_user.items():
-                seen: set[int] = set()
-                for d, vids in days.items():
-                    if lo <= d <= hi:
-                        seen.update(vids)
-                r = self.row_of[u]
-                for m in seen:
-                    rows.append(r)
-                    cols.append(item_col[m])
-            data = np.ones(len(rows), dtype=np.float64)
-            W = sp.csr_matrix(
-                (data, (rows, cols)), shape=(len(self.user_ids), len(items))
-            )
+            self.item_ids = video_ids
+            counts = V
         else:
-            vals = []
-            for u, days in corpus.views_by_user.items():
-                seen = set()
-                for d, vids in days.items():
-                    if lo <= d <= hi:
-                        seen.update(vids)
-                if not seen:
-                    continue
-                counter: Counter[int] = Counter()
-                for m in seen:
-                    counter.update(corpus.videos[m].tags)
-                r = self.row_of[u]
-                for t, n in counter.items():
-                    rows.append(r)
-                    cols.append(item_col[t])
-                    vals.append(float(n))
-            W = sp.csr_matrix(
-                (np.asarray(vals), (rows, cols)),
-                shape=(len(self.user_ids), len(items)),
+            self.item_ids = np.asarray(sorted(corpus.tag_vocab), dtype=np.int64)
+            incidence = [(j, t) for j, m in enumerate(video_ids.tolist()) for t in corpus.videos[m].tags]
+            video_rows, tag_ids = np.asarray(incidence, dtype=np.int64).reshape(-1, 2).T
+            T = sp.csr_matrix(
+                (np.ones(len(incidence)), (video_rows, np.searchsorted(self.item_ids, tag_ids))),
+                shape=(len(video_ids), len(self.item_ids)),
             )
+            counts = V @ T
+            counts.sort_indices()
+        self.counts = counts
 
-        active_rows = np.asarray((W != 0).sum(axis=1)).ravel() > 0
-        self.active_mask = active_rows
-        self.n_active = int(active_rows.sum())
+        self.active_mask = np.diff(counts.indptr) > 0
+        self.n_active = int(self.active_mask.sum())
         # per-item owner counts |U_i| (owners are active by construction)
-        self.item_user_counts = np.asarray((W != 0).sum(axis=0)).ravel().astype(np.int64)
+        self.item_user_counts = np.bincount(counts.indices, minlength=counts.shape[1])
 
-        self.ptp_matrix = W if kind != "vbp" else None
+        W = counts
         if kind == "rtp":
-            factor = np.zeros(len(items))
+            factor = np.zeros(len(self.item_ids))
             owned = self.item_user_counts > 0
             factor[owned] = np.log2(self.n_active / self.item_user_counts[owned])
             W = W.multiply(factor[np.newaxis, :]).tocsr()
@@ -239,9 +232,13 @@ class ProfileIndex:
         self.W_normalized = sp.diags(inv) @ self.W
 
     def rows_for(self, user_ids) -> np.ndarray:
-        return np.asarray(
-            [self.row_of[int(u)] for u in np.asarray(user_ids).ravel()], dtype=np.int64
-        )
+        """Row of each user id; raises KeyError for an id the corpus lacks."""
+        ids = np.asarray(user_ids, dtype=np.int64).ravel()
+        rows = np.searchsorted(self.user_ids, ids)
+        known = self.user_ids[np.minimum(rows, len(self.user_ids) - 1)] == ids
+        if not known.all():
+            raise KeyError(f"unknown user {ids[~known][0]}")
+        return rows
 
     def similarity_pairs(self, users_a, users_b) -> np.ndarray:
         """Pairwise similarity for aligned id arrays (vectorized)."""

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from interestsim.mlcore import (
+    ConvergenceError,
     DesignMatrix,
     fit_forest,
     fit_gbdt,
@@ -116,6 +117,18 @@ def test_serialization_roundtrip(tmp_path, builder):
     path2 = tmp_path / "model2.json"
     save_model(back, path2)
     assert path.read_bytes() == path2.read_bytes()
+
+
+def test_convergence_state_survives_serialization(tmp_path):
+    X, y = nonlinear_data(8)
+    with pytest.raises(ConvergenceError) as exc:
+        fit_linear(dm(X, y), "identity", l1_lambda=0.0, max_iter=1, tol=1e-15)
+    model = exc.value.model
+    path = tmp_path / "model.json"
+    save_model(model, path)
+    back = load_model(path)
+    assert back.converged is False
+    assert back.n_sweeps == model.n_sweeps == 1
 
 
 def test_unsupported_version_rejected(tmp_path):

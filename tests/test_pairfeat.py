@@ -87,6 +87,15 @@ def _random_pairs(c: Corpus):
     return a[keep], b[keep]
 
 
+def _friend_pairs(c: Corpus):
+    """150 friend edges, each in a random orientation."""
+    rng = np.random.default_rng(0)
+    edges = np.array(sorted(c.friend_edges))
+    edges = edges[rng.choice(len(edges), 150, replace=False)]
+    flip = rng.random(150) < 0.5
+    return np.where(flip, edges[:, 1], edges[:, 0]), np.where(flip, edges[:, 0], edges[:, 1])
+
+
 def _all_ordered_pairs(c: Corpus):
     pairs = [(t, h) for t in c.user_ids for h in c.user_ids if t != h]
     return np.array([t for t, _ in pairs]), np.array([h for _, h in pairs])
@@ -95,7 +104,8 @@ def _all_ordered_pairs(c: Corpus):
 @pytest.mark.parametrize(
     "corpus_name, pairs, kind",
     [pytest.param("feature_corpus", _random_pairs, k, id=k) for k in ("ptp", "rtp", "vbp")]
-    + [pytest.param("tiny_corpus", _all_ordered_pairs, k, id=f"tiny-{k}") for k in ("ptp", "rtp", "vbp")],
+    + [pytest.param("tiny_corpus", _all_ordered_pairs, k, id=f"tiny-{k}") for k in ("ptp", "rtp", "vbp")]
+    + [pytest.param("feature_corpus", _friend_pairs, k, id=f"friends-{k}") for k in ("ptp", "rtp", "vbp")],
 )
 def test_batch_matches_reference(request, corpus_name, pairs, kind):
     c = request.getfixturevalue(corpus_name)

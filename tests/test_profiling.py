@@ -198,3 +198,30 @@ def test_rtp_universal_tag_damped():
     r2 = build_rtp(c, 2, (0, 0))
     assert 100 not in r1.weights and 100 not in r2.weights
     assert tag_similarity(r1, r2) == 0.0  # only disjoint rare tags remain
+
+
+@pytest.mark.parametrize("window", [(0, 0), (-7, -1), (-30, 0)])
+@pytest.mark.parametrize("kind", ["ptp", "rtp", "vbp"])
+def test_index_rows_match_dict_profiles(small_corpus, kind, window):
+    """Multi-day windows hold videos seen on several days, which count once."""
+    c, _ = small_corpus
+    idx = ProfileIndex(c, window, kind)
+    W = idx.W
+    for u, r in zip(c.user_ids, idx.rows_for(c.user_ids)):
+        cols = W.indices[W.indptr[r] : W.indptr[r + 1]]
+        row = dict(zip(idx.item_ids[cols].tolist(), W.data[W.indptr[r] : W.indptr[r + 1]].tolist()))
+        if kind == "vbp":
+            assert row == {m: 1.0 for m in c.view_set(u, window)}
+        elif kind == "ptp":
+            assert row == build_ptp(c, u, window).weights
+        else:
+            assert row == pytest.approx(build_rtp(c, u, window).weights, rel=1e-12, abs=0)
+
+
+def test_rows_for_rejects_unknown_ids():
+    users = {i: UserRecord(i, "M", 20, 0) for i in (2, 5, 9)}
+    idx = ProfileIndex(make_corpus(users=users), (0, 0), "ptp")
+    assert idx.rows_for([9, 2, 5]).tolist() == [2, 0, 1]
+    for unknown in (1, 3, 10):
+        with pytest.raises(KeyError):
+            idx.rows_for([2, unknown])
