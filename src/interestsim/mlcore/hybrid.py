@@ -72,13 +72,14 @@ def fit_hybrid(
     encoder = fit_gbdt(data, loss=loss, **params)
     augmented = _augmented_design(encoder, data)
     link = "logistic" if task == "clf" else "identity"
-    if l1_grid is not None and len(list(l1_grid)) == 1:
-        lam = float(list(l1_grid)[0])
+    grid = None if l1_grid is None else list(l1_grid)  # l1_grid may be a generator
+    if grid is not None and len(grid) == 1:
+        lam = float(grid[0])
         linear = fit_linear(augmented, link, lam, max_iter, tol)
         cv_table = {lam: float("nan")}
     else:
         linear, cv_table = fit_linear_cv(
-            augmented, link, l1_grid, folds=folds, seed=params.get("seed", 0),
+            augmented, link, grid, folds=folds, seed=params.get("seed", 0),
             max_iter=max_iter, tol=tol,
         )
     return HybridModel(

@@ -5,6 +5,15 @@ and categorical columns are one-hot encoded over their most frequent
 levels.  The penalized objective is (1/n)-scaled loss + lambda * ||w||_1
 with an unpenalized intercept; the logistic case wraps the same
 coordinate sweep in an iteratively reweighted quadratic approximation.
+
+The sweeps alternate between full sweeps, a Python loop over every column
+that keeps the residual current at O(n) per coordinate step, and sweeps
+over the active (nonzero) set, which run in Gram space: on a fixed active
+set a cyclic sweep is one triangular solve with the active block of
+Z' Omega Z / n, at O(|active|) per coordinate step.  That block is built
+from matrix-vector products only, because OpenBLAS rounds matrix-matrix
+products differently under different thread counts and the fitted models
+must not depend on the thread count.
 """
 
 from __future__ import annotations
@@ -12,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.blas import dtrsv
 
 from .data import DesignMatrix
 
@@ -131,60 +141,165 @@ def _soft(x: float, t: float) -> float:
     return 0.0
 
 
+def _gram_block(Z, omega, cols, col_ss):
+    """G = Z_A' Omega Z_A / n for the columns A = ``cols``, in Fortran order.
+
+    The part of column k on and below the diagonal is one matrix-vector
+    product, Z_wA' z_k over the rows of A from k on (see ``_cd_sweeps``), and
+    is mirrored into the upper triangle, so G is exactly symmetric.  Its
+    diagonal is ``col_ss[cols]``, the divisor of the full sweeps' scalar
+    steps."""
+    Zw = Z[:, cols]
+    if omega is not None:
+        Zw *= omega[:, None]
+    G = np.empty((len(cols), len(cols)), order="F")
+    for i, k in enumerate(cols):
+        G[i:, i] = Zw[:, i:].T @ Z[:, k]
+        G[i, i + 1 :] = G[i + 1 :, i]
+    G /= len(Z)
+    G.flat[:: len(cols) + 1] = col_ss[cols]
+    return G
+
+
+def _active_step(G, u, w, lam):
+    """The step d of one cyclic sweep over the active block.
+
+    ``G`` is the block's Gram matrix (only its lower triangle is read),
+    ``u = Z_A' Omega r / n`` the gradient at the sweep's start and ``w`` the
+    block's coefficients, all nonzero.  While every coefficient keeps its
+    sign s, coordinate j moves by d_j = (u_j - sum_{k<j} G_jk d_k - lam*s_j)
+    / G_jj: the sweep is the forward substitution
+    (diag + lower)(G) d = u - lam*s.  The first coordinate whose new value
+    would change sign or reach zero takes the scalar soft-threshold step
+    instead, and the solve resumes after it.  At lam = 0 every sign is valid.
+    """
+    s = np.sign(w)
+    rhs = u - lam * s
+    d = dtrsv(G, rhs, lower=1)
+    if lam == 0.0:
+        return d
+    m = 0
+    while True:
+        flips = np.flatnonzero((w[m:] + d[m:]) * s[m:] <= 0)
+        if not len(flips):
+            return d
+        m += int(flips[0])
+        rho = u[m] - float(G[m, :m] @ d[:m]) + G[m, m] * w[m]
+        d[m] = _soft(rho, lam) / G[m, m] - w[m]
+        m += 1
+        if m == len(w):
+            return d
+        d[m:] = dtrsv(G[m:, m:], rhs[m:] - G[m:, :m] @ d[:m], lower=1)
+
+
 def _cd_sweeps(Z, y, w, b, lam, omega, max_sweeps, tol):
     """Cyclic coordinate descent on (1/2n) sum omega*(y - Zw - b)^2 + lam*||w||_1.
 
-    Alternates full sweeps with sweeps over the active (nonzero) set and
-    declares convergence only when a full sweep moves every coefficient
-    by less than tol.  Mutates w; returns (intercept, sweeps, converged).
+    Alternates full sweeps with sweeps over the active set A (the nonzero
+    coefficients) and declares convergence only when a full sweep moves
+    every coefficient and the intercept by less than tol.
+
+    A full sweep loops over all columns and updates the residual r after
+    each coordinate step, at O(n) per step.  An active sweep works in Gram
+    space (Friedman, Hastie & Tibshirani 2010, covariance updates): the
+    gradient u = Z_A' Omega r / n is set from r once after a full sweep and
+    then updated through G = Z_A' Omega Z_A / n, so one sweep is one
+    triangular solve (``_active_step``) at O(|A|) per coordinate step, and
+    r is recomputed before the next full sweep.  The intercept is updated
+    after every sweep from the tracked sum of Omega r.
+
+    G is built only when A changes, one matrix-vector product per column
+    (``_gram_block``); when A only shrinks its block is sliced out.  A
+    matrix-matrix product such as Zw' Z would be quicker to build, but
+    OpenBLAS rounds it differently under different thread counts, and fits
+    must not depend on the thread count; its matrix-vector and dot products
+    do not.
+
+    Mutates w; returns (intercept, sweeps, converged, the last sweep's
+    largest change of a coefficient or the intercept).
     """
     n = len(y)
     if omega is None:
         col_ss = np.einsum("ij,ij->j", Z, Z) / n
         wsum = float(n)
+        col_wsum = Z.sum(axis=0)
     else:
         col_ss = np.einsum("i,ij,ij->j", omega, Z, Z) / n
         wsum = float(omega.sum())
+        col_wsum = Z.T @ omega
     r = y - Z @ w - b
     p = Z.shape[1]
     full = True
     sweeps = 0
+    A = G = u = None  # the active block; u is None while r is current
+    delta_max = float("nan")
     while sweeps < max_sweeps:
         sweeps += 1
-        cols = range(p) if full else np.nonzero(w)[0]
-        delta_max = 0.0
-        for j in cols:
-            if col_ss[j] <= 0:
-                continue
-            zj = Z[:, j]
-            wj = w[j]
+        if full:
+            if u is not None:
+                r = y - Z @ w - b
+                u = None
+            delta_max = 0.0
+            for j in range(p):
+                if col_ss[j] <= 0:
+                    continue
+                zj = Z[:, j]
+                wj = w[j]
+                if omega is None:
+                    rho = float(zj @ r) / n + col_ss[j] * wj
+                else:
+                    rho = float(zj @ (omega * r)) / n + col_ss[j] * wj
+                new = _soft(rho, lam) / col_ss[j]
+                if new != wj:
+                    r -= (new - wj) * zj
+                    w[j] = new
+                    delta = abs(new - wj)
+                    if delta > delta_max:
+                        delta_max = delta
             if omega is None:
-                rho = float(zj @ r) / n + col_ss[j] * wj
+                db = float(r.sum()) / n
             else:
-                rho = float(zj @ (omega * r)) / n + col_ss[j] * wj
-            new = _soft(rho, lam) / col_ss[j]
-            if new != wj:
-                r -= (new - wj) * zj
-                w[j] = new
-                delta = abs(new - wj)
-                if delta > delta_max:
-                    delta_max = delta
-        if omega is None:
-            db = float(r.sum()) / n
+                db = float((omega * r).sum()) / wsum
+            if db != 0.0:
+                b += db
+                r -= db
         else:
-            db = float((omega * r).sum()) / wsum
-        if db != 0.0:
-            b += db
-            r -= db
-            if abs(db) > delta_max:
-                delta_max = abs(db)
+            if u is None:
+                keep = np.flatnonzero((w != 0) & (col_ss > 0))
+                wr = r if omega is None else omega * r
+                u = (Z.T @ wr)[keep] / n
+                wr_sum = float(wr.sum())
+            else:
+                still = w[A] != 0
+                keep, u = A[still], u[still]
+            if G is None or not np.array_equal(keep, A):
+                if G is not None and np.isin(keep, A).all():
+                    pos = np.searchsorted(A, keep)
+                    G = np.asfortranarray(G[np.ix_(pos, pos)])
+                else:
+                    G = _gram_block(Z, omega, keep, col_ss)
+            A = keep
+            if len(A):
+                d = _active_step(G, u, w[A], lam)
+                w[A] += d
+                u -= G @ d
+                wr_sum -= float(col_wsum[A] @ d)
+                delta_max = float(np.max(np.abs(d)))
+            else:
+                delta_max = 0.0
+            db = wr_sum / wsum
+            if db != 0.0:
+                b += db
+                u -= col_wsum[A] * (db / n)
+                wr_sum -= db * wsum
+        delta_max = max(delta_max, abs(db))
         if delta_max < tol:
             if full:
-                return b, sweeps, True
+                return b, sweeps, True, delta_max
             full = True  # verify on a full sweep
         else:
             full = False
-    return b, sweeps, False
+    return b, sweeps, False, delta_max
 
 
 def fit_linear(
@@ -225,8 +340,9 @@ def fit_linear(
 
     names = encoder.names(data.names if data.names else tuple(f"x{j}" for j in range(data.n_cols)))
     used = 0
+    last_delta = float("nan")  # stays nan if no sweep runs
     if link == "identity":
-        b, used, converged = _cd_sweeps(Z, y, w, b, l1_lambda, None, max_iter, tol)
+        b, used, converged, last_delta = _cd_sweeps(Z, y, w, b, l1_lambda, None, max_iter, tol)
     else:
         converged = False
         for _ in range(max_iter):
@@ -237,7 +353,9 @@ def fit_linear(
             w_before = w.copy()
             b_before = b
             inner_budget = max(max_iter - used, 1)
-            b, sweeps, _ = _cd_sweeps(Z, y_work, w, b, l1_lambda, omega, min(inner_budget, 100), tol)
+            b, sweeps, _, last_delta = _cd_sweeps(
+                Z, y_work, w, b, l1_lambda, omega, min(inner_budget, 100), tol
+            )
             used += sweeps
             delta = max(float(np.max(np.abs(w - w_before))) if len(w) else 0.0, abs(b - b_before))
             if delta < tol:
@@ -260,7 +378,10 @@ def fit_linear(
     )
     if not converged:
         raise ConvergenceError(
-            f"coordinate descent did not converge within {max_iter} sweeps", model
+            f"coordinate descent did not converge within {max_iter} sweeps "
+            f"({link} link, lambda={l1_lambda:g}, {used} sweeps used, last sweep's "
+            f"largest coefficient change {last_delta:.3g}, tol {tol:g})",
+            model,
         )
     return model
 
@@ -318,6 +439,8 @@ def fit_linear_cv(
     if lambdas is None:
         lambdas = default_lambda_grid(data, link, max_levels=max_levels)
     grid = sorted(set(float(l) for l in lambdas), reverse=True)
+    if not grid:
+        raise ValueError("lambda grid is empty")
     folds = max(2, min(folds, data.n_rows))
     totals = {lam: 0.0 for lam in grid}
     cv_tol = max(tol, 1e-5)  # selection does not need final-fit precision

@@ -1,6 +1,13 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import interestsim
 from interestsim.mlcore import (
     ConvergenceError,
     DesignMatrix,
@@ -138,3 +145,46 @@ def test_unsupported_version_rejected(tmp_path):
     path.write_text(json.dumps({"format_version": 99, "model_type": "tree"}))
     with pytest.raises(ValueError):
         load_model(path)
+
+
+@pytest.mark.parametrize("grid", [[0.02], [0.05, 0.01]], ids=["one", "two"])
+def test_generator_l1_grid(grid):
+    X, y = nonlinear_data(9)
+    hybrid = fit_hybrid(
+        dm(X, y), task="reg", gbdt_params={"n_trees": 3}, l1_grid=(lam for lam in grid), folds=3
+    )
+    assert sorted(hybrid.cv_table) == sorted(grid)
+    assert hybrid.chosen_lambda in grid
+
+
+_THREAD_FIT = """
+import json
+import numpy as np
+from interestsim.mlcore import DesignMatrix, fit_hybrid
+
+rng = np.random.default_rng(10)
+X = rng.random((1500, 6))
+signal = np.sin(4 * X[:, 0]) + (X[:, 1] > 0.5) * X[:, 2] + 0.5 * X[:, 3]
+y = (signal + 0.3 * rng.normal(size=1500) > np.median(signal)).astype(float)
+hybrid = fit_hybrid(DesignMatrix(X, y, ()), task="clf", gbdt_params={"n_trees": 12},
+                    l1_grid=[0.02, 0.01], folds=2)
+m = hybrid.linear
+print(json.dumps({"weights": m.weights.tobytes().hex(), "intercept": float(m.intercept).hex(),
+                  "n_sweeps": m.n_sweeps, "converged": m.converged}))
+"""
+
+
+def test_hybrid_fit_identical_across_blas_thread_counts():
+    # large enough for OpenBLAS to split matrix products between threads;
+    # a Gram block built by one matrix-matrix product gives different bits here
+    src = str(Path(interestsim.__file__).resolve().parent.parent)
+    fits = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        out = subprocess.run(
+            [sys.executable, "-c", _THREAD_FIT], env=env, capture_output=True, text=True,
+            timeout=300, check=True,
+        )
+        fits.append(json.loads(out.stdout.strip().splitlines()[-1]))
+    assert fits[0] == fits[1]

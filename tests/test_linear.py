@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
 
+from cd_oracle import _cd_sweeps as oracle_sweeps
 from interestsim.mlcore import (
     ConvergenceError,
     DesignMatrix,
+    encode_leaves,
+    fit_gbdt,
     fit_linear,
     fit_linear_cv,
+    linear,
     logistic_loss,
     sigmoid,
 )
@@ -145,3 +149,106 @@ def test_cv_single_lambda_grid():
     model, table = fit_linear_cv(dm(X, y), "identity", lambdas=[0.05], folds=3, seed=0)
     assert model.l1_lambda == 0.05
     assert list(table) == [0.05]
+
+
+def test_cv_rejects_empty_lambda_grid():
+    X, y = random_regression(11)
+    with pytest.raises(ValueError, match="lambda grid is empty"):
+        fit_linear_cv(dm(X, y), "identity", lambdas=[], folds=3)
+
+
+def test_convergence_error_message_explains_the_failure():
+    X, y = random_regression(12)
+    with pytest.raises(ConvergenceError) as exc:
+        fit_linear(dm(X, y), "identity", l1_lambda=0.0, max_iter=1, tol=1e-15)
+    model = exc.value.model
+    # one full sweep from zero: its largest change is the largest coefficient
+    last = max(np.max(np.abs(model.weights)), abs(model.intercept))
+    assert str(exc.value) == (
+        "coordinate descent did not converge within 1 sweeps (identity link, "
+        f"lambda=0, 1 sweeps used, last sweep's largest coefficient change {last:.3g}, "
+        "tol 1e-15)"
+    )
+    yb = (y > np.median(y)).astype(float)
+    with pytest.raises(ConvergenceError, match=r"\(logistic link, lambda=0.001, 3 sweeps used"):
+        fit_linear(dm(X, yb), "logistic", l1_lambda=1e-3, max_iter=3, tol=1e-15)
+
+
+# -- the Gram-space sweep against the residual-space oracle ---------------------
+
+
+def _standardized(X, categorical=()):
+    """The design ``fit_linear`` hands to the sweep."""
+    Z = linear.fit_encoder(X, categorical).transform(X)
+    sigma = Z.std(axis=0)
+    return np.asfortranarray((Z - Z.mean(axis=0)) / np.where(sigma > 0, sigma, 1.0))
+
+
+def _oracle_design(name, n=200):
+    rng = np.random.default_rng(13)
+    X = rng.normal(size=(n, 6))
+    X[:, 1] = X[:, 0] + 0.3 * X[:, 1]  # correlated columns
+    signal = X[:, 0] - 0.5 * X[:, 2] + np.sin(2 * X[:, 3])
+    if name == "constant-column":
+        Z = _standardized(np.column_stack([X, np.full(n, 3.0)]))
+    elif name == "categorical":
+        cat = rng.integers(0, 4, size=n).astype(float)
+        signal = signal + np.array([0.0, 1.0, -1.0, 0.5])[cat.astype(int)]
+        Z = _standardized(np.column_stack([cat, X]), categorical=(0,))
+    else:  # leaf one-hots of a GBDT, one block per tree summing to 1: collinear
+        target = signal + 0.3 * rng.normal(size=n)
+        gbdt = fit_gbdt(dm(X, target), n_trees=4, max_depth=3)
+        Z = _standardized(np.hstack([encode_leaves(gbdt, X), X]))
+    y = signal + 0.3 * rng.normal(size=n)
+    return Z, y, (y > np.median(y)).astype(float)
+
+
+def _sweep_problem(design, link):
+    """(Z, working response, omega) as one IRLS step of ``fit_linear`` sees it."""
+    Z, y, yb = _oracle_design(design)
+    if link == "identity":
+        return Z, y, None
+    z = 0.4 * Z[:, 0] - 0.2 * Z[:, -1]
+    p = sigmoid(z)
+    omega = np.maximum(p * (1.0 - p), 1e-6)
+    return Z, z + (yb - p) / omega, omega
+
+
+def _lambda_max(Z, y, omega):
+    omega = np.ones(len(y)) if omega is None else omega
+    centred = y - (omega @ y) / omega.sum()
+    return float(np.max(np.abs(Z.T @ (omega * centred))) / len(y))
+
+
+def _assert_sweeps_match(Z, y, lam, omega, max_sweeps, tol, w0=None, b0=0.0):
+    w_new = np.zeros(Z.shape[1]) if w0 is None else w0.copy()
+    w_old = w_new.copy()
+    b_new, sweeps_new, conv_new, _ = linear._cd_sweeps(Z, y, w_new, b0, lam, omega, max_sweeps, tol)
+    b_old, sweeps_old, conv_old = oracle_sweeps(Z, y, w_old, b0, lam, omega, max_sweeps, tol)
+    assert (sweeps_new, conv_new) == (sweeps_old, conv_old)
+    assert np.max(np.abs(w_new - w_old), initial=0.0) < 1e-10
+    assert abs(b_new - b_old) < 1e-10
+    return w_new
+
+
+@pytest.mark.parametrize("lam_frac", [0.0, 0.1, 0.95], ids=["lam0", "mid", "near-max"])
+@pytest.mark.parametrize("link", ["identity", "logistic"])
+@pytest.mark.parametrize("design", ["constant-column", "categorical", "leaf-one-hot"])
+def test_sweeps_match_residual_oracle(design, link, lam_frac):
+    Z, y, omega = _sweep_problem(design, link)
+    lam = lam_frac * _lambda_max(Z, y, omega)
+    _assert_sweeps_match(Z, y, lam, omega, max_sweeps=2000, tol=1e-8)
+    # a budget too small to converge: stops after one full or one active sweep
+    for max_sweeps in (1, 2):
+        _assert_sweeps_match(Z, y, lam, omega, max_sweeps=max_sweeps, tol=1e-8)
+
+
+@pytest.mark.parametrize("link", ["identity", "logistic"])
+def test_sweeps_match_residual_oracle_through_sign_changes(link):
+    # warm-started from the unpenalized fit, coefficients cross zero or
+    # drop out inside active sweeps, where the triangular solve stops and
+    # takes the scalar soft-threshold step
+    Z, y, omega = _sweep_problem("leaf-one-hot", link)
+    w0 = _assert_sweeps_match(Z, y, 0.0, omega, max_sweeps=3000, tol=1e-10)
+    lam = 0.3 * _lambda_max(Z, y, omega)
+    _assert_sweeps_match(Z, y, lam, omega, max_sweeps=2000, tol=1e-8, w0=w0, b0=0.1)
