@@ -9,6 +9,7 @@ fixed seed, independent of thread count.
 from __future__ import annotations
 
 import argparse
+import csv
 import dataclasses
 import hashlib
 import json
@@ -18,9 +19,9 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, evalkit, mlcore, recommend as rec
-from .corpus import Corpus, load_corpus, write_corpus
+from .corpus import CSV_NAMES, Corpus, active_users, load_corpus, write_corpus
 from .pairfeat import SampleTable, build_training_set, read_samples, write_samples
-from .profiling import KINDS, ProfileIndex, self_similarity_series
+from .profiling import KINDS, ProfileIndex, self_similarity
 from .synthgen import GenConfig, generate
 
 PRESETS = {
@@ -97,8 +98,6 @@ def _read_config_tokens(path: str) -> list[str]:
 
 
 def _corpus_files(directory: Path) -> list[Path]:
-    from .corpus import CSV_NAMES
-
     return [directory / name for name in CSV_NAMES.values()]
 
 
@@ -131,11 +130,9 @@ def cmd_generate(args) -> int:
     return 0
 
 
-def cmd_profile(args) -> int:
-    corpus = load_corpus(args.corpus)
-    window = args.window
-    idx = ProfileIndex(corpus, window, args.kind)
-    out = Path(args.out)
+def write_profiles(corpus: Corpus, corpus_dir, kind: str, window, out: Path) -> None:
+    """Per-user JSONL profiles and a manifest naming ``corpus_dir``, where ``corpus`` was written."""
+    idx = ProfileIndex(corpus, window, kind)
     out.parent.mkdir(parents=True, exist_ok=True)
     with open(out, "w", encoding="utf-8") as fh:
         for row, uid in enumerate(idx.user_ids):
@@ -147,12 +144,16 @@ def cmd_profile(args) -> int:
             obj = {
                 "id": int(uid),
                 "window": list(window),
-                "kind": args.kind,
+                "kind": kind,
                 "weights": {str(int(items[i])): float(weights[i]) for i in order},
             }
             fh.write(json.dumps(obj, sort_keys=True) + "\n")
-    write_manifest(out, "profile", {"kind": args.kind, "window": list(window), "corpus": str(args.corpus)}, _corpus_files(Path(args.corpus)), [out])
-    print(f"profile: wrote {len(idx.user_ids)} {args.kind} profiles to {out}")
+    write_manifest(out, "profile", {"kind": kind, "window": list(window), "corpus": str(corpus_dir)}, _corpus_files(Path(corpus_dir)), [out])
+    print(f"profile: wrote {len(idx.user_ids)} {kind} profiles to {out}")
+
+
+def cmd_profile(args) -> int:
+    write_profiles(load_corpus(args.corpus), args.corpus, args.kind, args.window, Path(args.out))
     return 0
 
 
@@ -406,8 +407,7 @@ def cmd_pipeline(args) -> int:
 
     log("pipeline: profiling day-0 PTP/RTP")
     for kind in ("ptp", "rtp"):
-        prof_args = argparse.Namespace(corpus=out / "corpus", kind=kind, window=(0, 0), out=out / "profiles" / f"day0_{kind}.jsonl")
-        cmd_profile(prof_args)
+        write_profiles(corpus, out / "corpus", kind, (0, 0), out / "profiles" / f"day0_{kind}.jsonl")
 
     samples_dir = out / "samples"
     samples_dir.mkdir(parents=True, exist_ok=True)
@@ -468,26 +468,17 @@ def cmd_pipeline(args) -> int:
 
 
 def _selfsim_table(corpus: Corpus, seed: int, path: Path) -> None:
-    import csv as _csv
-
-    from .corpus import active_users
-
     lags = [1, 3, 7, 14, 21, 30]
     actives = sorted(active_users(corpus, (0, 0)))
     rng = np.random.default_rng(seed)
     cohort = rng.choice(np.asarray(actives), size=min(400, len(actives)), replace=False)
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = _csv.writer(fh, lineterminator="\n")
+        writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["kind", "lag", "mean_self_similarity", "count", "stderr"])
         for kind in ("ptp", "rtp"):
-            series = {lag: [] for lag in lags}
-            for u in cohort:
-                vals = self_similarity_series(corpus, int(u), kind, lags)
-                for lag, v in zip(lags, vals):
-                    if v is not None:
-                        series[lag].append(v)
-            for lag in lags:
-                vals = np.asarray(series[lag])
+            sims = self_similarity(corpus, cohort, kind, lags)
+            for lag, column in zip(lags, sims.T):
+                vals = column[~np.isnan(column)]
                 se = float(vals.std(ddof=1) / np.sqrt(len(vals))) if len(vals) > 1 else 0.0
                 writer.writerow([kind, lag, "%.9g" % vals.mean(), len(vals), "%.9g" % se])
 

@@ -8,8 +8,12 @@ keys and value ranges up front so downstream code never has to.
 from __future__ import annotations
 
 import csv
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
+
+import numpy as np
 
 DAY_MIN = -30
 DAY_MAX = 0
@@ -87,6 +91,13 @@ class LoadReport:
 class Corpus:
     """Validated, immutable snapshot of all raw logs plus derived indexes.
 
+    ``views`` stays the raw data, which equality compares and
+    ``write_corpus`` writes.  The view queries read the view log instead:
+    read-only int64 arrays with one entry per view (user row in
+    ``user_ids``, day, video id, video column in ``video_ids``), sorted by
+    (user, day, video), plus per-user offsets into them.  Only this module
+    reads that layout; ``viewed_pairs`` serves the rest of the package.
+
     Equality compares the raw data only; derived indexes are deterministic
     functions of it.  Instances are safe for unrestricted concurrent reads.
     """
@@ -157,15 +168,20 @@ class Corpus:
 
     def _build_indexes(self) -> None:
         self.user_ids: tuple[int, ...] = tuple(sorted(self.users))
+        self.video_ids: tuple[int, ...] = tuple(sorted(self.videos))
         self.tag_vocab: frozenset[int] = frozenset(
             t for rec in self.videos.values() for t in rec.tags
         )
-        by_user: dict[int, dict[int, set[int]]] = {}
-        for u, m, d in self.views:
-            by_user.setdefault(u, {}).setdefault(d, set()).add(m)
-        self.views_by_user: dict[int, dict[int, frozenset[int]]] = {
-            u: {d: frozenset(vs) for d, vs in days.items()} for u, days in by_user.items()
-        }
+        log = np.fromiter(chain.from_iterable(self.views), np.int64, 3 * len(self.views)).reshape(-1, 3)
+        users, videos, days = log[np.lexsort((log[:, 1], log[:, 2], log[:, 0]))].T
+        self._view_rows = np.searchsorted(np.asarray(self.user_ids, dtype=np.int64), users)
+        self._view_days, self._view_videos = days.copy(), videos.copy()
+        self._view_cols = np.searchsorted(np.asarray(self.video_ids, dtype=np.int64), videos)
+        self._view_offsets = np.searchsorted(self._view_rows, np.arange(len(self.user_ids) + 1))
+        for a in (self._view_rows, self._view_days, self._view_videos, self._view_cols, self._view_offsets):
+            a.setflags(write=False)
+        # view_set bisects memoryviews: their items are Python ints, cheaper to probe than numpy scalars
+        self._view_slices = tuple(map(memoryview, (self._view_offsets, self._view_days, self._view_videos)))
         adj: dict[int, set[int]] = {}
         for a, b in self.friend_edges:
             adj.setdefault(a, set()).add(b)
@@ -192,15 +208,23 @@ class Corpus:
 
     def view_set(self, u: int, window: Window) -> frozenset[int]:
         """Union of videos viewed by ``u`` over the inclusive day window."""
-        check_window(window)
-        days = self.views_by_user.get(u)
-        if not days:
+        lo, hi = check_window(window)
+        row = bisect_left(self.user_ids, u)
+        if row == len(self.user_ids) or self.user_ids[row] != u:
             return frozenset()
-        out: set[int] = set()
-        for d, vids in days.items():
-            if window[0] <= d <= window[1]:
-                out.update(vids)
-        return frozenset(out)
+        offsets, days, videos = self._view_slices
+        end = offsets[row + 1]
+        start = bisect_left(days, lo, offsets[row], end)
+        stop = bisect_right(days, hi, start, end)
+        return frozenset(videos[start:stop].tolist())
+
+    def viewed_pairs(self, window: Window) -> tuple[np.ndarray, np.ndarray]:
+        """Sorted distinct (row in ``user_ids``, column in ``video_ids``) views in the window."""
+        lo, hi = check_window(window)
+        inside = (self._view_days >= lo) & (self._view_days <= hi)
+        n_cols = len(self.video_ids)
+        keys = np.sort(self._view_rows[inside] * n_cols + self._view_cols[inside])
+        return np.divmod(keys[np.diff(keys, prepend=-1) != 0], n_cols)
 
     def message_stats(self, u: int, v: int) -> tuple[int, int]:
         """(monthly message count, days communicated) for an unordered pair."""
@@ -229,13 +253,8 @@ class Corpus:
 
 def active_users(c: Corpus, window: Window) -> frozenset[int]:
     """Users with at least one view event inside the inclusive window."""
-    check_window(window)
-    lo, hi = window
-    out = set()
-    for u, days in c.views_by_user.items():
-        if any(lo <= d <= hi for d in days):
-            out.add(u)
-    return frozenset(out)
+    rows, _ = c.viewed_pairs(window)
+    return frozenset(c.user_ids[row] for row in np.unique(rows).tolist())
 
 
 # -- CSV I/O --------------------------------------------------------------

@@ -22,6 +22,7 @@ from .profiling import (
     ProfileIndex,
     build_ptp,
     build_rtp,
+    row_products,
     tag_similarity,
     video_similarity,
     _window_population,
@@ -233,11 +234,6 @@ def _entries(M: sp.csr_matrix, rows: np.ndarray, cols: np.ndarray) -> np.ndarray
     return np.asarray(M[rows, cols]).ravel() if len(rows) else np.zeros(0)
 
 
-def _row_products(M: sp.csr_matrix, rows_a: np.ndarray, rows_b: np.ndarray) -> np.ndarray:
-    """Dot product of row ``rows_a[k]`` with row ``rows_b[k]`` of ``M``."""
-    return np.asarray(M[rows_a].multiply(M[rows_b]).sum(axis=1)).ravel()
-
-
 class PairFeaturizer:
     """Vectorized feature extraction over many pairs of one corpus/kind."""
 
@@ -319,13 +315,13 @@ class PairFeaturizer:
         rh = self.rows(helpers)
 
         n_f = self._is_f[rt].astype(np.int64) + self._is_f[rh].astype(np.int64)
-        common_friends = _row_products(self._friends, rt, rh)
+        common_friends = row_products(self._friends[rt], self._friends[rh])
         degree_norm = np.sqrt(self._degrees[rt] * self._degrees[rh])
         cfr = np.divide(common_friends, degree_norm, out=np.zeros(len(rt)), where=degree_norm > 0)
 
         has_past = (self.past.row_norms[rt] > 0) & (self.past.row_norms[rh] > 0)
         # an empty row scores exactly 0, so pairs without a past need no mask
-        past_sim = self.past.similarity_pairs(targets, helpers)
+        past_sim = row_products(self.past.W_normalized[rt], self.past.W_normalized[rh])
         indiv, has_indiv = self._batch_individuality(rt, rh)
 
         return {
@@ -339,7 +335,7 @@ class PairFeaturizer:
             "same_city": (self._cities[rt] == self._cities[rh]).astype(np.float64),
             "friendship": _entries(self._friends, rt, rh),
             "common_friend_ratio": cfr,
-            "common_groups": _row_products(self._groups, rt, rh),
+            "common_groups": row_products(self._groups[rt], self._groups[rh]),
             "msg_count_month": _entries(self._msg_count, rt, rh),
             "msg_days_month": _entries(self._msg_days, rt, rh),
             "past_sim_month": past_sim,

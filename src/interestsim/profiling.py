@@ -6,6 +6,10 @@ are popular across the whole active population (TF-IDF style).  ``vbp``
 profiles are the raw viewed-video sets.  Population statistics (active
 user count, per-tag owner counts) are always computed over the same day
 window as the profiles themselves.
+
+Every production path uses ``ProfileIndex``.  The per-user dict engine
+(``build_ptp``, ``build_rtp``, ``tag_similarity``, ``video_similarity``,
+``individuality``) is reference-only, behind ``pairfeat.extract`` and the tests.
 """
 
 from __future__ import annotations
@@ -130,28 +134,33 @@ def individuality(c: Corpus, u: int, kind: str, window: Window) -> Individuality
     return Individuality(u, kind, num / (norm * n_active))
 
 
-def self_similarity_series(
-    c: Corpus, u: int, kind: str, lags: list[int]
-) -> list[float | None]:
-    """Cosine between the day-0 profile and each day-(-lag) profile.
+def row_products(A: sp.csr_matrix, B: sp.csr_matrix) -> np.ndarray:
+    """Dot product of row k of ``A`` with row k of ``B``, for every k."""
+    return np.asarray(A.multiply(B).sum(axis=1)).ravel()
 
-    Entries are None where the user is inactive on that lag day (or on
-    day 0, in which case every entry is None).
-    """
+
+def self_similarity(c: Corpus, users, kind: str, lags: list[int]) -> np.ndarray:
+    """Cosine between each user's day-0 profile and each day-(-lag) profile,
+    as a ``len(users) x len(lags)`` array; NaN where either profile is empty."""
     if kind not in TAG_KINDS:
         raise ValueError(f"self-similarity is defined for tag kinds, got {kind!r}")
-    build = build_ptp if kind == "ptp" else build_rtp
-    current = build(c, u, (0, 0))
-    out: list[float | None] = []
     for lag in lags:
-        if lag < 0 or -lag < -30:
+        if not 0 <= lag <= 30:
             raise ValueError(f"lag {lag} outside [0, 30]")
-        if not current.weights:
-            out.append(None)
-            continue
-        past = build(c, u, (-lag, -lag))
-        out.append(tag_similarity(current, past) if past.weights else None)
+    current = ProfileIndex(c, (0, 0), kind)
+    rows = current.rows_for(users)
+    by_day = {0: current} | {-lag: ProfileIndex(c, (-lag, -lag), kind) for lag in set(lags) - {0}}
+    out = np.full((len(rows), len(lags)), np.nan)
+    for j, lag in enumerate(lags):
+        past = by_day[-lag]
+        ok = (current.row_norms[rows] > 0) & (past.row_norms[rows] > 0)
+        out[ok, j] = row_products(current.W_normalized[rows[ok]], past.W_normalized[rows[ok]])
     return out
+
+
+def self_similarity_series(c: Corpus, u: int, kind: str, lags: list[int]) -> list[float | None]:
+    """One user's ``self_similarity`` row, with None in place of NaN."""
+    return [None if math.isnan(v) else v for v in self_similarity(c, [u], kind, lags)[0].tolist()]
 
 
 class ProfileIndex:
@@ -179,22 +188,9 @@ class ProfileIndex:
         self.window = window
         self.kind = kind
         self.user_ids = np.asarray(corpus.user_ids, dtype=np.int64)
-        video_ids = np.asarray(sorted(corpus.videos), dtype=np.int64)
-
-        lo, hi = window
-        users: list[int] = []
-        videos: list[int] = []
-        for u, days in corpus.views_by_user.items():
-            seen: set[int] = set()
-            for d, vids in days.items():
-                if lo <= d <= hi:
-                    seen.update(vids)
-            users.extend([u] * len(seen))
-            videos.extend(seen)
-        cols = np.searchsorted(video_ids, np.array(videos, dtype=np.int64))
-        V = sp.csr_matrix(
-            (np.ones(len(cols)), (self.rows_for(users), cols)), shape=(len(self.user_ids), len(video_ids))
-        )
+        video_ids = np.asarray(corpus.video_ids, dtype=np.int64)
+        rows, cols = corpus.viewed_pairs(window)
+        V = sp.csr_matrix((np.ones(len(cols)), (rows, cols)), shape=(len(self.user_ids), len(video_ids)))
 
         if kind == "vbp":
             self.item_ids = video_ids
@@ -242,11 +238,8 @@ class ProfileIndex:
 
     def similarity_pairs(self, users_a, users_b) -> np.ndarray:
         """Pairwise similarity for aligned id arrays (vectorized)."""
-        ra = self.rows_for(users_a)
-        rb = self.rows_for(users_b)
-        A = self.W_normalized[ra]
-        B = self.W_normalized[rb]
-        return np.asarray(A.multiply(B).sum(axis=1)).ravel()
+        W = self.W_normalized
+        return row_products(W[self.rows_for(users_a)], W[self.rows_for(users_b)])
 
     def individuality_values(self, user_ids) -> np.ndarray:
         """Vectorized individuality; 0 for empty profiles."""

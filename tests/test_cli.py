@@ -1,6 +1,13 @@
+import json
+
 import pytest
 
-from interestsim.cli import _parse_int_list
+from interestsim.cli import _parse_int_list, _selfsim_table, main, write_profiles
+from interestsim.corpus import write_corpus
+from interestsim.profiling import ProfileIndex
+from interestsim.synthgen import GenConfig, generate
+
+from selfsim_oracle import selfsim_table
 
 
 @pytest.mark.parametrize(
@@ -14,3 +21,45 @@ from interestsim.cli import _parse_int_list
 )
 def test_parse_int_list(text, expected):
     assert _parse_int_list(text) == expected
+
+
+@pytest.fixture(scope="module")
+def tiny_corpus():
+    corpus, _ = generate(GenConfig(seed=3, n_users=60, n_videos=40, n_tags=20, n_topics=4, n_cities=3, n_groups=4))
+    return corpus
+
+
+@pytest.mark.parametrize("kind, window", [("ptp", (0, 0)), ("rtp", (-7, -1)), ("vbp", (-30, 0))])
+def test_profile_command_matches_in_memory_writer(tmp_path, small_corpus, kind, window):
+    c, _ = small_corpus
+    corpus_dir = tmp_path / "corpus"
+    write_corpus(c, corpus_dir)
+    out = tmp_path / "profiles.jsonl"
+    manifest = tmp_path / "profiles.jsonl.manifest.json"
+    argv = ["profile", "--corpus", str(corpus_dir), "--kind", kind, "--window", f"{window[0]}:{window[1]}"]
+    assert main(argv + ["--out", str(out)]) == 0
+    loaded = out.read_bytes(), manifest.read_bytes()
+    write_profiles(c, str(corpus_dir), kind, window, out)
+    assert (out.read_bytes(), manifest.read_bytes()) == loaded
+
+    idx = ProfileIndex(c, window, kind)
+    lines = out.read_text(encoding="utf-8").splitlines()
+    assert len(lines) == len(c.user_ids)
+    for line, u, r in zip(lines, c.user_ids, idx.rows_for(c.user_ids)):
+        start, stop = idx.W.indptr[r], idx.W.indptr[r + 1]
+        row = dict(zip(idx.item_ids[idx.W.indices[start:stop]].tolist(), idx.W.data[start:stop].tolist()))
+        assert json.loads(line) == {
+            "id": u,
+            "window": list(window),
+            "kind": kind,
+            "weights": {str(item): w for item, w in sorted(row.items())},
+        }
+    config = json.loads(manifest.read_text(encoding="utf-8"))["config"]
+    assert config == {"corpus": str(corpus_dir), "kind": kind, "window": list(window)}
+
+
+def test_selfsim_table_matches_dict_oracle(tmp_path, tiny_corpus):
+    _selfsim_table(tiny_corpus, 7, tmp_path / "batch.csv")
+    selfsim_table(tiny_corpus, 7, tmp_path / "oracle.csv")
+    assert (tmp_path / "batch.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
+    assert len((tmp_path / "batch.csv").read_text().splitlines()) == 13

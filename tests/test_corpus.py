@@ -146,3 +146,45 @@ def test_view_day_out_of_range_rejected():
 def test_empty_video_tags_rejected():
     with pytest.raises(IntegrityError):
         make_corpus(videos={10: VideoRecord(10, frozenset())})
+
+
+def _scan_views(c, window):
+    """user -> videos viewed in the window, by a direct scan of ``c.views``."""
+    lo, hi = window
+    seen: dict[int, set[int]] = {}
+    for u, m, d in c.views:
+        if lo <= d <= hi:
+            seen.setdefault(u, set()).add(m)
+    return seen
+
+
+@pytest.mark.parametrize("window", [(0, 0), (-30, -1), (-7, -3), (-30, 0), (-30, -30)])
+def test_view_log_matches_raw_views(small_corpus, window):
+    c, _ = small_corpus
+    seen = _scan_views(c, window)
+    for u in c.user_ids:
+        assert c.view_set(u, window) == frozenset(seen.get(u, ()))
+    assert active_users(c, window) == frozenset(seen)
+    rows, cols = c.viewed_pairs(window)
+    pairs = [(c.user_ids[r], c.video_ids[m]) for r, m in zip(rows.tolist(), cols.tolist())]
+    assert pairs == sorted((u, m) for u, vids in seen.items() for m in vids)
+
+
+def test_view_log_without_views():
+    windows = [(0, 0), (-30, -1), (-30, 0)]
+    for c in (make_corpus(), make_corpus(views=[(1, 11, -3), (1, 12, -3), (4, 10, 0)])):
+        seen = {w: _scan_views(c, w) for w in windows}
+        for w in windows:
+            assert active_users(c, w) == frozenset(seen[w])
+            # users 2 and 3 never view; 0 and 5 are not users at all
+            for u in (0, 1, 2, 3, 4, 5):
+                assert c.view_set(u, w) == frozenset(seen[w].get(u, ()))
+    rows, cols = make_corpus().viewed_pairs((-30, 0))
+    assert len(rows) == len(cols) == 0
+
+
+def test_view_log_is_read_only(small_corpus):
+    c, _ = small_corpus
+    for a in (c._view_rows, c._view_days, c._view_videos, c._view_offsets):
+        with pytest.raises(ValueError):
+            a[0] = 1

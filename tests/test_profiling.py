@@ -9,12 +9,14 @@ from interestsim.profiling import (
     build_ptp,
     build_rtp,
     individuality,
+    self_similarity,
     self_similarity_series,
     tag_similarity,
     video_similarity,
 )
 
 from conftest import make_corpus
+from selfsim_oracle import self_similarity_series as oracle_series
 
 
 def test_ptp_empty_window():
@@ -225,3 +227,35 @@ def test_rows_for_rejects_unknown_ids():
     for unknown in (1, 3, 10):
         with pytest.raises(KeyError):
             idx.rows_for([2, unknown])
+
+
+@pytest.mark.parametrize("kind", ["ptp", "rtp"])
+def test_self_similarity_matches_dict_oracle(small_corpus, kind):
+    c, _ = small_corpus
+    lags = [0, 1, 2, 7, 14, 30]
+    batch = self_similarity(c, c.user_ids, kind, lags)
+    assert batch.shape == (len(c.user_ids), len(lags))
+    for u, row in zip(c.user_ids, batch):
+        want = oracle_series(c, u, kind, lags)
+        series = self_similarity_series(c, u, kind, lags)
+        assert [v is None for v in series] == [v is None for v in want]
+        assert np.isnan(row).tolist() == [v is None for v in want]
+        for got, adapted, ref in zip(row, series, want):
+            if ref is not None:
+                assert abs(got - ref) <= 1e-12
+                assert type(adapted) is float and adapted == got
+    assert not np.isnan(batch).all()
+
+
+def test_self_similarity_rejects_bad_input():
+    c = make_corpus(views=[(1, 10, 0), (1, 11, -2)])
+    for run in (lambda *a: self_similarity(c, [1], *a), lambda *a: self_similarity_series(c, 1, *a)):
+        for lags in ([-1], [31], [2, 31]):
+            with pytest.raises(ValueError, match="outside"):
+                run("ptp", lags)
+        with pytest.raises(ValueError, match="tag kinds"):
+            run("vbp", [1])
+    with pytest.raises(KeyError):
+        self_similarity(c, [1, 99], "rtp", [1])
+    with pytest.raises(KeyError):
+        self_similarity_series(c, 99, "ptp", [1])
