@@ -1,15 +1,26 @@
 """Hybrid model: GBDT leaf one-hots concatenated with the original
-features, fed to an L1-regularized linear model (lambda picked by CV)."""
+features, fed to an L1-regularized linear model (lambda picked by CV).
+
+Many leaf columns repeat an earlier one: trees that split on the same
+feature first send the same rows to a leaf.  The lasso is fitted once, on
+the distinct leaf columns (the first of each set of equal columns) and the
+original features, and then mapped back to every leaf column: the repeats
+get weight 0 and the mu and sigma of their kept equal.  The optimum is the
+same, because |a| + |b| >= |a + b|: merging equal columns into one with
+weight a + b keeps the fit and never raises the penalty, so a minimizer on
+the distinct columns, with each group's weight on its first column, is a
+minimizer on all of them.  Prediction still encodes every leaf column.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .data import DesignMatrix
 from .gbdt import GbdtModel, encode_leaves, fit_gbdt
-from .linear import LinearModel, fit_linear, fit_linear_cv
+from .linear import CategoricalEncoder, ConvergenceError, LinearModel, fit_linear, fit_linear_cv
 
 
 @dataclass
@@ -41,17 +52,41 @@ class HybridModel:
         return self.linear.decision_function(self._augment(X))
 
 
-def _augmented_design(encoder: GbdtModel, data: DesignMatrix) -> DesignMatrix:
-    if not encoder.trees:
-        return data
-    leaves = encode_leaves(encoder, data.X)
-    X = np.hstack([leaves, data.X])
-    width = leaves.shape[1]
+def _distinct_leaf_design(leaves: np.ndarray, data: DesignMatrix):
+    """[distinct leaf columns, X], plus the leaf columns kept (the first of
+    each set of equal columns) and, for every leaf column, the position of
+    its kept equal among them."""
+    _, first, inverse = np.unique(leaves, axis=1, return_index=True, return_inverse=True)
+    kept = np.sort(first)
+    rep = np.searchsorted(kept, first[inverse.ravel()])
+    X = np.hstack([leaves[:, kept], data.X])
+    categorical = tuple(j + len(kept) for j in data.categorical)
+    return DesignMatrix(X, data.y, categorical), kept, rep
+
+
+def _full_width(model: LinearModel, kept: np.ndarray, rep: np.ndarray, data: DesignMatrix) -> LinearModel:
+    """The model fitted on the distinct leaf columns, as a model of
+    [all leaf columns, X]: every leaf column takes the mu and sigma of its
+    kept equal, and only the kept columns carry weight."""
+    width, distinct = len(rep), len(kept)
+    cols = np.concatenate([rep, np.arange(distinct, len(model.weights))])
+    weights = model.weights[cols]
+    weights[np.setdiff1d(np.arange(width), kept)] = 0.0
+    encoder = CategoricalEncoder(
+        tuple(j + width - distinct for j in model.encoder.columns), model.encoder.levels
+    )
     names = tuple(f"leaf{j}" for j in range(width)) + tuple(
         data.names if data.names else (f"x{j}" for j in range(data.n_cols))
     )
-    categorical = tuple(j + width for j in data.categorical)
-    return DesignMatrix(X, data.y, categorical, names)
+    return replace(
+        model,
+        weights=weights,
+        mu=model.mu[cols],
+        sigma=model.sigma[cols],
+        encoder=encoder,
+        feature_names=encoder.names(names),
+        n_raw_features=width + data.n_cols,
+    )
 
 
 def fit_hybrid(
@@ -64,24 +99,30 @@ def fit_hybrid(
     tol: float = 1e-6,
 ) -> HybridModel:
     """Encoder first, then CV-selected lasso / L1-logistic on
-    [leaf one-hots, original features]."""
+    [leaf one-hots, original features], fitted on the distinct leaf
+    columns and mapped back to all of them."""
     if task not in ("clf", "reg"):
         raise ValueError(f"task must be 'clf' or 'reg', got {task!r}")
     params = gbdt_params or {}
     loss = "logistic" if task == "clf" else "squared"
     encoder = fit_gbdt(data, loss=loss, **params)
-    augmented = _augmented_design(encoder, data)
+    design, kept, rep = _distinct_leaf_design(encode_leaves(encoder, data.X), data)
     link = "logistic" if task == "clf" else "identity"
     grid = None if l1_grid is None else list(l1_grid)  # l1_grid may be a generator
-    if grid is not None and len(grid) == 1:
-        lam = float(grid[0])
-        linear = fit_linear(augmented, link, lam, max_iter, tol)
-        cv_table = {lam: float("nan")}
-    else:
-        linear, cv_table = fit_linear_cv(
-            augmented, link, grid, folds=folds, seed=params.get("seed", 0),
-            max_iter=max_iter, tol=tol,
-        )
+    try:
+        if grid is not None and len(grid) == 1:
+            lam = float(grid[0])
+            linear = fit_linear(design, link, lam, max_iter, tol)
+            cv_table = {lam: float("nan")}
+        else:
+            linear, cv_table = fit_linear_cv(
+                design, link, grid, folds=folds, seed=params.get("seed", 0),
+                max_iter=max_iter, tol=tol,
+            )
+    except ConvergenceError as err:
+        err.model = _full_width(err.model, kept, rep, data)
+        raise
+    linear = _full_width(linear, kept, rep, data)
     return HybridModel(
         encoder=encoder,
         linear=linear,

@@ -208,12 +208,20 @@ def _cd_sweeps(Z, y, w, b, lam, omega, max_sweeps, tol):
     r is recomputed before the next full sweep.  The intercept is updated
     after every sweep from the tracked sum of Omega r.
 
-    G is built only when A changes, one matrix-vector product per column
-    (``_gram_block``); when A only shrinks its block is sliced out.  A
-    matrix-matrix product such as Zw' Z would be quicker to build, but
-    OpenBLAS rounds it differently under different thread counts, and fits
-    must not depend on the thread count; its matrix-vector and dot products
-    do not.
+    A is taken from w after each full sweep.  Between full sweeps the
+    block's coefficients wA and column sums of Omega Z_A are local arrays,
+    written back to w before the next full sweep, and A can only shrink: a
+    coefficient that an active sweep sets to zero leaves it.  One test that
+    all of wA is still nonzero decides this; only when it fails are the
+    leaving coefficients zeroed in w and A, u, wA, the column sums and G
+    sliced down.
+
+    G is built only when a full sweep brings in a column it lacks, one
+    matrix-vector product per column (``_gram_block``); otherwise its block
+    is sliced out.  A matrix-matrix product such as Zw' Z would be quicker
+    to build, but OpenBLAS rounds it differently under different thread
+    counts, and fits must not depend on the thread count; its matrix-vector
+    and dot products do not.
 
     Mutates w; returns (intercept, sweeps, converged, the last sweep's
     largest change of a coefficient or the intercept).
@@ -237,6 +245,7 @@ def _cd_sweeps(Z, y, w, b, lam, omega, max_sweeps, tol):
         sweeps += 1
         if full:
             if u is not None:
+                w[A] = wA
                 r = y - Z @ w - b
                 u = None
             delta_max = 0.0
@@ -269,28 +278,31 @@ def _cd_sweeps(Z, y, w, b, lam, omega, max_sweeps, tol):
                 wr = r if omega is None else omega * r
                 u = (Z.T @ wr)[keep] / n
                 wr_sum = float(wr.sum())
+                if G is None or not np.array_equal(keep, A):
+                    if G is not None and np.isin(keep, A).all():
+                        pos = np.searchsorted(A, keep)
+                        G = np.asfortranarray(G[np.ix_(pos, pos)])
+                    else:
+                        G = _gram_block(Z, omega, keep, col_ss)
+                A, wA, cA = keep, w[keep], col_wsum[keep]
             else:
-                still = w[A] != 0
-                keep, u = A[still], u[still]
-            if G is None or not np.array_equal(keep, A):
-                if G is not None and np.isin(keep, A).all():
-                    pos = np.searchsorted(A, keep)
-                    G = np.asfortranarray(G[np.ix_(pos, pos)])
-                else:
-                    G = _gram_block(Z, omega, keep, col_ss)
-            A = keep
+                still = wA != 0
+                if not still.all():
+                    w[A[~still]] = 0.0
+                    A, u, wA, cA = A[still], u[still], wA[still], cA[still]
+                    G = np.asfortranarray(G[np.ix_(still, still)])
             if len(A):
-                d = _active_step(G, u, w[A], lam)
-                w[A] += d
+                d = _active_step(G, u, wA, lam)
+                wA += d
                 u -= G @ d
-                wr_sum -= float(col_wsum[A] @ d)
+                wr_sum -= float(cA @ d)
                 delta_max = float(np.max(np.abs(d)))
             else:
                 delta_max = 0.0
             db = wr_sum / wsum
             if db != 0.0:
                 b += db
-                u -= col_wsum[A] * (db / n)
+                u -= cA * (db / n)
                 wr_sum -= db * wsum
         delta_max = max(delta_max, abs(db))
         if delta_max < tol:
@@ -299,6 +311,8 @@ def _cd_sweeps(Z, y, w, b, lam, omega, max_sweeps, tol):
             full = True  # verify on a full sweep
         else:
             full = False
+    if u is not None:
+        w[A] = wA
     return b, sweeps, False, delta_max
 
 

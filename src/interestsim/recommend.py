@@ -91,7 +91,7 @@ class ExperimentConfig:
 
 class RecommenderContext:
     """Per-corpus featurizer cache; their day-0 and past indexes also serve
-    the oracle and past strategies."""
+    the oracle and past strategies, and the day-0 vbp index the lists."""
 
     def __init__(self, corpus: Corpus):
         self.corpus = corpus
@@ -169,15 +169,15 @@ def select_neighbors(
     return _top_k(scores, candidates, k)
 
 
-def recommend_topn(c: Corpus, neighbors, n: int) -> list[int]:
-    """Videos ranked by day-0 view count among the neighbors, ties by
-    ascending video id, truncated at N."""
-    counts: Counter[int] = Counter()
-    for u in neighbors:
-        for m in c.view_set(int(u), (0, 0)):
-            counts[m] += 1
-    ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
-    return [m for m, _ in ranked[:n]]
+def recommend_topn(c: Corpus, neighbors, n: int, ctx: RecommenderContext | None = None) -> list[int]:
+    """Videos ranked by day-0 view count among the neighbors (a neighbor
+    listed twice counts twice), ties by ascending video id, truncated at N."""
+    ctx = ctx if ctx is not None else RecommenderContext(c)
+    day0 = ctx.featurizer("vbp").day0
+    times = np.bincount(day0.rows_for(neighbors), minlength=len(day0.user_ids))
+    counts = day0.counts.T @ times  # the sum of the neighbors' rows of the binary user-by-video matrix
+    viewed = np.flatnonzero(counts)
+    return day0.item_ids[viewed[np.argsort(-counts[viewed], kind="stable")[:n]]].tolist()
 
 
 def accuracy_report(lists: dict[int, list[int]], truth: dict[int, frozenset[int]]) -> tuple[float, float, float]:
@@ -251,7 +251,7 @@ def run_experiment(c: Corpus, cfg: ExperimentConfig, strategies) -> list[dict]:
             ranked_videos: dict[int, list[int]] = {}
             for t in targets:
                 neighbors = select_neighbors(c, t, candidates[t], strategy, k, rng=rng, ctx=ctx)
-                ranked_videos[t] = recommend_topn(c, neighbors, max_n)
+                ranked_videos[t] = recommend_topn(c, neighbors, max_n, ctx)
             for n in cfg.n_values:
                 lists = {t: ranked_videos[t][:n] for t in targets}
                 precision, recall, f = accuracy_report(lists, truth)

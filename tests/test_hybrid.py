@@ -11,6 +11,7 @@ import interestsim
 from interestsim.mlcore import (
     ConvergenceError,
     DesignMatrix,
+    encode_leaves,
     fit_forest,
     fit_gbdt,
     fit_hybrid,
@@ -188,3 +189,61 @@ def test_hybrid_fit_identical_across_blas_thread_counts():
         )
         fits.append(json.loads(out.stdout.strip().splitlines()[-1]))
     assert fits[0] == fits[1]
+
+
+def _penalized_objective(model, X, y):
+    z = model.decision_function(X)
+    if model.link == "logistic":
+        loss = np.mean(np.logaddexp(0.0, z) - y * z)
+    else:
+        loss = 0.5 * np.mean((y - z) ** 2)
+    return loss + model.l1_lambda * np.abs(model.weights).sum()
+
+
+@pytest.mark.parametrize("task", ["clf", "reg"])
+def test_duplicate_leaf_columns_fit_once(task):
+    # one dominant step feature: most trees split on it first, so many of
+    # their leaves hold the same rows and their one-hot columns repeat
+    rng = np.random.default_rng(0)
+    X = rng.random((400, 4))
+    y = 3 * (X[:, 0] > 0.5) + 0.5 * np.sin(4 * X[:, 1]) + 0.3 * rng.normal(size=400)
+    if task == "clf":
+        y = (y > np.median(y)).astype(float)
+    link = "logistic" if task == "clf" else "identity"
+    lam = 0.05
+    hybrid = fit_hybrid(dm(X, y), task=task, gbdt_params={"n_trees": 12, "max_depth": 3}, l1_grid=[lam])
+    leaves = encode_leaves(hybrid.encoder, X)
+    first = {}
+    for j in range(leaves.shape[1]):
+        first.setdefault(leaves[:, j].tobytes(), j)
+    kept = np.array(sorted(first.values()))
+    repeats = np.setdiff1d(np.arange(leaves.shape[1]), kept)
+    assert len(repeats) > 0
+    w = hybrid.linear.weights
+    assert len(w) == leaves.shape[1] + X.shape[1]
+    assert np.all(w[repeats] == 0.0)
+
+    distinct = fit_linear(dm(np.hstack([leaves[:, kept], X]), y), link, lam, max_iter=2000, tol=1e-6)
+    assert np.array_equal(w[np.concatenate([kept, leaves.shape[1] + np.arange(X.shape[1])])], distinct.weights)
+    assert hybrid.linear.intercept == distinct.intercept
+    # the same coefficients; only the BLAS product's grouping of the terms differs
+    np.testing.assert_allclose(
+        hybrid.predict(X), distinct.predict(np.hstack([leaves[:, kept], X])), rtol=1e-12, atol=1e-12
+    )
+
+    augmented = np.hstack([leaves, X])
+    full = fit_linear(dm(augmented, y), link, lam, max_iter=2000, tol=1e-6)
+    ours = _penalized_objective(hybrid.linear, augmented, y)
+    assert ours == pytest.approx(_penalized_objective(full, augmented, y), rel=1e-6)
+
+
+def test_convergence_error_carries_a_full_width_model():
+    X, y = nonlinear_data(11)
+    with pytest.raises(ConvergenceError) as exc:
+        fit_hybrid(dm(X, y), task="reg", gbdt_params={"n_trees": 8}, l1_grid=[0.0], max_iter=1, tol=1e-15)
+    model = exc.value.model
+    assert model.n_sweeps == 1
+    # the same encoder fit_hybrid built: the model reads its whole augmented design
+    augmented = np.hstack([encode_leaves(fit_gbdt(dm(X, y), loss="squared", n_trees=8), X), X])
+    assert len(model.weights) == len(model.feature_names) == augmented.shape[1]
+    assert model.predict(augmented).shape == (len(X),)

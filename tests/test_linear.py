@@ -252,3 +252,18 @@ def test_sweeps_match_residual_oracle_through_sign_changes(link):
     w0 = _assert_sweeps_match(Z, y, 0.0, omega, max_sweeps=3000, tol=1e-10)
     lam = 0.3 * _lambda_max(Z, y, omega)
     _assert_sweeps_match(Z, y, lam, omega, max_sweeps=2000, tol=1e-8, w0=w0, b0=0.1)
+
+
+@pytest.mark.parametrize("link", ["identity", "logistic"])
+def test_sweeps_match_residual_oracle_on_duplicated_columns(link):
+    # every third column repeated makes the design rank-deficient; from a
+    # dense warm start, active sweeps zero coefficients, so the active set
+    # shrinks between full sweeps and the sweep slices its block down
+    Z, y, omega = _sweep_problem("leaf-one-hot", link)
+    Z = np.asfortranarray(np.hstack([Z, Z[:, ::3]]))
+    lam = 0.05 * _lambda_max(Z, y, omega)
+    w0 = 0.5 * np.random.default_rng(1).normal(size=Z.shape[1])
+    _assert_sweeps_match(Z, y, lam, omega, max_sweeps=2000, tol=1e-8, w0=w0, b0=0.1)
+    # budgets that stop inside the active sweeps, just after a shrink
+    for max_sweeps in range(1, 30):
+        _assert_sweeps_match(Z, y, lam, omega, max_sweeps=max_sweeps, tol=1e-8, w0=w0, b0=0.1)

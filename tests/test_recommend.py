@@ -21,6 +21,7 @@ from interestsim.recommend import (
 from interestsim.synthgen import GenConfig, generate
 
 from conftest import make_corpus
+from topn_oracle import recommend_topn as oracle_topn
 
 
 @pytest.fixture(scope="module")
@@ -94,6 +95,26 @@ def test_recommend_topn_counting_and_ties():
     assert got == [10, 11, 12]
     assert recommend_topn(c, [1], 10) == [11]
     assert recommend_topn(c, [], 5) == []
+
+
+def test_recommend_topn_matches_counting_oracle(rec_corpus):
+    users = {i: UserRecord(i, "M", 20, 0) for i in (1, 2, 3)}
+    videos = {m: VideoRecord(m, frozenset({1})) for m in (10, 11, 12)}
+    views = [(1, 11, 0), (2, 11, -1), (3, 12, 0), (3, 10, 0)]
+    small = make_corpus(users=users, videos=videos, views=views)
+    # the repeated neighbor counts twice: 10 and 12 tie at 2, ahead of 11
+    assert recommend_topn(small, [1, 3, 3], 10) == oracle_topn(small, [1, 3, 3], 10) == [10, 12, 11]
+    assert recommend_topn(small, [2], 10) == oracle_topn(small, [2], 10) == []
+
+    c = rec_corpus
+    ctx = RecommenderContext(c)
+    ids = np.asarray(c.user_ids)
+    rng = np.random.default_rng(7)
+    cases = [[], [ids[0]], [ids[5], ids[5]], ids.tolist()]
+    cases += [rng.choice(ids, size=k, replace=True).tolist() for k in (3, 15, 60)]
+    for neighbors in cases:
+        for n in (1, 10, 1000):
+            assert recommend_topn(c, neighbors, n, ctx) == oracle_topn(c, neighbors, n)
 
 
 def test_topn_independent_of_neighbor_order(rec_corpus):
