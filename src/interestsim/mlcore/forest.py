@@ -1,4 +1,11 @@
-"""Random forests: bagged trees with per-split feature subsampling."""
+"""Random forests: bagged trees with per-split feature subsampling.
+
+Trees grow through the one grower in tree.py.  With a feature pool (the
+default, about sqrt(p) features per node) each node sorts only its sampled
+columns, gathered for its own rows: a presort would partition all p columns
+of every bootstrap sample at every split, and that made forests slower.
+Without a pool each tree presorts its bootstrap sample as fit_tree does.
+"""
 
 from __future__ import annotations
 
@@ -8,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import DesignMatrix
-from .tree import Tree, _assign_leaf_indices, _grow
+from .tree import Tree, _Columns, _grow_tree
 
 
 @dataclass
@@ -58,7 +65,7 @@ def fit_forest(
     k = _pool_size(feature_subsample, p)
     children = np.random.SeedSequence(seed).spawn(n_trees)
     trees: list[Tree] = []
-    categorical = set(data.categorical)
+    cols = _Columns(data.X, data.categorical)
     for child in children:
         rng = np.random.default_rng(child)
         if bootstrap:
@@ -70,10 +77,5 @@ def fit_forest(
                 return np.sort(r.choice(_p, size=_k, replace=False))
         else:
             pool = None
-        root = _grow(
-            data.X, data.y, idx, 0, max_depth, min_leaf, task, categorical,
-            feature_pool=pool, rng=rng,
-        )
-        _assign_leaf_indices(root)
-        trees.append(Tree(root, task, max_depth, min_leaf, p, data.categorical))
+        trees.append(_grow_tree(cols, data.y, idx, max_depth, min_leaf, task, feature_pool=pool, rng=rng))
     return ForestModel(trees, task, p, seed)

@@ -9,7 +9,7 @@ import numpy as np
 
 from .data import DesignMatrix
 from .linear import sigmoid
-from .tree import Tree, fit_tree
+from .tree import Tree, _Columns, _grow_tree
 
 
 @dataclass
@@ -84,10 +84,15 @@ def fit_gbdt(
     score = np.full(data.n_rows, base)
     model = GbdtModel([], learning_rate, base, loss, data.n_cols, seed)
     model.train_losses.append(_mean_loss(y, score, loss))
+    # X is the same at every stage, so one presort serves them all; with
+    # rows 0..n-1 the sorted positions are the row ids
+    cols = _Columns(data.X, data.categorical)
+    rows = np.arange(data.n_rows)
+    presort = cols.sort(rows, cols.numeric)
     for _ in range(n_trees):
         grad = y - (sigmoid(score) if loss == "logistic" else score)
-        stage = DesignMatrix(data.X, grad, data.categorical, data.names)
-        tree = fit_tree(stage, max_depth=max_depth, min_leaf=min_leaf, task="reg")
+        stage_sort = presort[0].copy(), presort[1].copy()  # the grower partitions it in place
+        tree = _grow_tree(cols, grad, rows, max_depth, min_leaf, "reg", stage_sort)
         score += learning_rate * tree.predict(data.X)
         model.trees.append(tree)
         model.train_losses.append(_mean_loss(y, score, loss))

@@ -142,8 +142,8 @@ def select_neighbors(
     candidates,
     strategy,
     k: int,
+    ctx: RecommenderContext,
     rng: np.random.Generator | None = None,
-    ctx: RecommenderContext | None = None,
 ) -> list[int]:
     """Top-K candidate users under the strategy; ties break to lower id."""
     candidates = np.asarray(sorted(int(x) for x in candidates), dtype=np.int64)
@@ -151,7 +151,6 @@ def select_neighbors(
         raise ValueError("candidate set is empty")
     if target in set(candidates.tolist()):
         raise ValueError("candidates must exclude the target")
-    ctx = ctx if ctx is not None else RecommenderContext(c)
     if isinstance(strategy, GlobalPopularity):
         return [int(u) for u in candidates]  # K is irrelevant by design
     if isinstance(strategy, RandomK):
@@ -169,10 +168,9 @@ def select_neighbors(
     return _top_k(scores, candidates, k)
 
 
-def recommend_topn(c: Corpus, neighbors, n: int, ctx: RecommenderContext | None = None) -> list[int]:
+def recommend_topn(c: Corpus, neighbors, n: int, ctx: RecommenderContext) -> list[int]:
     """Videos ranked by day-0 view count among the neighbors (a neighbor
     listed twice counts twice), ties by ascending video id, truncated at N."""
-    ctx = ctx if ctx is not None else RecommenderContext(c)
     day0 = ctx.featurizer("vbp").day0
     times = np.bincount(day0.rows_for(neighbors), minlength=len(day0.user_ids))
     counts = day0.counts.T @ times  # the sum of the neighbors' rows of the binary user-by-video matrix
@@ -250,7 +248,7 @@ def run_experiment(c: Corpus, cfg: ExperimentConfig, strategies) -> list[dict]:
             rng = subrng(cfg.seed, f"recommend.randomk.{k}")
             ranked_videos: dict[int, list[int]] = {}
             for t in targets:
-                neighbors = select_neighbors(c, t, candidates[t], strategy, k, rng=rng, ctx=ctx)
+                neighbors = select_neighbors(c, t, candidates[t], strategy, k, ctx, rng=rng)
                 ranked_videos[t] = recommend_topn(c, neighbors, max_n, ctx)
             for n in cfg.n_values:
                 lists = {t: ranked_videos[t][:n] for t in targets}

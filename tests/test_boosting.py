@@ -170,3 +170,11 @@ def test_prediction_row_order_equivariance():
     model = fit_gbdt(dm(X, y), n_trees=5)
     perm = np.random.default_rng(0).permutation(len(X))
     assert np.array_equal(model.predict(X)[perm], model.predict(X[perm]))
+
+
+def test_forest_validates_task_and_min_leaf():
+    X, y = regression_data(12)
+    with pytest.raises(ValueError, match="task"):
+        fit_forest(dm(X, y), n_trees=2, task="classification")
+    with pytest.raises(ValueError, match="min_leaf"):
+        fit_forest(dm(X, y), n_trees=2, min_leaf=0)

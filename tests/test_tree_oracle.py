@@ -1,0 +1,114 @@
+"""Presorted growth and single-routing pruning CV against the per-node-sort
+reference in ``tree_oracle``: every tree, fold loss and chosen alpha must
+be identical, not just close."""
+
+import numpy as np
+import pytest
+
+import tree_oracle as oracle
+from interestsim.mlcore import DesignMatrix, fit_forest, fit_gbdt, fit_tree, model_to_dict, prune_tree
+from interestsim.mlcore.linear import sigmoid
+from interestsim.mlcore.tree import _cv_losses
+
+
+def tree_dict(tree):
+    return model_to_dict(tree)["tree"]
+
+
+def targets(rng, n, task):
+    if task == "clf":
+        return (rng.random(n) < 0.4).astype(float)
+    return np.round(rng.normal(size=n), 1)  # rounded, so sums tie too
+
+
+def awkward_design(seed, n, task):
+    """Tied values, a constant column, and a categorical column whose
+    levels follow column 0, so most nodes miss some of them."""
+    rng = np.random.default_rng(seed)
+    X = np.empty((n, 5))
+    X[:, 0] = rng.integers(0, 6, size=n)  # six distinct values
+    X[:, 1] = 3.0  # constant
+    X[:, 2] = np.round(rng.random(n), 1)
+    X[:, 3] = 10 * X[:, 0] + rng.integers(0, 3, size=n)  # categorical
+    X[:, 4] = rng.integers(0, 2, size=n)  # categorical, two levels
+    y = targets(rng, n, task)
+    y[X[:, 0] >= 4] += 1.0 if task == "reg" else 0.0
+    return DesignMatrix(X, y, (3, 4))
+
+
+def assert_same_pruning(tree, ref_tree, data, folds):
+    candidates, losses = _cv_losses(tree, data, folds)
+    ref_pruned, ref_candidates, ref_losses = oracle.prune_tree(ref_tree, data, folds)
+    assert candidates == ref_candidates
+    assert np.array_equal(losses, ref_losses)
+    pruned = prune_tree(tree, data, folds)
+    assert pruned.pruning_alpha == ref_pruned.pruning_alpha
+    assert tree_dict(pruned) == tree_dict(ref_pruned)
+
+
+@pytest.mark.parametrize("task", ["clf", "reg"])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_ties_constant_column_and_missing_levels(task, seed):
+    data = awkward_design(seed, 240, task)
+    for max_depth, min_leaf in ((8, 1), (5, 7)):
+        tree = fit_tree(data, max_depth, min_leaf, task)
+        ref = oracle.fit_tree(data, max_depth, min_leaf, task)
+        assert tree_dict(tree) == tree_dict(ref)
+        assert_same_pruning(tree, ref, data, folds=5)
+
+
+@pytest.mark.parametrize("task", ["clf", "reg"])
+@pytest.mark.parametrize("n", [2, 3, 8, 9])
+def test_min_leaf_at_and_past_half_the_rows(task, n):
+    data = awkward_design(n, n, task)
+    for min_leaf in (n // 2, n // 2 + 1, n):
+        tree = fit_tree(data, 6, min_leaf, task)
+        ref = oracle.fit_tree(data, 6, min_leaf, task)
+        assert tree_dict(tree) == tree_dict(ref)
+        if n >= 8:
+            assert_same_pruning(tree, ref, data, folds=2)
+
+
+@pytest.mark.parametrize("task", ["clf", "reg"])
+@pytest.mark.parametrize("pool", [2, 5])
+def test_bootstrap_with_feature_pool(task, pool):
+    # a pool of 2 of 5 features sorts per node, 5 of 5 presorts each bootstrap sample
+    data = awkward_design(3, 150, task)
+    forest = fit_forest(
+        data, n_trees=4, max_depth=6, min_leaf=2, feature_subsample=pool / 5, seed=9, task=task
+    )
+    ref = oracle.fit_forest_trees(data, 4, 6, 2, pool, True, 9, task)
+    assert model_to_dict(forest)["trees"] == [tree_dict(t) for t in ref]
+
+
+@pytest.mark.parametrize("loss", ["squared", "logistic"])
+def test_gbdt_stages_match_reference_trees(loss):
+    data = awkward_design(4, 200, "clf" if loss == "logistic" else "reg")
+    model = fit_gbdt(data, n_trees=6, max_depth=3, learning_rate=0.3, loss=loss, min_leaf=4)
+    score = np.full(data.n_rows, model.base_score)
+    for tree in model.trees:
+        grad = data.y - (sigmoid(score) if loss == "logistic" else score)
+        ref = oracle.fit_tree(DesignMatrix(data.X, grad, data.categorical), 3, 4, "reg")
+        assert tree_dict(tree) == tree_dict(ref)
+        score += model.learning_rate * ref.predict(data.X)
+
+
+@pytest.mark.parametrize("cat", [0, 1])
+def test_categorical_numeric_tie_goes_to_lower_index(cat):
+    # one binary column twice, once as categorical: both give the same split and gain
+    rng = np.random.default_rng(5)
+    x = rng.integers(0, 2, size=60).astype(float)
+    data = DesignMatrix(np.column_stack([x, x]), x + rng.normal(0, 0.1, size=60), (cat,))
+    tree = fit_tree(data, max_depth=1)
+    assert tree.root.feature == 0
+    assert tree_dict(tree) == tree_dict(oracle.fit_tree(data, max_depth=1))
+
+
+def test_threshold_between_adjacent_doubles():
+    # some midpoints of neighbouring doubles round up onto the right value,
+    # and the threshold then falls back to the left one
+    x = 1.0 + np.spacing(1.0) * np.repeat([0.0, 1.0, 2.0, 3.0], 10)
+    data = DesignMatrix(x[:, None], np.repeat([0.0, 1.0, 0.0, 1.0], 10))
+    tree = fit_tree(data, max_depth=3)
+    assert tree_dict(tree) == tree_dict(oracle.fit_tree(data, max_depth=3))
+    assert tree.n_leaves == 4

@@ -1,0 +1,258 @@
+"""The per-node-sort tree growth and the per-alpha pruning cross-validation
+that ``mlcore.tree`` replaced, kept as the reference they are tested
+against.
+
+``_best_split`` runs a stable argsort of every numeric feature and
+``np.unique`` of every categorical feature at every node; the pruning loop
+routes the validation rows through the fold tree once per candidate alpha, and
+every collapse step recomputes every weakest link.
+"""
+
+import math
+
+import numpy as np
+
+from interestsim.mlcore.data import DesignMatrix
+from interestsim.mlcore.tree import (
+    _GAIN_EPS,
+    Tree,
+    TreeNode,
+    _assign_leaf_indices,
+    _impurity,
+)
+
+
+def _best_split(X, y, idx, features, categorical, min_leaf, task):
+    """Best (gain, feature, threshold, members) over candidate features."""
+    yv = y[idx]
+    n = len(idx)
+    s = float(yv.sum())
+    s2 = float((yv * yv).sum()) if task == "reg" else s
+    parent = _impurity(s, s2, n, task)
+    if parent <= _GAIN_EPS:
+        return None
+    # zero-gain splits are allowed (an XOR pattern needs one at the root);
+    # pruning removes the useless ones afterwards
+    floor = -_GAIN_EPS * max(parent, 1.0)
+    best = None
+
+    for j in features:
+        x = X[idx, j]
+        if j in categorical:
+            vals, inverse = np.unique(x, return_inverse=True)
+            if len(vals) < 2:
+                continue
+            g_s = np.bincount(inverse, weights=yv)
+            g_n = np.bincount(inverse).astype(np.float64)
+            g_s2 = np.bincount(inverse, weights=yv * yv) if task == "reg" else g_s
+            order = np.lexsort((vals, g_s / g_n))
+            cs = np.cumsum(g_s[order])[:-1]
+            cn = np.cumsum(g_n[order])[:-1]
+            cs2 = np.cumsum(g_s2[order])[:-1]
+            valid = (cn >= min_leaf) & (n - cn >= min_leaf)
+            if not valid.any():
+                continue
+            if task == "reg":
+                left = cs2 - cs * cs / cn
+                right = (s2 - cs2) - (s - cs) ** 2 / (n - cn)
+            else:
+                left = 2.0 * cs * (cn - cs) / cn
+                right = 2.0 * (s - cs) * ((n - cn) - (s - cs)) / (n - cn)
+            gains = np.where(valid, parent - left - right, -np.inf)
+            k = int(np.argmax(gains))
+            gain = float(gains[k])
+            if gain >= floor and (best is None or gain > best[0]):
+                members = tuple(sorted(float(v) for v in vals[order[: k + 1]]))
+                best = (gain, j, None, members)
+        else:
+            order = np.argsort(x, kind="stable")
+            xs = x[order]
+            ys = yv[order]
+            cut = np.nonzero(xs[:-1] < xs[1:])[0]
+            if cut.size == 0:
+                continue
+            cs_full = np.cumsum(ys)
+            cs = cs_full[cut]
+            cn = (cut + 1).astype(np.float64)
+            if task == "reg":
+                cs2_full = np.cumsum(ys * ys)
+                cs2 = cs2_full[cut]
+                left = cs2 - cs * cs / cn
+                right = (s2 - cs2) - (s - cs) ** 2 / (n - cn)
+            else:
+                left = 2.0 * cs * (cn - cs) / cn
+                right = 2.0 * (s - cs) * ((n - cn) - (s - cs)) / (n - cn)
+            valid = (cn >= min_leaf) & (n - cn >= min_leaf)
+            gains = np.where(valid, parent - left - right, -np.inf)
+            k = int(np.argmax(gains))
+            gain = float(gains[k])
+            if gain >= floor and (best is None or gain > best[0]):
+                lo = xs[cut[k]]
+                hi = xs[cut[k] + 1]
+                thr = (lo + hi) / 2.0
+                if thr >= hi:  # midpoint rounded up to the right value
+                    thr = lo
+                best = (gain, j, float(thr), None)
+    return best
+
+
+def _grow(X, y, idx, depth, max_depth, min_leaf, task, categorical, feature_pool=None, rng=None):
+    yv = y[idx]
+    n = len(idx)
+    s = float(yv.sum())
+    s2 = float((yv * yv).sum()) if task == "reg" else s
+    node = TreeNode(value=s / n, n=n, impurity=_impurity(s, s2, n, task))
+    if depth >= max_depth or n < 2 * min_leaf:
+        return node
+    if feature_pool is None:
+        features = range(X.shape[1])
+    else:
+        features = feature_pool(rng)
+    best = _best_split(X, y, idx, features, categorical, min_leaf, task)
+    if best is None:
+        return node
+    _, j, thr, members = best
+    x = X[idx, j]
+    go_left = np.isin(x, members) if members is not None else x <= thr
+    node.feature = int(j)
+    node.threshold = thr
+    node.members = members
+    node.left = _grow(X, y, idx[go_left], depth + 1, max_depth, min_leaf, task, categorical, feature_pool, rng)
+    node.right = _grow(X, y, idx[~go_left], depth + 1, max_depth, min_leaf, task, categorical, feature_pool, rng)
+    return node
+
+
+def fit_tree(data: DesignMatrix, max_depth: int = 10, min_leaf: int = 1, task: str = "reg") -> Tree:
+    root = _grow(
+        data.X, data.y, np.arange(data.n_rows), 0, max_depth, min_leaf, task,
+        set(data.categorical),
+    )
+    _assign_leaf_indices(root)
+    return Tree(root, task, max_depth, min_leaf, data.n_cols, data.categorical)
+
+
+def fit_forest_trees(data, n_trees, max_depth, min_leaf, k, bootstrap, seed, task) -> list[Tree]:
+    """The trees of ``fit_forest`` with a pool of k features per node."""
+    p = data.n_cols
+    trees = []
+    for child in np.random.SeedSequence(seed).spawn(n_trees):
+        rng = np.random.default_rng(child)
+        if bootstrap:
+            idx = rng.integers(0, data.n_rows, size=data.n_rows)
+        else:
+            idx = np.arange(data.n_rows)
+        if k < p:
+            def pool(r, _k=k, _p=p):
+                return np.sort(r.choice(_p, size=_k, replace=False))
+        else:
+            pool = None
+        root = _grow(
+            data.X, data.y, idx, 0, max_depth, min_leaf, task, set(data.categorical),
+            feature_pool=pool, rng=rng,
+        )
+        _assign_leaf_indices(root)
+        trees.append(Tree(root, task, max_depth, min_leaf, p, data.categorical))
+    return trees
+
+
+def _weakest_links(root: TreeNode) -> list[tuple[float, TreeNode]]:
+    links = []
+
+    def visit(node: TreeNode) -> tuple[float, int]:
+        if node.is_leaf:
+            return node.impurity, 1
+        rl, nl = visit(node.left)
+        rr, nr = visit(node.right)
+        r_sub, leaves = rl + rr, nl + nr
+        g = (node.impurity - r_sub) / max(leaves - 1, 1)
+        links.append((g, node))
+        return r_sub, leaves
+
+    visit(root)
+    return links
+
+
+def _prune_while(root: TreeNode, alpha: float) -> None:
+    """Collapse every weakest link with g <= alpha, in place."""
+    while not root.is_leaf:
+        links = _weakest_links(root)
+        g_min = min(g for g, _ in links)
+        if g_min > alpha + 1e-15:
+            break
+        for g, node in links:
+            if g <= g_min + 1e-12:
+                node.left = None
+                node.right = None
+                node.feature = None
+                node.threshold = None
+                node.members = None
+
+
+def alpha_sequence(tree: Tree) -> list[float]:
+    """Non-decreasing weakest-link alphas from the full tree to the root."""
+    clone = tree.root.clone()
+    alphas = [0.0]
+    while not clone.is_leaf:
+        links = _weakest_links(clone)
+        g_min = min(g for g, _ in links)
+        alphas.append(max(g_min, alphas[-1]))
+        for g, node in links:
+            if g <= g_min + 1e-12:
+                node.left = None
+                node.right = None
+    return alphas
+
+
+def prune_at(tree: Tree, alpha: float) -> Tree:
+    pruned = tree.clone()
+    _prune_while(pruned.root, alpha)
+    _assign_leaf_indices(pruned.root)
+    pruned.pruning_alpha = alpha
+    return pruned
+
+
+def prune_tree(tree: Tree, data: DesignMatrix, folds: int = 10) -> tuple[Tree, list[float], np.ndarray]:
+    """The pruned tree, the candidate alphas and the (used folds x
+    candidates) loss table."""
+    if folds < 2:
+        raise ValueError("folds must be >= 2")
+    alphas = alpha_sequence(tree)
+    candidates = sorted(
+        {math.sqrt(a * b) for a, b in zip(alphas[:-1], alphas[1:])} | {alphas[-1]}
+    )
+    if not candidates:
+        candidates = [0.0]
+    n = data.n_rows
+    folds = min(folds, n)
+    bounds = np.linspace(0, n, folds + 1).astype(int)
+    fold_losses = np.zeros((folds, len(candidates)))
+    used_folds = 0
+    all_idx = np.arange(n)
+    for f in range(folds):
+        val_idx = all_idx[bounds[f] : bounds[f + 1]]
+        train_idx = np.concatenate([all_idx[: bounds[f]], all_idx[bounds[f + 1] :]])
+        if len(val_idx) == 0 or len(train_idx) < 2 * tree.min_leaf:
+            continue
+        fold_tree = fit_tree(data.take(train_idx), tree.max_depth, tree.min_leaf, tree.task)
+        work = fold_tree.clone()
+        Xv = data.X[val_idx]
+        yv = data.y[val_idx]
+        for ci, alpha in enumerate(candidates):
+            _prune_while(work.root, alpha)
+            pred = work.predict(Xv)
+            fold_losses[used_folds, ci] = float(((pred - yv) ** 2).mean())
+        used_folds += 1
+    if used_folds == 0:
+        return prune_at(tree, 0.0), candidates, fold_losses[:0]
+    means = fold_losses[:used_folds].mean(axis=0)
+    best = int(np.argmin(means))
+    if used_folds > 1:
+        se = float(fold_losses[:used_folds, best].std(ddof=1)) / math.sqrt(used_folds)
+    else:
+        se = 0.0
+    # one-standard-error rule: the simplest subtree within noise of the best
+    chosen = best
+    for ci in range(len(candidates)):
+        if means[ci] <= means[best] + se + 1e-12:
+            chosen = max(chosen, ci)
+    return prune_at(tree, candidates[chosen]), candidates, fold_losses[:used_folds]
