@@ -78,8 +78,10 @@ def _parse_window(text: str) -> tuple[int, int]:
 
 def _parse_int_list(text: str) -> tuple[int, ...]:
     if ".." in text:
-        lo, hi = text.split("..")
-        return tuple(range(int(lo), int(hi) + 1))
+        lo, hi = (int(tok) for tok in text.split(".."))
+        if hi < lo:
+            raise argparse.ArgumentTypeError(f"range {text!r} is empty: its end is below its start")
+        return tuple(range(lo, hi + 1))
     return tuple(int(tok) for tok in text.split(","))
 
 
@@ -236,6 +238,8 @@ def cmd_evaluate(args) -> int:
     label_mean = meta.get("label_mean")
     if label_mean is None:
         raise ValueError("model file lacks train_meta.label_mean; was it written by `train`?")
+    if meta.get("task") != args.task:
+        raise ValueError(f"model was trained for task {meta.get('task')!r}, not {args.task!r}")
     report = {
         "task": args.task,
         "model_kind": meta.get("model_kind"),

@@ -47,3 +47,12 @@ class DesignMatrix:
     def take(self, indices) -> "DesignMatrix":
         idx = np.asarray(indices)
         return DesignMatrix(self.X[idx], self.y[idx], self.categorical, self.names)
+
+
+def check_width(X, n_features: int) -> np.ndarray:
+    """X as a float64 matrix of ``n_features`` columns; every model's
+    prediction input goes through here."""
+    X = np.asarray(X, dtype=np.float64)
+    if X.ndim != 2 or X.shape[1] != n_features:
+        raise ValueError(f"expected {n_features} feature columns, got shape {X.shape}")
+    return X

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import DesignMatrix
-from .tree import Tree, _Columns, _grow_tree
+from .data import DesignMatrix, check_width
+from .tree import Tree, _Columns, _grow_tree, route
 
 
 @dataclass
@@ -27,12 +27,10 @@ class ForestModel:
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         """Mean tree output (mean class probability for classification)."""
-        X = np.asarray(X, dtype=np.float64)
-        if X.ndim != 2 or X.shape[1] != self.n_features:
-            raise ValueError(f"expected {self.n_features} feature columns, got shape {X.shape}")
-        total = np.zeros(X.shape[0])
-        for tree in self.trees:
-            total += tree.predict(X)
+        X = check_width(X, self.n_features)
+        # running sum from 0 in tree order, as adding tree by tree does
+        values = route(self.trees, X, "value")
+        total = np.cumsum(np.hstack([np.zeros((len(X), 1)), values]), axis=1)[:, -1]
         return total / len(self.trees)
 
 
@@ -63,19 +61,16 @@ def fit_forest(
         raise ValueError("cannot fit a forest on empty data")
     p = data.n_cols
     k = _pool_size(feature_subsample, p)
-    children = np.random.SeedSequence(seed).spawn(n_trees)
+
+    def pool(r):
+        return np.sort(r.choice(p, size=k, replace=False))
+
     trees: list[Tree] = []
     cols = _Columns(data.X, data.categorical)
-    for child in children:
+    for child in np.random.SeedSequence(seed).spawn(n_trees):
         rng = np.random.default_rng(child)
-        if bootstrap:
-            idx = rng.integers(0, data.n_rows, size=data.n_rows)
-        else:
-            idx = np.arange(data.n_rows)
-        if k < p:
-            def pool(r, _k=k, _p=p):
-                return np.sort(r.choice(_p, size=_k, replace=False))
-        else:
-            pool = None
-        trees.append(_grow_tree(cols, data.y, idx, max_depth, min_leaf, task, feature_pool=pool, rng=rng))
+        idx = rng.integers(0, data.n_rows, size=data.n_rows) if bootstrap else np.arange(data.n_rows)
+        trees.append(_grow_tree(
+            cols, data.y, idx, max_depth, min_leaf, task, feature_pool=pool if k < p else None, rng=rng
+        ))
     return ForestModel(trees, task, p, seed)

@@ -7,9 +7,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import DesignMatrix
+from .data import DesignMatrix, check_width
 from .linear import sigmoid
-from .tree import Tree, _Columns, _grow_tree
+from .tree import Tree, _Columns, _grow_tree, route
 
 
 @dataclass
@@ -31,13 +31,10 @@ class GbdtModel:
         return sum(self.leaf_counts)
 
     def decision_function(self, X: np.ndarray) -> np.ndarray:
-        X = np.asarray(X, dtype=np.float64)
-        if X.ndim != 2 or X.shape[1] != self.n_features:
-            raise ValueError(f"expected {self.n_features} feature columns, got shape {X.shape}")
-        score = np.full(X.shape[0], self.base_score)
-        for tree in self.trees:
-            score += self.learning_rate * tree.predict(X)
-        return score
+        X = check_width(X, self.n_features)
+        # base + lr * v_1 + lr * v_2 + ..., summed in tree order
+        steps = self.learning_rate * route(self.trees, X, "value")
+        return np.cumsum(np.hstack([np.full((len(X), 1), self.base_score), steps]), axis=1)[:, -1]
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         score = self.decision_function(X)
@@ -101,14 +98,7 @@ def fit_gbdt(
 
 def encode_leaves(model: GbdtModel, X: np.ndarray) -> np.ndarray:
     """Concatenated one-hot of the leaf each tree routes a row to."""
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2 or X.shape[1] != model.n_features:
-        raise ValueError(f"expected {model.n_features} feature columns, got shape {X.shape}")
-    width = model.encoded_width
-    out = np.zeros((X.shape[0], width))
-    offset = 0
-    rows = np.arange(X.shape[0])
-    for tree, n_leaves in zip(model.trees, model.leaf_counts):
-        out[rows, offset + tree.apply(X)] = 1.0
-        offset += n_leaves
+    X = check_width(X, model.n_features)
+    out = np.zeros((X.shape[0], model.encoded_width))
+    out[np.arange(X.shape[0])[:, None], route(model.trees, X, "leaf")] = 1.0
     return out

@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .data import DesignMatrix
+from .data import DesignMatrix, check_width
 from .gbdt import GbdtModel, encode_leaves, fit_gbdt
 from .linear import CategoricalEncoder, ConvergenceError, LinearModel, fit_linear, fit_linear_cv
 
@@ -36,13 +36,7 @@ class HybridModel:
         return self.encoder.encoded_width
 
     def _augment(self, X: np.ndarray) -> np.ndarray:
-        X = np.asarray(X, dtype=np.float64)
-        if X.ndim != 2 or X.shape[1] != self.n_raw_features:
-            raise ValueError(
-                f"expected {self.n_raw_features} feature columns, got shape {X.shape}"
-            )
-        if not self.encoder.trees:
-            return X
+        X = check_width(X, self.n_raw_features)
         return np.hstack([encode_leaves(self.encoder, X), X])
 
     def predict(self, X: np.ndarray) -> np.ndarray:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg.blas import dtrsv
 
-from .data import DesignMatrix
+from .data import DesignMatrix, check_width
 
 
 class ConvergenceError(Exception):
@@ -94,11 +94,7 @@ class LinearModel:
     n_sweeps: int = 0
 
     def decision_function(self, X: np.ndarray) -> np.ndarray:
-        X = np.asarray(X, dtype=np.float64)
-        if X.ndim != 2 or X.shape[1] != self.n_raw_features:
-            raise ValueError(
-                f"expected {self.n_raw_features} feature columns, got shape {X.shape}"
-            )
+        X = check_width(X, self.n_raw_features)
         Z = (self.encoder.transform(X) - self.mu) / self.sigma
         return Z @ self.weights + self.intercept
 

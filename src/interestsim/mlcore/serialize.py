@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 
@@ -10,45 +11,32 @@ from .forest import ForestModel
 from .gbdt import GbdtModel
 from .hybrid import HybridModel
 from .linear import CategoricalEncoder, LinearModel
-from .tree import Tree, TreeNode
+from .tree import Tree
 
 FORMAT_VERSION = 2
 
 
-def _node_to_dict(node: TreeNode) -> dict:
-    out = {
-        "value": node.value,
-        "n": node.n,
-        "impurity": node.impurity,
-        "leaf_index": node.leaf_index,
-    }
-    if not node.is_leaf:
-        out.update(
-            feature=node.feature,
-            threshold=node.threshold,
-            members=list(node.members) if node.members is not None else None,
-            left=_node_to_dict(node.left),
-            right=_node_to_dict(node.right),
-        )
-    return out
-
-
-def _node_from_dict(d: dict) -> TreeNode:
-    node = TreeNode(
-        value=d["value"], n=d["n"], impurity=d["impurity"], leaf_index=d["leaf_index"]
-    )
-    if "left" in d:
-        node.feature = d["feature"]
-        node.threshold = d["threshold"]
-        node.members = tuple(d["members"]) if d["members"] is not None else None
-        node.left = _node_from_dict(d["left"])
-        node.right = _node_from_dict(d["right"])
-    return node
-
-
 def _tree_to_dict(tree: Tree) -> dict:
+    """The nested format, built from the last node back, so that a split's
+    children (after it in pre-order) are built before it."""
+    columns = (tree.feature, tree.threshold, tree.left, tree.right, tree.value, tree.n, tree.impurity)
+    members = np.split(tree.cat_value, np.searchsorted(tree.cat_node, range(1, len(tree.feature))))
+    rows = list(zip(*(c.tolist() for c in columns), tree.leaf_index.tolist(), members))
+    nodes = [None] * len(rows)
+    for i in reversed(range(len(rows))):
+        feature, threshold, left, right, value, n, impurity, leaf_index, left_set = rows[i]
+        nodes[i] = {"value": value, "n": n, "impurity": impurity, "leaf_index": leaf_index}
+        if feature >= 0:
+            categorical = math.isnan(threshold)
+            nodes[i].update(
+                feature=feature,
+                threshold=None if categorical else threshold,
+                members=left_set.tolist() if categorical else None,
+                left=nodes[left],
+                right=nodes[right],
+            )
     return {
-        "root": _node_to_dict(tree.root),
+        "root": nodes[0],
         "task": tree.task,
         "max_depth": tree.max_depth,
         "min_leaf": tree.min_leaf,
@@ -59,15 +47,37 @@ def _tree_to_dict(tree: Tree) -> dict:
 
 
 def _tree_from_dict(d: dict) -> Tree:
-    return Tree(
-        root=_node_from_dict(d["root"]),
-        task=d["task"],
-        max_depth=d["max_depth"],
-        min_leaf=d["min_leaf"],
-        n_features=d["n_features"],
-        categorical=tuple(d["categorical"]),
-        pruning_alpha=d["pruning_alpha"],
+    """The nodes in pre-order; the stored leaf numbers must be the ones
+    that order gives."""
+    nodes, cat_node, cat_value, leaf_index = [], [], [], []
+    stack = [(d["root"], -1, 0)]  # a node, its parent, and the parent's slot for it
+    while stack:
+        node, parent, slot = stack.pop()
+        i = len(nodes)
+        if parent >= 0:
+            nodes[parent][slot] = i
+        split = [-1, None, -1, -1]  # feature, threshold (None reads as NaN), left, right
+        if "left" in node:
+            if not 0 <= node["feature"] < d["n_features"]:
+                raise ValueError(f"split on feature {node['feature']!r} of {d['n_features']}")
+            if (node["threshold"] is None) == (node["members"] is None):
+                raise ValueError("a split needs exactly one of threshold and members")
+            split[:2] = node["feature"], node["threshold"]
+            cat_node += [i] * len(node["members"] or ())
+            cat_value += node["members"] or ()
+            stack += [(node["right"], i, 3), (node["left"], i, 2)]
+        nodes.append(split + [node["value"], node["n"], node["impurity"]])
+        leaf_index.append(node["leaf_index"])
+    dtypes = (np.intp, np.float64, np.intp, np.intp, np.float64, np.intp, np.float64)
+    tree = Tree(
+        *(np.array(column, dtype=t) for column, t in zip(zip(*nodes), dtypes)),
+        np.array(cat_node, dtype=np.intp), np.array(cat_value, dtype=np.float64),
+        d["task"], d["max_depth"], d["min_leaf"], d["n_features"], tuple(d["categorical"]),
+        d["pruning_alpha"],
     )
+    if leaf_index != tree.leaf_index.tolist():
+        raise ValueError("stored leaf_index values disagree with the pre-order leaf numbering")
+    return tree
 
 
 def _linear_to_dict(model: LinearModel) -> dict:
@@ -133,11 +143,8 @@ def model_to_dict(model) -> dict:
             "trees": [_tree_to_dict(t) for t in model.trees],
         }
     if isinstance(model, LinearModel):
-        return {
-            "format_version": FORMAT_VERSION,
-            "model_type": "linear",
-            "linear": _linear_to_dict(model),
-        }
+        linear = _linear_to_dict(model)
+        return {"format_version": FORMAT_VERSION, "model_type": "linear", "linear": linear}
     if isinstance(model, HybridModel):
         return {
             "format_version": FORMAT_VERSION,
@@ -159,12 +166,8 @@ def model_from_dict(d: dict):
     if kind == "tree":
         return _tree_from_dict(d["tree"])
     if kind == "forest":
-        return ForestModel(
-            trees=[_tree_from_dict(t) for t in d["trees"]],
-            task=d["task"],
-            n_features=d["n_features"],
-            seed=d["seed"],
-        )
+        trees = [_tree_from_dict(t) for t in d["trees"]]
+        return ForestModel(trees, d["task"], d["n_features"], d["seed"])
     if kind == "gbdt":
         return GbdtModel(
             trees=[_tree_from_dict(t) for t in d["trees"]],

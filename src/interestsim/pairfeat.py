@@ -246,9 +246,10 @@ class PairFeaturizer:
         self.past = ProfileIndex(c, PAST_WINDOW, kind)
 
         ids = list(c.user_ids)
-        self._ages = np.array([c.users[u].age for u in ids], dtype=np.float64)
-        self._cities = np.array([c.users[u].city for u in ids], dtype=np.float64)
-        self._is_f = np.array([c.users[u].gender == "F" for u in ids])
+        # demographics by user row, also read by the recommender's demo strategy
+        self.ages = np.array([c.users[u].age for u in ids], dtype=np.float64)
+        self.cities = np.array([c.users[u].city for u in ids], dtype=np.float64)
+        self.is_f = np.array([c.users[u].gender == "F" for u in ids])
 
         self._friends = self._symmetric(np.asarray(list(c.friend_edges), dtype=np.int64), 1.0)
         self._degrees = np.diff(self._friends.indptr).astype(np.float64)
@@ -314,7 +315,7 @@ class PairFeaturizer:
         rt = self.rows(targets)
         rh = self.rows(helpers)
 
-        n_f = self._is_f[rt].astype(np.int64) + self._is_f[rh].astype(np.int64)
+        n_f = self.is_f[rt].astype(np.int64) + self.is_f[rh].astype(np.int64)
         common_friends = row_products(self._friends[rt], self._friends[rh])
         degree_norm = np.sqrt(self._degrees[rt] * self._degrees[rh])
         cfr = np.divide(common_friends, degree_norm, out=np.zeros(len(rt)), where=degree_norm > 0)
@@ -328,11 +329,11 @@ class PairFeaturizer:
             "target": targets,
             "helper": helpers,
             "gender_pair": n_f.astype(np.float64),
-            "age_target": self._ages[rt],
-            "age_helper": self._ages[rh],
-            "city_target": self._cities[rt],
-            "city_helper": self._cities[rh],
-            "same_city": (self._cities[rt] == self._cities[rh]).astype(np.float64),
+            "age_target": self.ages[rt],
+            "age_helper": self.ages[rh],
+            "city_target": self.cities[rt],
+            "city_helper": self.cities[rh],
+            "same_city": (self.cities[rt] == self.cities[rh]).astype(np.float64),
             "friendship": _entries(self._friends, rt, rh),
             "common_friend_ratio": cfr,
             "common_groups": row_products(self._groups[rt], self._groups[rh]),

@@ -18,7 +18,7 @@ import numpy as np
 from ._util import subrng
 from .corpus import Corpus, active_users
 from .mlcore import predict as model_predict
-from .pairfeat import PairFeaturizer
+from .pairfeat import PairFeaturizer, SampleTable
 
 
 @dataclass(frozen=True)
@@ -83,6 +83,8 @@ class ExperimentConfig:
     def validate(self) -> None:
         if self.n_targets < 1 or self.n_candidates < 1:
             raise ValueError("n_targets and n_candidates must be >= 1")
+        if not self.k_values or not self.n_values:
+            raise ValueError("the K and N grids must each hold at least one value")
         if any(k < 1 for k in self.k_values):
             raise ValueError("K values must be >= 1")
         if any(n < 1 for n in self.n_values):
@@ -91,7 +93,8 @@ class ExperimentConfig:
 
 class RecommenderContext:
     """Per-corpus featurizer cache; their day-0 and past indexes also serve
-    the oracle and past strategies, and the day-0 vbp index the lists."""
+    the oracle and past strategies, the day-0 vbp index the lists, and the
+    vbp featurizer's user rows the demo strategy."""
 
     def __init__(self, corpus: Corpus):
         self.corpus = corpus
@@ -115,24 +118,17 @@ def _pair_scores(c: Corpus, target: int, candidates: np.ndarray, strategy, ctx: 
     if isinstance(strategy, PredictedSim):
         fz = ctx.featurizer(strategy.kind)
         cols = fz.extract_batch(t_arr, candidates)
-        from .pairfeat import SampleTable
-
         table = SampleTable(strategy.kind, cols, None)
         X, _, _ = table.feature_matrix()
         return model_predict(strategy.model, X)
     if isinstance(strategy, PastLongTerm):
         return ctx.featurizer("vbp").past.similarity_pairs(t_arr, candidates)
     if isinstance(strategy, DemographicSim):
-        ut = c.users[target]
-        scores = np.zeros(len(candidates))
-        for i, v in enumerate(candidates):
-            uv = c.users[int(v)]
-            scores[i] = (
-                (ut.gender == uv.gender)
-                + (ut.city == uv.city)
-                + (1.0 - abs(ut.age - uv.age) / 30.0)
-            )
-        return scores
+        fz = ctx.featurizer("vbp")
+        t, v = fz.rows([target])[0], fz.rows(candidates)
+        same_gender = (fz.is_f[t] == fz.is_f[v]).astype(np.float64)
+        same_city = (fz.cities[t] == fz.cities[v]).astype(np.float64)
+        return same_gender + same_city + (1.0 - np.abs(fz.ages[t] - fz.ages[v]) / 30.0)
     raise TypeError(f"strategy {strategy!r} does not score candidates")
 
 

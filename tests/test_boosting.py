@@ -10,7 +10,7 @@ from interestsim.mlcore import (
     model_to_dict,
 )
 from interestsim.mlcore.gbdt import GbdtModel
-from interestsim.mlcore.tree import Tree, TreeNode, _assign_leaf_indices
+from interestsim.mlcore.tree import Tree
 
 
 def dm(X, y, categorical=()):
@@ -69,17 +69,16 @@ def _manual_tree(leaf_values, feature=0, thresholds=None):
     """Chain of splits producing len(leaf_values) leaves."""
     n = len(leaf_values)
     thresholds = thresholds or [float(i) + 0.5 for i in range(n - 1)]
-    root = TreeNode(value=0.0, n=n, impurity=0.0)
-    node = root
+    rows = []  # pre-order: split i at node 2i, its left leaf at 2i + 1
     for i in range(n - 1):
-        node.feature = feature
-        node.threshold = thresholds[i]
-        node.left = TreeNode(value=leaf_values[i], n=1, impurity=0.0)
-        node.right = TreeNode(value=0.0, n=n - i - 1, impurity=0.0)
-        node = node.right
-    node.value = leaf_values[-1]
-    _assign_leaf_indices(root)
-    return Tree(root, "reg", n - 1, 1, 1)
+        rows.append((feature, thresholds[i], 2 * i + 1, 2 * i + 2, 0.0, n - i))
+        rows.append((-1, np.nan, -1, -1, leaf_values[i], 1))
+    rows.append((-1, np.nan, -1, -1, leaf_values[-1], 1))
+    features, thr, left, right, value, count = (np.array(c) for c in zip(*rows))
+    return Tree(
+        features, thr, left, right, value, count, np.zeros(len(rows)),
+        np.empty(0, dtype=np.intp), np.empty(0), "reg", n - 1, 1, 1,
+    )
 
 
 def test_encode_leaves_matches_worked_example():
@@ -178,3 +177,34 @@ def test_forest_validates_task_and_min_leaf():
         fit_forest(dm(X, y), n_trees=2, task="classification")
     with pytest.raises(ValueError, match="min_leaf"):
         fit_forest(dm(X, y), n_trees=2, min_leaf=0)
+
+
+# -- routing edge cases --------------------------------------------------------
+
+
+def test_gbdt_without_trees_predicts_base_score():
+    X, y = regression_data(13)
+    model = fit_gbdt(dm(X, y), n_trees=0)
+    assert np.all(model.predict(X) == y.mean())
+    assert encode_leaves(model, X).shape == (len(X), 0)
+
+
+def test_unseen_categorical_value_goes_right_in_every_tree():
+    # one categorical column, so every split is a left set; a value no fit
+    # saw ends in each tree's last leaf in pre-order, the rightmost one
+    rng = np.random.default_rng(14)
+    x = rng.integers(0, 6, size=300).astype(float)
+    y = x % 3 + 0.1 * rng.normal(size=300)
+    data = dm(x[:, None], y, categorical=(0,))
+    unseen = np.array([[2.5], [-1.0], [99.0]])
+    forest = fit_forest(data, n_trees=4, max_depth=4, min_leaf=5, seed=2)
+    gbdt = fit_gbdt(data, n_trees=4, max_depth=3, min_leaf=5)
+    for model in (forest, gbdt):
+        assert all(t.n_leaves > 1 for t in model.trees)
+        for tree in model.trees:
+            assert np.all(tree.apply(unseen) == tree.n_leaves - 1)
+    last = np.cumsum(gbdt.leaf_counts) - 1
+    for row in encode_leaves(gbdt, unseen):
+        assert np.array_equal(np.flatnonzero(row), last)
+    rightmost = np.mean([t.value[t.feature < 0][-1] for t in forest.trees])
+    assert np.allclose(forest.predict(unseen), rightmost)

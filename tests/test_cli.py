@@ -1,3 +1,4 @@
+import argparse
 import json
 
 import pytest
@@ -21,6 +22,17 @@ from selfsim_oracle import selfsim_table
 )
 def test_parse_int_list(text, expected):
     assert _parse_int_list(text) == expected
+
+
+def test_descending_range_rejected(tmp_path, capsys):
+    with pytest.raises(argparse.ArgumentTypeError, match="empty"):
+        _parse_int_list("20..10")
+    argv = ["recommend", "--corpus", str(tmp_path), "--strategy", "random", "--K", "20..10"]
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv + ["--report", str(tmp_path / "report.csv")])
+    assert exit_info.value.code == 2
+    assert "20..10" in capsys.readouterr().err
+    assert not (tmp_path / "report.csv").exists()
 
 
 @pytest.fixture(scope="module")
@@ -63,3 +75,16 @@ def test_selfsim_table_matches_dict_oracle(tmp_path, tiny_corpus):
     selfsim_table(tiny_corpus, 7, tmp_path / "oracle.csv")
     assert (tmp_path / "batch.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
     assert len((tmp_path / "batch.csv").read_text().splitlines()) == 13
+
+
+def test_evaluate_rejects_a_model_of_the_other_task(tmp_path, tiny_corpus, capsys):
+    corpus_dir = tmp_path / "corpus"
+    write_corpus(tiny_corpus, corpus_dir)
+    samples, model = tmp_path / "samples.csv", tmp_path / "model.json"
+    assert main(["featurize", "--corpus", str(corpus_dir), "--pairs", "300", "--out", str(samples)]) == 0
+    assert main(["train", "--model", "linear", "--task", "clf", "--in", str(samples), "--out", str(model)]) == 0
+    evaluate = ["evaluate", "--model", str(model), "--test", str(samples)]
+    assert main(evaluate + ["--task", "reg", "--report", str(tmp_path / "reg.json")]) == 1
+    assert "trained for task 'clf', not 'reg'" in capsys.readouterr().err
+    assert not (tmp_path / "reg.json").exists()
+    assert main(evaluate + ["--task", "clf", "--report", str(tmp_path / "clf.json")]) == 0

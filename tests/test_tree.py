@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from interestsim.mlcore import DesignMatrix, fit_tree, prune_tree
-from interestsim.mlcore.tree import TreeNode, alpha_sequence, prune_at
+from interestsim.mlcore.tree import alpha_sequence, prune_at
 
 
 def dm(X, y, categorical=()):
@@ -11,16 +11,16 @@ def dm(X, y, categorical=()):
 
 def test_constant_targets_single_leaf():
     t = fit_tree(dm([[0], [1], [2]], [5, 5, 5]))
-    assert t.root.is_leaf
-    assert t.root.value == 5.0
+    assert t.feature[0] < 0
+    assert t.value[0] == 5.0
 
 
 def test_depth_zero_is_mean_and_majority():
     t = fit_tree(dm([[0], [1], [2], [3]], [0, 1, 1, 1]), max_depth=0, task="reg")
-    assert t.root.is_leaf and t.root.value == pytest.approx(0.75)
+    assert t.feature[0] < 0 and t.value[0] == pytest.approx(0.75)
     t = fit_tree(dm([[0], [1], [2], [3]], [0, 1, 1, 1]), max_depth=0, task="clf")
-    assert t.root.value == pytest.approx(0.75)
-    assert (t.root.value > 0.5) is True  # majority class
+    assert t.value[0] == pytest.approx(0.75)
+    assert (float(t.value[0]) > 0.5) is True  # majority class
 
 
 def test_xor_expressible_at_depth_two():
@@ -42,8 +42,8 @@ def test_tie_break_prefers_lowest_feature_and_threshold():
     X = [[0, 0], [1, 1], [2, 2], [3, 3]]
     y = [0, 0, 1, 1]
     t = fit_tree(dm(X, y), max_depth=1)
-    assert t.root.feature == 0
-    assert t.root.threshold == pytest.approx(1.5)
+    assert t.feature[0] == 0
+    assert t.threshold[0] == pytest.approx(1.5)
 
 
 def test_partition_property_random_data():
@@ -65,8 +65,8 @@ def test_categorical_split_uses_equality_sets():
     X = [[0], [1], [2], [3]] * 10
     y = [1, 0, 0, 1] * 10
     t = fit_tree(dm(X, y, categorical=(0,)), max_depth=1, task="clf")
-    assert t.root.members is not None
-    left = set(t.root.members)
+    assert 0 in t.cat_node
+    left = set(t.cat_value[t.cat_node == 0])
     assert left in ({0.0, 3.0}, {1.0, 2.0})
     pred = t.predict(np.asarray(X, dtype=float))
     assert np.array_equal((pred > 0.5).astype(int), y)
@@ -77,7 +77,7 @@ def test_unseen_categorical_value_routes_right():
     y = [0, 0, 1, 1]
     t = fit_tree(dm(X, y, categorical=(0,)), max_depth=1)
     pred = t.predict(np.array([[7.0]]))
-    assert pred[0] == t.root.right.value
+    assert pred[0] == t.value[t.right[0]]
 
 
 def test_min_leaf_respected():
@@ -86,13 +86,13 @@ def test_min_leaf_respected():
     y = rng.random(100)
     t = fit_tree(dm(X, y), max_depth=8, min_leaf=10)
 
-    def check(node):
-        assert node.n >= 10
-        if not node.is_leaf:
-            check(node.left)
-            check(node.right)
+    def check(i):
+        assert t.n[i] >= 10
+        if t.feature[i] >= 0:
+            check(t.left[i])
+            check(t.right[i])
 
-    check(t.root)
+    check(0)
 
 
 def test_determinism():
@@ -109,23 +109,27 @@ def test_determinism():
 # -- pruning ---------------------------------------------------------------
 
 
-def _is_subtree(pruned: TreeNode, full: TreeNode) -> bool:
-    if pruned.is_leaf:
+def _is_subtree(pruned, full, i: int = 0, j: int = 0) -> bool:
+    if pruned.feature[i] < 0:
         return True
-    if full.is_leaf:
+    if full.feature[j] < 0:
         return False
     same = (
-        pruned.feature == full.feature
-        and pruned.threshold == full.threshold
-        and pruned.members == full.members
+        pruned.feature[i] == full.feature[j]
+        and np.array_equal(pruned.threshold[i], full.threshold[j], equal_nan=True)
+        and np.array_equal(pruned.cat_value[pruned.cat_node == i], full.cat_value[full.cat_node == j])
     )
-    return same and _is_subtree(pruned.left, full.left) and _is_subtree(pruned.right, full.right)
+    return (
+        same
+        and _is_subtree(pruned, full, pruned.left[i], full.left[j])
+        and _is_subtree(pruned, full, pruned.right[i], full.right[j])
+    )
 
 
 def test_prune_single_leaf_unchanged():
     t = fit_tree(dm([[0], [1]], [1, 1]))
     pruned = prune_tree(t, dm([[0], [1]], [1, 1]), folds=2)
-    assert pruned.root.is_leaf
+    assert pruned.feature[0] < 0
 
 
 def test_prune_requires_two_folds():
@@ -141,7 +145,7 @@ def test_prune_result_is_subtree_and_keeps_signal():
     data = dm(X, y)
     full = fit_tree(data, max_depth=8, min_leaf=5, task="clf")
     pruned = prune_tree(full, data, folds=5)
-    assert _is_subtree(pruned.root, full.root)
+    assert _is_subtree(pruned, full)
     # the separating split survives pruning
     pred = pruned.predict(X)
     assert np.mean((pred > 0.5) == (y > 0.5)) == 1.0
@@ -157,7 +161,7 @@ def test_pure_noise_prunes_to_root_most_seeds():
         data = dm(X, y)
         full = fit_tree(data, max_depth=6, min_leaf=5, task="clf")
         pruned = prune_tree(full, data, folds=5)
-        hits += pruned.root.is_leaf
+        hits += pruned.feature[0] < 0
     assert hits >= 18
 
 
@@ -170,4 +174,26 @@ def test_alpha_sequence_monotone():
     assert alphas[0] == 0.0
     assert all(a <= b for a, b in zip(alphas, alphas[1:]))
     # pruning at the last alpha collapses to the root
-    assert prune_at(t, alphas[-1]).root.is_leaf
+    assert prune_at(t, alphas[-1]).feature[0] < 0
+
+
+# -- saved form ------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "field, value, error",
+    [("leaf_index", (1, 0), "leaf_index"), ("feature", 1, "feature"), ("feature", -1, "feature")],
+)
+def test_loader_rejects_inconsistent_nodes(field, value, error):
+    from interestsim.mlcore import model_from_dict, model_to_dict
+
+    t = fit_tree(dm([[0], [1], [2], [3]], [0, 0, 1, 1]), max_depth=1)
+    d = model_to_dict(t)
+    assert model_to_dict(model_from_dict(d)) == d
+    root = d["tree"]["root"]
+    if field == "leaf_index":  # leaves numbered out of pre-order
+        root["left"]["leaf_index"], root["right"]["leaf_index"] = value
+    else:  # a split on a column the model does not have
+        root["feature"] = value
+    with pytest.raises(ValueError, match=error):
+        model_from_dict(d)

@@ -1,12 +1,24 @@
-"""Presorted growth and single-routing pruning CV against the per-node-sort
-reference in ``tree_oracle``: every tree, fold loss and chosen alpha must
-be identical, not just close."""
+"""Presorted growth, single-routing pruning CV, flat node arrays and the
+joint router against the object-graph, per-node-sort reference in
+``tree_oracle``: every tree, saved text, prediction, fold loss and chosen
+alpha must be identical, not just close."""
+
+import json
 
 import numpy as np
 import pytest
 
 import tree_oracle as oracle
-from interestsim.mlcore import DesignMatrix, fit_forest, fit_gbdt, fit_tree, model_to_dict, prune_tree
+from interestsim.mlcore import (
+    DesignMatrix,
+    encode_leaves,
+    fit_forest,
+    fit_gbdt,
+    fit_tree,
+    model_from_dict,
+    model_to_dict,
+    prune_tree,
+)
 from interestsim.mlcore.linear import sigmoid
 from interestsim.mlcore.tree import _cv_losses
 
@@ -43,7 +55,7 @@ def assert_same_pruning(tree, ref_tree, data, folds):
     assert np.array_equal(losses, ref_losses)
     pruned = prune_tree(tree, data, folds)
     assert pruned.pruning_alpha == ref_pruned.pruning_alpha
-    assert tree_dict(pruned) == tree_dict(ref_pruned)
+    assert tree_dict(pruned) == oracle.tree_to_dict(ref_pruned)
 
 
 @pytest.mark.parametrize("task", ["clf", "reg"])
@@ -53,7 +65,7 @@ def test_ties_constant_column_and_missing_levels(task, seed):
     for max_depth, min_leaf in ((8, 1), (5, 7)):
         tree = fit_tree(data, max_depth, min_leaf, task)
         ref = oracle.fit_tree(data, max_depth, min_leaf, task)
-        assert tree_dict(tree) == tree_dict(ref)
+        assert tree_dict(tree) == oracle.tree_to_dict(ref)
         assert_same_pruning(tree, ref, data, folds=5)
 
 
@@ -64,7 +76,7 @@ def test_min_leaf_at_and_past_half_the_rows(task, n):
     for min_leaf in (n // 2, n // 2 + 1, n):
         tree = fit_tree(data, 6, min_leaf, task)
         ref = oracle.fit_tree(data, 6, min_leaf, task)
-        assert tree_dict(tree) == tree_dict(ref)
+        assert tree_dict(tree) == oracle.tree_to_dict(ref)
         if n >= 8:
             assert_same_pruning(tree, ref, data, folds=2)
 
@@ -78,7 +90,7 @@ def test_bootstrap_with_feature_pool(task, pool):
         data, n_trees=4, max_depth=6, min_leaf=2, feature_subsample=pool / 5, seed=9, task=task
     )
     ref = oracle.fit_forest_trees(data, 4, 6, 2, pool, True, 9, task)
-    assert model_to_dict(forest)["trees"] == [tree_dict(t) for t in ref]
+    assert model_to_dict(forest)["trees"] == [oracle.tree_to_dict(t) for t in ref]
 
 
 @pytest.mark.parametrize("loss", ["squared", "logistic"])
@@ -89,7 +101,7 @@ def test_gbdt_stages_match_reference_trees(loss):
     for tree in model.trees:
         grad = data.y - (sigmoid(score) if loss == "logistic" else score)
         ref = oracle.fit_tree(DesignMatrix(data.X, grad, data.categorical), 3, 4, "reg")
-        assert tree_dict(tree) == tree_dict(ref)
+        assert tree_dict(tree) == oracle.tree_to_dict(ref)
         score += model.learning_rate * ref.predict(data.X)
 
 
@@ -100,8 +112,8 @@ def test_categorical_numeric_tie_goes_to_lower_index(cat):
     x = rng.integers(0, 2, size=60).astype(float)
     data = DesignMatrix(np.column_stack([x, x]), x + rng.normal(0, 0.1, size=60), (cat,))
     tree = fit_tree(data, max_depth=1)
-    assert tree.root.feature == 0
-    assert tree_dict(tree) == tree_dict(oracle.fit_tree(data, max_depth=1))
+    assert tree.feature[0] == 0
+    assert tree_dict(tree) == oracle.tree_to_dict(oracle.fit_tree(data, max_depth=1))
 
 
 def test_threshold_between_adjacent_doubles():
@@ -110,5 +122,83 @@ def test_threshold_between_adjacent_doubles():
     x = 1.0 + np.spacing(1.0) * np.repeat([0.0, 1.0, 2.0, 3.0], 10)
     data = DesignMatrix(x[:, None], np.repeat([0.0, 1.0, 0.0, 1.0], 10))
     tree = fit_tree(data, max_depth=3)
-    assert tree_dict(tree) == tree_dict(oracle.fit_tree(data, max_depth=3))
+    assert tree_dict(tree) == oracle.tree_to_dict(oracle.fit_tree(data, max_depth=3))
     assert tree.n_leaves == 4
+
+
+# -- flat arrays, saved text and the joint router ----------------------------
+
+
+def text(d) -> str:
+    """The saved form: a numpy scalar in place of an int or a float shows
+    here (``np.int64(1) == 1``, but ``json.dumps`` rejects it)."""
+    return json.dumps(d, sort_keys=True)
+
+
+def with_unseen_levels(data):
+    """The design's rows, then the same rows with every categorical value
+    moved off the levels any fit saw."""
+    X = data.X.copy()
+    X[:, list(data.categorical)] += 0.5
+    return np.vstack([data.X, X])
+
+
+def oracle_gbdt_trees(data, model, max_depth, min_leaf):
+    score = np.full(data.n_rows, model.base_score)
+    trees = []
+    for _ in model.trees:
+        grad = data.y - (sigmoid(score) if model.loss == "logistic" else score)
+        stage = DesignMatrix(data.X, grad, data.categorical)
+        trees.append(oracle.fit_tree(stage, max_depth, min_leaf, "reg"))
+        score += model.learning_rate * trees[-1].predict(data.X)
+    return trees
+
+
+@pytest.mark.parametrize("task", ["clf", "reg"])
+def test_saved_text_and_routing_of_trees_and_pruned_trees(task):
+    data = awkward_design(6, 240, task)
+    X = with_unseen_levels(data)
+    tree = fit_tree(data, 8, 2, task)
+    ref = oracle.fit_tree(data, 8, 2, task)
+    pruned = prune_tree(tree, data, 5)
+    ref_pruned, _, _ = oracle.prune_tree(ref, data, 5)
+    assert pruned.n_leaves < tree.n_leaves
+    for t, r in ((tree, ref), (pruned, ref_pruned)):
+        assert text(model_to_dict(t)["tree"]) == text(oracle.tree_to_dict(r))
+        assert text(model_to_dict(model_from_dict(model_to_dict(t)))) == text(model_to_dict(t))
+        assert np.array_equal(t.predict(X), r.predict(X))
+        assert np.array_equal(t.apply(X), r.apply(X))
+
+
+@pytest.mark.parametrize("task", ["clf", "reg"])
+def test_saved_text_and_routing_of_forests(task):
+    data = awkward_design(7, 200, task)
+    X = with_unseen_levels(data)
+    # more than 8 trees, so that a pairwise sum would round differently
+    forest = fit_forest(
+        data, n_trees=12, max_depth=6, min_leaf=2, feature_subsample=0.6, seed=3, task=task
+    )
+    ref = oracle.fit_forest_trees(data, 12, 6, 2, 3, True, 3, task)
+    assert text(model_to_dict(forest)["trees"]) == text([oracle.tree_to_dict(t) for t in ref])
+    total = np.zeros(len(X))
+    for t in ref:
+        total += t.predict(X)
+    assert np.array_equal(forest.predict(X), total / len(ref))
+
+
+@pytest.mark.parametrize("loss", ["squared", "logistic"])
+def test_saved_text_routing_and_leaf_encoding_of_gbdts(loss):
+    data = awkward_design(8, 200, "clf" if loss == "logistic" else "reg")
+    X = with_unseen_levels(data)
+    model = fit_gbdt(data, n_trees=12, max_depth=3, learning_rate=0.3, loss=loss, min_leaf=4)
+    ref = oracle_gbdt_trees(data, model, 3, 4)
+    assert text(model_to_dict(model)["trees"]) == text([oracle.tree_to_dict(t) for t in ref])
+    score = np.full(len(X), model.base_score)
+    encoded = np.zeros((len(X), sum(t.n_leaves for t in ref)))
+    offset = 0
+    for t in ref:
+        score += model.learning_rate * t.predict(X)
+        encoded[np.arange(len(X)), offset + t.apply(X)] = 1.0
+        offset += t.n_leaves
+    assert np.array_equal(model.decision_function(X), score)
+    assert np.array_equal(encode_leaves(model, X), encoded)

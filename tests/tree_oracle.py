@@ -1,25 +1,159 @@
-"""The per-node-sort tree growth and the per-alpha pruning cross-validation
-that ``mlcore.tree`` replaced, kept as the reference they are tested
-against.
+"""The object-graph trees, the per-node-sort growth and the per-alpha
+pruning cross-validation that ``mlcore.tree`` replaced, kept as the
+reference they are tested against.
 
-``_best_split`` runs a stable argsort of every numeric feature and
-``np.unique`` of every categorical feature at every node; the pruning loop
-routes the validation rows through the fold tree once per candidate alpha, and
-every collapse step recomputes every weakest link.
+A tree here is a graph of ``TreeNode`` objects; ``_route`` walks it
+recursively per node, and ``tree_to_dict`` writes the nested model format
+from it.  ``_best_split`` runs a stable argsort of every numeric feature
+and ``np.unique`` of every categorical feature at every node; the pruning
+loop routes the validation rows through the fold tree once per candidate
+alpha, and every collapse step recomputes every weakest link.
 """
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from interestsim.mlcore.data import DesignMatrix
-from interestsim.mlcore.tree import (
-    _GAIN_EPS,
-    Tree,
-    TreeNode,
-    _assign_leaf_indices,
-    _impurity,
-)
+from interestsim.mlcore.tree import _GAIN_EPS, _impurity
+
+
+@dataclass
+class TreeNode:
+    value: float
+    n: int
+    impurity: float  # total (not mean) SSE or Gini mass at the node
+    feature: int | None = None
+    threshold: float | None = None
+    members: tuple[float, ...] | None = None  # categorical left set
+    left: "TreeNode | None" = None
+    right: "TreeNode | None" = None
+    leaf_index: int = -1
+
+    @property
+    def is_leaf(self) -> bool:
+        return self.left is None
+
+    def clone(self) -> "TreeNode":
+        node = TreeNode(
+            self.value, self.n, self.impurity, self.feature, self.threshold,
+            self.members, None, None, self.leaf_index,
+        )
+        if not self.is_leaf:
+            node.left = self.left.clone()
+            node.right = self.right.clone()
+        return node
+
+
+@dataclass
+class Tree:
+    root: TreeNode
+    task: str  # "reg" or "clf"
+    max_depth: int
+    min_leaf: int
+    n_features: int
+    categorical: tuple[int, ...] = ()
+    pruning_alpha: float | None = None
+
+    @property
+    def n_leaves(self) -> int:
+        return _count_leaves(self.root)
+
+    def predict(self, X: np.ndarray) -> np.ndarray:
+        X = _check_width(X, self.n_features)
+        out = np.empty(X.shape[0])
+        _route(self.root, X, np.arange(X.shape[0]), out, attr="value")
+        return out
+
+    def apply(self, X: np.ndarray) -> np.ndarray:
+        """Dense leaf index (0..n_leaves-1) each row lands in."""
+        X = _check_width(X, self.n_features)
+        out = np.empty(X.shape[0])
+        _route(self.root, X, np.arange(X.shape[0]), out, attr="leaf_index")
+        return out.astype(np.int64)
+
+    def clone(self) -> "Tree":
+        return Tree(
+            self.root.clone(), self.task, self.max_depth, self.min_leaf,
+            self.n_features, self.categorical, self.pruning_alpha,
+        )
+
+
+def _check_width(X, n_features: int) -> np.ndarray:
+    X = np.asarray(X, dtype=np.float64)
+    if X.ndim != 2 or X.shape[1] != n_features:
+        raise ValueError(f"expected {n_features} feature columns, got shape {X.shape}")
+    return X
+
+
+def _goes_left(node: TreeNode, x: np.ndarray) -> np.ndarray:
+    if node.members is not None:
+        return np.isin(x, node.members)
+    return x <= node.threshold
+
+
+def _route(node: TreeNode, X, idx, out, attr: str) -> None:
+    if node.is_leaf:
+        out[idx] = getattr(node, attr)
+        return
+    go_left = _goes_left(node, X[idx, node.feature])
+    _route(node.left, X, idx[go_left], out, attr)
+    _route(node.right, X, idx[~go_left], out, attr)
+
+
+def _count_leaves(node: TreeNode) -> int:
+    if node.is_leaf:
+        return 1
+    return _count_leaves(node.left) + _count_leaves(node.right)
+
+
+def _assign_leaf_indices(root: TreeNode) -> int:
+    counter = 0
+
+    def visit(node: TreeNode):
+        nonlocal counter
+        if node.is_leaf:
+            node.leaf_index = counter
+            counter += 1
+        else:
+            node.leaf_index = -1
+            visit(node.left)
+            visit(node.right)
+
+    visit(root)
+    return counter
+
+
+def _node_to_dict(node: TreeNode) -> dict:
+    out = {
+        "value": node.value,
+        "n": node.n,
+        "impurity": node.impurity,
+        "leaf_index": node.leaf_index,
+    }
+    if not node.is_leaf:
+        out.update(
+            feature=node.feature,
+            threshold=node.threshold,
+            members=list(node.members) if node.members is not None else None,
+            left=_node_to_dict(node.left),
+            right=_node_to_dict(node.right),
+        )
+    return out
+
+
+
+def tree_to_dict(tree: Tree) -> dict:
+    return {
+        "root": _node_to_dict(tree.root),
+        "task": tree.task,
+        "max_depth": tree.max_depth,
+        "min_leaf": tree.min_leaf,
+        "n_features": tree.n_features,
+        "categorical": list(tree.categorical),
+        "pruning_alpha": tree.pruning_alpha,
+    }
 
 
 def _best_split(X, y, idx, features, categorical, min_leaf, task):
