@@ -137,7 +137,7 @@ def write_profiles(corpus: Corpus, corpus_dir, kind: str, window, out: Path) -> 
     idx = ProfileIndex(corpus, window, kind)
     out.parent.mkdir(parents=True, exist_ok=True)
     with open(out, "w", encoding="utf-8") as fh:
-        for row, uid in enumerate(idx.user_ids):
+        for row, uid in enumerate(corpus.user_ids):
             start = idx.W.indptr[row]
             stop = idx.W.indptr[row + 1]
             items = idx.item_ids[idx.W.indices[start:stop]]
@@ -151,7 +151,7 @@ def write_profiles(corpus: Corpus, corpus_dir, kind: str, window, out: Path) -> 
             }
             fh.write(json.dumps(obj, sort_keys=True) + "\n")
     write_manifest(out, "profile", {"kind": kind, "window": list(window), "corpus": str(corpus_dir)}, _corpus_files(Path(corpus_dir)), [out])
-    print(f"profile: wrote {len(idx.user_ids)} {kind} profiles to {out}")
+    print(f"profile: wrote {len(corpus.user_ids)} {kind} profiles to {out}")
 
 
 def cmd_profile(args) -> int:

@@ -14,6 +14,7 @@ from itertools import chain
 from pathlib import Path
 
 import numpy as np
+import scipy.sparse as sp
 
 DAY_MIN = -30
 DAY_MAX = 0
@@ -91,15 +92,17 @@ class LoadReport:
 class Corpus:
     """Validated, immutable snapshot of all raw logs plus derived indexes.
 
-    ``views`` stays the raw data, which equality compares and
-    ``write_corpus`` writes.  The view queries read the view log instead:
-    read-only int64 arrays with one entry per view (user row in
-    ``user_ids``, day, video id, video column in ``video_ids``), sorted by
-    (user, day, video), plus per-user offsets into them.  Only this module
-    reads that layout; ``viewed_pairs`` serves the rest of the package.
-
-    Equality compares the raw data only; derived indexes are deterministic
-    functions of it.  Instances are safe for unrestricted concurrent reads.
+    The raw sets are what equality compares and ``write_corpus`` writes.
+    Everything derived from them is built here, once, for every other
+    module to read; all of it is read-only (a CSR's ``data``, ``indices``
+    and ``indptr`` too) and each CSR is canonical.  By user row
+    (``rows_for``): ``ages``, ``cities`` and ``is_f``; the symmetric CSR
+    ``friend_matrix`` (row sums ``degrees``), ``msg_count`` and ``msg_days``
+    (the month's message total and days communicated, one sparsity
+    pattern); and ``group_matrix`` over the sorted ``group_ids``.  By video
+    row, ``video_tags`` over the sorted ``tag_ids``.  The view log, one
+    entry per view sorted by (user row, day, video), is read only here;
+    ``viewed_pairs`` serves the rest.  Safe for concurrent reads.
     """
 
     def __init__(
@@ -169,48 +172,77 @@ class Corpus:
     def _build_indexes(self) -> None:
         self.user_ids: tuple[int, ...] = tuple(sorted(self.users))
         self.video_ids: tuple[int, ...] = tuple(sorted(self.videos))
-        self.tag_vocab: frozenset[int] = frozenset(
-            t for rec in self.videos.values() for t in rec.tags
-        )
+        self._ids = np.asarray(self.user_ids, dtype=np.int64)
+        n = len(self.user_ids)
         log = np.fromiter(chain.from_iterable(self.views), np.int64, 3 * len(self.views)).reshape(-1, 3)
         users, videos, days = log[np.lexsort((log[:, 1], log[:, 2], log[:, 0]))].T
-        self._view_rows = np.searchsorted(np.asarray(self.user_ids, dtype=np.int64), users)
+        self._view_rows = np.searchsorted(self._ids, users)
         self._view_days, self._view_videos = days.copy(), videos.copy()
         self._view_cols = np.searchsorted(np.asarray(self.video_ids, dtype=np.int64), videos)
-        self._view_offsets = np.searchsorted(self._view_rows, np.arange(len(self.user_ids) + 1))
-        for a in (self._view_rows, self._view_days, self._view_videos, self._view_cols, self._view_offsets):
-            a.setflags(write=False)
+        self._view_offsets = np.searchsorted(self._view_rows, np.arange(n + 1))
         # view_set bisects memoryviews: their items are Python ints, cheaper to probe than numpy scalars
         self._view_slices = tuple(map(memoryview, (self._view_offsets, self._view_days, self._view_videos)))
-        adj: dict[int, set[int]] = {}
-        for a, b in self.friend_edges:
-            adj.setdefault(a, set()).add(b)
-            adj.setdefault(b, set()).add(a)
-        self.friends_of: dict[int, frozenset[int]] = {
-            u: frozenset(vs) for u, vs in adj.items()
-        }
-        gr: dict[int, set[int]] = {}
-        for u, g in self.memberships:
-            gr.setdefault(u, set()).add(g)
-        self.groups_of: dict[int, frozenset[int]] = {u: frozenset(v) for u, v in gr.items()}
-        # monthly message aggregates: pair -> (total count, days communicated)
-        self.msg_totals: dict[tuple[int, int], tuple[int, int]] = {
-            pair: (sum(days.values()), len(days)) for pair, days in self.messages.items()
-        }
+
+        self.ages = np.array([self.users[u].age for u in self.user_ids], dtype=np.float64)
+        self.cities = np.array([self.users[u].city for u in self.user_ids], dtype=np.float64)
+        self.is_f = np.array([self.users[u].gender == "F" for u in self.user_ids])
+
+        self.friend_matrix = _symmetric(self.rows_for(list(self.friend_edges)), 1.0, n)
+        self.degrees = np.diff(self.friend_matrix.indptr).astype(np.float64)
+        members = np.asarray(list(self.memberships), dtype=np.int64).reshape(-1, 2)
+        self.group_ids, group_cols = np.unique(members[:, 1], return_inverse=True)
+        member_rows = self.rows_for(members[:, 0])
+        self.group_matrix = sp.csr_matrix((np.ones(len(members)), (member_rows, group_cols)), (n, len(self.group_ids)))
+        totals = [(a, b, sum(days.values()), len(days)) for (a, b), days in self.messages.items()]
+        msgs = np.asarray(totals, dtype=np.int64).reshape(-1, 4)
+        self.msg_count = _symmetric(self.rows_for(msgs[:, :2]), msgs[:, 2], n)
+        self.msg_days = _symmetric(self.rows_for(msgs[:, :2]), msgs[:, 3], n)
+
+        tag_sets = [self.videos[m].tags for m in self.video_ids]
+        tags = np.fromiter(chain.from_iterable(tag_sets), np.int64, sum(map(len, tag_sets)))
+        self.tag_ids = np.unique(tags)
+        video_rows = np.repeat(np.arange(len(tag_sets)), [len(ts) for ts in tag_sets])
+        tag_cols = np.searchsorted(self.tag_ids, tags)
+        self.video_tags = sp.csr_matrix((np.ones(len(tags)), (video_rows, tag_cols)), (len(tag_sets), len(self.tag_ids)))
+
+        csr = (self.friend_matrix, self.group_matrix, self.msg_count, self.msg_days, self.video_tags)
+        for a in (self._ids, self._view_rows, self._view_days, self._view_videos, self._view_cols, self._view_offsets,
+                  self.ages, self.cities, self.is_f, self.degrees, self.group_ids, self.tag_ids,
+                  *(x for M in csr for x in (M.data, M.indices, M.indptr))):
+            a.setflags(write=False)
 
     # -- queries ---------------------------------------------------------
 
+    def _row_of(self, u: int) -> int:
+        """Row of user ``u`` (one bisect, for scalar queries); -1 for an id the corpus lacks."""
+        row = bisect_left(self.user_ids, u)
+        return row if row < len(self.user_ids) and self.user_ids[row] == u else -1
+
+    def rows_for(self, user_ids) -> np.ndarray:
+        """Row of each user id; raises KeyError for an id the corpus lacks."""
+        ids = np.asarray(user_ids, dtype=np.int64).ravel()
+        rows = np.searchsorted(self._ids, ids)
+        known = self._ids[np.minimum(rows, len(self._ids) - 1)] == ids
+        if not known.all():
+            raise KeyError(f"unknown user {ids[~known][0]}")
+        return rows
+
+    def _span(self, M: sp.csr_matrix, u: int) -> slice:
+        """The entries of user ``u``'s row of ``M``; empty for an unknown id."""
+        row = self._row_of(u)
+        return slice(0, 0) if row < 0 else slice(M.indptr[row], M.indptr[row + 1])
+
     def friends(self, u: int) -> frozenset[int]:
-        return self.friends_of.get(u, frozenset())
+        return frozenset(self._ids[self.friend_matrix.indices[self._span(self.friend_matrix, u)]].tolist())
 
     def groups(self, u: int) -> frozenset[int]:
-        return self.groups_of.get(u, frozenset())
+        return frozenset(self.group_ids[self.group_matrix.indices[self._span(self.group_matrix, u)]].tolist())
 
     def view_set(self, u: int, window: Window) -> frozenset[int]:
         """Union of videos viewed by ``u`` over the inclusive day window."""
         lo, hi = check_window(window)
-        row = bisect_left(self.user_ids, u)
-        if row == len(self.user_ids) or self.user_ids[row] != u:
+        row = self._row_of(u)
+        if row < 0:
             return frozenset()
         offsets, days, videos = self._view_slices
         end = offsets[row + 1]
@@ -228,8 +260,11 @@ class Corpus:
 
     def message_stats(self, u: int, v: int) -> tuple[int, int]:
         """(monthly message count, days communicated) for an unordered pair."""
-        key = (u, v) if u < v else (v, u)
-        return self.msg_totals.get(key, (0, 0))
+        span, col = self._span(self.msg_count, u), self._row_of(v)  # -1 is in no row
+        at = span.start + int(np.searchsorted(self.msg_count.indices[span], col))
+        if at == span.stop or self.msg_count.indices[at] != col:
+            return 0, 0
+        return int(self.msg_count.data[at]), int(self.msg_days.data[at])
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Corpus):
@@ -246,9 +281,22 @@ class Corpus:
     def __repr__(self) -> str:
         return (
             f"Corpus(users={len(self.users)}, videos={len(self.videos)}, "
-            f"tags={len(self.tag_vocab)}, views={len(self.views)}, "
+            f"tags={len(self.tag_ids)}, views={len(self.views)}, "
             f"friend_edges={len(self.friend_edges)})"
         )
+
+
+def _symmetric(rows: np.ndarray, values, n: int) -> sp.csr_matrix:
+    """n-by-n matrix holding ``values`` at (a, b) and (b, a) for each pair
+    (a, b) of ``rows``; the corpus keeps such pairs as a < b."""
+    a, b = rows.reshape(-1, 2).T
+    upper = sp.csr_matrix((np.broadcast_to(values, len(a)).astype(np.float64), (a, b)), shape=(n, n))
+    return (upper + upper.T).tocsr()
+
+
+def pair_entries(M: sp.csr_matrix, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Dense ``M[rows[k], cols[k]]`` (scipy returns a sparse matrix for no pairs)."""
+    return np.asarray(M[rows, cols]).ravel() if len(rows) else np.zeros(0)
 
 
 def active_users(c: Corpus, window: Window) -> frozenset[int]:

@@ -12,7 +12,7 @@ from scipy.stats import rankdata
 from . import mlcore
 from .corpus import Corpus
 from .mlcore import DesignMatrix
-from .pairfeat import SampleTable
+from .pairfeat import PairFeaturizer, SampleTable
 
 
 @dataclass(frozen=True)
@@ -175,17 +175,14 @@ def bucket_similarity(
     key: str,
     kind: str,
     n_bins: int = 10,
-    featurizer=None,
 ) -> BucketTable:
     """Mean day-0 similarity per bucket of a pair-level feature."""
-    from .pairfeat import PairFeaturizer
-
     a, b = np.asarray(pairs[0]), np.asarray(pairs[1])
     if len(a) == 0:
         raise ValueError("no pairs supplied")
     if key not in BUCKET_KEYS:
         raise ValueError(f"unknown bucket key {key!r}; choose from {BUCKET_KEYS}")
-    fz = featurizer if featurizer is not None else PairFeaturizer(c, kind)
+    fz = PairFeaturizer(c, kind)
     sims = fz.label_similarity(a, b)
     cols = fz.extract_batch(a, b)
     if key == "gender":
@@ -212,14 +209,8 @@ def bucket_similarity(
     }
     if key in numeric_key:
         values = cols[numeric_key[key]]
-        idx, labels = _quantile_bins(values, n_bins)
-        ordered = [f"{i:02d} {labels[i]}" for i in idx]
-        return _aggregate(ordered, sims, key)
-    # individuality: product of both sides' day-0 individuality
-    base = fz.day0
-    ia = base.individuality_values(a)
-    ib = base.individuality_values(b)
-    values = ia * ib
+    else:  # individuality: product of both sides' day-0 individuality
+        values = fz.day0.individuality_values(a) * fz.day0.individuality_values(b)
     idx, labels = _quantile_bins(values, n_bins)
     ordered = [f"{i:02d} {labels[i]}" for i in idx]
     return _aggregate(ordered, sims, key)

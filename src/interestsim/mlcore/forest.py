@@ -72,5 +72,5 @@ def fit_forest(
         idx = rng.integers(0, data.n_rows, size=data.n_rows) if bootstrap else np.arange(data.n_rows)
         trees.append(_grow_tree(
             cols, data.y, idx, max_depth, min_leaf, task, feature_pool=pool if k < p else None, rng=rng
-        ))
+        )[0])
     return ForestModel(trees, task, p, seed)

@@ -89,8 +89,10 @@ def fit_gbdt(
     for _ in range(n_trees):
         grad = y - (sigmoid(score) if loss == "logistic" else score)
         stage_sort = presort[0].copy(), presort[1].copy()  # the grower partitions it in place
-        tree = _grow_tree(cols, grad, rows, max_depth, min_leaf, "reg", stage_sort)
-        score += learning_rate * tree.predict(data.X)
+        tree, leaf_rows = _grow_tree(cols, grad, rows, max_depth, min_leaf, "reg", stage_sort)
+        # each row's leaf value, read off the grower's leaf-ordered rows instead of routing X
+        leaf = tree.feature < 0
+        score[leaf_rows] += learning_rate * np.repeat(tree.value[leaf], tree.n[leaf])
         model.trees.append(tree)
         model.train_losses.append(_mean_loss(y, score, loss))
     return model

@@ -298,7 +298,7 @@ def _best_split(cols: _Columns, idx, yv, s, s2, parent, nums, order, ranks, ys, 
 def _grow_tree(
     cols: _Columns, y: np.ndarray, rows: np.ndarray, max_depth: int, min_leaf: int, task: str,
     presort: tuple[np.ndarray, np.ndarray] | None = None, feature_pool=None, rng=None,
-) -> Tree:
+) -> tuple[Tree, np.ndarray]:
     """Grow one tree on targets ``y`` over ``rows`` of ``cols.X``; the one
     entry for fit_tree, the forest, the GBDT and the pruning folds.
 
@@ -307,6 +307,8 @@ def _grow_tree(
     ids, made here if not given), which this partitions in place.  With
     one, ``feature_pool(rng)`` draws each node's sorted feature sample and
     the node sorts those columns itself.  Nodes are appended in pre-order.
+    Returns the tree and ``rows`` reordered so that each leaf's rows are
+    contiguous, leaves in pre-order: leaf ``i`` holds the next ``n[i]``.
     """
     if task not in ("reg", "clf"):
         raise ValueError(f"task must be 'reg' or 'clf', got {task!r}")
@@ -386,13 +388,13 @@ def _grow_tree(
         *(np.array(column) for column in zip(*nodes)),
         np.array(cat_node, dtype=np.intp), np.array(cat_value, dtype=np.float64),
         task, max_depth, min_leaf, cols.X.shape[1], cols.categorical,
-    )
+    ), idx
 
 
 def fit_tree(data: DesignMatrix, max_depth: int = 10, min_leaf: int = 1, task: str = "reg") -> Tree:
     """Greedy recursive partition; deterministic for fixed input."""
     cols = _Columns(data.X, data.categorical)
-    return _grow_tree(cols, data.y, np.arange(data.n_rows), max_depth, min_leaf, task)
+    return _grow_tree(cols, data.y, np.arange(data.n_rows), max_depth, min_leaf, task)[0]
 
 
 # -- cost-complexity pruning ----------------------------------------------
@@ -533,7 +535,7 @@ def _cv_losses(tree: Tree, data: DesignMatrix, folds: int) -> tuple[list[float],
         keep = np.flatnonzero(train[order])
         shape = len(order), n - (hi - lo)
         presort = order.ravel()[keep].reshape(shape), ranks.ravel()[keep].reshape(shape)
-        fold_tree = _grow_tree(
+        fold_tree, _ = _grow_tree(
             cols, data.y, np.flatnonzero(train), tree.max_depth, tree.min_leaf, tree.task, presort,
         )
         losses.append(_fold_losses(fold_tree, data.X[lo:hi], data.y[lo:hi], candidates))

@@ -13,9 +13,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
-from .corpus import Corpus, Window, active_users
+from .corpus import Corpus, Window, active_users, pair_entries
 from .mlcore.data import DesignMatrix
 from .profiling import (
     KINDS,
@@ -229,13 +228,10 @@ def extract(c: Corpus, target: int, helper: int, kind: str) -> FeatureRecord:
     )
 
 
-def _entries(M: sp.csr_matrix, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """Dense ``M[rows[k], cols[k]]`` (scipy returns a sparse matrix for no pairs)."""
-    return np.asarray(M[rows, cols]).ravel() if len(rows) else np.zeros(0)
-
-
 class PairFeaturizer:
-    """Vectorized feature extraction over many pairs of one corpus/kind."""
+    """Vectorized feature extraction over many pairs of one corpus/kind: it
+    owns its kind's day-0 and past-month profile indexes and reads the
+    corpus's user columns and friend, group and message matrices."""
 
     def __init__(self, c: Corpus, kind: str):
         if kind not in KINDS:
@@ -244,35 +240,6 @@ class PairFeaturizer:
         self.kind = kind
         self.day0 = ProfileIndex(c, DAY0, kind)
         self.past = ProfileIndex(c, PAST_WINDOW, kind)
-
-        ids = list(c.user_ids)
-        # demographics by user row, also read by the recommender's demo strategy
-        self.ages = np.array([c.users[u].age for u in ids], dtype=np.float64)
-        self.cities = np.array([c.users[u].city for u in ids], dtype=np.float64)
-        self.is_f = np.array([c.users[u].gender == "F" for u in ids])
-
-        self._friends = self._symmetric(np.asarray(list(c.friend_edges), dtype=np.int64), 1.0)
-        self._degrees = np.diff(self._friends.indptr).astype(np.float64)
-        members = np.asarray(list(c.memberships), dtype=np.int64).reshape(-1, 2)
-        groups, group_cols = np.unique(members[:, 1], return_inverse=True)
-        self._groups = sp.csr_matrix(
-            (np.ones(len(members)), (self.rows(members[:, 0]), group_cols)),
-            shape=(len(ids), len(groups)),
-        )
-        msgs = np.asarray([(*ab, n, d) for ab, (n, d) in c.msg_totals.items()], dtype=np.int64).reshape(-1, 4)
-        self._msg_count = self._symmetric(msgs[:, :2], msgs[:, 2])
-        self._msg_days = self._symmetric(msgs[:, :2], msgs[:, 3])
-
-    def _symmetric(self, pairs: np.ndarray, values) -> sp.csr_matrix:
-        """User-by-user matrix holding ``values`` at (a, b) and (b, a) for
-        each row (a, b) of ``pairs``; the corpus keeps such pairs as a < b."""
-        a, b = self.rows(pairs).reshape(-1, 2).T
-        n = len(self.corpus.user_ids)
-        upper = sp.csr_matrix((np.broadcast_to(values, len(a)).astype(np.float64), (a, b)), shape=(n, n))
-        return (upper + upper.T).tocsr()
-
-    def rows(self, user_ids) -> np.ndarray:
-        return self.day0.rows_for(user_ids)
 
     def label_similarity(self, targets, helpers) -> np.ndarray:
         return self.day0.similarity_pairs(targets, helpers)
@@ -310,14 +277,17 @@ class PairFeaturizer:
     def extract_batch(self, targets, helpers) -> dict[str, np.ndarray]:
         targets = np.asarray(targets, dtype=np.int64)
         helpers = np.asarray(helpers, dtype=np.int64)
+        if targets.shape != helpers.shape:
+            raise ValueError(f"{len(targets)} targets but {len(helpers)} helpers")
         if np.any(targets == helpers):
             raise ValueError("target and helper must differ")
-        rt = self.rows(targets)
-        rh = self.rows(helpers)
+        c = self.corpus
+        rt = c.rows_for(targets)
+        rh = c.rows_for(helpers)
 
-        n_f = self.is_f[rt].astype(np.int64) + self.is_f[rh].astype(np.int64)
-        common_friends = row_products(self._friends[rt], self._friends[rh])
-        degree_norm = np.sqrt(self._degrees[rt] * self._degrees[rh])
+        n_f = c.is_f[rt].astype(np.int64) + c.is_f[rh].astype(np.int64)
+        common_friends = row_products(c.friend_matrix[rt], c.friend_matrix[rh])
+        degree_norm = np.sqrt(c.degrees[rt] * c.degrees[rh])
         cfr = np.divide(common_friends, degree_norm, out=np.zeros(len(rt)), where=degree_norm > 0)
 
         has_past = (self.past.row_norms[rt] > 0) & (self.past.row_norms[rh] > 0)
@@ -329,16 +299,16 @@ class PairFeaturizer:
             "target": targets,
             "helper": helpers,
             "gender_pair": n_f.astype(np.float64),
-            "age_target": self.ages[rt],
-            "age_helper": self.ages[rh],
-            "city_target": self.cities[rt],
-            "city_helper": self.cities[rh],
-            "same_city": (self.cities[rt] == self.cities[rh]).astype(np.float64),
-            "friendship": _entries(self._friends, rt, rh),
+            "age_target": c.ages[rt],
+            "age_helper": c.ages[rh],
+            "city_target": c.cities[rt],
+            "city_helper": c.cities[rh],
+            "same_city": (c.cities[rt] == c.cities[rh]).astype(np.float64),
+            "friendship": pair_entries(c.friend_matrix, rt, rh),
             "common_friend_ratio": cfr,
-            "common_groups": row_products(self._groups[rt], self._groups[rh]),
-            "msg_count_month": _entries(self._msg_count, rt, rh),
-            "msg_days_month": _entries(self._msg_days, rt, rh),
+            "common_groups": row_products(c.group_matrix[rt], c.group_matrix[rh]),
+            "msg_count_month": pair_entries(c.msg_count, rt, rh),
+            "msg_days_month": pair_entries(c.msg_days, rt, rh),
             "past_sim_month": past_sim,
             "has_past": has_past.astype(np.float64),
             "helper_individuality": indiv,

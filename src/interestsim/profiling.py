@@ -148,7 +148,7 @@ def self_similarity(c: Corpus, users, kind: str, lags: list[int]) -> np.ndarray:
         if not 0 <= lag <= 30:
             raise ValueError(f"lag {lag} outside [0, 30]")
     current = ProfileIndex(c, (0, 0), kind)
-    rows = current.rows_for(users)
+    rows = c.rows_for(users)
     by_day = {0: current} | {-lag: ProfileIndex(c, (-lag, -lag), kind) for lag in set(lags) - {0}}
     out = np.full((len(rows), len(lags)), np.nan)
     for j, lag in enumerate(lags):
@@ -166,18 +166,18 @@ def self_similarity_series(c: Corpus, u: int, kind: str, lags: list[int]) -> lis
 class ProfileIndex:
     """Sparse user-by-item weight matrix for one (window, kind) pair.
 
-    Rows follow ``corpus.user_ids`` order and include inactive users as
-    empty rows, so the same row indexing works across windows.  Columns
-    are sorted tag ids for tag kinds and sorted video ids for ``vbp``.
+    Rows follow ``corpus.user_ids`` order (``corpus.rows_for``) and include
+    inactive users as empty rows, so the same row indexing works across
+    windows.  Columns are the corpus's ``tag_ids`` for tag kinds and sorted
+    video ids for ``vbp``.
 
     ``counts`` holds the undamped weights.  With ``V`` the binary
     user-by-video matrix of the distinct videos viewed in the window and
-    ``T`` the video-by-tag incidence, ``counts`` is ``V`` for ``vbp`` and
-    ``V @ T`` (viewed videos per tag) for the tag kinds.  ``W`` equals
-    ``counts``, except that ``rtp`` damps each tag by
+    ``T`` the corpus's incidence ``video_tags``, ``counts`` is ``V`` for
+    ``vbp`` and ``V @ T`` (viewed videos per tag) for the tag kinds.
+    ``W`` equals ``counts``, except that ``rtp`` damps each tag by
     ``log2(n_active / item_user_counts)`` and drops exact zeros.  Both are
-    canonical CSR.  ``rows_for`` finds rows by binary search over the
-    sorted ``user_ids`` and raises KeyError for an id the corpus lacks.
+    canonical CSR.
     """
 
     def __init__(self, corpus: Corpus, window: Window, kind: str):
@@ -187,23 +187,16 @@ class ProfileIndex:
         self.corpus = corpus
         self.window = window
         self.kind = kind
-        self.user_ids = np.asarray(corpus.user_ids, dtype=np.int64)
         video_ids = np.asarray(corpus.video_ids, dtype=np.int64)
         rows, cols = corpus.viewed_pairs(window)
-        V = sp.csr_matrix((np.ones(len(cols)), (rows, cols)), shape=(len(self.user_ids), len(video_ids)))
+        V = sp.csr_matrix((np.ones(len(cols)), (rows, cols)), shape=(len(corpus.user_ids), len(video_ids)))
 
         if kind == "vbp":
             self.item_ids = video_ids
             counts = V
         else:
-            self.item_ids = np.asarray(sorted(corpus.tag_vocab), dtype=np.int64)
-            incidence = [(j, t) for j, m in enumerate(video_ids.tolist()) for t in corpus.videos[m].tags]
-            video_rows, tag_ids = np.asarray(incidence, dtype=np.int64).reshape(-1, 2).T
-            T = sp.csr_matrix(
-                (np.ones(len(incidence)), (video_rows, np.searchsorted(self.item_ids, tag_ids))),
-                shape=(len(video_ids), len(self.item_ids)),
-            )
-            counts = V @ T
+            self.item_ids = corpus.tag_ids
+            counts = V @ corpus.video_tags
             counts.sort_indices()
         self.counts = counts
 
@@ -227,23 +220,16 @@ class ProfileIndex:
         inv[nz] = 1.0 / norms[nz]
         self.W_normalized = sp.diags(inv) @ self.W
 
-    def rows_for(self, user_ids) -> np.ndarray:
-        """Row of each user id; raises KeyError for an id the corpus lacks."""
-        ids = np.asarray(user_ids, dtype=np.int64).ravel()
-        rows = np.searchsorted(self.user_ids, ids)
-        known = self.user_ids[np.minimum(rows, len(self.user_ids) - 1)] == ids
-        if not known.all():
-            raise KeyError(f"unknown user {ids[~known][0]}")
-        return rows
-
     def similarity_pairs(self, users_a, users_b) -> np.ndarray:
         """Pairwise similarity for aligned id arrays (vectorized)."""
-        W = self.W_normalized
-        return row_products(W[self.rows_for(users_a)], W[self.rows_for(users_b)])
+        ra, rb = self.corpus.rows_for(users_a), self.corpus.rows_for(users_b)
+        if len(ra) != len(rb):
+            raise ValueError(f"{len(ra)} users paired with {len(rb)}")
+        return row_products(self.W_normalized[ra], self.W_normalized[rb])
 
     def individuality_values(self, user_ids) -> np.ndarray:
         """Vectorized individuality; 0 for empty profiles."""
-        rows = self.rows_for(user_ids)
+        rows = self.corpus.rows_for(user_ids)
         counts = self.item_user_counts.astype(np.float64)
         num = np.asarray(self.W[rows] @ counts).ravel()
         norms = self.row_norms[rows]

@@ -93,8 +93,8 @@ class ExperimentConfig:
 
 class RecommenderContext:
     """Per-corpus featurizer cache; their day-0 and past indexes also serve
-    the oracle and past strategies, the day-0 vbp index the lists, and the
-    vbp featurizer's user rows the demo strategy."""
+    the oracle and past strategies, and the day-0 vbp index the lists (the
+    demo and friend strategies read the corpus's own arrays)."""
 
     def __init__(self, corpus: Corpus):
         self.corpus = corpus
@@ -124,11 +124,10 @@ def _pair_scores(c: Corpus, target: int, candidates: np.ndarray, strategy, ctx: 
     if isinstance(strategy, PastLongTerm):
         return ctx.featurizer("vbp").past.similarity_pairs(t_arr, candidates)
     if isinstance(strategy, DemographicSim):
-        fz = ctx.featurizer("vbp")
-        t, v = fz.rows([target])[0], fz.rows(candidates)
-        same_gender = (fz.is_f[t] == fz.is_f[v]).astype(np.float64)
-        same_city = (fz.cities[t] == fz.cities[v]).astype(np.float64)
-        return same_gender + same_city + (1.0 - np.abs(fz.ages[t] - fz.ages[v]) / 30.0)
+        t, v = c.rows_for([target])[0], c.rows_for(candidates)
+        same_gender = (c.is_f[t] == c.is_f[v]).astype(np.float64)
+        same_city = (c.cities[t] == c.cities[v]).astype(np.float64)
+        return same_gender + same_city + (1.0 - np.abs(c.ages[t] - c.ages[v]) / 30.0)
     raise TypeError(f"strategy {strategy!r} does not score candidates")
 
 
@@ -155,11 +154,12 @@ def select_neighbors(
         take = min(k, len(candidates))
         return [int(u) for u in rng.choice(candidates, size=take, replace=False)]
     if isinstance(strategy, FriendFilter):
-        friends = c.friends(target) & set(candidates.tolist())
-        if not friends:
-            return []
-        ranked = sorted(friends, key=lambda u: (-c.message_stats(target, u)[1], u))
-        return ranked[:k]
+        # the target's friends among the candidates, by days communicated
+        friends = np.fromiter(c.friends(target) & set(candidates.tolist()), np.int64)
+        D, t = c.msg_days, c.rows_for([target])[0]
+        days = np.zeros(len(c.user_ids))
+        days[D.indices[D.indptr[t] : D.indptr[t + 1]]] = D.data[D.indptr[t] : D.indptr[t + 1]]
+        return _top_k(days[c.rows_for(friends)], friends, k)
     scores = _pair_scores(c, target, candidates, strategy, ctx)
     return _top_k(scores, candidates, k)
 
@@ -168,7 +168,7 @@ def recommend_topn(c: Corpus, neighbors, n: int, ctx: RecommenderContext) -> lis
     """Videos ranked by day-0 view count among the neighbors (a neighbor
     listed twice counts twice), ties by ascending video id, truncated at N."""
     day0 = ctx.featurizer("vbp").day0
-    times = np.bincount(day0.rows_for(neighbors), minlength=len(day0.user_ids))
+    times = np.bincount(c.rows_for(neighbors), minlength=len(c.user_ids))
     counts = day0.counts.T @ times  # the sum of the neighbors' rows of the binary user-by-video matrix
     viewed = np.flatnonzero(counts)
     return day0.item_ids[viewed[np.argsort(-counts[viewed], kind="stable")[:n]]].tolist()

@@ -57,7 +57,7 @@ def test_profile_command_matches_in_memory_writer(tmp_path, small_corpus, kind, 
     idx = ProfileIndex(c, window, kind)
     lines = out.read_text(encoding="utf-8").splitlines()
     assert len(lines) == len(c.user_ids)
-    for line, u, r in zip(lines, c.user_ids, idx.rows_for(c.user_ids)):
+    for line, u, r in zip(lines, c.user_ids, c.rows_for(c.user_ids)):
         start, stop = idx.W.indptr[r], idx.W.indptr[r + 1]
         row = dict(zip(idx.item_ids[idx.W.indices[start:stop]].tolist(), idx.W.data[start:stop].tolist()))
         assert json.loads(line) == {

@@ -188,3 +188,52 @@ def test_view_log_is_read_only(small_corpus):
     for a in (c._view_rows, c._view_days, c._view_videos, c._view_offsets):
         with pytest.raises(ValueError):
             a[0] = 1
+
+
+def _relations_by_dict_walk(c):
+    """Friends, groups and message totals per user or pair, from the raw sets."""
+    friends: dict[int, set[int]] = {}
+    for a, b in c.friend_edges:
+        friends.setdefault(a, set()).add(b)
+        friends.setdefault(b, set()).add(a)
+    groups: dict[int, set[int]] = {}
+    for u, g in c.memberships:
+        groups.setdefault(u, set()).add(g)
+    totals = {pair: (sum(days.values()), len(days)) for pair, days in c.messages.items()}
+    return friends, groups, totals
+
+
+@pytest.mark.parametrize("which", ["small", "no_relations"])
+def test_relation_arrays_match_raw_sets(small_corpus, which):
+    c = small_corpus[0] if which == "small" else make_corpus(views=[(1, 10, 0), (2, 11, -3)])
+    assert bool(c.messages and c.memberships) == (which == "small")
+    friends, groups, totals = _relations_by_dict_walk(c)
+    unknown = max(c.user_ids) + 1
+    for u in (*c.user_ids, unknown):
+        assert c.friends(u) == frozenset(friends.get(u, ()))
+        assert c.groups(u) == frozenset(groups.get(u, ()))
+    for a, b in c.friend_edges:
+        assert c.message_stats(a, b) == c.message_stats(b, a) == totals.get((a, b), (0, 0))
+    u = c.user_ids[0]
+    stranger = next(v for v in c.user_ids[1:] if (u, v) not in c.friend_edges)
+    assert c.message_stats(u, stranger) == (0, 0)
+    assert c.message_stats(u, unknown) == c.message_stats(unknown, u) == (0, 0)
+    assert c.degrees.tolist() == [len(friends.get(u, ())) for u in c.user_ids]
+    assert c.ages.tolist() == [c.users[u].age for u in c.user_ids]
+    assert c.cities.tolist() == [c.users[u].city for u in c.user_ids]
+    assert c.is_f.tolist() == [c.users[u].gender == "F" for u in c.user_ids]
+    assert c.tag_ids.tolist() == sorted(set().union(*(v.tags for v in c.videos.values())))
+    T = c.video_tags
+    assert T.shape == (len(c.video_ids), len(c.tag_ids)) and set(T.data.tolist()) <= {1.0}
+    for j, m in enumerate(c.video_ids):
+        assert set(c.tag_ids[T.indices[T.indptr[j] : T.indptr[j + 1]]].tolist()) == c.videos[m].tags
+
+
+def test_relation_arrays_are_read_only(small_corpus):
+    c, _ = small_corpus
+    arrays = [c.ages, c.cities, c.is_f, c.degrees, c.group_ids, c.tag_ids]
+    for M in (c.friend_matrix, c.group_matrix, c.msg_count, c.msg_days, c.video_tags):
+        arrays += [M.data, M.indices, M.indptr]
+    for a in arrays:
+        with pytest.raises(ValueError):
+            a[0] = a[0]

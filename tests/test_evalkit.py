@@ -143,7 +143,7 @@ def test_bucket_single_pair():
     fz = PairFeaturizer(corpus, "ptp")
     a = np.array([corpus.user_ids[0]])
     b = np.array([corpus.user_ids[1]])
-    table = bucket_similarity(corpus, (a, b), "gender", "ptp", featurizer=fz)
+    table = bucket_similarity(corpus, (a, b), "gender", "ptp")
     assert table.counts_total() == 1
     (bucket, mean, count, se) = table.rows[0]
     assert count == 1 and se == 0.0

@@ -224,3 +224,15 @@ def test_design_matrix_layout(feature_corpus):
     assert two.X.shape[1] == 10
     with pytest.raises(ValueError):
         table.to_design(categories=("nope",))
+
+
+def test_misaligned_pair_arrays_rejected():
+    c, _ = generate(GenConfig(seed=3, n_users=60, n_videos=40, n_tags=20, n_topics=4, n_cities=3, n_groups=4))
+    t1, t2, t3, h = c.user_ids[:4]
+    fz = PairFeaturizer(c, "ptp")
+    with pytest.raises(ValueError):
+        fz.extract_batch([t1, t2, t3], [h])
+    with pytest.raises(ValueError):
+        fz.label_similarity([t1, t2, t3], [h])
+    with pytest.raises(ValueError):
+        fz.past.similarity_pairs([h], [t1, t2])

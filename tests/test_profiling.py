@@ -209,7 +209,7 @@ def test_index_rows_match_dict_profiles(small_corpus, kind, window):
     c, _ = small_corpus
     idx = ProfileIndex(c, window, kind)
     W = idx.W
-    for u, r in zip(c.user_ids, idx.rows_for(c.user_ids)):
+    for u, r in zip(c.user_ids, c.rows_for(c.user_ids)):
         cols = W.indices[W.indptr[r] : W.indptr[r + 1]]
         row = dict(zip(idx.item_ids[cols].tolist(), W.data[W.indptr[r] : W.indptr[r + 1]].tolist()))
         if kind == "vbp":
@@ -222,11 +222,11 @@ def test_index_rows_match_dict_profiles(small_corpus, kind, window):
 
 def test_rows_for_rejects_unknown_ids():
     users = {i: UserRecord(i, "M", 20, 0) for i in (2, 5, 9)}
-    idx = ProfileIndex(make_corpus(users=users), (0, 0), "ptp")
-    assert idx.rows_for([9, 2, 5]).tolist() == [2, 0, 1]
+    c = make_corpus(users=users)
+    assert c.rows_for([9, 2, 5]).tolist() == [2, 0, 1]
     for unknown in (1, 3, 10):
         with pytest.raises(KeyError):
-            idx.rows_for([2, unknown])
+            c.rows_for([2, unknown])
 
 
 @pytest.mark.parametrize("kind", ["ptp", "rtp"])
