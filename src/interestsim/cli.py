@@ -21,7 +21,7 @@ import numpy as np
 from . import __version__, evalkit, mlcore, recommend as rec
 from .corpus import CSV_NAMES, Corpus, active_users, load_corpus, write_corpus
 from .pairfeat import SampleTable, build_training_set, read_samples, write_samples
-from .profiling import KINDS, ProfileIndex, self_similarity
+from .profiling import KINDS, self_similarity
 from .synthgen import GenConfig, generate
 
 PRESETS = {
@@ -134,7 +134,7 @@ def cmd_generate(args) -> int:
 
 def write_profiles(corpus: Corpus, corpus_dir, kind: str, window, out: Path) -> None:
     """Per-user JSONL profiles and a manifest naming ``corpus_dir``, where ``corpus`` was written."""
-    idx = ProfileIndex(corpus, window, kind)
+    idx = corpus.profile_index(window, kind)
     out.parent.mkdir(parents=True, exist_ok=True)
     with open(out, "w", encoding="utf-8") as fh:
         for row, uid in enumerate(corpus.user_ids):
@@ -240,6 +240,8 @@ def cmd_evaluate(args) -> int:
         raise ValueError("model file lacks train_meta.label_mean; was it written by `train`?")
     if meta.get("task") != args.task:
         raise ValueError(f"model was trained for task {meta.get('task')!r}, not {args.task!r}")
+    if meta.get("profile_kind") != samples.kind:
+        raise ValueError(f"model was trained on {meta.get('profile_kind')!r} samples, not {samples.kind!r}")
     report = {
         "task": args.task,
         "model_kind": meta.get("model_kind"),
@@ -305,7 +307,10 @@ def _make_strategy(name: str, model_path=None):
         kind = name.split("-", 1)[1]
         if model_path is None:
             raise ValueError(f"strategy {name} needs --model")
-        model, _ = load_model_file(model_path)
+        model, meta = load_model_file(model_path)
+        # a model without train_meta (a pipeline hybrid) names no kind
+        if meta.get("profile_kind", kind) != kind:
+            raise ValueError(f"model was trained on {meta['profile_kind']!r} samples, not {kind!r}")
         return rec.PredictedSim(kind, model)
     if name.startswith("oracle-"):
         return rec.OracleSim(name.split("-", 1)[1])

@@ -12,9 +12,13 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from itertools import chain
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 import scipy.sparse as sp
+
+if TYPE_CHECKING:
+    from .profiling import ProfileIndex
 
 DAY_MIN = -30
 DAY_MAX = 0
@@ -81,13 +85,6 @@ class LoadReport:
     rows_dropped_filtered_user: dict[str, int] = field(default_factory=dict)
     duplicate_views: int = 0
 
-    def total_dropped(self) -> int:
-        return (
-            self.users_dropped_age
-            + sum(self.rows_dropped_filtered_user.values())
-            + self.duplicate_views
-        )
-
 
 class Corpus:
     """Validated, immutable snapshot of all raw logs plus derived indexes.
@@ -102,7 +99,11 @@ class Corpus:
     pattern); and ``group_matrix`` over the sorted ``group_ids``.  By video
     row, ``video_tags`` over the sorted ``tag_ids``.  The view log, one
     entry per view sorted by (user row, day, video), is read only here;
-    ``viewed_pairs`` serves the rest.  Safe for concurrent reads.
+    ``viewed_pairs`` serves the rest.  The corpus owns the profile indexes
+    too, one read-only ``ProfileIndex`` per (window, kind), built on its
+    first ``profile_index`` request (the cycle through ``index.corpus`` is
+    the garbage collector's to free).  Concurrent reads are safe; two racing
+    first requests for an index build it twice, equal, and keep one.
     """
 
     def __init__(
@@ -126,6 +127,7 @@ class Corpus:
         self.report = report if report is not None else LoadReport()
         self._validate()
         self._build_indexes()
+        self._profile_indexes: dict[tuple[Window, str], ProfileIndex] = {}
 
     # -- validation ------------------------------------------------------
 
@@ -257,6 +259,22 @@ class Corpus:
         n_cols = len(self.video_ids)
         keys = np.sort(self._view_rows[inside] * n_cols + self._view_cols[inside])
         return np.divmod(keys[np.diff(keys, prepend=-1) != 0], n_cols)
+
+    def profile_index(self, window: Window, kind: str) -> ProfileIndex:
+        """The ``ProfileIndex`` of ``window`` and ``kind``, built on the first
+        request; a bad window or kind raises and caches nothing."""
+        key = (tuple(window), kind)
+        index = self._profile_indexes.get(key)
+        if index is None:
+            from .profiling import ProfileIndex  # profiling imports this module
+
+            index = ProfileIndex(self, key[0], kind)
+            csr = (index.counts, index.W, index.W_normalized)
+            for a in (index.item_ids, index.active_mask, index.item_user_counts, index.row_norms,
+                      *(x for M in csr for x in (M.data, M.indices, M.indptr))):
+                a.setflags(write=False)
+            self._profile_indexes[key] = index
+        return index
 
     def message_stats(self, u: int, v: int) -> tuple[int, int]:
         """(monthly message count, days communicated) for an unordered pair."""

@@ -11,14 +11,14 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
-from .corpus import Corpus, Window, active_users, pair_entries
+from .corpus import Corpus, Window, _read_rows, active_users, pair_entries
 from .mlcore.data import DesignMatrix
 from .profiling import (
     KINDS,
-    ProfileIndex,
     build_ptp,
     build_rtp,
     row_products,
@@ -230,16 +230,14 @@ def extract(c: Corpus, target: int, helper: int, kind: str) -> FeatureRecord:
 
 class PairFeaturizer:
     """Vectorized feature extraction over many pairs of one corpus/kind: it
-    owns its kind's day-0 and past-month profile indexes and reads the
-    corpus's user columns and friend, group and message matrices."""
+    reads the corpus's day-0 and past-month profile indexes of its kind,
+    user columns and friend, group and message matrices."""
 
     def __init__(self, c: Corpus, kind: str):
-        if kind not in KINDS:
-            raise ValueError(f"unknown profile kind {kind!r}")
         self.corpus = c
         self.kind = kind
-        self.day0 = ProfileIndex(c, DAY0, kind)
-        self.past = ProfileIndex(c, PAST_WINDOW, kind)
+        self.day0 = c.profile_index(DAY0, kind)
+        self.past = c.profile_index(PAST_WINDOW, kind)
 
     def label_similarity(self, targets, helpers) -> np.ndarray:
         return self.day0.similarity_pairs(targets, helpers)
@@ -422,12 +420,8 @@ def write_samples(table: SampleTable, path) -> None:
 
 
 def read_samples(path) -> SampleTable:
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header != CSV_HEADER:
-            raise ValueError(f"unexpected sample CSV header in {path}")
-        rows = list(reader)
+    """Samples as ``write_samples`` writes them; a bad header or row raises ``FormatError``."""
+    rows = [row for _, row in _read_rows(Path(path), CSV_HEADER)]
     if not rows:
         raise ValueError(f"no samples in {path}")
     kinds = {r[2] for r in rows}

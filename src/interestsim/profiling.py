@@ -7,9 +7,10 @@ profiles are the raw viewed-video sets.  Population statistics (active
 user count, per-tag owner counts) are always computed over the same day
 window as the profiles themselves.
 
-Every production path uses ``ProfileIndex``.  The per-user dict engine
-(``build_ptp``, ``build_rtp``, ``tag_similarity``, ``video_similarity``,
-``individuality``) is reference-only, behind ``pairfeat.extract`` and the tests.
+Every production path reads the ``ProfileIndex`` that ``Corpus.profile_index``
+builds once per (window, kind).  The per-user dict engine (``build_ptp``,
+``build_rtp``, ``tag_similarity``, ``video_similarity``, ``individuality``)
+is reference-only, behind ``pairfeat.extract`` and the tests.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -147,12 +149,11 @@ def self_similarity(c: Corpus, users, kind: str, lags: list[int]) -> np.ndarray:
     for lag in lags:
         if not 0 <= lag <= 30:
             raise ValueError(f"lag {lag} outside [0, 30]")
-    current = ProfileIndex(c, (0, 0), kind)
+    current = c.profile_index((0, 0), kind)
     rows = c.rows_for(users)
-    by_day = {0: current} | {-lag: ProfileIndex(c, (-lag, -lag), kind) for lag in set(lags) - {0}}
     out = np.full((len(rows), len(lags)), np.nan)
     for j, lag in enumerate(lags):
-        past = by_day[-lag]
+        past = c.profile_index((-lag, -lag), kind)
         ok = (current.row_norms[rows] > 0) & (past.row_norms[rows] > 0)
         out[ok, j] = row_products(current.W_normalized[rows[ok]], past.W_normalized[rows[ok]])
     return out
@@ -219,6 +220,11 @@ class ProfileIndex:
         nz = norms > 0
         inv[nz] = 1.0 / norms[nz]
         self.W_normalized = sp.diags(inv) @ self.W
+
+    @cached_property
+    def by_item(self) -> sp.csr_matrix:
+        """``counts`` transposed: item-by-user CSR (each video's viewers for ``vbp``)."""
+        return self.counts.T.tocsr()
 
     def similarity_pairs(self, users_a, users_b) -> np.ndarray:
         """Pairwise similarity for aligned id arrays (vectorized)."""

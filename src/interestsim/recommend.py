@@ -4,7 +4,8 @@ generation, and accuracy/diversity scoring.
 Targets are day-0-active users (so ground truth exists) treated as cold:
 every strategy except the oracle sees only their pre-day-0 data and
 demographics.  Recommendation lists are the top-N day-0-popular videos
-among the selected neighbors.
+among the selected neighbors.  Strategies and lists read the corpus's
+profile indexes (``Corpus.profile_index``) and arrays, and keep no state.
 
 The experiment grid scores each scoring strategy (predicted, oracle, past,
 demo) once per target, whatever the K values: whole targets go together in
@@ -20,15 +21,13 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
-import scipy.sparse as sp
 
 from ._util import subrng
 from .corpus import Corpus, active_users
 from .mlcore import predict as model_predict
-from .pairfeat import PairFeaturizer, SampleTable
+from .pairfeat import DAY0, PAST_WINDOW, PairFeaturizer, SampleTable
 
 
 @dataclass(frozen=True)
@@ -107,46 +106,25 @@ _SCORED = (PredictedSim, OracleSim, PastLongTerm, DemographicSim)
 _BLOCK_PAIRS = 2048
 
 
-class RecommenderContext:
-    """Per-corpus featurizer cache; their day-0 and past indexes also serve
-    the oracle and past strategies, and the day-0 vbp index the lists (the
-    demo and friend strategies read the corpus's own arrays)."""
-
-    def __init__(self, corpus: Corpus):
-        self.corpus = corpus
-        self._featurizers: dict[str, PairFeaturizer] = {}
-
-    def featurizer(self, kind: str) -> PairFeaturizer:
-        if kind not in self._featurizers:
-            self._featurizers[kind] = PairFeaturizer(self.corpus, kind)
-        return self._featurizers[kind]
-
-    @cached_property
-    def day0_viewers(self) -> sp.csr_matrix:
-        """The binary video-by-user matrix of day-0 views."""
-        return self.featurizer("vbp").day0.counts.T.tocsr()
-
-
 def _top_k(scores: np.ndarray, ids: np.ndarray, k: int) -> list[int]:
     order = np.lexsort((ids, -scores))
     return [int(u) for u in ids[order[:k]]]
 
 
-def _pair_scores(c: Corpus, targets, candidates: np.ndarray, strategy, ctx: RecommenderContext) -> np.ndarray:
+def _pair_scores(c: Corpus, targets, candidates: np.ndarray, strategy) -> np.ndarray:
     """Score of each (target, candidate) pair; ``targets`` is one id or an
     array aligned with ``candidates``.  Each pair's score depends on that
     pair alone."""
     targets = np.broadcast_to(np.asarray(targets, dtype=np.int64), np.shape(candidates))
     if isinstance(strategy, OracleSim):
-        return ctx.featurizer(strategy.kind).day0.similarity_pairs(targets, candidates)
+        return c.profile_index(DAY0, strategy.kind).similarity_pairs(targets, candidates)
     if isinstance(strategy, PredictedSim):
-        fz = ctx.featurizer(strategy.kind)
-        cols = fz.extract_batch(targets, candidates)
+        cols = PairFeaturizer(c, strategy.kind).extract_batch(targets, candidates)
         table = SampleTable(strategy.kind, cols, None)
         X, _, _ = table.feature_matrix()
         return model_predict(strategy.model, X)
     if isinstance(strategy, PastLongTerm):
-        return ctx.featurizer("vbp").past.similarity_pairs(targets, candidates)
+        return c.profile_index(PAST_WINDOW, "vbp").similarity_pairs(targets, candidates)
     if isinstance(strategy, DemographicSim):
         t, v = c.rows_for(targets), c.rows_for(candidates)
         same_gender = (c.is_f[t] == c.is_f[v]).astype(np.float64)
@@ -161,7 +139,6 @@ def select_neighbors(
     candidates,
     strategy,
     k: int,
-    ctx: RecommenderContext,
     rng: np.random.Generator | None = None,
 ) -> list[int]:
     """Top-K candidate users under the strategy; ties break to lower id."""
@@ -185,18 +162,18 @@ def select_neighbors(
         days = np.zeros(len(c.user_ids))
         days[D.indices[D.indptr[t] : D.indptr[t + 1]]] = D.data[D.indptr[t] : D.indptr[t + 1]]
         return _top_k(days[c.rows_for(friends)], friends, k)
-    scores = _pair_scores(c, target, candidates, strategy, ctx)
+    scores = _pair_scores(c, target, candidates, strategy)
     return _top_k(scores, candidates, k)
 
 
-def recommend_topn(c: Corpus, neighbors, n: int, ctx: RecommenderContext) -> list[int]:
+def recommend_topn(c: Corpus, neighbors, n: int) -> list[int]:
     """Videos ranked by day-0 view count among the neighbors (a neighbor
     listed twice counts twice), ties by ascending video id, truncated at N."""
+    day0 = c.profile_index(DAY0, "vbp")
     times = np.bincount(c.rows_for(neighbors), minlength=len(c.user_ids))
-    counts = ctx.day0_viewers @ times  # the sum of the neighbors' rows of the binary user-by-video matrix
+    counts = day0.by_item @ times  # the sum of the neighbors' rows of the binary user-by-video matrix
     viewed = np.flatnonzero(counts)
-    item_ids = ctx.featurizer("vbp").day0.item_ids
-    return item_ids[viewed[np.argsort(-counts[viewed], kind="stable")[:n]]].tolist()
+    return day0.item_ids[viewed[np.argsort(-counts[viewed], kind="stable")[:n]]].tolist()
 
 
 def accuracy_report(lists: dict[int, list[int]], truth: dict[int, frozenset[int]]) -> tuple[float, float, float]:
@@ -274,14 +251,14 @@ def _target_blocks(targets: list[int], candidates: dict[int, np.ndarray]):
         yield block
 
 
-def _scored_neighbors(c: Corpus, targets, candidates, strategy, k_values, ctx) -> dict[int, dict[int, list[int]]]:
+def _scored_neighbors(c: Corpus, targets, candidates, strategy, k_values) -> dict[int, dict[int, list[int]]]:
     """The top-K candidates of each target for each K (``[k][target]``)
     under a scoring strategy, each target's candidates scored once."""
     neighbors: dict[int, dict[int, list[int]]] = {k: {} for k in k_values}
     for block in _target_blocks(targets, candidates):
         sizes = [len(candidates[t]) for t in block]
         pair_targets = np.repeat(np.asarray(block, dtype=np.int64), sizes)
-        scores = _pair_scores(c, pair_targets, np.concatenate([candidates[t] for t in block]), strategy, ctx)
+        scores = _pair_scores(c, pair_targets, np.concatenate([candidates[t] for t in block]), strategy)
         for t, s in zip(block, np.split(scores, np.cumsum(sizes)[:-1])):
             for k in k_values:
                 neighbors[k][t] = _top_k(s, candidates[t], k)
@@ -296,26 +273,25 @@ def run_experiment(c: Corpus, cfg: ExperimentConfig, strategies) -> list[dict]:
     that one ranking; the friend, random and popular strategies select per
     K and target, the random one drawing in target order from one
     generator per K.  Rows run strategy by strategy, K within strategy and
-    N within K."""
+    N within K.  A second run on the corpus reuses its profile indexes."""
     cfg.validate()
     targets, candidates = sample_experiment_users(c, cfg)
-    ctx = RecommenderContext(c)
     truth = {t: c.view_set(t, (0, 0)) for t in targets}
     max_n = max(cfg.n_values)
     rows = []
     for strategy in strategies:
         scored = None
         if isinstance(strategy, _SCORED):
-            scored = _scored_neighbors(c, targets, candidates, strategy, cfg.k_values, ctx)
+            scored = _scored_neighbors(c, targets, candidates, strategy, cfg.k_values)
         for k in cfg.k_values:
             rng = subrng(cfg.seed, f"recommend.randomk.{k}")
             ranked_videos: dict[int, list[int]] = {}
             for t in targets:
                 if scored is None:
-                    neighbors = select_neighbors(c, t, candidates[t], strategy, k, ctx, rng=rng)
+                    neighbors = select_neighbors(c, t, candidates[t], strategy, k, rng=rng)
                 else:
                     neighbors = scored[k][t]
-                ranked_videos[t] = recommend_topn(c, neighbors, max_n, ctx)
+                ranked_videos[t] = recommend_topn(c, neighbors, max_n)
             for n in cfg.n_values:
                 lists = {t: ranked_videos[t][:n] for t in targets}
                 precision, recall, f = accuracy_report(lists, truth)

@@ -12,7 +12,6 @@ from interestsim.recommend import (
     FriendFilter,
     GlobalPopularity,
     RandomK,
-    RecommenderContext,
     _pair_scores,
     _top_k,
     accuracy_report,
@@ -21,7 +20,7 @@ from interestsim.recommend import (
 )
 
 
-def select_neighbors(c, target, candidates, strategy, k, ctx, rng=None) -> list[int]:
+def select_neighbors(c, target, candidates, strategy, k, rng=None) -> list[int]:
     """Top-K candidate users under the strategy; ties break to lower id."""
     candidates = np.asarray(sorted(int(x) for x in candidates), dtype=np.int64)
     if len(candidates) == 0:
@@ -42,7 +41,7 @@ def select_neighbors(c, target, candidates, strategy, k, ctx, rng=None) -> list[
         days = np.zeros(len(c.user_ids))
         days[D.indices[D.indptr[t] : D.indptr[t + 1]]] = D.data[D.indptr[t] : D.indptr[t + 1]]
         return _top_k(days[c.rows_for(friends)], friends, k)
-    scores = _pair_scores(c, target, candidates, strategy, ctx)
+    scores = _pair_scores(c, target, candidates, strategy)
     return _top_k(scores, candidates, k)
 
 
@@ -68,7 +67,6 @@ def run_experiment(c, cfg, strategies) -> list[dict]:
     """F-measure and Diversification across the strategy x K x N grid."""
     cfg.validate()
     targets, candidates = sample_experiment_users(c, cfg)
-    ctx = RecommenderContext(c)
     truth = {t: c.view_set(t, (0, 0)) for t in targets}
     max_n = max(cfg.n_values)
     rows = []
@@ -77,8 +75,8 @@ def run_experiment(c, cfg, strategies) -> list[dict]:
             rng = subrng(cfg.seed, f"recommend.randomk.{k}")
             ranked_videos: dict[int, list[int]] = {}
             for t in targets:
-                neighbors = select_neighbors(c, t, candidates[t], strategy, k, ctx, rng=rng)
-                ranked_videos[t] = recommend_topn(c, neighbors, max_n, ctx)
+                neighbors = select_neighbors(c, t, candidates[t], strategy, k, rng=rng)
+                ranked_videos[t] = recommend_topn(c, neighbors, max_n)
             for n in cfg.n_values:
                 lists = {t: ranked_videos[t][:n] for t in targets}
                 precision, recall, f = accuracy_report(lists, truth)

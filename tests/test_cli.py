@@ -4,7 +4,9 @@ import json
 import pytest
 
 from interestsim.cli import _parse_int_list, _selfsim_table, main, write_profiles
+from interestsim import evalkit, mlcore
 from interestsim.corpus import write_corpus
+from interestsim.pairfeat import read_samples
 from interestsim.profiling import ProfileIndex
 from interestsim.synthgen import GenConfig, generate
 
@@ -88,3 +90,35 @@ def test_evaluate_rejects_a_model_of_the_other_task(tmp_path, tiny_corpus, capsy
     assert "trained for task 'clf', not 'reg'" in capsys.readouterr().err
     assert not (tmp_path / "reg.json").exists()
     assert main(evaluate + ["--task", "clf", "--report", str(tmp_path / "clf.json")]) == 0
+
+
+def test_evaluate_rejects_samples_of_another_profile_kind(tmp_path, tiny_corpus, capsys):
+    corpus_dir = tmp_path / "corpus"
+    write_corpus(tiny_corpus, corpus_dir)
+    model = tmp_path / "model.json"
+    featurize = ["featurize", "--corpus", str(corpus_dir), "--pairs", "300"]
+    for kind in ("ptp", "rtp"):
+        assert main(featurize + ["--kind", kind, "--out", str(tmp_path / f"{kind}.csv")]) == 0
+    assert main(["train", "--model", "linear", "--task", "reg", "--in", str(tmp_path / "ptp.csv"), "--out", str(model)]) == 0
+    evaluate = ["evaluate", "--model", str(model), "--task", "reg", "--report", str(tmp_path / "report.json")]
+    assert main(evaluate + ["--test", str(tmp_path / "rtp.csv")]) == 1
+    assert "trained on 'ptp' samples, not 'rtp'" in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
+    assert main(evaluate + ["--test", str(tmp_path / "ptp.csv")]) == 0
+
+
+def test_recommend_rejects_a_model_of_another_profile_kind(tmp_path, tiny_corpus, capsys):
+    corpus_dir = tmp_path / "corpus"
+    write_corpus(tiny_corpus, corpus_dir)
+    samples, model, bare = tmp_path / "samples.csv", tmp_path / "model.json", tmp_path / "bare.json"
+    assert main(["featurize", "--corpus", str(corpus_dir), "--pairs", "300", "--out", str(samples)]) == 0
+    assert main(["train", "--model", "linear", "--task", "reg", "--in", str(samples), "--out", str(model)]) == 0
+    # a model saved without train_meta, as the pipeline saves its hybrids
+    mlcore.save_model(evalkit.fit_model("linear", read_samples(samples).to_design(), "reg"), bare)
+    recommend = ["recommend", "--corpus", str(corpus_dir), "--targets", "5", "--candidates", "20", "--K", "3", "--N", "5"]
+    report = tmp_path / "report.csv"
+    assert main(recommend + ["--strategy", "predicted-rtp", "--model", str(model), "--report", str(report)]) == 1
+    assert "trained on 'ptp' samples, not 'rtp'" in capsys.readouterr().err
+    assert not report.exists()
+    assert main(recommend + ["--strategy", "predicted-ptp", "--model", str(model), "--report", str(report)]) == 0
+    assert main(recommend + ["--strategy", "predicted-rtp", "--model", str(bare), "--report", str(report)]) == 0

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from interestsim.corpus import UserRecord, VideoRecord, Corpus
+from interestsim.corpus import UserRecord, VideoRecord, Corpus, FormatError
 from interestsim.pairfeat import (
     FEATURE_COLUMNS,
     PairFeaturizer,
@@ -209,6 +209,24 @@ def test_samples_csv_roundtrip(tmp_path, feature_corpus):
         rtol=1e-8,
         atol=1e-10,
     )
+
+
+def test_read_samples_names_the_bad_line(tmp_path, feature_corpus):
+    path = tmp_path / "samples.csv"
+    write_samples(build_training_set(feature_corpus, 5, "ptp", seed=4), path)
+    header, *rows = path.read_text(encoding="utf-8").splitlines()
+    short = tmp_path / "short.csv"
+    short.write_text("\n".join([header, rows[0], rows[1].rsplit(",", 2)[0], *rows[2:]]) + "\n")
+    with pytest.raises(FormatError, match=r"^short\.csv:3: expected 19 fields, got 17$"):
+        read_samples(short)
+    renamed = tmp_path / "renamed.csv"
+    renamed.write_text("\n".join([header.replace("label_sim", "label"), *rows]) + "\n")
+    with pytest.raises(FormatError, match=r"^renamed\.csv:1: expected header"):
+        read_samples(renamed)
+    empty = tmp_path / "empty.csv"
+    empty.write_text(header + "\n")
+    with pytest.raises(ValueError, match="no samples"):
+        read_samples(empty)
 
 
 def test_design_matrix_layout(feature_corpus):

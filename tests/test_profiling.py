@@ -3,8 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from interestsim import evalkit
 from interestsim.corpus import UserRecord, VideoRecord
+from interestsim.pairfeat import build_training_set
 from interestsim.profiling import (
+    KINDS,
+    TAG_KINDS,
     ProfileIndex,
     build_ptp,
     build_rtp,
@@ -14,6 +18,8 @@ from interestsim.profiling import (
     tag_similarity,
     video_similarity,
 )
+from interestsim.recommend import DemographicSim, ExperimentConfig, OracleSim, PastLongTerm, PredictedSim, run_experiment
+from interestsim.synthgen import GenConfig, generate
 
 from conftest import make_corpus
 from selfsim_oracle import self_similarity_series as oracle_series
@@ -259,3 +265,63 @@ def test_self_similarity_rejects_bad_input():
         self_similarity(c, [1, 99], "rtp", [1])
     with pytest.raises(KeyError):
         self_similarity_series(c, 99, "ptp", [1])
+
+
+def _index_arrays(idx):
+    matrices = (idx.counts, idx.W, idx.W_normalized)
+    return [idx.item_ids, idx.active_mask, idx.item_user_counts, idx.row_norms,
+            *(a for M in matrices for a in (M.data, M.indices, M.indptr))]
+
+
+@pytest.mark.parametrize("window, kind", [((0, 0), "ptp"), ((-7, -1), "rtp"), ((-30, -1), "vbp")])
+def test_corpus_profile_index_is_built_once_and_read_only(small_corpus, window, kind):
+    c, _ = small_corpus
+    idx = c.profile_index(window, kind)
+    assert c.profile_index(window, kind) is idx
+    fresh = ProfileIndex(c, window, kind)
+    assert (idx.window, idx.kind, idx.n_active) == (fresh.window, fresh.kind, fresh.n_active)
+    for got, want in zip(_index_arrays(idx), _index_arrays(fresh)):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+        with pytest.raises(ValueError, match="read-only"):
+            got[...] = 0
+    assert (idx.by_item != fresh.counts.T).nnz == 0
+
+
+def test_corpus_profile_index_rejects_bad_arguments_and_caches_nothing():
+    c = make_corpus(views=[(1, 10, 0)])
+    for window, kind in (((0, 0), "tfidf"), ((1, 1), "ptp"), ((0, -1), "rtp"), ((-31, 0), "vbp")):
+        with pytest.raises(ValueError):
+            c.profile_index(window, kind)
+    assert c._profile_indexes == {}
+
+
+def test_pipeline_stages_build_each_index_once(monkeypatch):
+    """Training sets, the 12 study tables, self-similarity and a
+    recommendation grid on one corpus build each (window, kind) once."""
+    c, _ = generate(GenConfig(seed=5, n_users=200, n_videos=100, n_tags=40, n_topics=6, n_cities=4, n_groups=8))
+    built = []
+    init = ProfileIndex.__init__
+
+    def counting_init(self, corpus, window, kind):
+        built.append((id(corpus), tuple(window), kind))
+        init(self, corpus, window, kind)
+
+    monkeypatch.setattr(ProfileIndex, "__init__", counting_init)
+    tables = {kind: build_training_set(c, 300, kind, seed=1) for kind in KINDS}
+    random_pairs = evalkit.sample_pairs(c, 2000, 1, "random")
+    friend_pairs = evalkit.sample_pairs(c, 1000, 1, "friends")
+    for key in ("gender", "friendship", "msgdays", "friendratio", "individuality", "samecity"):
+        for kind in TAG_KINDS:
+            evalkit.bucket_similarity(c, friend_pairs if key == "msgdays" else random_pairs, key, kind)
+    lags = [1, 3, 7, 14, 21, 30]
+    for _ in range(2):
+        for kind in TAG_KINDS:
+            self_similarity(c, c.user_ids[:20], kind, lags)
+    model = evalkit.fit_model("linear", tables["rtp"].to_design(), "reg")
+    strategies = [PredictedSim("rtp", model), OracleSim("ptp"), PastLongTerm(), DemographicSim()]
+    run_experiment(c, ExperimentConfig(n_targets=5, n_candidates=30, k_values=(3,), n_values=(5,)), strategies)
+
+    days = [(-lag, -lag) for lag in lags]
+    expected = {(w, k) for w in ((0, 0), (-30, -1)) for k in KINDS} | {(w, k) for w in days for k in TAG_KINDS}
+    assert len(expected) == 18
+    assert sorted(built) == sorted((id(c), w, k) for w, k in expected)

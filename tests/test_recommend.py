@@ -10,7 +10,6 @@ from interestsim.recommend import (
     OracleSim,
     PastLongTerm,
     RandomK,
-    RecommenderContext,
     accuracy_report,
     diversification,
     f_measure,
@@ -32,35 +31,30 @@ def rec_corpus():
     return corpus
 
 
-@pytest.fixture(scope="module")
-def rec_ctx(rec_corpus):
-    return RecommenderContext(rec_corpus)
-
-
-def test_topk_includes_all_when_k_large(rec_corpus, rec_ctx):
+def test_topk_includes_all_when_k_large(rec_corpus):
     c = rec_corpus
     target = c.user_ids[0]
     candidates = list(c.user_ids[1:40])
-    got = select_neighbors(c, target, candidates, OracleSim("ptp"), 500, rec_ctx)
+    got = select_neighbors(c, target, candidates, OracleSim("ptp"), 500)
     assert sorted(got) == sorted(candidates)
 
 
-def test_randomk_reproducible(rec_corpus, rec_ctx):
+def test_randomk_reproducible(rec_corpus):
     c = rec_corpus
     target = c.user_ids[0]
     candidates = list(c.user_ids[1:100])
-    a = select_neighbors(c, target, candidates, RandomK(), 10, rec_ctx, rng=np.random.default_rng(5))
-    b = select_neighbors(c, target, candidates, RandomK(), 10, rec_ctx, rng=np.random.default_rng(5))
+    a = select_neighbors(c, target, candidates, RandomK(), 10, rng=np.random.default_rng(5))
+    b = select_neighbors(c, target, candidates, RandomK(), 10, rng=np.random.default_rng(5))
     assert a == b and len(a) == 10
 
 
-def test_oracle_matches_bruteforce_scan(rec_corpus, rec_ctx):
+def test_oracle_matches_bruteforce_scan(rec_corpus):
     c = rec_corpus
     from interestsim.profiling import build_ptp, tag_similarity
 
     target = c.user_ids[3]
     candidates = [u for u in c.user_ids[4:120]]
-    got = select_neighbors(c, target, candidates, OracleSim("ptp"), 10, rec_ctx)
+    got = select_neighbors(c, target, candidates, OracleSim("ptp"), 10)
     tp = build_ptp(c, target, (0, 0))
     scored = sorted(
         candidates,
@@ -79,16 +73,15 @@ def test_friend_filter_ranks_by_msg_days():
         friends={(1, 2), (1, 3), (1, 4)},
         messages={(1, 2): {-1: 1}, (1, 3): {-1: 1, -2: 1, -3: 1}, (1, 4): {-5: 9}},
     )
-    ctx = RecommenderContext(c)
-    got = select_neighbors(c, 1, [2, 3, 4, 5], FriendFilter(), 2, ctx)
+    got = select_neighbors(c, 1, [2, 3, 4, 5], FriendFilter(), 2)
     assert got == [3, 2]  # 3 msg-days, then tie (1 day) broken by id
-    assert select_neighbors(c, 5, [2, 3, 4], FriendFilter(), 2, ctx) == []
+    assert select_neighbors(c, 5, [2, 3, 4], FriendFilter(), 2) == []
 
 
-def test_candidates_must_exclude_target(rec_corpus, rec_ctx):
+def test_candidates_must_exclude_target(rec_corpus):
     c = rec_corpus
     with pytest.raises(ValueError):
-        select_neighbors(c, c.user_ids[0], [c.user_ids[0], c.user_ids[1]], DemographicSim(), 1, rec_ctx)
+        select_neighbors(c, c.user_ids[0], [c.user_ids[0], c.user_ids[1]], DemographicSim(), 1)
 
 
 def test_recommend_topn_counting_and_ties():
@@ -96,40 +89,37 @@ def test_recommend_topn_counting_and_ties():
     videos = {m: VideoRecord(m, frozenset({1})) for m in (10, 11, 12)}
     views = [(1, 11, 0), (2, 11, 0), (2, 10, 0), (3, 12, 0), (3, 10, 0)]
     c = make_corpus(users=users, videos=videos, views=views)
-    ctx = RecommenderContext(c)
-    got = recommend_topn(c, [1, 2, 3], 10, ctx)
+    got = recommend_topn(c, [1, 2, 3], 10)
     # 11 and 10 both have count 2 -> lower id first; then 12
     assert got == [10, 11, 12]
-    assert recommend_topn(c, [1], 10, ctx) == [11]
-    assert recommend_topn(c, [], 5, ctx) == []
+    assert recommend_topn(c, [1], 10) == [11]
+    assert recommend_topn(c, [], 5) == []
 
 
-def test_recommend_topn_matches_counting_oracle(rec_corpus, rec_ctx):
+def test_recommend_topn_matches_counting_oracle(rec_corpus):
     users = {i: UserRecord(i, "M", 20, 0) for i in (1, 2, 3)}
     videos = {m: VideoRecord(m, frozenset({1})) for m in (10, 11, 12)}
     views = [(1, 11, 0), (2, 11, -1), (3, 12, 0), (3, 10, 0)]
     small = make_corpus(users=users, videos=videos, views=views)
     # the repeated neighbor counts twice: 10 and 12 tie at 2, ahead of 11
-    small_ctx = RecommenderContext(small)
-    assert recommend_topn(small, [1, 3, 3], 10, small_ctx) == oracle_topn(small, [1, 3, 3], 10) == [10, 12, 11]
-    assert recommend_topn(small, [2], 10, small_ctx) == oracle_topn(small, [2], 10) == []
+    assert recommend_topn(small, [1, 3, 3], 10) == oracle_topn(small, [1, 3, 3], 10) == [10, 12, 11]
+    assert recommend_topn(small, [2], 10) == oracle_topn(small, [2], 10) == []
 
     c = rec_corpus
-    ctx = rec_ctx
     ids = np.asarray(c.user_ids)
     rng = np.random.default_rng(7)
     cases = [[], [ids[0]], [ids[5], ids[5]], ids.tolist()]
     cases += [rng.choice(ids, size=k, replace=True).tolist() for k in (3, 15, 60)]
     for neighbors in cases:
         for n in (1, 10, 1000):
-            assert recommend_topn(c, neighbors, n, ctx) == oracle_topn(c, neighbors, n)
+            assert recommend_topn(c, neighbors, n) == oracle_topn(c, neighbors, n)
 
 
-def test_topn_independent_of_neighbor_order(rec_corpus, rec_ctx):
+def test_topn_independent_of_neighbor_order(rec_corpus):
     c = rec_corpus
     neigh = list(c.user_ids[:12])
-    a = recommend_topn(c, neigh, 20, rec_ctx)
-    b = recommend_topn(c, list(reversed(neigh)), 20, rec_ctx)
+    a = recommend_topn(c, neigh, 20)
+    b = recommend_topn(c, list(reversed(neigh)), 20)
     assert a == b
 
 
@@ -140,11 +130,11 @@ def test_f_measure_exact_values():
     assert f_measure({1: [12, 13], 2: [14]}, {1: frozenset({10}), 2: frozenset({11})}) == 0.0
 
 
-def test_f_measure_is_harmonic_mean_of_its_parts(rec_corpus, rec_ctx):
+def test_f_measure_is_harmonic_mean_of_its_parts(rec_corpus):
     c = rec_corpus
     targets = list(c.user_ids[:30])
     truth = {t: c.view_set(t, (0, 0)) for t in targets}
-    lists = {t: recommend_topn(c, list(c.user_ids[30:45]), 10, rec_ctx) for t in targets}
+    lists = {t: recommend_topn(c, list(c.user_ids[30:45]), 10) for t in targets}
     p, r, f = accuracy_report(lists, truth)
     if p + r > 0:
         assert f == pytest.approx(2 * p * r / (p + r), abs=1e-12)

@@ -18,7 +18,6 @@ from interestsim.recommend import (
     PastLongTerm,
     PredictedSim,
     RandomK,
-    RecommenderContext,
     _pair_scores,
     diversification,
     run_experiment,
@@ -38,7 +37,6 @@ def test_empty_k_or_n_grid_rejected(small_corpus, grid):
 
 def test_demographic_scores_match_per_candidate_loop(small_corpus):
     c, _ = small_corpus
-    ctx = RecommenderContext(c)
     ids = np.asarray(sorted(c.user_ids), dtype=np.int64)
     rng = np.random.default_rng(0)
     for target in rng.choice(ids, size=10, replace=False).tolist():
@@ -52,7 +50,7 @@ def test_demographic_scores_match_per_candidate_loop(small_corpus):
                 + (ut.city == uv.city)
                 + (1.0 - abs(ut.age - uv.age) / 30.0)
             )
-        assert np.array_equal(_pair_scores(c, target, candidates, DemographicSim(), ctx), expected)
+        assert np.array_equal(_pair_scores(c, target, candidates, DemographicSim()), expected)
 
 
 @pytest.fixture(scope="module")
