@@ -1,16 +1,20 @@
 """Immutable corpus of users, videos, tags and behavior logs.
 
 The corpus is a snapshot covering a 31-day horizon: day 0 is the current
-(target) day, negative days are the past.  All loaders validate foreign
-keys and value ranges up front so downstream code never has to.
+(target) day, negative days are the past.  The constructor validates
+foreign keys and value ranges up front, on the id, day and count arrays it
+indexes, so downstream code never has to; the CSV loader checks whole
+columns.
 """
 
 from __future__ import annotations
 
 import csv
 from bisect import bisect_left, bisect_right
+from contextlib import suppress
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, compress, filterfalse, islice, repeat
+from operator import attrgetter
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -89,7 +93,8 @@ class LoadReport:
 class Corpus:
     """Validated, immutable snapshot of all raw logs plus derived indexes.
 
-    The raw sets are what equality compares and ``write_corpus`` writes.
+    The raw sets are what equality compares and ``write_corpus`` writes;
+    they are validated as the arrays the indexes are built from.
     Everything derived from them is built here, once, for every other
     module to read; all of it is read-only (a CSR's ``data``, ``indices``
     and ``indptr`` too) and each CSR is canonical.  By user row
@@ -125,85 +130,68 @@ class Corpus:
         self.memberships = frozenset(memberships)
         self.messages = {pair: dict(days) for pair, days in messages.items()}
         self.report = report if report is not None else LoadReport()
-        self._validate()
         self._build_indexes()
         self._profile_indexes: dict[tuple[Window, str], ProfileIndex] = {}
 
-    # -- validation ------------------------------------------------------
+    # -- validation and indexes -------------------------------------------
 
-    def _validate(self) -> None:
-        dangling: list[str] = []
-
-        def check_user(u: int, where: str) -> None:
-            if u not in self.users and len(dangling) < 10:
-                dangling.append(f"{where}: unknown user {u}")
-
-        for vid, rec in self.videos.items():
-            if not rec.tags:
-                raise IntegrityError(f"video {vid} has an empty tag set")
-        for u, m, d in self.views:
-            check_user(u, "views")
-            if m not in self.videos and len(dangling) < 10:
-                dangling.append(f"views: unknown video {m}")
-            if not DAY_MIN <= d <= DAY_MAX:
-                raise IntegrityError(f"view day {d} outside [{DAY_MIN}, {DAY_MAX}]")
-        for a, b in self.friend_edges:
-            if a >= b:
-                raise IntegrityError(f"friend edge ({a}, {b}) not normalized a < b")
-            check_user(a, "friends")
-            check_user(b, "friends")
-        for u, g in self.memberships:
-            check_user(u, "groups")
-        for (a, b), days in self.messages.items():
-            if a >= b:
-                raise IntegrityError(f"message pair ({a}, {b}) not normalized a < b")
-            check_user(a, "messages")
-            check_user(b, "messages")
-            if (a, b) not in self.friend_edges and len(dangling) < 10:
-                dangling.append(f"messages: pair ({a}, {b}) are not friends")
-            for d, cnt in days.items():
-                if not DAY_MIN <= d <= -1:
-                    raise IntegrityError(f"message day {d} outside [{DAY_MIN}, -1]")
-                if cnt <= 0:
-                    raise IntegrityError(f"message count {cnt} for pair ({a}, {b}) not positive")
+    def _validate(self, video_ids, tag_sizes, log, edges, members, msgs) -> None:
+        """Check the raw relations as the arrays ``_build_indexes`` reads: the first bad value
+        raises, then up to 10 dangling references, by table and, within one, in sorted order."""
+        _raise_first(tag_sizes == 0, "video {} has an empty tag set", video_ids)
+        _raise_first((log[:, 2] < DAY_MIN) | (log[:, 2] > DAY_MAX), f"view day {{}} outside [{DAY_MIN}, {DAY_MAX}]", log[:, 2])
+        _raise_first(edges[:, 0] >= edges[:, 1], "friend edge ({}, {}) not normalized a < b", *edges.T)
+        pairs = _table(self.messages, 2)
+        _raise_first(pairs[:, 0] >= pairs[:, 1], "message pair ({}, {}) not normalized a < b", *pairs.T)
+        _raise_first((msgs[:, 2] < DAY_MIN) | (msgs[:, 2] > -1), f"message day {{}} outside [{DAY_MIN}, -1]", msgs[:, 2])
+        _raise_first(msgs[:, 3] <= 0, "message count {} for pair ({}, {}) not positive", msgs[:, 3], *msgs[:, :2].T)
+        references = (("views", "user", log[:, 0], self._ids), ("views", "video", log[:, 1], video_ids),
+                      ("friends", "user", edges, self._ids), ("groups", "user", members[:, 0], self._ids),
+                      ("messages", "user", pairs, self._ids))
+        dangling = [f"{table}: unknown {what} {i}" for table, what, ids, known in references
+                    for i in np.unique(ids[~np.isin(ids, known)])[:10].tolist()]
+        dangling += [f"messages: pair ({a}, {b}) are not friends"
+                     for a, b in sorted(self.messages.keys() - self.friend_edges)[:10]]
         if dangling:
-            raise IntegrityError(
-                "dangling references (first 10 shown):\n  " + "\n  ".join(dangling)
-            )
+            raise IntegrityError("dangling references (first 10 shown):\n  " + "\n  ".join(dangling[:10]))
 
     def _build_indexes(self) -> None:
         self.user_ids: tuple[int, ...] = tuple(sorted(self.users))
         self.video_ids: tuple[int, ...] = tuple(sorted(self.videos))
         self._ids = np.asarray(self.user_ids, dtype=np.int64)
+        video_ids = np.asarray(self.video_ids, dtype=np.int64)
         n = len(self.user_ids)
-        log = np.fromiter(chain.from_iterable(self.views), np.int64, 3 * len(self.views)).reshape(-1, 3)
-        users, videos, days = log[np.lexsort((log[:, 1], log[:, 2], log[:, 0]))].T
-        self._view_rows = np.searchsorted(self._ids, users)
-        self._view_days, self._view_videos = days.copy(), videos.copy()
-        self._view_cols = np.searchsorted(np.asarray(self.video_ids, dtype=np.int64), videos)
+        tag_sets = list(map(attrgetter("tags"), map(self.videos.__getitem__, self.video_ids)))
+        tag_sizes = np.fromiter(map(len, tag_sets), np.int64, len(tag_sets))
+        log, edges, members = _table(self.views, 3), _table(self.friend_edges, 2), _table(self.memberships, 2)
+        msgs = _message_table(self.messages)
+        self._validate(video_ids, tag_sizes, log, edges, members, msgs)
+
+        rows, cols = self.rows_for(log[:, 0]), np.searchsorted(video_ids, log[:, 1])
+        order = np.argsort((rows * (DAY_MAX - DAY_MIN + 1) + log[:, 2] - DAY_MIN) * len(video_ids) + cols)
+        self._view_rows, self._view_cols = rows[order], cols[order]
+        self._view_days, self._view_videos = log[order, 2], log[order, 1]
         self._view_offsets = np.searchsorted(self._view_rows, np.arange(n + 1))
         # view_set bisects memoryviews: their items are Python ints, cheaper to probe than numpy scalars
         self._view_slices = tuple(map(memoryview, (self._view_offsets, self._view_days, self._view_videos)))
 
-        self.ages = np.array([self.users[u].age for u in self.user_ids], dtype=np.float64)
-        self.cities = np.array([self.users[u].city for u in self.user_ids], dtype=np.float64)
-        self.is_f = np.array([self.users[u].gender == "F" for u in self.user_ids])
+        ages, cities, genders = zip(*map(attrgetter("age", "city", "gender"), map(self.users.__getitem__, self.user_ids)))
+        self.ages, self.cities = np.array(ages, dtype=np.float64), np.array(cities, dtype=np.float64)
+        self.is_f = np.array(genders) == "F"
 
-        self.friend_matrix = _symmetric(self.rows_for(list(self.friend_edges)), 1.0, n)
+        self.friend_matrix = _symmetric(self.rows_for(edges), 1.0, n)
         self.degrees = np.diff(self.friend_matrix.indptr).astype(np.float64)
-        members = np.asarray(list(self.memberships), dtype=np.int64).reshape(-1, 2)
         self.group_ids, group_cols = np.unique(members[:, 1], return_inverse=True)
         member_rows = self.rows_for(members[:, 0])
         self.group_matrix = sp.csr_matrix((np.ones(len(members)), (member_rows, group_cols)), (n, len(self.group_ids)))
-        totals = [(a, b, sum(days.values()), len(days)) for (a, b), days in self.messages.items()]
-        msgs = np.asarray(totals, dtype=np.int64).reshape(-1, 4)
-        self.msg_count = _symmetric(self.rows_for(msgs[:, :2]), msgs[:, 2], n)
-        self.msg_days = _symmetric(self.rows_for(msgs[:, :2]), msgs[:, 3], n)
+        # one entry per (pair, day): the CSR sums them into the month's totals
+        msg_rows = self.rows_for(msgs[:, :2])
+        self.msg_count = _symmetric(msg_rows, msgs[:, 3], n)
+        self.msg_days = _symmetric(msg_rows, 1.0, n)
 
-        tag_sets = [self.videos[m].tags for m in self.video_ids]
-        tags = np.fromiter(chain.from_iterable(tag_sets), np.int64, sum(map(len, tag_sets)))
+        tags = np.fromiter(chain.from_iterable(tag_sets), np.int64, int(tag_sizes.sum()))
         self.tag_ids = np.unique(tags)
-        video_rows = np.repeat(np.arange(len(tag_sets)), [len(ts) for ts in tag_sets])
+        video_rows = np.repeat(np.arange(len(tag_sets)), tag_sizes)
         tag_cols = np.searchsorted(self.tag_ids, tags)
         self.video_tags = sp.csr_matrix((np.ones(len(tags)), (video_rows, tag_cols)), (len(tag_sets), len(self.tag_ids)))
 
@@ -304,6 +292,48 @@ class Corpus:
         )
 
 
+def _table(rows, width: int, n: int | None = None) -> np.ndarray:
+    """The ``n`` (default ``len(rows)``) integer tuples of ``rows`` as an n-by-``width`` array."""
+    n = len(rows) if n is None else n
+    return np.fromiter(chain.from_iterable(rows), np.int64, width * n).reshape(n, width)
+
+
+def _message_table(messages: dict[tuple[int, int], dict[int, int]]) -> np.ndarray:
+    """One (a, b, day, count) row per day of each pair of ``messages``."""
+    sizes = np.fromiter(map(len, messages.values()), np.int64, len(messages))
+    days = _table(chain.from_iterable(map(dict.items, messages.values())), 2, int(sizes.sum()))
+    return np.column_stack((np.repeat(_table(messages, 2), sizes, axis=0), days))
+
+
+def message_dicts(a: np.ndarray, b: np.ndarray, days: np.ndarray, counts: np.ndarray) -> dict[tuple[int, int], dict[int, int]]:
+    """``{(a, b): {day: count}}`` from rows sorted by pair, with distinct days per pair."""
+    starts = _run_starts(a, b)
+    bounds, days, counts = np.append(starts, len(a)).tolist(), days.tolist(), counts.tolist()
+    return {pair: dict(zip(days[lo:hi], counts[lo:hi]))
+            for pair, lo, hi in zip(int_tuples(a[starts], b[starts]), bounds, bounds[1:])}
+
+
+def _run_starts(*columns: np.ndarray) -> np.ndarray:
+    """Rows where a run of rows equal in every one of ``columns`` starts."""
+    new = np.arange(len(columns[0])) == 0
+    for c in columns:
+        new[1:] |= c[1:] != c[:-1]
+    return np.flatnonzero(new)
+
+
+def int_tuples(*columns: np.ndarray) -> zip:
+    """The rows of ``columns`` as tuples of Python ints, made one at a time and sharing one int per value."""
+    shared = (np.unique(c, return_inverse=True) for c in columns)
+    return zip(*(map(values.tolist().__getitem__, memoryview(index)) for values, index in shared))
+
+
+def _raise_first(bad: np.ndarray, message: str, *columns) -> None:
+    """IntegrityError for the first row where ``bad`` holds, ``message`` formatted with that row of ``columns``."""
+    if bad.any():
+        row = int(np.argmax(bad))
+        raise IntegrityError(message.format(*(c[row] for c in columns)))
+
+
 def _symmetric(rows: np.ndarray, values, n: int) -> sp.csr_matrix:
     """n-by-n matrix holding ``values`` at (a, b) and (b, a) for each pair
     (a, b) of ``rows``; the corpus keeps such pairs as a < b."""
@@ -326,34 +356,79 @@ def active_users(c: Corpus, window: Window) -> frozenset[int]:
 # -- CSV I/O --------------------------------------------------------------
 
 
-def _parse_int(value: str, file: str, line: int, what: str) -> int:
-    try:
-        return int(value)
-    except ValueError:
-        raise FormatError(file, line, f"{what} is not an integer: {value!r}") from None
+class _Table:
+    """The fields of one CSV file's non-blank rows after its header.
 
+    Checks run on whole columns in a row-by-row reader's order, each noting
+    its first failing row; ``close`` raises the error such a reader stops
+    at: the earliest line's, of its checks the first.  Rows from the first
+    one with a wrong field count on are not read.
+    """
 
-def _read_rows(path: Path, expected_header: list[str]):
-    name = path.name
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
+    def __init__(self, path: Path, header: list[str]):
+        self.name = path.name
+        self._fields: list[str] = []
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            found = next(reader, None)
+            if found is None:
+                raise FormatError(self.name, 1, "missing header row")
+            if found != header:
+                raise FormatError(self.name, 1, f"expected header {header}, got {found}")
+            # filterfalse passes each row on after extend (which returns
+            # None) appends its fields: no row's list outlives its reading
+            widths = np.fromiter(map(len, filterfalse(self._fields.extend, reader)), np.int64)
+        self.lines = np.flatnonzero(widths) + 2
+        widths = widths[widths > 0]
+        self.errors: list[tuple[int, int, str]] = []
+        self.check(widths != len(header), f"expected {len(header)} fields, got {{}}", widths)
+        self.width = len(header)
+        del self._fields[(self.errors[0][0] if self.errors else len(widths)) * self.width :]
+
+    def column(self, j: int) -> list[str]:
+        return self._fields[j :: self.width]
+
+    def check(self, bad: np.ndarray, message: str, *columns) -> None:
+        """Note the first row where ``bad`` holds, ``message`` formatted with that row of ``columns``."""
+        if bad.any():
+            row = int(np.argmax(bad))
+            self.errors.append((row, len(self.errors), message.format(*(c[row] for c in columns))))
+
+    def ints(self, values, what: str, rows: np.ndarray | None = None) -> np.ndarray:
+        """``values`` as ``int`` parses them, each in the row ``rows`` gives (default:
+        its own); the first value ``int`` rejects is noted, and it and the rest read as 0."""
         try:
-            header = next(reader)
-        except StopIteration:
-            raise FormatError(name, 1, "missing header row") from None
-        if header != expected_header:
-            raise FormatError(name, 1, f"expected header {expected_header}, got {header}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(expected_header):
-                raise FormatError(name, lineno, f"expected {len(expected_header)} fields, got {len(row)}")
-            yield lineno, row
+            return np.array(values, dtype=np.int64)
+        except ValueError:
+            parsed: list[int] = []
+            with suppress(ValueError):
+                parsed.extend(map(int, values))  # keeps the values before the first bad one
+            if len(parsed) == len(values):
+                raise
+            row = len(parsed) if rows is None else int(rows[len(parsed)])
+            self.errors.append((row, len(self.errors), f"{what} is not an integer: {values[len(parsed)]!r}"))
+            return np.array(parsed + [0] * (len(values) - len(parsed)), dtype=np.int64)
+
+    def close(self) -> None:
+        """Drop the fields, then raise the first error noted, if any."""
+        self._fields = []
+        if self.errors:
+            row, _, message = min(self.errors)
+            raise FormatError(self.name, int(self.lines[row]), message)
+
+
+def _repeats(values: np.ndarray) -> np.ndarray:
+    """Whether each value occurs at an earlier position too."""
+    repeated = np.ones(len(values), dtype=bool)
+    repeated[np.unique(values, return_index=True)[1]] = False
+    return repeated
 
 
 def load_corpus(directory: str | Path, age_bounds: tuple[int, int] = (10, 40)) -> Corpus:
     """Load and validate the six corpus CSV files from ``directory``.
 
+    Each file is read into columns, and every check runs on whole columns;
+    a malformed row raises :class:`FormatError` naming the first bad line.
     Users with age outside ``age_bounds`` are dropped, along with every log
     row that references them; the drop counts end up in ``Corpus.report``.
     Rows referencing ids that never existed raise :class:`IntegrityError`.
@@ -363,98 +438,70 @@ def load_corpus(directory: str | Path, age_bounds: tuple[int, int] = (10, 40)) -
         if not (directory / name).exists():
             raise FileNotFoundError(directory / name)
     report = LoadReport(rows_dropped_filtered_user={})
-    lo_age, hi_age = age_bounds
 
-    users: dict[int, UserRecord] = {}
-    filtered: set[int] = set()
-    fname = CSV_NAMES["users"]
-    for lineno, row in _read_rows(directory / fname, ["user_id", "gender", "age", "city_id"]):
-        uid = _parse_int(row[0], fname, lineno, "user_id")
-        gender = row[1]
-        if gender not in GENDERS:
-            raise FormatError(fname, lineno, f"gender must be M or F, got {gender!r}")
-        age = _parse_int(row[2], fname, lineno, "age")
-        city = _parse_int(row[3], fname, lineno, "city_id")
-        if uid in users or uid in filtered:
-            raise FormatError(fname, lineno, f"duplicate user id {uid}")
-        if not lo_age <= age <= hi_age:
-            filtered.add(uid)
-            report.users_dropped_age += 1
-            continue
-        users[uid] = UserRecord(uid, gender, age, city)
+    def table(name: str, header: list[str], *checked: str) -> tuple[_Table, list[np.ndarray]]:
+        """The file's table and its first fields as integers, named in errors as ``checked``."""
+        t = _Table(directory / CSV_NAMES[name], header)
+        return t, [t.ints(t.column(j), what) for j, what in enumerate(checked)]
 
-    def drop_if_filtered(table: str, *ids: int) -> bool:
-        if any(i in filtered for i in ids):
-            report.rows_dropped_filtered_user[table] = (
-                report.rows_dropped_filtered_user.get(table, 0) + 1
-            )
-            return True
-        return False
+    def unfiltered(name: str, *ids: np.ndarray) -> np.ndarray:
+        drop = np.isin(np.column_stack(ids), filtered).any(axis=1)
+        if drop.any():
+            report.rows_dropped_filtered_user[name] = int(drop.sum())
+        return ~drop
 
-    videos: dict[int, VideoRecord] = {}
-    fname = CSV_NAMES["videos"]
-    for lineno, row in _read_rows(directory / fname, ["video_id", "tags"]):
-        vid = _parse_int(row[0], fname, lineno, "video_id")
-        if vid in videos:
-            raise FormatError(fname, lineno, f"duplicate video id {vid}")
-        if not row[1]:
-            raise FormatError(fname, lineno, "video has no tags")
-        tags = frozenset(_parse_int(t, fname, lineno, "tag") for t in row[1].split("|"))
-        videos[vid] = VideoRecord(vid, tags)
+    t, (uid,) = table("users", ["user_id", "gender", "age", "city_id"], "user_id")
+    genders = t.column(1)
+    t.check(~np.isin(np.array(genders, dtype=str), GENDERS), "gender must be M or F, got {!r}", genders)
+    age, city = t.ints(t.column(2), "age"), t.ints(t.column(3), "city_id")
+    t.check(_repeats(uid), "duplicate user id {}", uid)
+    t.close()
+    kept = (age >= age_bounds[0]) & (age <= age_bounds[1])
+    filtered = uid[~kept]
+    report.users_dropped_age = len(filtered)
+    ids = uid[kept].tolist()
+    users = dict(zip(ids, map(UserRecord, ids, compress(genders, kept), age[kept].tolist(), city[kept].tolist())))
 
-    views: set[tuple[int, int, int]] = set()
-    fname = CSV_NAMES["views"]
-    for lineno, row in _read_rows(directory / fname, ["user_id", "video_id", "day"]):
-        u = _parse_int(row[0], fname, lineno, "user_id")
-        m = _parse_int(row[1], fname, lineno, "video_id")
-        d = _parse_int(row[2], fname, lineno, "day")
-        if not DAY_MIN <= d <= DAY_MAX:
-            raise FormatError(fname, lineno, f"day {d} outside [{DAY_MIN}, {DAY_MAX}]")
-        if drop_if_filtered("views", u):
-            continue
-        if (u, m, d) in views:
-            report.duplicate_views += 1
-            continue
-        views.add((u, m, d))
+    t, (vid,) = table("videos", ["video_id", "tags"], "video_id")
+    t.check(_repeats(vid), "duplicate video id {}", vid)
+    text = np.array(t.column(1), dtype=str)
+    t.check(text == "", "video has no tags")
+    sizes = np.char.count(text, "|") + 1
+    tags = t.ints("|".join(text).split("|") if len(text) else [], "tag", np.repeat(np.arange(len(text)), sizes))
+    t.close()
+    # video i's tags are the next sizes[i] of one iterator over all of them
+    tag_sets = map(frozenset, map(islice, repeat(iter(tags.tolist())), sizes.tolist()))
+    videos = dict(zip(vid.tolist(), map(VideoRecord, vid.tolist(), tag_sets)))
 
-    friends: set[tuple[int, int]] = set()
-    fname = CSV_NAMES["friends"]
-    for lineno, row in _read_rows(directory / fname, ["user_a", "user_b"]):
-        a = _parse_int(row[0], fname, lineno, "user_a")
-        b = _parse_int(row[1], fname, lineno, "user_b")
-        if a == b:
-            raise FormatError(fname, lineno, f"self-loop friendship for user {a}")
-        if drop_if_filtered("friends", a, b):
-            continue
-        friends.add((min(a, b), max(a, b)))
+    t, (u, m, d) = table("views", ["user_id", "video_id", "day"], "user_id", "video_id", "day")
+    t.check((d < DAY_MIN) | (d > DAY_MAX), f"day {{}} outside [{DAY_MIN}, {DAY_MAX}]", d)
+    t.close()
+    keep = unfiltered("views", u)
+    views = set(int_tuples(u[keep], m[keep], d[keep]))
+    report.duplicate_views = int(keep.sum()) - len(views)
 
-    memberships: set[tuple[int, int]] = set()
-    fname = CSV_NAMES["groups"]
-    for lineno, row in _read_rows(directory / fname, ["user_id", "group_id"]):
-        u = _parse_int(row[0], fname, lineno, "user_id")
-        g = _parse_int(row[1], fname, lineno, "group_id")
-        if drop_if_filtered("groups", u):
-            continue
-        memberships.add((u, g))
+    t, (a, b) = table("friends", ["user_a", "user_b"], "user_a", "user_b")
+    t.check(a == b, "self-loop friendship for user {}", a)
+    t.close()
+    keep = unfiltered("friends", a, b)
+    friends = set(int_tuples(np.minimum(a, b)[keep], np.maximum(a, b)[keep]))
 
-    messages: dict[tuple[int, int], dict[int, int]] = {}
-    fname = CSV_NAMES["messages"]
-    for lineno, row in _read_rows(directory / fname, ["user_a", "user_b", "day", "count"]):
-        a = _parse_int(row[0], fname, lineno, "user_a")
-        b = _parse_int(row[1], fname, lineno, "user_b")
-        d = _parse_int(row[2], fname, lineno, "day")
-        cnt = _parse_int(row[3], fname, lineno, "count")
-        if a == b:
-            raise FormatError(fname, lineno, f"self-loop message for user {a}")
-        if not DAY_MIN <= d <= -1:
-            raise FormatError(fname, lineno, f"message day {d} outside [{DAY_MIN}, -1]")
-        if cnt <= 0:
-            raise FormatError(fname, lineno, f"message count must be positive, got {cnt}")
-        if drop_if_filtered("messages", a, b):
-            continue
-        key = (min(a, b), max(a, b))
-        days = messages.setdefault(key, {})
-        days[d] = days.get(d, 0) + cnt
+    t, (u, g) = table("groups", ["user_id", "group_id"], "user_id", "group_id")
+    t.close()
+    keep = unfiltered("groups", u)
+    memberships = set(int_tuples(u[keep], g[keep]))
+
+    t, (a, b, d, cnt) = table("messages", ["user_a", "user_b", "day", "count"], "user_a", "user_b", "day", "count")
+    t.check(a == b, "self-loop message for user {}", a)
+    t.check((d < DAY_MIN) | (d > -1), f"message day {{}} outside [{DAY_MIN}, -1]", d)
+    t.check(cnt <= 0, "message count must be positive, got {}", cnt)
+    t.close()
+    keep = unfiltered("messages", a, b)
+    a, b, d, cnt = np.minimum(a, b)[keep], np.maximum(a, b)[keep], d[keep], cnt[keep]
+    order = np.lexsort((d, b, a))
+    starts = _run_starts(a[order], b[order], d[order])
+    totals = np.add.reduceat(cnt[order], starts) if len(starts) else starts
+    messages = message_dicts(*(x[order][starts] for x in (a, b, d)), totals)
 
     return Corpus(users, videos, views, friends, memberships, messages, report=report)
 
@@ -470,25 +517,20 @@ def write_corpus(c: Corpus, directory: str | Path) -> None:
             writer.writerow(header)
             writer.writerows(rows)
 
-    dump(
-        CSV_NAMES["users"],
-        ["user_id", "gender", "age", "city_id"],
-        ((u.id, u.gender, u.age, u.city) for u in (c.users[i] for i in sorted(c.users))),
-    )
-    dump(
-        CSV_NAMES["videos"],
-        ["video_id", "tags"],
-        ((v, "|".join(str(t) for t in sorted(c.videos[v].tags))) for v in sorted(c.videos)),
-    )
-    dump(CSV_NAMES["views"], ["user_id", "video_id", "day"], sorted(c.views))
-    dump(CSV_NAMES["friends"], ["user_a", "user_b"], sorted(c.friend_edges))
-    dump(CSV_NAMES["groups"], ["user_id", "group_id"], sorted(c.memberships))
-    dump(
-        CSV_NAMES["messages"],
-        ["user_a", "user_b", "day", "count"],
-        (
-            (a, b, d, cnt)
-            for (a, b) in sorted(c.messages)
-            for d, cnt in sorted(c.messages[(a, b)].items())
-        ),
-    )
+    def dump_sorted(name: str, header: list[str], table: np.ndarray) -> None:
+        """The integer rows of ``table`` in sorted order, formatted in one call as ``csv.writer`` would."""
+        table = table[np.lexsort(table.T[::-1])]
+        with open(directory / name, "w", newline="", encoding="utf-8") as fh:
+            fh.write(",".join(header) + "\n")
+            fh.write((",".join(["%d"] * len(header)) + "\n") * len(table) % tuple(table.ravel().tolist()))
+
+    users = map(attrgetter("id", "gender", "age", "city"), map(c.users.__getitem__, c.user_ids))
+    dump(CSV_NAMES["users"], ["user_id", "gender", "age", "city_id"], users)
+    T = c.video_tags  # canonical: each row's tags ascend
+    tags = list(map(str, c.tag_ids[T.indices].tolist()))
+    tag_lists = map(tags.__getitem__, map(slice, T.indptr[:-1].tolist(), T.indptr[1:].tolist()))
+    dump(CSV_NAMES["videos"], ["video_id", "tags"], zip(c.video_ids, map("|".join, tag_lists)))
+    dump_sorted(CSV_NAMES["views"], ["user_id", "video_id", "day"], np.column_stack((c._ids[c._view_rows], c._view_videos, c._view_days)))
+    dump_sorted(CSV_NAMES["friends"], ["user_a", "user_b"], _table(c.friend_edges, 2))
+    dump_sorted(CSV_NAMES["groups"], ["user_id", "group_id"], _table(c.memberships, 2))
+    dump_sorted(CSV_NAMES["messages"], ["user_a", "user_b", "day", "count"], _message_table(c.messages))

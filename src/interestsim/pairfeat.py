@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import Corpus, Window, _read_rows, active_users, pair_entries
+from .corpus import Corpus, Window, _Table, active_users, pair_entries
 from .mlcore.data import DesignMatrix
 from .profiling import (
     KINDS,
@@ -421,18 +421,20 @@ def write_samples(table: SampleTable, path) -> None:
 
 def read_samples(path) -> SampleTable:
     """Samples as ``write_samples`` writes them; a bad header or row raises ``FormatError``."""
-    rows = [row for _, row in _read_rows(Path(path), CSV_HEADER)]
-    if not rows:
+    table = _Table(Path(path), CSV_HEADER)
+    fields = [table.column(j) for j in range(len(CSV_HEADER))]
+    table.close()
+    if not fields[0]:
         raise ValueError(f"no samples in {path}")
-    kinds = {r[2] for r in rows}
+    kinds = set(fields[2])
     if len(kinds) != 1:
         raise ValueError(f"mixed profile kinds in {path}: {sorted(kinds)}")
     columns: dict[str, np.ndarray] = {}
-    columns["target"] = np.array([int(r[0]) for r in rows], dtype=np.int64)
-    columns["helper"] = np.array([int(r[1]) for r in rows], dtype=np.int64)
+    columns["target"] = np.array(list(map(int, fields[0])), dtype=np.int64)
+    columns["helper"] = np.array(list(map(int, fields[1])), dtype=np.int64)
     labels = None
-    if rows[0][3] != "":
-        labels = np.array([float(r[3]) for r in rows])
+    if fields[3][0] != "":
+        labels = np.array(list(map(float, fields[3])))
     for j, name in enumerate(FEATURE_COLUMNS, start=4):
-        columns[name] = np.array([float(r[j]) for r in rows])
+        columns[name] = np.array(list(map(float, fields[j])))
     return SampleTable(kinds.pop(), columns, labels)

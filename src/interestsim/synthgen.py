@@ -5,16 +5,23 @@ knob never reshuffles the draws of unrelated steps.  Knobs plant signs
 and orderings of effects (gender gap, friend/interest alignment,
 message-rate/interest alignment, group/topic alignment, interest drift),
 not absolute magnitudes.
+
+The view step (7) draws the Poisson view count of every (user, day) cell,
+row-major, then one block of doubles: for each cell with k views, k topic
+draws, then k video draws (what two ``random(k)`` calls per cell return).
+Reordering that layout, or any step's draws, changes the seed-42 golden
+corpus (``tests/test_synthgen.py``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from itertools import repeat
 
 import numpy as np
 
 from ._util import subrng
-from .corpus import Corpus, UserRecord, VideoRecord
+from .corpus import DAY_MIN, Corpus, UserRecord, VideoRecord, int_tuples, message_dicts
 
 # fixed recipe constants (not knobs)
 AFFINITY_CONCENTRATION = 3.0
@@ -105,6 +112,63 @@ def _affinity_gain(cos: np.ndarray) -> np.ndarray:
     return ((cos + 0.02) / 0.5) ** 3
 
 
+def _draw_views(cfg: GenConfig, priors: np.ndarray, affinity: np.ndarray, video_topic: np.ndarray) -> set[tuple[int, int, int]]:
+    """Steps (8) and (7) and the day-0 inactive filter: the view set."""
+    n = cfg.n_users
+    # (8, drawn before views) per-day affinity drift, walking backward
+    # from the day-0 affinity
+    rng = subrng(cfg.seed, "drift")
+    mixtures = np.empty((n, 31, cfg.n_topics))
+    mixtures[:, 30] = affinity  # index 30 == day 0
+    if cfg.interest_drift > 0:
+        fresh = rng.gamma(np.maximum(AFFINITY_CONCENTRATION * priors, 0.01)[:, None, :], size=(n, 30, cfg.n_topics))
+        fresh_sums = fresh.sum(axis=2, keepdims=True)
+        np.maximum(fresh_sums, 1e-12, out=fresh_sums)
+        fresh = fresh / fresh_sums
+        d = cfg.interest_drift
+        for step in range(1, 31):
+            mixed = (1.0 - d) * mixtures[:, 31 - step] + d * fresh[:, step - 1]
+            mixtures[:, 30 - step] = mixed / mixed.sum(axis=1, keepdims=True)
+    else:
+        mixtures[:] = affinity[:, None, :]
+
+    # (7) views: daily Poisson draws over videos, weighted by topic affinity
+    # and video popularity (the module docstring gives the stream layout)
+    rng = subrng(cfg.seed, "views")
+    sizes = rng.poisson(cfg.daily_view_rate, size=n * 31)
+    cell = np.repeat(np.arange(n * 31), sizes)
+    ends = np.cumsum(sizes)
+    draws = rng.random(2 * len(cell))
+    view_at = np.arange(len(cell))
+    topic_draw = draws[view_at + (ends - sizes)[cell]]
+    video_draw = draws[view_at + ends[cell]]
+    # a topic is the count of cumulative-mixture entries below its draw
+    # (searchsorted, side left), one topic column at a time; the draw is
+    # below 1, so the count never reaches n_topics
+    cum = np.cumsum(mixtures, axis=2).reshape(n * 31, cfg.n_topics)
+    scaled = topic_draw * cum[cell, -1]
+    topics = np.zeros(len(cell), dtype=np.int64)
+    for t in range(cfg.n_topics):
+        topics += cum[:, t][cell] < scaled
+    vpop = (np.arange(cfg.n_videos) + 1.0) ** (-VIDEO_POP_EXPONENT)
+    videos_viewed = np.empty(len(cell), dtype=np.int64)
+    for t in range(cfg.n_topics):
+        at = np.flatnonzero(topics == t)
+        vids = np.flatnonzero(video_topic == t)
+        if vids.size == 0:
+            vids = np.arange(cfg.n_videos)
+        tc = np.cumsum(vpop[vids])
+        videos_viewed[at] = vids[np.searchsorted(tc, video_draw[at] * tc[-1])]
+    viewer, day = np.divmod(cell, 31)
+    day += DAY_MIN
+
+    # suppress day-0 views for a fraction of users (inactive targets)
+    rng = subrng(cfg.seed, "inactive")
+    suppressed = rng.choice(n, size=int(cfg.inactive_fraction * n), replace=False)
+    keep = (day != 0) | ~np.isin(viewer, suppressed)
+    return set(int_tuples(viewer[keep], videos_viewed[keep], day[keep]))
+
+
 def generate(cfg: GenConfig) -> tuple[Corpus, LatentAssignment]:
     """Build a corpus and its latent ground truth, deterministically."""
     cfg.validate()
@@ -138,8 +202,7 @@ def generate(cfg: GenConfig) -> tuple[Corpus, LatentAssignment]:
     tag_ids = np.arange(cfg.n_tags)
     for m in range(cfg.n_videos):
         w = tag_pop * np.where(tag_topic == video_topic[m], 1.0, OFF_TOPIC_TAG_WEIGHT)
-        k = int(rng.integers(1, 6))
-        k = min(k, cfg.n_tags)
+        k = min(int(rng.integers(1, 6)), cfg.n_tags)
         chosen = rng.choice(tag_ids, size=k, replace=False, p=w / w.sum())
         videos[m] = VideoRecord(m, frozenset(int(t) for t in chosen))
 
@@ -150,30 +213,26 @@ def generate(cfg: GenConfig) -> tuple[Corpus, LatentAssignment]:
     A = affinity / norms
     s = cfg.friend_interest
     block = 512
-    total_weight = 0.0
-    for start in range(0, n, block):
+
+    def weights(start: int) -> tuple[np.ndarray, np.ndarray]:
+        """Pair weights of the block of rows from ``start``, and which of its pairs lie above the diagonal."""
         stop = min(start + block, n)
-        S = A[start:stop] @ A.T
-        mult = (1.0 - s) + s * _affinity_gain(S)
+        mult = (1.0 - s) + s * _affinity_gain(A[start:stop] @ A.T)
         mult *= np.where(cities[start:stop, None] == cities[None, :], SAME_CITY_ODDS, 1.0)
-        rows = np.arange(start, stop)
-        upper = rows[:, None] < np.arange(n)[None, :]
-        total_weight += float(mult[upper].sum())
+        return mult, np.arange(start, stop)[:, None] < np.arange(n)[None, :]
+
+    total_weight = sum(float(mult[upper].sum()) for mult, upper in map(weights, range(0, n, block)))
     target_edges = n * MEAN_FRIEND_DEGREE / 2.0
     base_p = min(target_edges / max(total_weight, 1e-12), 1.0)
-    friend_edges: set[tuple[int, int]] = set()
+    edge_parts = []
     for start in range(0, n, block):
-        stop = min(start + block, n)
-        S = A[start:stop] @ A.T
-        mult = (1.0 - s) + s * _affinity_gain(S)
-        mult *= np.where(cities[start:stop, None] == cities[None, :], SAME_CITY_ODDS, 1.0)
+        mult, upper = weights(start)
         p = np.minimum(base_p * mult, 0.9)
-        draws = rng.random(p.shape)
-        rows = np.arange(start, stop)
-        upper = rows[:, None] < np.arange(n)[None, :]
-        hit_rows, hit_cols = np.nonzero((draws < p) & upper)
-        for i, j in zip(hit_rows, hit_cols):
-            friend_edges.add((int(rows[i]), int(j)))
+        hit_rows, hit_cols = np.nonzero((rng.random(p.shape) < p) & upper)
+        edge_parts.append((hit_rows + start, hit_cols))
+    # row-major hits over ascending blocks: the edges come out sorted
+    ea, eb = (np.concatenate(part) for part in zip(*edge_parts))
+    friend_edges = set(int_tuples(ea, eb))
 
     # (5) groups: one topic each; members drawn by affinity to it
     rng = subrng(cfg.seed, "groups")
@@ -183,91 +242,28 @@ def generate(cfg: GenConfig) -> tuple[Corpus, LatentAssignment]:
     memberships: set[tuple[int, int]] = set()
     group_ids = np.arange(cfg.n_groups)
     for u in range(n):
-        k = int(rng.poisson(GROUPS_PER_USER))
-        k = min(k, cfg.n_groups)
+        k = min(int(rng.poisson(GROUPS_PER_USER)), cfg.n_groups)
         if k == 0:
             continue
         w = group_weight[u]
         chosen = rng.choice(group_ids, size=k, replace=False, p=w / w.sum())
-        for g in chosen:
-            memberships.add((u, int(g)))
+        memberships.update(zip(repeat(u), chosen.tolist()))
 
     # (6) daily message counts between friends, rate rises with cosine
     rng = subrng(cfg.seed, "messages")
-    edges = sorted(friend_edges)
-    messages: dict[tuple[int, int], dict[int, int]] = {}
-    if edges:
-        ea = np.array([e[0] for e in edges])
-        eb = np.array([e[1] for e in edges])
-        cos = np.einsum("ij,ij->i", A[ea], A[eb])
-        sm = cfg.message_interest
-        mult = (1.0 - sm) + sm * (0.12 + 4.5 * cos)
-        day_p = 1.0 - np.exp(-MSG_DAY_RATE * mult)
-        active_days = rng.random((len(edges), 30)) < day_p[:, None]
-        extra = rng.poisson(MSG_COUNT_SCALE * 0.25 * mult[:, None], size=(len(edges), 30))
-        counts = np.where(active_days, 1 + extra, 0)
-        for idx, (a, b) in enumerate(edges):
-            nz = np.nonzero(counts[idx])[0]
-            if nz.size:
-                messages[(a, b)] = {int(-30 + d): int(counts[idx, d]) for d in nz}
+    cos = np.einsum("ij,ij->i", A[ea], A[eb])
+    sm = cfg.message_interest
+    mult = (1.0 - sm) + sm * (0.12 + 4.5 * cos)
+    day_p = 1.0 - np.exp(-MSG_DAY_RATE * mult)
+    active_days = rng.random((len(ea), 30)) < day_p[:, None]
+    extra = rng.poisson(MSG_COUNT_SCALE * 0.25 * mult[:, None], size=(len(ea), 30))
+    counts = np.where(active_days, 1 + extra, 0)
+    edge, day = np.nonzero(counts)
+    messages = message_dicts(ea[edge], eb[edge], day + DAY_MIN, counts[edge, day])
 
-    # (8, drawn before views) per-day affinity drift, walking backward
-    # from the day-0 affinity
-    rng = subrng(cfg.seed, "drift")
-    mixtures = np.empty((n, 31, cfg.n_topics))
-    mixtures[:, 30] = affinity  # index 30 == day 0
-    if cfg.interest_drift > 0:
-        fresh = rng.gamma(np.maximum(AFFINITY_CONCENTRATION * priors, 0.01)[:, None, :], size=(n, 30, cfg.n_topics))
-        fresh_sums = fresh.sum(axis=2, keepdims=True)
-        np.maximum(fresh_sums, 1e-12, out=fresh_sums)
-        fresh = fresh / fresh_sums
-        d = cfg.interest_drift
-        for step in range(1, 31):
-            mixed = (1.0 - d) * mixtures[:, 31 - step] + d * fresh[:, step - 1]
-            mixtures[:, 30 - step] = mixed / mixed.sum(axis=1, keepdims=True)
-    else:
-        mixtures[:] = affinity[:, None, :]
+    views = _draw_views(cfg, priors, affinity, video_topic)
 
-    # (7) views: daily Poisson draws over videos, weighted by topic
-    # affinity and video popularity
-    rng = subrng(cfg.seed, "views")
-    vpop = (np.arange(cfg.n_videos) + 1.0) ** (-VIDEO_POP_EXPONENT)
-    topic_videos: list[np.ndarray] = []
-    topic_cum: list[np.ndarray] = []
-    for t in range(cfg.n_topics):
-        vids = np.nonzero(video_topic == t)[0]
-        if vids.size == 0:
-            vids = np.arange(cfg.n_videos)
-        topic_videos.append(vids)
-        topic_cum.append(np.cumsum(vpop[vids]))
-    n_views = rng.poisson(cfg.daily_view_rate, size=(n, 31))
-    views: set[tuple[int, int, int]] = set()
-    for u in range(n):
-        for di in range(31):
-            k = int(n_views[u, di])
-            if k == 0:
-                continue
-            cum = np.cumsum(mixtures[u, di])
-            topics = np.searchsorted(cum, rng.random(k) * cum[-1])
-            np.clip(topics, 0, cfg.n_topics - 1, out=topics)
-            r2 = rng.random(k)
-            day = di - 30
-            for t, r in zip(topics, r2):
-                tc = topic_cum[t]
-                m = int(topic_videos[t][np.searchsorted(tc, r * tc[-1])])
-                views.add((u, m, day))
-
-    # suppress day-0 views for a fraction of users (inactive targets)
-    rng = subrng(cfg.seed, "inactive")
-    n_inactive = int(cfg.inactive_fraction * n)
-    if n_inactive:
-        chosen = rng.choice(n, size=n_inactive, replace=False)
-        suppressed = set(int(u) for u in chosen)
-        views = {(u, m, d) for (u, m, d) in views if not (d == 0 and u in suppressed)}
-
-    users = {
-        i: UserRecord(i, str(genders[i]), int(ages[i]), int(cities[i])) for i in range(n)
-    }
+    users = dict(zip(range(n), map(UserRecord, range(n), genders.tolist(), ages.tolist(), cities.tolist())))
     corpus = Corpus(users, videos, views, friend_edges, memberships, messages)
     latent = LatentAssignment(affinity, video_topic, tag_topic)
     return corpus, latent

@@ -65,6 +65,27 @@ def test_dangling_foreign_key_lists_offenders(tmp_path):
         load_corpus(tmp_path)
 
 
+def test_dangling_references_listed_by_table_in_sorted_order():
+    with pytest.raises(IntegrityError) as info:
+        make_corpus(
+            views=[(9, 10, 0), (20, 11, -1), (5, 12, -2), (9, 11, -3), (1, 99, 0)],
+            friends=[(1, 8), (2, 6)],
+            memberships=[(12, 101), (7, 100)],
+            messages={(3, 11): {-2: 1}, (1, 2): {-1: 1}},
+        )
+    shown = [
+        "views: unknown user 5", "views: unknown user 9", "views: unknown user 20", "views: unknown video 99",
+        "friends: unknown user 6", "friends: unknown user 8", "groups: unknown user 7", "groups: unknown user 12",
+        "messages: unknown user 11", "messages: pair (1, 2) are not friends",
+    ]
+    assert str(info.value) == "dangling references (first 10 shown):\n  " + "\n  ".join(shown)
+
+
+def test_message_pair_must_be_normalized():
+    with pytest.raises(IntegrityError, match=r"^message pair \(2, 1\) not normalized a < b$"):
+        make_corpus(friends=[(1, 2)], messages={(2, 1): {}})
+
+
 def test_message_between_non_friends_rejected():
     with pytest.raises(IntegrityError, match="not friends"):
         make_corpus(messages={(1, 2): {-3: 5}})
