@@ -267,6 +267,8 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_study(args) -> int:
+    if args.bins < 1:
+        raise ValueError(f"--bins must be at least 1, got {args.bins}")
     corpus = load_corpus(args.corpus)
     among = args.among
     if among == "auto":

@@ -7,6 +7,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.stats import rankdata
 
 from . import mlcore
@@ -126,17 +127,18 @@ def sample_pairs(c: Corpus, n: int, seed: int, among: str = "random") -> tuple[n
     """Pairs for a correlation study: uniform ordered pairs, or friend
     edges (message features only exist between friends)."""
     rng = np.random.default_rng(seed)
+    ids = np.asarray(c.user_ids, dtype=np.int64)
     if among == "friends":
-        edges = sorted(c.friend_edges)
-        if not edges:
+        # rows ascend with user id, so the row-major upper triangle lists
+        # each edge (a, b), a < b, in ascending order
+        upper = sp.triu(c.friend_matrix, k=1, format="csr")
+        upper.sort_indices()
+        if upper.nnz == 0:
             raise ValueError("corpus has no friend edges")
-        idx = rng.integers(0, len(edges), size=n)
-        a = np.asarray([edges[i][0] for i in idx], dtype=np.int64)
-        b = np.asarray([edges[i][1] for i in idx], dtype=np.int64)
-        return a, b
+        idx = rng.integers(0, upper.nnz, size=n)
+        return np.repeat(ids, np.diff(upper.indptr))[idx], ids[upper.indices[idx]]
     if among != "random":
         raise ValueError(f"among must be 'random' or 'friends', got {among!r}")
-    ids = np.asarray(c.user_ids, dtype=np.int64)
     if len(ids) < 2:
         raise ValueError("need at least two users")
     a = rng.integers(0, len(ids), size=n)
@@ -145,15 +147,16 @@ def sample_pairs(c: Corpus, n: int, seed: int, among: str = "random") -> tuple[n
     return ids[a], ids[b]
 
 
-def _aggregate(keys: list[str], values: np.ndarray, key_name: str) -> BucketTable:
-    buckets: dict[str, list[float]] = {}
-    for k, v in zip(keys, values):
-        buckets.setdefault(k, []).append(float(v))
+def _aggregate(codes: np.ndarray, name, values: np.ndarray, key_name: str) -> BucketTable:
+    """One row per bucket present, sorted by its name: ``codes`` holds each
+    pair's integer bucket and ``name(code)`` names a bucket.  A stable sort
+    keeps each bucket's values in pair order."""
+    present, inverse, counts = np.unique(codes, return_inverse=True, return_counts=True)
+    groups = np.split(values[np.argsort(inverse, kind="stable")], np.cumsum(counts)[:-1])
     rows = []
-    for k in sorted(buckets):
-        vals = np.asarray(buckets[k])
+    for label, vals in sorted(zip(map(name, present.tolist()), groups), key=lambda row: row[0]):
         se = float(vals.std(ddof=1) / math.sqrt(len(vals))) if len(vals) > 1 else 0.0
-        rows.append((k, float(vals.mean()), len(vals), se))
+        rows.append((label, float(vals.mean()), len(vals), se))
     return BucketTable(key_name, rows)
 
 
@@ -176,44 +179,57 @@ def bucket_similarity(
     kind: str,
     n_bins: int = 10,
 ) -> BucketTable:
-    """Mean day-0 similarity per bucket of a pair-level feature."""
+    """Mean day-0 similarity per bucket of one pair-level feature.
+
+    Each key computes only the feature it buckets:
+
+    - ``gender``, ``agepair``, ``samecity``: the user columns (the pair's
+      ``gender_pair`` code, both ages, ``same_city``);
+    - ``friendship``, ``msgcount``, ``msgdays``: one friend, message-count
+      or message-day matrix entry per pair;
+    - ``friendratio``: ``common_friend_ratio``, the common-friend product;
+    - ``groups_friendship``: ``friendship`` and ``common_groups``;
+    - ``individuality``: the product of both users' day-0 individuality.
+
+    ``msgcount``, ``msgdays``, ``friendratio`` and ``individuality`` fall
+    into ``n_bins`` quantile bins; equal quantiles merge, and bins without
+    a pair get no row.
+    """
     a, b = np.asarray(pairs[0]), np.asarray(pairs[1])
     if len(a) == 0:
         raise ValueError("no pairs supplied")
     if key not in BUCKET_KEYS:
         raise ValueError(f"unknown bucket key {key!r}; choose from {BUCKET_KEYS}")
+    if n_bins < 1:
+        raise ValueError(f"n_bins must be at least 1, got {n_bins}")
     fz = PairFeaturizer(c, kind)
+    rt, rh = fz.rows(a, b)
     sims = fz.label_similarity(a, b)
-    cols = fz.extract_batch(a, b)
     if key == "gender":
-        names = np.array(["MM", "MF", "FF"])
-        return _aggregate(list(names[cols["gender_pair"].astype(int)]), sims, key)
+        return _aggregate(fz.gender_pair(rt, rh).astype(np.int64), ("MM", "MF", "FF").__getitem__, sims, key)
     if key == "agepair":
-        lo = np.minimum(cols["age_target"], cols["age_helper"]).astype(int)
-        hi = np.maximum(cols["age_target"], cols["age_helper"]).astype(int)
-        return _aggregate([f"{x}-{y}" for x, y in zip(lo, hi)], sims, key)
+        lo = np.minimum(c.ages[rt], c.ages[rh]).astype(np.int64)
+        hi = np.maximum(c.ages[rt], c.ages[rh]).astype(np.int64)
+        span = int(hi.max()) + 1
+        return _aggregate(lo * span + hi, lambda k: f"{k // span}-{k % span}", sims, key)
     if key == "samecity":
-        return _aggregate(["same" if v else "different" for v in cols["same_city"]], sims, key)
+        return _aggregate(fz.same_city(rt, rh).astype(np.int64), ("different", "same").__getitem__, sims, key)
     if key == "friendship":
-        return _aggregate(["friends" if v else "random" for v in cols["friendship"]], sims, key)
+        friends = (fz.friendship(rt, rh) != 0).astype(np.int64)
+        return _aggregate(friends, ("random", "friends").__getitem__, sims, key)
     if key == "groups_friendship":
-        labels = [
-            f"{'friends' if f else 'strangers'}/groups={int(g)}"
-            for f, g in zip(cols["friendship"], cols["common_groups"])
-        ]
-        return _aggregate(labels, sims, key)
-    numeric_key = {
-        "msgcount": "msg_count_month",
-        "msgdays": "msg_days_month",
-        "friendratio": "common_friend_ratio",
-    }
-    if key in numeric_key:
-        values = cols[numeric_key[key]]
+        codes = fz.common_groups(rt, rh).astype(np.int64) * 2 + (fz.friendship(rt, rh) != 0)
+        return _aggregate(codes, lambda k: f"{('strangers', 'friends')[k % 2]}/groups={k // 2}", sims, key)
+    if key == "msgcount":
+        values = fz.msg_count_month(rt, rh)
+    elif key == "msgdays":
+        values = fz.msg_days_month(rt, rh)
+    elif key == "friendratio":
+        values = fz.common_friend_ratio(rt, rh)
     else:  # individuality: product of both sides' day-0 individuality
         values = fz.day0.individuality_values(a) * fz.day0.individuality_values(b)
     idx, labels = _quantile_bins(values, n_bins)
-    ordered = [f"{i:02d} {labels[i]}" for i in idx]
-    return _aggregate(ordered, sims, key)
+    return _aggregate(idx, lambda i: f"{i:02d} {labels[i]}", sims, key)
 
 
 # -- protocol ----------------------------------------------------------------

@@ -242,10 +242,59 @@ class PairFeaturizer:
     def label_similarity(self, targets, helpers) -> np.ndarray:
         return self.day0.similarity_pairs(targets, helpers)
 
-    def _batch_individuality(self, rt: np.ndarray, rh: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Masked individuality over the nonzeros of the helper rows: an
-        item's owner count drops by one where the target owns it too, and
-        rtp damps the helper's PTP weights under the masked population."""
+    def rows(self, targets, helpers) -> tuple[np.ndarray, np.ndarray]:
+        """Corpus rows of aligned target and helper ids; a length mismatch,
+        a self-pair or an unknown id raises."""
+        targets = np.asarray(targets, dtype=np.int64)
+        helpers = np.asarray(helpers, dtype=np.int64)
+        if targets.shape != helpers.shape:
+            raise ValueError(f"{len(targets)} targets but {len(helpers)} helpers")
+        if np.any(targets == helpers):
+            raise ValueError("target and helper must differ")
+        return self.corpus.rows_for(targets), self.corpus.rows_for(helpers)
+
+    # -- one function per feature column, of the target and helper rows --
+
+    def gender_pair(self, rt: np.ndarray, rh: np.ndarray) -> np.ndarray:
+        """Women in the pair, as ``GENDER_PAIR_CODES``: 0 MM, 1 MF, 2 FF."""
+        c = self.corpus
+        return (c.is_f[rt].astype(np.int64) + c.is_f[rh].astype(np.int64)).astype(np.float64)
+
+    def same_city(self, rt: np.ndarray, rh: np.ndarray) -> np.ndarray:
+        c = self.corpus
+        return (c.cities[rt] == c.cities[rh]).astype(np.float64)
+
+    def friendship(self, rt: np.ndarray, rh: np.ndarray) -> np.ndarray:
+        return pair_entries(self.corpus.friend_matrix, rt, rh)
+
+    def common_friend_ratio(self, rt: np.ndarray, rh: np.ndarray) -> np.ndarray:
+        c = self.corpus
+        common_friends = row_products(c.friend_matrix[rt], c.friend_matrix[rh])
+        degree_norm = np.sqrt(c.degrees[rt] * c.degrees[rh])
+        return np.divide(common_friends, degree_norm, out=np.zeros(len(rt)), where=degree_norm > 0)
+
+    def common_groups(self, rt: np.ndarray, rh: np.ndarray) -> np.ndarray:
+        c = self.corpus
+        return row_products(c.group_matrix[rt], c.group_matrix[rh])
+
+    def msg_count_month(self, rt: np.ndarray, rh: np.ndarray) -> np.ndarray:
+        return pair_entries(self.corpus.msg_count, rt, rh)
+
+    def msg_days_month(self, rt: np.ndarray, rh: np.ndarray) -> np.ndarray:
+        return pair_entries(self.corpus.msg_days, rt, rh)
+
+    def past_similarity(self, rt: np.ndarray, rh: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``past_sim_month`` and ``has_past``."""
+        past = self.past
+        has_past = (past.row_norms[rt] > 0) & (past.row_norms[rh] > 0)
+        # an empty row scores exactly 0, so pairs without a past need no mask
+        return row_products(past.W_normalized[rt], past.W_normalized[rh]), has_past.astype(np.float64)
+
+    def helper_individuality(self, rt: np.ndarray, rh: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``helper_individuality`` and ``has_individuality``: the masked
+        individuality over the nonzeros of the helper rows.  An item's owner
+        count drops by one where the target owns it too, and rtp damps the
+        helper's PTP weights under the masked population."""
         day0 = self.day0
         # day-0 PTP counts (VBP indicators) drive individuality for every kind
         P = day0.counts
@@ -270,47 +319,31 @@ class PairFeaturizer:
         values = np.zeros(len(rt))
         ok = norm > 0
         values[ok] = num[ok] / (norm[ok] * n_masked[ok])
-        return values, day0.active_mask[rh]
+        return values, day0.active_mask[rh].astype(np.float64)
 
     def extract_batch(self, targets, helpers) -> dict[str, np.ndarray]:
-        targets = np.asarray(targets, dtype=np.int64)
-        helpers = np.asarray(helpers, dtype=np.int64)
-        if targets.shape != helpers.shape:
-            raise ValueError(f"{len(targets)} targets but {len(helpers)} helpers")
-        if np.any(targets == helpers):
-            raise ValueError("target and helper must differ")
+        rt, rh = self.rows(targets, helpers)
         c = self.corpus
-        rt = c.rows_for(targets)
-        rh = c.rows_for(helpers)
-
-        n_f = c.is_f[rt].astype(np.int64) + c.is_f[rh].astype(np.int64)
-        common_friends = row_products(c.friend_matrix[rt], c.friend_matrix[rh])
-        degree_norm = np.sqrt(c.degrees[rt] * c.degrees[rh])
-        cfr = np.divide(common_friends, degree_norm, out=np.zeros(len(rt)), where=degree_norm > 0)
-
-        has_past = (self.past.row_norms[rt] > 0) & (self.past.row_norms[rh] > 0)
-        # an empty row scores exactly 0, so pairs without a past need no mask
-        past_sim = row_products(self.past.W_normalized[rt], self.past.W_normalized[rh])
-        indiv, has_indiv = self._batch_individuality(rt, rh)
-
+        past_sim, has_past = self.past_similarity(rt, rh)
+        indiv, has_indiv = self.helper_individuality(rt, rh)
         return {
-            "target": targets,
-            "helper": helpers,
-            "gender_pair": n_f.astype(np.float64),
+            "target": np.asarray(targets, dtype=np.int64),
+            "helper": np.asarray(helpers, dtype=np.int64),
+            "gender_pair": self.gender_pair(rt, rh),
             "age_target": c.ages[rt],
             "age_helper": c.ages[rh],
             "city_target": c.cities[rt],
             "city_helper": c.cities[rh],
-            "same_city": (c.cities[rt] == c.cities[rh]).astype(np.float64),
-            "friendship": pair_entries(c.friend_matrix, rt, rh),
-            "common_friend_ratio": cfr,
-            "common_groups": row_products(c.group_matrix[rt], c.group_matrix[rh]),
-            "msg_count_month": pair_entries(c.msg_count, rt, rh),
-            "msg_days_month": pair_entries(c.msg_days, rt, rh),
+            "same_city": self.same_city(rt, rh),
+            "friendship": self.friendship(rt, rh),
+            "common_friend_ratio": self.common_friend_ratio(rt, rh),
+            "common_groups": self.common_groups(rt, rh),
+            "msg_count_month": self.msg_count_month(rt, rh),
+            "msg_days_month": self.msg_days_month(rt, rh),
             "past_sim_month": past_sim,
-            "has_past": has_past.astype(np.float64),
+            "has_past": has_past,
             "helper_individuality": indiv,
-            "has_individuality": has_indiv.astype(np.float64),
+            "has_individuality": has_indiv,
         }
 
 

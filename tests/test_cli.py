@@ -122,3 +122,14 @@ def test_recommend_rejects_a_model_of_another_profile_kind(tmp_path, tiny_corpus
     assert not report.exists()
     assert main(recommend + ["--strategy", "predicted-ptp", "--model", str(model), "--report", str(report)]) == 0
     assert main(recommend + ["--strategy", "predicted-rtp", "--model", str(bare), "--report", str(report)]) == 0
+
+
+@pytest.mark.parametrize("bins", ["0", "-1"])
+def test_study_rejects_fewer_than_one_bin(tmp_path, tiny_corpus, capsys, bins):
+    corpus_dir = tmp_path / "corpus"
+    write_corpus(tiny_corpus, corpus_dir)
+    out = tmp_path / "study.csv"
+    argv = ["study", "--corpus", str(corpus_dir), "--key", "individuality", "--bins", bins, "--out", str(out)]
+    assert main(argv) == 1
+    assert "--bins" in capsys.readouterr().err
+    assert not out.exists()

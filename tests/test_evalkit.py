@@ -1,16 +1,20 @@
 import numpy as np
 import pytest
 
+import bucket_oracle
 from interestsim.evalkit import (
+    BUCKET_KEYS,
     BinaryLabeling,
     auc,
     bucket_similarity,
     pearson,
     reduced_mae_ratio,
     run_protocol,
+    sample_pairs,
     train_test_split,
 )
-from interestsim.pairfeat import build_training_set
+from interestsim.pairfeat import PairFeaturizer, build_training_set
+from interestsim.profiling import KINDS
 from interestsim.synthgen import GenConfig, generate
 
 
@@ -177,6 +181,72 @@ def test_bucket_unknown_key_rejected(study_corpus):
     pairs = _random_pairs(planted, 100, 9)
     with pytest.raises(ValueError):
         bucket_similarity(planted, pairs, "star-sign", "ptp")
+
+
+@pytest.fixture(scope="module")
+def study_pairs(study_corpus):
+    planted, _ = study_corpus
+    return {
+        "random": sample_pairs(planted, 3_000, 4, "random"),
+        "friends": sample_pairs(planted, 1_500, 4, "friends"),
+    }
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("among", ["random", "friends"])
+def test_bucket_rows_match_oracle(study_corpus, study_pairs, kind, among):
+    planted, _ = study_corpus
+    pairs = study_pairs[among]
+    for key in BUCKET_KEYS:
+        for n_bins in (1, 3, 10):
+            got = bucket_similarity(planted, pairs, key, kind, n_bins=n_bins)
+            want = bucket_oracle.bucket_similarity(planted, pairs, key, kind, n_bins=n_bins)
+            assert got.key == want.key == key
+            assert got.rows == want.rows, (key, n_bins)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_bucket_one_pair_matches_oracle(study_corpus, study_pairs, kind):
+    planted, _ = study_corpus
+    a, b = study_pairs["friends"]
+    pair = (a[:1], b[:1])
+    for key in BUCKET_KEYS:
+        got = bucket_similarity(planted, pair, key, kind, n_bins=3)
+        assert got.rows == bucket_oracle.bucket_similarity(planted, pair, key, kind, n_bins=3).rows
+        assert got.counts_total() == 1 and got.rows[0][3] == 0.0
+
+
+def test_bucket_empty_bins_get_no_row(study_corpus, study_pairs):
+    """Two pairs with distinct common-friend ratios leave the inner
+    quantile bins between them empty."""
+    planted, _ = study_corpus
+    ra, rb = study_pairs["random"]
+    fa, fb = study_pairs["friends"]
+    fz = PairFeaturizer(planted, "ptp")
+    i = int(np.argmax(fz.common_friend_ratio(*fz.rows(fa, fb))))
+    assert fz.common_friend_ratio(*fz.rows(ra[:1], rb[:1]))[0] == 0.0
+    pair = (np.array([ra[0], fa[i]]), np.array([rb[0], fb[i]]))
+    for n_bins in (3, 10):
+        got = bucket_similarity(planted, pair, "friendratio", "ptp", n_bins=n_bins)
+        want = bucket_oracle.bucket_similarity(planted, pair, "friendratio", "ptp", n_bins=n_bins)
+        assert got.rows == want.rows
+        assert len(got.rows) == 2 and got.counts_total() == 2
+        assert got.rows[1][0].startswith(f"{n_bins - 1:02d} ")
+
+
+@pytest.mark.parametrize("n_bins", [0, -1])
+def test_bucket_rejects_fewer_than_one_bin(study_corpus, study_pairs, n_bins):
+    planted, _ = study_corpus
+    with pytest.raises(ValueError, match="n_bins"):
+        bucket_similarity(planted, study_pairs["random"], "individuality", "ptp", n_bins=n_bins)
+
+
+def test_friend_pairs_match_sorted_edge_draws(study_corpus, small_corpus):
+    for c in (study_corpus[0], small_corpus[0]):
+        for seed in (0, 1, 7, 42):
+            got = sample_pairs(c, 500, seed, "friends")
+            want = bucket_oracle.sample_friend_pairs(c, 500, seed)
+            assert all(np.array_equal(g, w) and g.dtype == w.dtype for g, w in zip(got, want))
 
 
 @pytest.fixture(scope="module")
