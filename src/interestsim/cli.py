@@ -592,16 +592,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    # expand a --config file into leading flags so explicit flags override
-    if "--config" in argv:
-        i = argv.index("--config")
-        try:
-            cfg_path = argv[i + 1]
-        except IndexError:
-            print("error: --config needs a path", file=sys.stderr)
-            return 2
-        head, tail = argv[: i + 2], argv[i + 2 :]
-        argv = head[:1] + _read_config_tokens(cfg_path) + head[1:] + tail
+    # expand a --config file into leading flags so explicit flags override; a
+    # parser of that option alone finds it under every spelling argparse accepts
+    finder = argparse.ArgumentParser(add_help=False, exit_on_error=False)
+    finder.add_argument("--config")
+    try:
+        path = finder.parse_known_args(argv)[0].config
+        argv = argv if path is None else argv[:1] + _read_config_tokens(path) + argv[1:]
+    except (argparse.ArgumentError, OSError, ValueError) as err:  # OSError texts name the file
+        print(f"error: {err}", file=sys.stderr)
+        return 2
     # argparse rejects option values with a leading dash ("-7:-1"); fuse them
     fused: list[str] = []
     skip = False

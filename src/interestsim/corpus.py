@@ -1,10 +1,10 @@
 """Immutable corpus of users, videos, tags and behavior logs.
 
 The corpus is a snapshot covering a 31-day horizon: day 0 is the current
-(target) day, negative days are the past.  The constructor validates
-foreign keys and value ranges up front, on the id, day and count arrays it
-indexes, so downstream code never has to; the CSV loader checks whole
-columns.
+(target) day, negative days are the past.  The constructor takes the six
+logs as integer row tables shaped like the six CSV files and validates
+foreign keys and value ranges up front, on those tables, so downstream code
+never has to; the CSV loader checks whole columns.
 """
 
 from __future__ import annotations
@@ -13,10 +13,10 @@ import csv
 from bisect import bisect_left, bisect_right
 from contextlib import suppress
 from dataclasses import dataclass, field
-from itertools import chain, compress, filterfalse, islice, repeat
-from operator import attrgetter
+from functools import cached_property
+from itertools import filterfalse
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -90,82 +90,58 @@ class LoadReport:
     duplicate_views: int = 0
 
 
-class Corpus:
-    """Validated, immutable snapshot of all raw logs plus derived indexes.
+class Tables(NamedTuple):
+    """The six logs as integer rows, one table per corpus CSV file."""
 
-    The raw sets are what equality compares and ``write_corpus`` writes;
-    they are validated as the arrays the indexes are built from.
-    Everything derived from them is built here, once, for every other
-    module to read; all of it is read-only (a CSR's ``data``, ``indices``
-    and ``indptr`` too) and each CSR is canonical.  By user row
-    (``rows_for``): ``ages``, ``cities`` and ``is_f``; the symmetric CSR
-    ``friend_matrix`` (row sums ``degrees``), ``msg_count`` and ``msg_days``
-    (the month's message total and days communicated, one sparsity
-    pattern); and ``group_matrix`` over the sorted ``group_ids``.  By video
-    row, ``video_tags`` over the sorted ``tag_ids``.  The view log, one
-    entry per view sorted by (user row, day, video), is read only here;
-    ``viewed_pairs`` serves the rest.  The corpus owns the profile indexes
-    too, one read-only ``ProfileIndex`` per (window, kind), built on its
-    first ``profile_index`` request (the cycle through ``index.corpus`` is
-    the garbage collector's to free).  Concurrent reads are safe; two racing
-    first requests for an index build it twice, equal, and keep one.
+    users: np.ndarray  # (id, is_f, age, city)
+    video_tags: np.ndarray  # (video, tag), one row per tag
+    views: np.ndarray  # (user, video, day)
+    friends: np.ndarray  # (a, b) with a < b
+    memberships: np.ndarray  # (user, group)
+    messages: np.ndarray  # (a, b, day, count) with a < b
+
+
+class Corpus:
+    """Validated, immutable snapshot of the six logs plus derived indexes.
+
+    The state is ``tables``: the six row tables, sorted, without repeated
+    rows, with the counts of repeated (pair, day) message rows summed and
+    gender flags 0 or 1.  Equality compares them and ``write_corpus``
+    writes them.  All else is derived from them and read-only (a CSR's
+    arrays too; each CSR is canonical).  By user row (``rows_for``):
+    ``ages``, ``cities``, ``is_f``; the symmetric CSRs ``friend_matrix``
+    (row sums ``degrees``), ``msg_count`` and ``msg_days`` (the month's
+    message total and days, one sparsity pattern); ``group_matrix`` over
+    the sorted ``group_ids``.  By video row, ``video_tags`` over the sorted
+    ``tag_ids``.  The view log, sorted by (user row, day, video), serves
+    ``view_set`` and ``viewed_pairs``.  The record views (``users``,
+    ``videos``, ``views``, ``friend_edges``, ``memberships``, ``messages``)
+    are built on first read, for the reference code that walks records.
+    ``profile_index`` builds each (window, kind) ``ProfileIndex`` on first
+    request and keeps it (the cycle through ``index.corpus`` is the garbage
+    collector's to free); two racing first requests build it twice, equal,
+    and keep one.  Concurrent reads are safe.
     """
 
-    def __init__(
-        self,
-        users: dict[int, UserRecord],
-        videos: dict[int, VideoRecord],
-        views: set[tuple[int, int, int]],
-        friend_edges: set[tuple[int, int]],
-        memberships: set[tuple[int, int]],
-        messages: dict[tuple[int, int], dict[int, int]],
-        report: LoadReport | None = None,
-    ):
-        if not users:
-            raise IntegrityError("corpus must contain at least one user")
-        self.users = dict(users)
-        self.videos = dict(videos)
-        self.views = frozenset(views)
-        self.friend_edges = frozenset(friend_edges)
-        self.memberships = frozenset(memberships)
-        self.messages = {pair: dict(days) for pair, days in messages.items()}
+    def __init__(self, users, video_tags, views, friends, memberships, messages, report: LoadReport | None = None):
+        given = Tables(*map(_rows, (users, video_tags, views, friends, memberships, messages), (4, 2, 3, 2, 2, 4)))
+        _check_values(given)
+        users = given.users[np.argsort(given.users[:, 0])]
+        users[:, 1] = users[:, 1] != 0
+        messages = given.messages[np.lexsort(given.messages.T[2::-1])]
+        starts = _run_starts(*messages.T[:3])
+        messages = np.column_stack((messages[starts, :3], np.add.reduceat(messages[:, 3], starts)))
+        self.tables = Tables(users, *map(_canonical, given[1:5]), messages)
+        _, video_tags, log, edges, members, msgs = self.tables
+        self._ids = users[:, 0].copy()
+        video_ids = np.unique(video_tags[:, 0])
+        _check_references(self.tables, self._ids, video_ids)
         self.report = report if report is not None else LoadReport()
-        self._build_indexes()
         self._profile_indexes: dict[tuple[Window, str], ProfileIndex] = {}
 
-    # -- validation and indexes -------------------------------------------
-
-    def _validate(self, video_ids, tag_sizes, log, edges, members, msgs) -> None:
-        """Check the raw relations as the arrays ``_build_indexes`` reads: the first bad value
-        raises, then up to 10 dangling references, by table and, within one, in sorted order."""
-        _raise_first(tag_sizes == 0, "video {} has an empty tag set", video_ids)
-        _raise_first((log[:, 2] < DAY_MIN) | (log[:, 2] > DAY_MAX), f"view day {{}} outside [{DAY_MIN}, {DAY_MAX}]", log[:, 2])
-        _raise_first(edges[:, 0] >= edges[:, 1], "friend edge ({}, {}) not normalized a < b", *edges.T)
-        pairs = _table(self.messages, 2)
-        _raise_first(pairs[:, 0] >= pairs[:, 1], "message pair ({}, {}) not normalized a < b", *pairs.T)
-        _raise_first((msgs[:, 2] < DAY_MIN) | (msgs[:, 2] > -1), f"message day {{}} outside [{DAY_MIN}, -1]", msgs[:, 2])
-        _raise_first(msgs[:, 3] <= 0, "message count {} for pair ({}, {}) not positive", msgs[:, 3], *msgs[:, :2].T)
-        references = (("views", "user", log[:, 0], self._ids), ("views", "video", log[:, 1], video_ids),
-                      ("friends", "user", edges, self._ids), ("groups", "user", members[:, 0], self._ids),
-                      ("messages", "user", pairs, self._ids))
-        dangling = [f"{table}: unknown {what} {i}" for table, what, ids, known in references
-                    for i in np.unique(ids[~np.isin(ids, known)])[:10].tolist()]
-        dangling += [f"messages: pair ({a}, {b}) are not friends"
-                     for a, b in sorted(self.messages.keys() - self.friend_edges)[:10]]
-        if dangling:
-            raise IntegrityError("dangling references (first 10 shown):\n  " + "\n  ".join(dangling[:10]))
-
-    def _build_indexes(self) -> None:
-        self.user_ids: tuple[int, ...] = tuple(sorted(self.users))
-        self.video_ids: tuple[int, ...] = tuple(sorted(self.videos))
-        self._ids = np.asarray(self.user_ids, dtype=np.int64)
-        video_ids = np.asarray(self.video_ids, dtype=np.int64)
+        self.user_ids: tuple[int, ...] = tuple(self._ids.tolist())
+        self.video_ids: tuple[int, ...] = tuple(video_ids.tolist())
         n = len(self.user_ids)
-        tag_sets = list(map(attrgetter("tags"), map(self.videos.__getitem__, self.video_ids)))
-        tag_sizes = np.fromiter(map(len, tag_sets), np.int64, len(tag_sets))
-        log, edges, members = _table(self.views, 3), _table(self.friend_edges, 2), _table(self.memberships, 2)
-        msgs = _message_table(self.messages)
-        self._validate(video_ids, tag_sizes, log, edges, members, msgs)
 
         rows, cols = self.rows_for(log[:, 0]), np.searchsorted(video_ids, log[:, 1])
         order = np.argsort((rows * (DAY_MAX - DAY_MIN + 1) + log[:, 2] - DAY_MIN) * len(video_ids) + cols)
@@ -175,9 +151,8 @@ class Corpus:
         # view_set bisects memoryviews: their items are Python ints, cheaper to probe than numpy scalars
         self._view_slices = tuple(map(memoryview, (self._view_offsets, self._view_days, self._view_videos)))
 
-        ages, cities, genders = zip(*map(attrgetter("age", "city", "gender"), map(self.users.__getitem__, self.user_ids)))
-        self.ages, self.cities = np.array(ages, dtype=np.float64), np.array(cities, dtype=np.float64)
-        self.is_f = np.array(genders) == "F"
+        self.is_f = users[:, 1] == 1
+        self.ages, self.cities = users[:, 2].astype(np.float64), users[:, 3].astype(np.float64)
 
         self.friend_matrix = _symmetric(self.rows_for(edges), 1.0, n)
         self.degrees = np.diff(self.friend_matrix.indptr).astype(np.float64)
@@ -189,17 +164,49 @@ class Corpus:
         self.msg_count = _symmetric(msg_rows, msgs[:, 3], n)
         self.msg_days = _symmetric(msg_rows, 1.0, n)
 
-        tags = np.fromiter(chain.from_iterable(tag_sets), np.int64, int(tag_sizes.sum()))
-        self.tag_ids = np.unique(tags)
-        video_rows = np.repeat(np.arange(len(tag_sets)), tag_sizes)
-        tag_cols = np.searchsorted(self.tag_ids, tags)
-        self.video_tags = sp.csr_matrix((np.ones(len(tags)), (video_rows, tag_cols)), (len(tag_sets), len(self.tag_ids)))
+        self.tag_ids, tag_cols = np.unique(video_tags[:, 1], return_inverse=True)
+        video_rows = np.searchsorted(video_ids, video_tags[:, 0])
+        self.video_tags = sp.csr_matrix((np.ones(len(video_tags)), (video_rows, tag_cols)), (len(video_ids), len(self.tag_ids)))
 
         csr = (self.friend_matrix, self.group_matrix, self.msg_count, self.msg_days, self.video_tags)
-        for a in (self._ids, self._view_rows, self._view_days, self._view_videos, self._view_cols, self._view_offsets,
-                  self.ages, self.cities, self.is_f, self.degrees, self.group_ids, self.tag_ids,
+        for a in (*self.tables, self._ids, self._view_rows, self._view_days, self._view_videos, self._view_cols,
+                  self._view_offsets, self.ages, self.cities, self.is_f, self.degrees, self.group_ids, self.tag_ids,
                   *(x for M in csr for x in (M.data, M.indices, M.indptr))):
             a.setflags(write=False)
+
+    # -- record views, built on first read ---------------------------------
+
+    @cached_property
+    def users(self) -> dict[int, UserRecord]:
+        ids, is_f, ages, cities = self.tables.users.T.tolist()
+        return dict(zip(ids, map(UserRecord, ids, map(GENDERS.__getitem__, is_f), ages, cities)))
+
+    @cached_property
+    def videos(self) -> dict[int, VideoRecord]:
+        tags, bounds = self.tables.video_tags[:, 1].tolist(), self.video_tags.indptr.tolist()
+        tag_sets = map(frozenset, map(tags.__getitem__, map(slice, bounds, bounds[1:])))
+        return dict(zip(self.video_ids, map(VideoRecord, self.video_ids, tag_sets)))
+
+    @cached_property
+    def views(self) -> frozenset[tuple[int, int, int]]:
+        return frozenset(int_tuples(*self.tables.views.T))
+
+    @cached_property
+    def friend_edges(self) -> frozenset[tuple[int, int]]:
+        return frozenset(int_tuples(*self.tables.friends.T))
+
+    @cached_property
+    def memberships(self) -> frozenset[tuple[int, int]]:
+        return frozenset(int_tuples(*self.tables.memberships.T))
+
+    @cached_property
+    def messages(self) -> dict[tuple[int, int], dict[int, int]]:
+        """``{(a, b): {day: count}}``."""
+        a, b, days, counts = self.tables.messages.T
+        starts = _run_starts(a, b)
+        bounds, days, counts = np.append(starts, len(a)).tolist(), days.tolist(), counts.tolist()
+        return {pair: dict(zip(days[lo:hi], counts[lo:hi]))
+                for pair, lo, hi in zip(int_tuples(a[starts], b[starts]), bounds, bounds[1:])}
 
     # -- queries ---------------------------------------------------------
 
@@ -275,42 +282,26 @@ class Corpus:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Corpus):
             return NotImplemented
-        return (
-            self.users == other.users
-            and self.videos == other.videos
-            and self.views == other.views
-            and self.friend_edges == other.friend_edges
-            and self.memberships == other.memberships
-            and self.messages == other.messages
-        )
+        return all(map(np.array_equal, self.tables, other.tables))
 
     def __repr__(self) -> str:
         return (
-            f"Corpus(users={len(self.users)}, videos={len(self.videos)}, "
-            f"tags={len(self.tag_ids)}, views={len(self.views)}, "
-            f"friend_edges={len(self.friend_edges)})"
+            f"Corpus(users={len(self.user_ids)}, videos={len(self.video_ids)}, "
+            f"tags={len(self.tag_ids)}, views={len(self.tables.views)}, "
+            f"friend_edges={len(self.tables.friends)})"
         )
 
 
-def _table(rows, width: int, n: int | None = None) -> np.ndarray:
-    """The ``n`` (default ``len(rows)``) integer tuples of ``rows`` as an n-by-``width`` array."""
-    n = len(rows) if n is None else n
-    return np.fromiter(chain.from_iterable(rows), np.int64, width * n).reshape(n, width)
+def _rows(rows, width: int) -> np.ndarray:
+    """``rows``, an array-like or iterable of integer rows, as an n-by-``width`` int64 array."""
+    table = np.asarray(rows if isinstance(rows, np.ndarray) else list(rows), dtype=np.int64)
+    return table.reshape(len(table), width)  # raises for rows of another width
 
 
-def _message_table(messages: dict[tuple[int, int], dict[int, int]]) -> np.ndarray:
-    """One (a, b, day, count) row per day of each pair of ``messages``."""
-    sizes = np.fromiter(map(len, messages.values()), np.int64, len(messages))
-    days = _table(chain.from_iterable(map(dict.items, messages.values())), 2, int(sizes.sum()))
-    return np.column_stack((np.repeat(_table(messages, 2), sizes, axis=0), days))
-
-
-def message_dicts(a: np.ndarray, b: np.ndarray, days: np.ndarray, counts: np.ndarray) -> dict[tuple[int, int], dict[int, int]]:
-    """``{(a, b): {day: count}}`` from rows sorted by pair, with distinct days per pair."""
-    starts = _run_starts(a, b)
-    bounds, days, counts = np.append(starts, len(a)).tolist(), days.tolist(), counts.tolist()
-    return {pair: dict(zip(days[lo:hi], counts[lo:hi]))
-            for pair, lo, hi in zip(int_tuples(a[starts], b[starts]), bounds, bounds[1:])}
+def _canonical(table: np.ndarray) -> np.ndarray:
+    """The distinct rows of ``table``, sorted."""
+    table = table[np.lexsort(table.T[::-1])]
+    return table[_run_starts(*table.T)]
 
 
 def _run_starts(*columns: np.ndarray) -> np.ndarray:
@@ -325,6 +316,34 @@ def int_tuples(*columns: np.ndarray) -> zip:
     """The rows of ``columns`` as tuples of Python ints, made one at a time and sharing one int per value."""
     shared = (np.unique(c, return_inverse=True) for c in columns)
     return zip(*(map(values.tolist().__getitem__, memoryview(index)) for values, index in shared))
+
+
+def _check_values(given: Tables) -> None:
+    """Raise for the first bad value of the tables as given, in the order they are given."""
+    users, _, log, edges, _, msgs = given
+    if not len(users):
+        raise IntegrityError("corpus must contain at least one user")
+    _raise_first(_repeats(users[:, 0]), "duplicate user id {}", users[:, 0])
+    _raise_first((log[:, 2] < DAY_MIN) | (log[:, 2] > DAY_MAX), f"view day {{}} outside [{DAY_MIN}, {DAY_MAX}]", log[:, 2])
+    _raise_first(edges[:, 0] >= edges[:, 1], "friend edge ({}, {}) not normalized a < b", *edges.T)
+    _raise_first(msgs[:, 0] >= msgs[:, 1], "message pair ({}, {}) not normalized a < b", *msgs[:, :2].T)
+    _raise_first((msgs[:, 2] < DAY_MIN) | (msgs[:, 2] > -1), f"message day {{}} outside [{DAY_MIN}, -1]", msgs[:, 2])
+    _raise_first(msgs[:, 3] <= 0, "message count {} for pair ({}, {}) not positive", msgs[:, 3], *msgs[:, :2].T)
+
+
+def _check_references(tables: Tables, user_ids: np.ndarray, video_ids: np.ndarray) -> None:
+    """Raise for up to 10 dangling references, by table and, within one, in sorted order."""
+    _, _, log, edges, members, msgs = tables
+    pairs = msgs[_run_starts(msgs[:, 0], msgs[:, 1]), :2]
+    references = (("views", "user", log[:, 0], user_ids), ("views", "video", log[:, 1], video_ids),
+                  ("friends", "user", edges, user_ids), ("groups", "user", members[:, 0], user_ids),
+                  ("messages", "user", pairs, user_ids))
+    dangling = [f"{table}: unknown {what} {i}" for table, what, ids, known in references
+                for i in np.unique(ids[~np.isin(ids, known)])[:10].tolist()]
+    strangers = set(int_tuples(*pairs.T)) - set(int_tuples(*edges.T))
+    dangling += [f"messages: pair ({a}, {b}) are not friends" for a, b in sorted(strangers)[:10]]
+    if dangling:
+        raise IntegrityError("dangling references (first 10 shown):\n  " + "\n  ".join(dangling[:10]))
 
 
 def _raise_first(bad: np.ndarray, message: str, *columns) -> None:
@@ -394,20 +413,22 @@ class _Table:
             row = int(np.argmax(bad))
             self.errors.append((row, len(self.errors), message.format(*(c[row] for c in columns))))
 
-    def ints(self, values, what: str, rows: np.ndarray | None = None) -> np.ndarray:
-        """``values`` as ``int`` parses them, each in the row ``rows`` gives (default:
-        its own); the first value ``int`` rejects is noted, and it and the rest read as 0."""
+    def parse(self, values, what: str, rows: np.ndarray | None = None, kind: type = int) -> np.ndarray:
+        """``values`` as ``kind`` (``int`` or ``float``) parses them, each in the row ``rows`` gives
+        (default: its own); the first value ``kind`` rejects is noted, and it and the rest read as 0."""
+        dtype = np.int64 if kind is int else np.float64
         try:
-            return np.array(values, dtype=np.int64)
+            return np.array(values, dtype=dtype)  # numpy parses each string as ``kind`` does
         except ValueError:
-            parsed: list[int] = []
+            parsed: list = []
             with suppress(ValueError):
-                parsed.extend(map(int, values))  # keeps the values before the first bad one
+                parsed.extend(map(kind, values))  # keeps the values before the first bad one
             if len(parsed) == len(values):
                 raise
             row = len(parsed) if rows is None else int(rows[len(parsed)])
-            self.errors.append((row, len(self.errors), f"{what} is not an integer: {values[len(parsed)]!r}"))
-            return np.array(parsed + [0] * (len(values) - len(parsed)), dtype=np.int64)
+            expected = "an integer" if kind is int else "a number"
+            self.errors.append((row, len(self.errors), f"{what} is not {expected}: {values[len(parsed)]!r}"))
+            return np.array(parsed + [0] * (len(values) - len(parsed)), dtype=dtype)
 
     def close(self) -> None:
         """Drop the fields, then raise the first error noted, if any."""
@@ -442,7 +463,7 @@ def load_corpus(directory: str | Path, age_bounds: tuple[int, int] = (10, 40)) -
     def table(name: str, header: list[str], *checked: str) -> tuple[_Table, list[np.ndarray]]:
         """The file's table and its first fields as integers, named in errors as ``checked``."""
         t = _Table(directory / CSV_NAMES[name], header)
-        return t, [t.ints(t.column(j), what) for j, what in enumerate(checked)]
+        return t, [t.parse(t.column(j), what) for j, what in enumerate(checked)]
 
     def unfiltered(name: str, *ids: np.ndarray) -> np.ndarray:
         drop = np.isin(np.column_stack(ids), filtered).any(axis=1)
@@ -453,84 +474,68 @@ def load_corpus(directory: str | Path, age_bounds: tuple[int, int] = (10, 40)) -
     t, (uid,) = table("users", ["user_id", "gender", "age", "city_id"], "user_id")
     genders = t.column(1)
     t.check(~np.isin(np.array(genders, dtype=str), GENDERS), "gender must be M or F, got {!r}", genders)
-    age, city = t.ints(t.column(2), "age"), t.ints(t.column(3), "city_id")
+    age, city = t.parse(t.column(2), "age"), t.parse(t.column(3), "city_id")
     t.check(_repeats(uid), "duplicate user id {}", uid)
     t.close()
     kept = (age >= age_bounds[0]) & (age <= age_bounds[1])
     filtered = uid[~kept]
     report.users_dropped_age = len(filtered)
-    ids = uid[kept].tolist()
-    users = dict(zip(ids, map(UserRecord, ids, compress(genders, kept), age[kept].tolist(), city[kept].tolist())))
+    users = np.column_stack((uid, np.array(genders) == "F", age, city))[kept]
 
     t, (vid,) = table("videos", ["video_id", "tags"], "video_id")
     t.check(_repeats(vid), "duplicate video id {}", vid)
     text = np.array(t.column(1), dtype=str)
     t.check(text == "", "video has no tags")
     sizes = np.char.count(text, "|") + 1
-    tags = t.ints("|".join(text).split("|") if len(text) else [], "tag", np.repeat(np.arange(len(text)), sizes))
+    tags = t.parse("|".join(text).split("|") if len(text) else [], "tag", np.repeat(np.arange(len(text)), sizes))
     t.close()
-    # video i's tags are the next sizes[i] of one iterator over all of them
-    tag_sets = map(frozenset, map(islice, repeat(iter(tags.tolist())), sizes.tolist()))
-    videos = dict(zip(vid.tolist(), map(VideoRecord, vid.tolist(), tag_sets)))
+    video_tags = np.column_stack((np.repeat(vid, sizes), tags))
 
     t, (u, m, d) = table("views", ["user_id", "video_id", "day"], "user_id", "video_id", "day")
     t.check((d < DAY_MIN) | (d > DAY_MAX), f"day {{}} outside [{DAY_MIN}, {DAY_MAX}]", d)
     t.close()
-    keep = unfiltered("views", u)
-    views = set(int_tuples(u[keep], m[keep], d[keep]))
-    report.duplicate_views = int(keep.sum()) - len(views)
+    views = np.column_stack((u, m, d))[unfiltered("views", u)]
 
     t, (a, b) = table("friends", ["user_a", "user_b"], "user_a", "user_b")
     t.check(a == b, "self-loop friendship for user {}", a)
     t.close()
-    keep = unfiltered("friends", a, b)
-    friends = set(int_tuples(np.minimum(a, b)[keep], np.maximum(a, b)[keep]))
+    friends = np.column_stack((np.minimum(a, b), np.maximum(a, b)))[unfiltered("friends", a, b)]
 
     t, (u, g) = table("groups", ["user_id", "group_id"], "user_id", "group_id")
     t.close()
-    keep = unfiltered("groups", u)
-    memberships = set(int_tuples(u[keep], g[keep]))
+    memberships = np.column_stack((u, g))[unfiltered("groups", u)]
 
     t, (a, b, d, cnt) = table("messages", ["user_a", "user_b", "day", "count"], "user_a", "user_b", "day", "count")
     t.check(a == b, "self-loop message for user {}", a)
     t.check((d < DAY_MIN) | (d > -1), f"message day {{}} outside [{DAY_MIN}, -1]", d)
     t.check(cnt <= 0, "message count must be positive, got {}", cnt)
     t.close()
-    keep = unfiltered("messages", a, b)
-    a, b, d, cnt = np.minimum(a, b)[keep], np.maximum(a, b)[keep], d[keep], cnt[keep]
-    order = np.lexsort((d, b, a))
-    starts = _run_starts(a[order], b[order], d[order])
-    totals = np.add.reduceat(cnt[order], starts) if len(starts) else starts
-    messages = message_dicts(*(x[order][starts] for x in (a, b, d)), totals)
+    messages = np.column_stack((np.minimum(a, b), np.maximum(a, b), d, cnt))[unfiltered("messages", a, b)]
 
-    return Corpus(users, videos, views, friends, memberships, messages, report=report)
+    c = Corpus(users, video_tags, views, friends, memberships, messages, report=report)
+    report.duplicate_views = len(views) - len(c.tables.views)
+    return c
 
 
 def write_corpus(c: Corpus, directory: str | Path) -> None:
-    """Write the six corpus CSV files, sorted by primary key (bit-stable)."""
+    """Write the six corpus CSV files from ``c.tables``, sorted by primary key (bit-stable)."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
 
-    def dump(name: str, header: list[str], rows) -> None:
-        with open(directory / name, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(header)
-            writer.writerows(rows)
-
-    def dump_sorted(name: str, header: list[str], table: np.ndarray) -> None:
-        """The integer rows of ``table`` in sorted order, formatted in one call as ``csv.writer`` would."""
-        table = table[np.lexsort(table.T[::-1])]
-        with open(directory / name, "w", newline="", encoding="utf-8") as fh:
+    def dump(name: str, header: list[str], table: np.ndarray) -> None:
+        """The rows of ``table``, formatted in one call as ``csv.writer`` would."""
+        with open(directory / CSV_NAMES[name], "w", newline="", encoding="utf-8") as fh:
             fh.write(",".join(header) + "\n")
-            fh.write((",".join(["%d"] * len(header)) + "\n") * len(table) % tuple(table.ravel().tolist()))
+            fh.write((",".join(["%s"] * len(header)) + "\n") * len(table) % tuple(table.ravel().tolist()))
 
-    users = map(attrgetter("id", "gender", "age", "city"), map(c.users.__getitem__, c.user_ids))
-    dump(CSV_NAMES["users"], ["user_id", "gender", "age", "city_id"], users)
-    T = c.video_tags  # canonical: each row's tags ascend
-    tags = list(map(str, c.tag_ids[T.indices].tolist()))
-    tag_lists = map(tags.__getitem__, map(slice, T.indptr[:-1].tolist(), T.indptr[1:].tolist()))
-    dump(CSV_NAMES["videos"], ["video_id", "tags"], zip(c.video_ids, map("|".join, tag_lists)))
-    dump_sorted(CSV_NAMES["views"], ["user_id", "video_id", "day"], np.column_stack((c._ids[c._view_rows], c._view_videos, c._view_days)))
-    dump_sorted(CSV_NAMES["friends"], ["user_a", "user_b"], _table(c.friend_edges, 2))
-    dump_sorted(CSV_NAMES["groups"], ["user_id", "group_id"], _table(c.memberships, 2))
-    dump_sorted(CSV_NAMES["messages"], ["user_a", "user_b", "day", "count"], _message_table(c.messages))
+    t = c.tables
+    users = t.users.astype(object)
+    users[:, 1] = np.array(GENDERS, dtype=object)[t.users[:, 1]]
+    dump("users", ["user_id", "gender", "age", "city_id"], users)
+    tags, bounds = list(map(str, t.video_tags[:, 1].tolist())), c.video_tags.indptr.tolist()
+    tag_lists = map(tags.__getitem__, map(slice, bounds, bounds[1:]))
+    dump("videos", ["video_id", "tags"], np.array([c.video_ids, list(map("|".join, tag_lists))], dtype=object).T)
+    dump("views", ["user_id", "video_id", "day"], t.views)
+    dump("friends", ["user_a", "user_b"], t.friends)
+    dump("groups", ["user_id", "group_id"], t.memberships)
+    dump("messages", ["user_a", "user_b", "day", "count"], t.messages)

@@ -456,18 +456,14 @@ def read_samples(path) -> SampleTable:
     """Samples as ``write_samples`` writes them; a bad header or row raises ``FormatError``."""
     table = _Table(Path(path), CSV_HEADER)
     fields = [table.column(j) for j in range(len(CSV_HEADER))]
+    columns = {name: table.parse(fields[j], name) for j, name in enumerate(CSV_HEADER[:2])}
+    labels = table.parse(fields[3], "label_sim", kind=float) if fields[3] and fields[3][0] else None
+    for j, name in enumerate(FEATURE_COLUMNS, start=4):
+        columns[name] = table.parse(fields[j], name, kind=float)
     table.close()
     if not fields[0]:
         raise ValueError(f"no samples in {path}")
     kinds = set(fields[2])
     if len(kinds) != 1:
         raise ValueError(f"mixed profile kinds in {path}: {sorted(kinds)}")
-    columns: dict[str, np.ndarray] = {}
-    columns["target"] = np.array(list(map(int, fields[0])), dtype=np.int64)
-    columns["helper"] = np.array(list(map(int, fields[1])), dtype=np.int64)
-    labels = None
-    if fields[3][0] != "":
-        labels = np.array(list(map(float, fields[3])))
-    for j, name in enumerate(FEATURE_COLUMNS, start=4):
-        columns[name] = np.array(list(map(float, fields[j])))
     return SampleTable(kinds.pop(), columns, labels)

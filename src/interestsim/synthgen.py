@@ -16,12 +16,11 @@ corpus (``tests/test_synthgen.py``).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from itertools import repeat
 
 import numpy as np
 
 from ._util import subrng
-from .corpus import DAY_MIN, Corpus, UserRecord, VideoRecord, int_tuples, message_dicts
+from .corpus import DAY_MIN, Corpus
 
 # fixed recipe constants (not knobs)
 AFFINITY_CONCENTRATION = 3.0
@@ -112,8 +111,8 @@ def _affinity_gain(cos: np.ndarray) -> np.ndarray:
     return ((cos + 0.02) / 0.5) ** 3
 
 
-def _draw_views(cfg: GenConfig, priors: np.ndarray, affinity: np.ndarray, video_topic: np.ndarray) -> set[tuple[int, int, int]]:
-    """Steps (8) and (7) and the day-0 inactive filter: the view set."""
+def _draw_views(cfg: GenConfig, priors: np.ndarray, affinity: np.ndarray, video_topic: np.ndarray) -> np.ndarray:
+    """Steps (8) and (7) and the day-0 inactive filter: the (user, video, day) view rows."""
     n = cfg.n_users
     # (8, drawn before views) per-day affinity drift, walking backward
     # from the day-0 affinity
@@ -166,7 +165,7 @@ def _draw_views(cfg: GenConfig, priors: np.ndarray, affinity: np.ndarray, video_
     rng = subrng(cfg.seed, "inactive")
     suppressed = rng.choice(n, size=int(cfg.inactive_fraction * n), replace=False)
     keep = (day != 0) | ~np.isin(viewer, suppressed)
-    return set(int_tuples(viewer[keep], videos_viewed[keep], day[keep]))
+    return np.column_stack((viewer, videos_viewed, day))[keep]
 
 
 def generate(cfg: GenConfig) -> tuple[Corpus, LatentAssignment]:
@@ -198,13 +197,13 @@ def generate(cfg: GenConfig) -> tuple[Corpus, LatentAssignment]:
     # (3) videos: topic plus 1-5 tags biased to it
     rng = subrng(cfg.seed, "videos")
     video_topic = rng.integers(0, cfg.n_topics, size=cfg.n_videos)
-    videos: dict[int, VideoRecord] = {}
+    tags_of = []
     tag_ids = np.arange(cfg.n_tags)
     for m in range(cfg.n_videos):
         w = tag_pop * np.where(tag_topic == video_topic[m], 1.0, OFF_TOPIC_TAG_WEIGHT)
         k = min(int(rng.integers(1, 6)), cfg.n_tags)
-        chosen = rng.choice(tag_ids, size=k, replace=False, p=w / w.sum())
-        videos[m] = VideoRecord(m, frozenset(int(t) for t in chosen))
+        tags_of.append(rng.choice(tag_ids, size=k, replace=False, p=w / w.sum()))
+    video_tags = np.column_stack((np.repeat(np.arange(cfg.n_videos), list(map(len, tags_of))), np.concatenate(tags_of)))
 
     # (4) friendships: probability rises with affinity cosine, same-city
     # pairs get a fixed odds boost; two passes keep mean degree on target
@@ -230,16 +229,14 @@ def generate(cfg: GenConfig) -> tuple[Corpus, LatentAssignment]:
         p = np.minimum(base_p * mult, 0.9)
         hit_rows, hit_cols = np.nonzero((rng.random(p.shape) < p) & upper)
         edge_parts.append((hit_rows + start, hit_cols))
-    # row-major hits over ascending blocks: the edges come out sorted
     ea, eb = (np.concatenate(part) for part in zip(*edge_parts))
-    friend_edges = set(int_tuples(ea, eb))
 
     # (5) groups: one topic each; members drawn by affinity to it
     rng = subrng(cfg.seed, "groups")
     group_topic_arr = np.arange(cfg.n_groups) % cfg.n_topics
     sg = cfg.group_topic
     group_weight = (1.0 - sg) + sg * affinity[:, group_topic_arr] * cfg.n_topics
-    memberships: set[tuple[int, int]] = set()
+    memberships: list[tuple[int, int]] = []
     group_ids = np.arange(cfg.n_groups)
     for u in range(n):
         k = min(int(rng.poisson(GROUPS_PER_USER)), cfg.n_groups)
@@ -247,7 +244,7 @@ def generate(cfg: GenConfig) -> tuple[Corpus, LatentAssignment]:
             continue
         w = group_weight[u]
         chosen = rng.choice(group_ids, size=k, replace=False, p=w / w.sum())
-        memberships.update(zip(repeat(u), chosen.tolist()))
+        memberships += [(u, g) for g in chosen.tolist()]
 
     # (6) daily message counts between friends, rate rises with cosine
     rng = subrng(cfg.seed, "messages")
@@ -259,11 +256,11 @@ def generate(cfg: GenConfig) -> tuple[Corpus, LatentAssignment]:
     extra = rng.poisson(MSG_COUNT_SCALE * 0.25 * mult[:, None], size=(len(ea), 30))
     counts = np.where(active_days, 1 + extra, 0)
     edge, day = np.nonzero(counts)
-    messages = message_dicts(ea[edge], eb[edge], day + DAY_MIN, counts[edge, day])
+    messages = np.column_stack((ea[edge], eb[edge], day + DAY_MIN, counts[edge, day]))
 
     views = _draw_views(cfg, priors, affinity, video_topic)
 
-    users = dict(zip(range(n), map(UserRecord, range(n), genders.tolist(), ages.tolist(), cities.tolist())))
-    corpus = Corpus(users, videos, views, friend_edges, memberships, messages)
+    users = np.column_stack((np.arange(n), genders == "F", ages, cities))
+    corpus = Corpus(users, video_tags, views, np.column_stack((ea, eb)), memberships, messages)
     latent = LatentAssignment(affinity, video_topic, tag_topic)
     return corpus, latent

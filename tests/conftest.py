@@ -4,6 +4,21 @@ from interestsim.corpus import Corpus, UserRecord, VideoRecord
 from interestsim.synthgen import GenConfig, generate
 
 
+def corpus_from_records(users, videos, views, friends, memberships, messages, report=None):
+    """The corpus of record-shaped relations: ``{id: UserRecord}``, ``{id: VideoRecord}``,
+    (user, video, day) views, friend and membership pairs and ``{(a, b): {day: count}}``
+    messages.  A video without tags has no row, so it is not in the corpus."""
+    return Corpus(
+        [(u, r.gender == "F", r.age, r.city) for u, r in users.items()],
+        [(m, tag) for m, r in videos.items() for tag in r.tags],
+        views,
+        friends,
+        memberships,
+        [(a, b, day, count) for (a, b), days in messages.items() for day, count in days.items()],
+        report=report,
+    )
+
+
 def make_corpus(
     users=None,
     videos=None,
@@ -27,14 +42,7 @@ def make_corpus(
             12: VideoRecord(12, frozenset({103})),
             13: VideoRecord(13, frozenset({100})),
         }
-    return Corpus(
-        users=users,
-        videos=videos,
-        views=set(views),
-        friend_edges=set(friends),
-        memberships=set(memberships),
-        messages=messages or {},
-    )
+    return corpus_from_records(users, videos, set(views), set(friends), set(memberships), messages or {})
 
 
 @pytest.fixture(scope="session")

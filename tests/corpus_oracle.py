@@ -23,6 +23,8 @@ from interestsim.corpus import (
     VideoRecord,
 )
 
+from conftest import corpus_from_records
+
 
 def _parse_int(value: str, file: str, line: int, what: str) -> int:
     try:
@@ -154,7 +156,7 @@ def load_corpus(directory: str | Path, age_bounds: tuple[int, int] = (10, 40)) -
         days = messages.setdefault(key, {})
         days[d] = days.get(d, 0) + cnt
 
-    return Corpus(users, videos, views, friends, memberships, messages, report=report)
+    return corpus_from_records(users, videos, views, friends, memberships, messages, report=report)
 
 
 def write_corpus(c: Corpus, directory: str | Path) -> None:

@@ -27,6 +27,8 @@ from interestsim.synthgen import (
     _topic_prior,
 )
 
+from conftest import corpus_from_records
+
 
 def generate(cfg: GenConfig) -> tuple[Corpus, LatentAssignment]:
     """Build a corpus and its latent ground truth, deterministically."""
@@ -191,6 +193,6 @@ def generate(cfg: GenConfig) -> tuple[Corpus, LatentAssignment]:
     users = {
         i: UserRecord(i, str(genders[i]), int(ages[i]), int(cities[i])) for i in range(n)
     }
-    corpus = Corpus(users, videos, views, friend_edges, memberships, messages)
+    corpus = corpus_from_records(users, videos, views, friend_edges, memberships, messages)
     latent = LatentAssignment(affinity, video_topic, tag_topic)
     return corpus, latent

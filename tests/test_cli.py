@@ -133,3 +133,32 @@ def test_study_rejects_fewer_than_one_bin(tmp_path, tiny_corpus, capsys, bins):
     assert main(argv) == 1
     assert "--bins" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("spelling", [["--config", "{}"], ["--config={}"], ["--conf", "{}"], ["--conf={}"]])
+def test_generate_reads_the_config_file_under_every_spelling(tmp_path, spelling):
+    cfg = tmp_path / "gen.cfg"
+    cfg.write_text("# a tiny corpus\nusers = 50\nvideos=30\n")
+    out = tmp_path / "corpus"
+    assert main(["generate", *(part.format(cfg) for part in spelling), "--out", str(out)]) == 0
+    assert len((out / "users.csv").read_text().splitlines()) == 1 + 50
+    # an explicit flag overrides the file
+    assert main(["generate", *(part.format(cfg) for part in spelling), "--users", "20", "--out", str(out)]) == 0
+    assert len((out / "users.csv").read_text().splitlines()) == 1 + 20
+
+
+@pytest.mark.parametrize("case", ["missing_file", "line_without_equals", "missing_path"])
+def test_config_errors_exit_2_naming_the_file_and_line(tmp_path, capsys, case):
+    cfg = tmp_path / "gen.cfg"
+    if case == "line_without_equals":
+        cfg.write_text("users=50\nvideos 30\n")
+    argv = ["generate", "--out", str(tmp_path / "corpus"), "--config"] + ([] if case == "missing_path" else [str(cfg)])
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    expected = {
+        "missing_file": f"error: [Errno 2] No such file or directory: '{cfg}'",
+        "line_without_equals": f"error: {cfg}:2: expected key=value, got 'videos 30'",
+        "missing_path": "error: argument --config: expected one argument",
+    }[case]
+    assert err.startswith(expected)
+    assert not (tmp_path / "corpus").exists()

@@ -13,7 +13,7 @@ from interestsim.corpus import (
 )
 from interestsim.synthgen import GenConfig, generate
 
-from conftest import make_corpus
+from conftest import corpus_from_records, make_corpus
 
 
 def write_csvs(tmp_path, users, videos, views, friends="", groups="", messages=""):
@@ -83,7 +83,7 @@ def test_dangling_references_listed_by_table_in_sorted_order():
 
 def test_message_pair_must_be_normalized():
     with pytest.raises(IntegrityError, match=r"^message pair \(2, 1\) not normalized a < b$"):
-        make_corpus(friends=[(1, 2)], messages={(2, 1): {}})
+        make_corpus(friends=[(1, 2)], messages={(2, 1): {-1: 1}})
 
 
 def test_message_between_non_friends_rejected():
@@ -165,8 +165,9 @@ def test_view_day_out_of_range_rejected():
 
 
 def test_empty_video_tags_rejected():
-    with pytest.raises(IntegrityError):
-        make_corpus(videos={10: VideoRecord(10, frozenset())})
+    # a video without tags has no row in the tag table, so the corpus has no such video
+    with pytest.raises(IntegrityError, match=r"views: unknown video 10$"):
+        make_corpus(videos={10: VideoRecord(10, frozenset())}, views=[(1, 10, 0)])
 
 
 def _scan_views(c, window):
@@ -252,9 +253,89 @@ def test_relation_arrays_match_raw_sets(small_corpus, which):
 
 def test_relation_arrays_are_read_only(small_corpus):
     c, _ = small_corpus
-    arrays = [c.ages, c.cities, c.is_f, c.degrees, c.group_ids, c.tag_ids]
+    arrays = [*c.tables, c.ages, c.cities, c.is_f, c.degrees, c.group_ids, c.tag_ids]
     for M in (c.friend_matrix, c.group_matrix, c.msg_count, c.msg_days, c.video_tags):
         arrays += [M.data, M.indices, M.indptr]
     for a in arrays:
         with pytest.raises(ValueError):
             a[0] = a[0]
+
+
+def _edited(c, name, edit):
+    """A corpus of ``c.tables``, table ``name`` replaced by what ``edit`` returns for a copy of it."""
+    tables = c.tables._asdict()
+    tables[name] = edit(tables[name].copy())
+    return Corpus(**tables)
+
+
+def _set(row, column, change):
+    def edit(table):
+        table[row, column] = change(table[row, column])
+        return table
+
+    return edit
+
+
+def _add_edge(c):
+    """One more friend edge, from the first user to a user who is not their friend yet
+    (every edge of the small corpus has messages, so none can move)."""
+    a = c.user_ids[0]
+    b = next(b for b in c.user_ids[1:] if (a, b) not in c.friend_edges)
+    return lambda friends: np.concatenate((friends, [[a, b]]))
+
+
+ONE_ROW_EDITS = {
+    "view_day": ("views", lambda c: _set(0, 2, lambda d: -30 if d != -30 else -29)),
+    "edge": ("friends", _add_edge),
+    "membership": ("memberships", lambda c: _set(0, 1, lambda g: g + 1000)),
+    "message_count": ("messages", lambda c: _set(0, 3, lambda n: n + 1)),
+    "gender": ("users", lambda c: _set(5, 1, lambda f: 1 - f)),
+    "age": ("users", lambda c: _set(5, 2, lambda age: age + 1)),
+    "city": ("users", lambda c: _set(5, 3, lambda city: city + 1)),
+    "video_tag": ("video_tags", lambda c: _set(3, 1, lambda tag: tag + 1000)),
+}
+
+
+@pytest.mark.parametrize("which", ONE_ROW_EDITS)
+def test_corpora_differing_in_one_row_compare_unequal(small_corpus, which):
+    c, _ = small_corpus
+    name, edit = ONE_ROW_EDITS[which]
+    assert _edited(c, name, lambda table: table) == c
+    changed = _edited(c, name, edit(c))
+    assert changed != c and c != changed
+    assert sum(not np.array_equal(a, b) for a, b in zip(changed.tables, c.tables)) == 1
+
+
+def test_corpus_from_its_record_views_is_equal(small_corpus):
+    c, _ = small_corpus
+    again = corpus_from_records(c.users, c.videos, c.views, c.friend_edges, c.memberships, c.messages)
+    assert again == c
+    assert (again.users, again.videos, again.views) == (c.users, c.videos, c.views)
+    assert (again.friend_edges, again.memberships, again.messages) == (c.friend_edges, c.memberships, c.messages)
+
+
+def test_shuffled_and_repeated_rows_compare_equal(small_corpus):
+    c, _ = small_corpus
+    rng = np.random.default_rng(0)
+    tables = {field: rng.permutation(table) for field, table in c.tables._asdict().items()}
+    tables["views"] = np.concatenate((tables["views"], c.tables.views[::7]))
+    assert Corpus(**tables) == c
+
+
+def test_split_message_rows_sum_to_the_merged_count(small_corpus):
+    c, _ = small_corpus
+    msgs = c.tables.messages
+    row = int(np.argmax(msgs[:, 3] >= 2))
+    a, b, day, count = msgs[row].tolist()
+    assert count >= 2
+    split = np.concatenate((msgs[:row], [[a, b, day, 1]], msgs[row:]))
+    split[row + 1, 3] = count - 1
+    merged = _edited(c, "messages", lambda table: split)
+    assert merged == c
+    assert merged.messages[(a, b)][day] == count
+
+
+def test_duplicate_user_id_rejected():
+    users = [(1, 0, 20, 0), (2, 1, 25, 0), (1, 1, 30, 1)]
+    with pytest.raises(IntegrityError, match=r"^duplicate user id 1$"):
+        Corpus(users, [(10, 100)], [], [], [], [])

@@ -12,7 +12,7 @@ from interestsim.pairfeat import (
 )
 from interestsim.synthgen import GenConfig, generate
 
-from conftest import make_corpus
+from conftest import corpus_from_records, make_corpus
 
 
 def test_strangers_all_zero_social_slice():
@@ -121,7 +121,7 @@ def test_batch_matches_reference(request, corpus_name, pairs, kind):
 
 def _without_day0(c: Corpus, user: int) -> Corpus:
     views = {(u, m, d) for (u, m, d) in c.views if not (u == user and d == 0)}
-    return Corpus(dict(c.users), dict(c.videos), views, set(c.friend_edges), set(c.memberships), {k: dict(v) for k, v in c.messages.items()})
+    return corpus_from_records(c.users, c.videos, views, c.friend_edges, c.memberships, c.messages)
 
 
 @pytest.mark.parametrize("kind", ["ptp", "rtp", "vbp"])
@@ -223,6 +223,16 @@ def test_read_samples_names_the_bad_line(tmp_path, feature_corpus):
     renamed.write_text("\n".join([header.replace("label_sim", "label"), *rows]) + "\n")
     with pytest.raises(FormatError, match=r"^renamed\.csv:1: expected header"):
         read_samples(renamed)
+    bad_target = tmp_path / "bad_target.csv"
+    bad_target.write_text("\n".join([header, rows[0], "x" + rows[1], *rows[2:]]) + "\n")
+    with pytest.raises(FormatError, match=r"^bad_target\.csv:3: target is not an integer: 'x"):
+        read_samples(bad_target)
+    bad_float = tmp_path / "bad_float.csv"
+    fields = rows[2].split(",")
+    fields[-1] = "abc"
+    bad_float.write_text("\n".join([header, *rows[:2], ",".join(fields), *rows[3:]]) + "\n")
+    with pytest.raises(FormatError, match=rf"^bad_float\.csv:4: {FEATURE_COLUMNS[-1]} is not a number: 'abc'$"):
+        read_samples(bad_float)
     empty = tmp_path / "empty.csv"
     empty.write_text(header + "\n")
     with pytest.raises(ValueError, match="no samples"):
