@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import hashlib
 import json
 import sys
@@ -94,8 +95,7 @@ def _read_config_tokens(path: str) -> list[str]:
         if "=" not in line:
             raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
         key, value = line.split("=", 1)
-        tokens.append(f"--{key.strip().replace('_', '-')}")
-        tokens.append(value.strip())
+        tokens.append(f"--{key.strip().replace('_', '-')}={value.strip()}")
     return tokens
 
 
@@ -497,15 +497,20 @@ def _selfsim_table(corpus: Corpus, seed: int, path: Path) -> None:
 # -- parser -------------------------------------------------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(strict: bool = True) -> argparse.ArgumentParser:
+    """The command line parser; ``strict=False`` requires no option and
+    raises ``argparse.ArgumentError`` instead of exiting, to find the
+    ``--config`` file that may supply options before the strict parse."""
     parser = argparse.ArgumentParser(
         prog="interestsim",
+        exit_on_error=strict,
         description="Tag-profile interest similarity: synthetic corpora, correlation studies, similarity models, cold-start recommendation.",
     )
     parser.add_argument("--version", action="version", version=f"interestsim {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=strict)
+    add_parser = functools.partial(sub.add_parser, exit_on_error=strict)
 
-    p = sub.add_parser("generate", help="generate a seeded synthetic corpus")
+    p = add_parser("generate", help="generate a seeded synthetic corpus")
     p.add_argument("--config", help="key=value config file; flags override")
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--users", type=int, default=1000)
@@ -522,99 +527,98 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--view-rate", type=float, default=4.0)
     p.add_argument("--inactive-fraction", type=float, default=0.1)
     p.add_argument("--drift", type=float, default=0.05)
-    p.add_argument("--out", required=True)
+    p.add_argument("--out", required=strict)
     p.set_defaults(func=cmd_generate)
 
-    p = sub.add_parser("profile", help="write per-user profiles as JSONL")
-    p.add_argument("--corpus", required=True)
+    p = add_parser("profile", help="write per-user profiles as JSONL")
+    p.add_argument("--corpus", required=strict)
     p.add_argument("--kind", choices=KINDS, default="ptp")
     p.add_argument("--window", type=_parse_window, default=(0, 0), help="day window, e.g. -7:-1")
-    p.add_argument("--out", required=True)
+    p.add_argument("--out", required=strict)
     p.set_defaults(func=cmd_profile)
 
-    p = sub.add_parser("featurize", help="sample training pairs and write features")
-    p.add_argument("--corpus", required=True)
+    p = add_parser("featurize", help="sample training pairs and write features")
+    p.add_argument("--corpus", required=strict)
     p.add_argument("--kind", choices=KINDS, default="ptp")
     p.add_argument("--pairs", type=int, default=100_000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--threads", type=int, default=1)
-    p.add_argument("--out", required=True)
+    p.add_argument("--out", required=strict)
     p.set_defaults(func=cmd_featurize)
 
-    p = sub.add_parser("train", help="fit a similarity model on sample CSV")
-    p.add_argument("--model", choices=mlcore.MODEL_KINDS, required=True)
-    p.add_argument("--task", choices=("clf", "reg"), required=True)
-    p.add_argument("--in", dest="infile", required=True)
+    p = add_parser("train", help="fit a similarity model on sample CSV")
+    p.add_argument("--model", choices=mlcore.MODEL_KINDS, required=strict)
+    p.add_argument("--task", choices=("clf", "reg"), required=strict)
+    p.add_argument("--in", dest="infile", required=strict)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--folds", type=int, default=10)
-    p.add_argument("--out", required=True)
+    p.add_argument("--out", required=strict)
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("evaluate", help="score a trained model on held-out samples")
-    p.add_argument("--model", required=True)
-    p.add_argument("--test", required=True)
-    p.add_argument("--task", choices=("clf", "reg"), required=True)
-    p.add_argument("--report", required=True)
+    p = add_parser("evaluate", help="score a trained model on held-out samples")
+    p.add_argument("--model", required=strict)
+    p.add_argument("--test", required=strict)
+    p.add_argument("--task", choices=("clf", "reg"), required=strict)
+    p.add_argument("--report", required=strict)
     p.set_defaults(func=cmd_evaluate)
 
-    p = sub.add_parser("study", help="bucketed similarity table for one feature")
-    p.add_argument("--corpus", required=True)
+    p = add_parser("study", help="bucketed similarity table for one feature")
+    p.add_argument("--corpus", required=strict)
     p.add_argument("--kind", choices=("ptp", "rtp", "vbp"), default="ptp")
-    p.add_argument("--key", choices=evalkit.BUCKET_KEYS, required=True)
+    p.add_argument("--key", choices=evalkit.BUCKET_KEYS, required=strict)
     p.add_argument("--pairs", type=int, default=20_000)
     p.add_argument("--bins", type=int, default=10)
     p.add_argument("--among", choices=("auto", "random", "friends"), default="auto",
                    help="pair population; msg keys default to friend pairs")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", required=True)
+    p.add_argument("--out", required=strict)
     p.set_defaults(func=cmd_study)
 
-    p = sub.add_parser("recommend", help="cold-start top-N experiment for one strategy")
-    p.add_argument("--corpus", required=True)
-    p.add_argument("--strategy", choices=STRATEGY_NAMES, required=True)
+    p = add_parser("recommend", help="cold-start top-N experiment for one strategy")
+    p.add_argument("--corpus", required=strict)
+    p.add_argument("--strategy", choices=STRATEGY_NAMES, required=strict)
     p.add_argument("--model", help="model.json for predicted-* strategies")
     p.add_argument("--K", type=_parse_int_list, default=(15,))
     p.add_argument("--N", type=_parse_int_list, default=tuple(range(10, 101, 10)))
     p.add_argument("--targets", type=int, default=2000)
     p.add_argument("--candidates", type=int, default=5000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--report", required=True)
+    p.add_argument("--report", required=strict)
     p.set_defaults(func=cmd_recommend)
 
-    p = sub.add_parser("pipeline", help="end-to-end run over a preset")
+    p = add_parser("pipeline", help="end-to-end run over a preset")
     p.add_argument("--preset", choices=sorted(PRESETS), default="paper-desk")
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--threads", type=int, default=1)
-    p.add_argument("--out", required=True)
+    p.add_argument("--out", required=strict)
     p.set_defaults(func=cmd_pipeline)
     return parser
 
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    # expand a --config file into leading flags so explicit flags override; a
-    # parser of that option alone finds it under every spelling argparse accepts
-    finder = argparse.ArgumentParser(add_help=False, exit_on_error=False)
-    finder.add_argument("--config")
-    try:
-        path = finder.parse_known_args(argv)[0].config
-        argv = argv if path is None else argv[:1] + _read_config_tokens(path) + argv[1:]
-    except (argparse.ArgumentError, OSError, ValueError) as err:  # OSError texts name the file
-        print(f"error: {err}", file=sys.stderr)
-        return 2
     # argparse rejects option values with a leading dash ("-7:-1"); fuse them
     fused: list[str] = []
-    skip = False
-    for i, tok in enumerate(argv):
-        if skip:
-            skip = False
-            continue
-        if tok == "--window" and i + 1 < len(argv):
-            fused.append(f"--window={argv[i + 1]}")
-            skip = True
+    for tok in argv:
+        if fused and fused[-1] == "--window":
+            fused[-1] = f"--window={tok}"
         else:
             fused.append(tok)
     argv = fused
+    # expand a --config file into leading flags so explicit flags override;
+    # the subcommand's own parser decides which option is --config, so a
+    # prefix it finds ambiguous stays an error
+    try:
+        path = getattr(build_parser(strict=False).parse_known_args(argv)[0], "config", None)
+        argv = argv if path is None else argv[:1] + _read_config_tokens(path) + argv[1:]
+    except argparse.ArgumentError as err:
+        if err.argument_name == "--config":
+            print(f"error: {err}", file=sys.stderr)
+            return 2
+        # any other parse error: the strict parse below reports it
+    except (OSError, ValueError) as err:  # OSError texts name the file
+        print(f"error: {err}", file=sys.stderr)
+        return 2
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -18,7 +18,6 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -179,6 +178,14 @@ class ProfileIndex:
     ``W`` equals ``counts``, except that ``rtp`` damps each tag by
     ``log2(n_active / item_user_counts)`` and drops exact zeros.  Both are
     canonical CSR.
+
+    ``W_normalized`` scales each row of ``W`` to unit norm and keeps W's
+    sorted column indices, so it is canonical CSR too (``sp.diags(inv) @ W``
+    gives the same entries, but stores each row in descending column
+    order).  ``row_products`` on canonical rows takes scipy's sorted merge,
+    which emits each row's products in ascending column order, as the
+    general path does for the old layout: the same products are summed in
+    the same order, and every similarity is bit-identical.
     """
 
     def __init__(self, corpus: Corpus, window: Window, kind: str):
@@ -219,12 +226,8 @@ class ProfileIndex:
         inv = np.zeros_like(norms)
         nz = norms > 0
         inv[nz] = 1.0 / norms[nz]
-        self.W_normalized = sp.diags(inv) @ self.W
-
-    @cached_property
-    def by_item(self) -> sp.csr_matrix:
-        """``counts`` transposed: item-by-user CSR (each video's viewers for ``vbp``)."""
-        return self.counts.T.tocsr()
+        scaled = W.data * np.repeat(inv, np.diff(W.indptr))
+        self.W_normalized = sp.csr_matrix((scaled, W.indices, W.indptr), shape=W.shape)
 
     def similarity_pairs(self, users_a, users_b) -> np.ndarray:
         """Pairwise similarity for aligned id arrays (vectorized)."""

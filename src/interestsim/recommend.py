@@ -15,6 +15,15 @@ The friend, random and popular strategies select per target and K.  The
 budget bounds memory: on the benchmark's 100 x 200 grid, one block per
 strategy (21k pairs) lifted the peak RSS from 254-268 to 278-283 MiB for
 a 6% shorter grid.
+
+Each (strategy, K) is evaluated in arrays, for all targets and every N at
+once: the product of the targets' neighbor counts with the day-0 ``vbp``
+counts gives a (targets x videos) matrix of view counts, one stable sort
+per row ranks each target's videos, and cumulative hit counts and
+per-video list counts give precision, recall, F and Diversification.  All
+counts are exact integers until those final formulas.  ``recommend_topn``,
+``accuracy_report`` and ``diversification`` are single-list views of the
+same helpers.
 """
 
 from __future__ import annotations
@@ -23,6 +32,7 @@ import csv
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from ._util import subrng
 from .corpus import Corpus, active_users
@@ -106,9 +116,9 @@ _SCORED = (PredictedSim, OracleSim, PastLongTerm, DemographicSim)
 _BLOCK_PAIRS = 2048
 
 
-def _top_k(scores: np.ndarray, ids: np.ndarray, k: int) -> list[int]:
-    order = np.lexsort((ids, -scores))
-    return [int(u) for u in ids[order[:k]]]
+def _rank(scores: np.ndarray, ids: np.ndarray) -> np.ndarray:
+    """``ids`` by descending score, ties to the lower id."""
+    return ids[np.lexsort((ids, -scores))]
 
 
 def _pair_scores(c: Corpus, targets, candidates: np.ndarray, strategy) -> np.ndarray:
@@ -161,55 +171,77 @@ def select_neighbors(
         D, t = c.msg_days, c.rows_for([target])[0]
         days = np.zeros(len(c.user_ids))
         days[D.indices[D.indptr[t] : D.indptr[t + 1]]] = D.data[D.indptr[t] : D.indptr[t + 1]]
-        return _top_k(days[c.rows_for(friends)], friends, k)
-    scores = _pair_scores(c, target, candidates, strategy)
-    return _top_k(scores, candidates, k)
+        return _rank(days[c.rows_for(friends)], friends)[:k].tolist()
+    return _rank(_pair_scores(c, target, candidates, strategy), candidates)[:k].tolist()
+
+
+def _top_videos(c: Corpus, neighbor_lists, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each neighbor list's top-N videos by day-0 view count among its
+    neighbors (a neighbor listed twice counts twice), ties by ascending
+    video id: one row of day-0 ``vbp`` columns per list, and each row's
+    length, the count of its viewed videos (the unviewed ones follow)."""
+    day0 = c.profile_index(DAY0, "vbp")
+    sizes = [len(l) for l in neighbor_lists]
+    neighbors = c.rows_for(np.concatenate([np.asarray(l, dtype=np.int64) for l in neighbor_lists]))
+    picks = sp.csr_matrix(
+        (np.ones(len(neighbors)), (np.repeat(np.arange(len(sizes)), sizes), neighbors)),
+        shape=(len(sizes), len(c.user_ids)),
+    )
+    counts = (picks @ day0.counts).toarray()  # integer-valued view counts
+    top = np.argsort(-counts, axis=1, kind="stable")[:, :n]
+    return top, np.minimum(np.count_nonzero(counts, axis=1), n)
 
 
 def recommend_topn(c: Corpus, neighbors, n: int) -> list[int]:
     """Videos ranked by day-0 view count among the neighbors (a neighbor
     listed twice counts twice), ties by ascending video id, truncated at N."""
-    day0 = c.profile_index(DAY0, "vbp")
-    times = np.bincount(c.rows_for(neighbors), minlength=len(c.user_ids))
-    counts = day0.by_item @ times  # the sum of the neighbors' rows of the binary user-by-video matrix
-    viewed = np.flatnonzero(counts)
-    return day0.item_ids[viewed[np.argsort(-counts[viewed], kind="stable")[:n]]].tolist()
+    top, length = _top_videos(c, [neighbors], n)
+    return c.profile_index(DAY0, "vbp").item_ids[top[0, : length[0]]].tolist()
 
 
-def accuracy_report(lists: dict[int, list[int]], truth: dict[int, frozenset[int]]) -> tuple[float, float, float]:
-    """Micro-averaged precision, recall and F-measure over all targets."""
-    if not any(lists.get(t) and truth.get(t) for t in lists):
+def _accuracy(hits, lengths, truth_sizes) -> tuple[float, float, float]:
+    """Micro-averaged precision, recall and F-measure from each target's
+    hit count, list length and truth size."""
+    if not np.any((np.asarray(lengths) > 0) & (np.asarray(truth_sizes) > 0)):
         raise ValueError("need at least one target with a non-empty list and truth")
-    hit = sum(len(set(lists[t]) & truth.get(t, frozenset())) for t in lists)
-    total_rec = sum(len(lists[t]) for t in lists)
-    total_truth = sum(len(truth.get(t, frozenset())) for t in lists)
+    hit, total_rec, total_truth = (int(np.sum(a)) for a in (hits, lengths, truth_sizes))
     precision = hit / total_rec if total_rec else 0.0
     recall = hit / total_truth if total_truth else 0.0
     f = 2 * precision * recall / (precision + recall) if precision + recall > 0 else 0.0
     return precision, recall, f
 
 
+def accuracy_report(lists: dict[int, list[int]], truth: dict[int, frozenset[int]]) -> tuple[float, float, float]:
+    """Micro-averaged precision, recall and F-measure over all targets."""
+    sets = [truth.get(t, frozenset()) for t in lists]
+    return _accuracy(
+        [len(set(lists[t]) & s) for t, s in zip(lists, sets)], [len(lists[t]) for t in lists], [len(s) for s in sets]
+    )
+
+
 def f_measure(lists: dict[int, list[int]], truth: dict[int, frozenset[int]]) -> float:
     return accuracy_report(lists, truth)[2]
 
 
-def diversification(lists, n: int) -> float:
-    """1 - average pairwise list overlap, overlap normalized by N."""
-    lists = [list(l) for l in lists]
-    t = len(lists)
+def _diversification(holders: np.ndarray, t: int, n: int) -> float:
+    """1 - average pairwise overlap of ``t`` lists, overlap normalized by N,
+    from the number of lists that hold each item."""
     if t < 2:
         raise ValueError("diversification needs at least two targets")
     if n < 1:
         raise ValueError("N must be >= 1")
-    items = np.concatenate(lists).astype(np.int64)
-    owner = np.repeat(np.arange(t), [len(l) for l in lists])
-    values, item, counts = np.unique(items, return_inverse=True, return_counts=True)
-    # a list repeats an item where two entries share both list and item
-    keys = np.sort(owner * len(values) + item)
-    if np.any(keys[1:] == keys[:-1]):
-        raise ValueError("recommendation lists must not contain duplicates")
-    overlap_sum = int(np.sum(counts * (counts - 1) // 2))
+    overlap_sum = int(np.sum(holders * (holders - 1) // 2))
     return 1.0 - (2.0 * overlap_sum / n) / (t * (t - 1))
+
+
+def diversification(lists, n: int) -> float:
+    """1 - average pairwise list overlap, overlap normalized by N."""
+    lists = [np.asarray(l, dtype=np.int64) for l in lists]
+    items = np.concatenate([np.zeros(0, np.int64), *lists])
+    value = _diversification(np.unique(items, return_counts=True)[1], len(lists), n)  # checks the list count and N first
+    if sum(len(np.unique(l)) for l in lists) < len(items):
+        raise ValueError("recommendation lists must not contain duplicates")
+    return value
 
 
 def sample_experiment_users(c: Corpus, cfg: ExperimentConfig) -> tuple[list[int], dict[int, np.ndarray]]:
@@ -251,17 +283,19 @@ def _target_blocks(targets: list[int], candidates: dict[int, np.ndarray]):
         yield block
 
 
-def _scored_neighbors(c: Corpus, targets, candidates, strategy, k_values) -> dict[int, dict[int, list[int]]]:
+def _scored_neighbors(c: Corpus, targets, candidates, strategy, k_values) -> dict[int, dict[int, np.ndarray]]:
     """The top-K candidates of each target for each K (``[k][target]``)
-    under a scoring strategy, each target's candidates scored once."""
-    neighbors: dict[int, dict[int, list[int]]] = {k: {} for k in k_values}
+    under a scoring strategy, each target's candidates scored and ranked
+    once and every K a prefix of that ranking."""
+    neighbors: dict[int, dict[int, np.ndarray]] = {k: {} for k in k_values}
     for block in _target_blocks(targets, candidates):
         sizes = [len(candidates[t]) for t in block]
         pair_targets = np.repeat(np.asarray(block, dtype=np.int64), sizes)
         scores = _pair_scores(c, pair_targets, np.concatenate([candidates[t] for t in block]), strategy)
         for t, s in zip(block, np.split(scores, np.cumsum(sizes)[:-1])):
+            ranked = _rank(s, candidates[t])
             for k in k_values:
-                neighbors[k][t] = _top_k(s, candidates[t], k)
+                neighbors[k][t] = ranked[:k]
     return neighbors
 
 
@@ -272,11 +306,14 @@ def run_experiment(c: Corpus, cfg: ExperimentConfig, strategies) -> list[dict]:
     candidates once, in blocks of whole targets, and every K is cut from
     that one ranking; the friend, random and popular strategies select per
     K and target, the random one drawing in target order from one
-    generator per K.  Rows run strategy by strategy, K within strategy and
-    N within K.  A second run on the corpus reuses its profile indexes."""
+    generator per K.  Each (strategy, K) is then evaluated for all targets
+    and every N at once, from one top-``max(N)`` ranking per target.  Rows
+    run strategy by strategy, K within strategy and N within K.  A second
+    run on the corpus reuses its profile indexes."""
     cfg.validate()
     targets, candidates = sample_experiment_users(c, cfg)
-    truth = {t: c.view_set(t, (0, 0)) for t in targets}
+    truth = c.profile_index(DAY0, "vbp").counts[c.rows_for(targets)].toarray() > 0
+    truth_sizes = truth.sum(axis=1)
     max_n = max(cfg.n_values)
     rows = []
     for strategy in strategies:
@@ -284,29 +321,22 @@ def run_experiment(c: Corpus, cfg: ExperimentConfig, strategies) -> list[dict]:
         if isinstance(strategy, _SCORED):
             scored = _scored_neighbors(c, targets, candidates, strategy, cfg.k_values)
         for k in cfg.k_values:
-            rng = subrng(cfg.seed, f"recommend.randomk.{k}")
-            ranked_videos: dict[int, list[int]] = {}
-            for t in targets:
-                if scored is None:
-                    neighbors = select_neighbors(c, t, candidates[t], strategy, k, rng=rng)
-                else:
-                    neighbors = scored[k][t]
-                ranked_videos[t] = recommend_topn(c, neighbors, max_n)
+            if scored is None:
+                rng = subrng(cfg.seed, f"recommend.randomk.{k}")
+                lists = [select_neighbors(c, t, candidates[t], strategy, k, rng=rng) for t in targets]
+            else:
+                lists = [scored[k][t] for t in targets]
+            top, lengths = _top_videos(c, lists, max_n)
+            listed = np.arange(top.shape[1]) < lengths[:, np.newaxis]
+            # hits[:, j]: each target's hits among its first j videos
+            hits = np.zeros((len(targets), top.shape[1] + 1), dtype=np.int64)
+            hits[:, 1:] = np.cumsum(np.take_along_axis(truth, top, axis=1) & listed, axis=1)
             for n in cfg.n_values:
-                lists = {t: ranked_videos[t][:n] for t in targets}
-                precision, recall, f = accuracy_report(lists, truth)
-                div = diversification(list(lists.values()), n)
-                rows.append(
-                    {
-                        "strategy": strategy.name(),
-                        "K": k,
-                        "N": n,
-                        "precision": precision,
-                        "recall": recall,
-                        "f_measure": f,
-                        "diversification": div,
-                    }
-                )
+                j = min(n, top.shape[1])
+                precision, recall, f = _accuracy(hits[:, j], np.minimum(lengths, n), truth_sizes)
+                div = _diversification(np.bincount(top[:, :j][listed[:, :j]]), len(targets), n)
+                rows.append(dict(strategy=strategy.name(), K=k, N=n, precision=precision, recall=recall,
+                                 f_measure=f, diversification=div))
     return rows
 
 

@@ -1,7 +1,8 @@
 """The per-(strategy, K, target) experiment loop that
-``recommend.run_experiment`` replaced, with the neighbor selection and the
-``Counter`` diversification it called, kept as the reference they are
-tested against."""
+``recommend.run_experiment`` replaced, with the neighbor selection, the
+per-list top-N counting, the per-list accuracy and the ``Counter``
+diversification it called, kept as the reference they are tested
+against."""
 
 from collections import Counter
 
@@ -13,11 +14,14 @@ from interestsim.recommend import (
     GlobalPopularity,
     RandomK,
     _pair_scores,
-    _top_k,
-    accuracy_report,
-    recommend_topn,
     sample_experiment_users,
 )
+from topn_oracle import recommend_topn
+
+
+def _top_k(scores: np.ndarray, ids: np.ndarray, k: int) -> list[int]:
+    order = np.lexsort((ids, -scores))
+    return [int(u) for u in ids[order[:k]]]
 
 
 def select_neighbors(c, target, candidates, strategy, k, rng=None) -> list[int]:
@@ -43,6 +47,19 @@ def select_neighbors(c, target, candidates, strategy, k, rng=None) -> list[int]:
         return _top_k(days[c.rows_for(friends)], friends, k)
     scores = _pair_scores(c, target, candidates, strategy)
     return _top_k(scores, candidates, k)
+
+
+def accuracy_report(lists, truth) -> tuple[float, float, float]:
+    """Micro-averaged precision, recall and F-measure over all targets."""
+    if not any(lists.get(t) and truth.get(t) for t in lists):
+        raise ValueError("need at least one target with a non-empty list and truth")
+    hit = sum(len(set(lists[t]) & truth.get(t, frozenset())) for t in lists)
+    total_rec = sum(len(lists[t]) for t in lists)
+    total_truth = sum(len(truth.get(t, frozenset())) for t in lists)
+    precision = hit / total_rec if total_rec else 0.0
+    recall = hit / total_truth if total_truth else 0.0
+    f = 2 * precision * recall / (precision + recall) if precision + recall > 0 else 0.0
+    return precision, recall, f
 
 
 def diversification(lists, n: int) -> float:

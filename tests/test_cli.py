@@ -147,6 +147,24 @@ def test_generate_reads_the_config_file_under_every_spelling(tmp_path, spelling)
     assert len((out / "users.csv").read_text().splitlines()) == 1 + 20
 
 
+def test_a_config_prefix_the_subcommand_finds_ambiguous_exits_2(tmp_path, capsys):
+    """``--c`` could be ``--cities`` or ``--config``: argparse's error, not a read of file '5'."""
+    with pytest.raises(SystemExit) as exit_info:
+        main(["generate", "--c", "5", "--out", str(tmp_path / "corpus")])
+    assert exit_info.value.code == 2
+    assert "error: ambiguous option: --c could match --config, --cities" in capsys.readouterr().err
+    assert not (tmp_path / "corpus").exists()
+
+
+def test_a_config_file_may_supply_required_options(tmp_path):
+    cfg = tmp_path / "gen.cfg"
+    cfg.write_text(f"users = 30\nvideos = 20\nout = {tmp_path / 'from_file'}\n")
+    assert main(["generate", "--conf", str(cfg)]) == 0
+    assert len((tmp_path / "from_file" / "users.csv").read_text().splitlines()) == 1 + 30
+    assert main(["generate", "--conf", str(cfg), "--users", "12", "--out", str(tmp_path / "flags")]) == 0
+    assert len((tmp_path / "flags" / "users.csv").read_text().splitlines()) == 1 + 12
+
+
 @pytest.mark.parametrize("case", ["missing_file", "line_without_equals", "missing_path"])
 def test_config_errors_exit_2_naming_the_file_and_line(tmp_path, capsys, case):
     cfg = tmp_path / "gen.cfg"

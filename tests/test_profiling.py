@@ -2,10 +2,11 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from interestsim import evalkit
 from interestsim.corpus import UserRecord, VideoRecord
-from interestsim.pairfeat import build_training_set
+from interestsim.pairfeat import PAST_WINDOW, PairFeaturizer, build_training_set
 from interestsim.profiling import (
     KINDS,
     TAG_KINDS,
@@ -13,6 +14,7 @@ from interestsim.profiling import (
     build_ptp,
     build_rtp,
     individuality,
+    row_products,
     self_similarity,
     self_similarity_series,
     tag_similarity,
@@ -284,7 +286,47 @@ def test_corpus_profile_index_is_built_once_and_read_only(small_corpus, window, 
         assert got.dtype == want.dtype and np.array_equal(got, want)
         with pytest.raises(ValueError, match="read-only"):
             got[...] = 0
-    assert (idx.by_item != fresh.counts.T).nnz == 0
+
+
+def _diagonal_normalized(idx):
+    """``W`` scaled to unit rows by a diagonal product, which stores each
+    row in descending column order."""
+    inv = np.zeros_like(idx.row_norms)
+    nz = idx.row_norms > 0
+    inv[nz] = 1.0 / idx.row_norms[nz]
+    return sp.diags(inv) @ idx.W
+
+
+def test_normalized_rows_are_canonical_and_read_as_the_diagonal_product():
+    """``W_normalized`` is canonical, holds the entries of the diagonal
+    product, and every similarity read from it is bit-identical to row
+    products on that product, for every kind and window."""
+    c, _ = generate(GenConfig(seed=5, n_users=200, n_videos=100, n_tags=40, n_topics=6, n_cities=4, n_groups=8))
+    lags = [0, 1, 7, 30]
+    reference = {}
+    for window in [PAST_WINDOW] + [(-lag, -lag) for lag in lags]:
+        for kind in KINDS:
+            got = c.profile_index(window, kind).W_normalized
+            want = reference[window, kind] = _diagonal_normalized(c.profile_index(window, kind))
+            assert got.has_canonical_format and (got != want).nnz == 0
+            want = want.copy()
+            want.sort_indices()
+            for a, b in ((got.data, want.data), (got.indices, want.indices), (got.indptr, want.indptr)):
+                assert np.array_equal(a, b)
+    a, b = np.random.default_rng(0).choice(np.asarray(c.user_ids), size=(2, 5000))
+    ra, rb = c.rows_for(a), c.rows_for(b)
+    for (window, kind), W in reference.items():
+        assert np.array_equal(c.profile_index(window, kind).similarity_pairs(a, b), row_products(W[ra], W[rb]))
+    for kind in KINDS:
+        W = reference[PAST_WINDOW, kind]
+        assert np.array_equal(PairFeaturizer(c, kind).past_similarity(ra, rb)[0], row_products(W[ra], W[rb]))
+    rows = c.rows_for(c.user_ids)
+    for kind in TAG_KINDS:
+        got = self_similarity(c, c.user_ids, kind, lags)
+        for j, lag in enumerate(lags):
+            ok = ~np.isnan(got[:, j])
+            current, past = reference[(0, 0), kind], reference[(-lag, -lag), kind]
+            assert ok.any() and np.array_equal(got[ok, j], row_products(current[rows[ok]], past[rows[ok]]))
 
 
 def test_corpus_profile_index_rejects_bad_arguments_and_caches_nothing():

@@ -1,12 +1,13 @@
 """Experiment-grid validation, the demographic scores against a
-per-candidate loop over the user records, and the blocked grid against the
-per-(strategy, K, target) loop it replaced."""
+per-candidate loop over the user records, and the array grid (its rows and
+its errors) against the per-(strategy, K, target) loop it replaced."""
 
 import numpy as np
 import pytest
 
 import grid_oracle
 from interestsim import evalkit, recommend
+from interestsim.corpus import Corpus
 from interestsim.mlcore import HybridModel
 from interestsim.pairfeat import build_training_set
 from interestsim.recommend import (
@@ -119,3 +120,63 @@ def test_diversification_matches_counter_oracle():
         for div in (diversification, grid_oracle.diversification):
             with pytest.raises(ValueError, match=message):
                 div(lists, n)
+
+
+def _sparse_corpus(friends: bool) -> Corpus:
+    """40 users who each view one to three of 60 videos on day 0 and on two
+    earlier days; friendships, if any, join only users 1-15."""
+    rng = np.random.default_rng(5)
+    videos = np.arange(100, 160)
+    views = {
+        (u, int(m), day)
+        for u in range(1, 41)
+        for day in (0, -1, -3)
+        for m in rng.choice(videos, size=int(rng.integers(1, 4)), replace=False)
+    }
+    pairs = sorted((a, b) for a in range(1, 16) for b in range(a + 1, 16) if friends and rng.random() < 0.2)
+    return Corpus(
+        [(u, u % 2, 20 + u % 30, u % 4) for u in range(1, 41)],
+        [(int(m), 1 + int(m) % 7) for m in videos],
+        sorted(views),
+        pairs,
+        [],
+        [(a, b, -2, 1 + i % 3) for i, (a, b) in enumerate(pairs)],
+    )
+
+
+SPARSE_STRATEGIES = [FriendFilter(), OracleSim("ptp"), PastLongTerm(), DemographicSim(), RandomK(), GlobalPopularity()]
+
+
+def test_grid_of_short_and_empty_lists_matches_per_target_loop():
+    """Neighbors who viewed fewer videos than max(N), an N beyond every
+    list, and friendless targets whose friend lists are empty."""
+    c = _sparse_corpus(friends=True)
+    cfg = ExperimentConfig(n_targets=30, n_candidates=4, k_values=(1, 3), n_values=(1, 5, 500), seed=2)
+    targets, _ = recommend.sample_experiment_users(c, cfg)
+    assert any(not c.friends(t) for t in targets) and any(c.friends(t) for t in targets)
+    assert max(len(recommend.recommend_topn(c, [u], 500)) for u in c.user_ids) < 5 < 60 < 500
+    rows = run_experiment(c, cfg, SPARSE_STRATEGIES)
+    assert len(rows) == len(SPARSE_STRATEGIES) * 2 * 3
+    assert rows == grid_oracle.run_experiment(c, cfg, SPARSE_STRATEGIES)
+
+
+def _value_error(run, *args) -> str:
+    with pytest.raises(ValueError) as info:
+        run(*args)
+    return str(info.value)
+
+
+@pytest.mark.parametrize(
+    "strategy, friends, n_targets",
+    [(s, True, 1) for s in SPARSE_STRATEGIES] + [(FriendFilter(), False, 10)],
+    ids=lambda v: v.name() if hasattr(v, "name") else str(v),
+)
+def test_grid_rejects_what_the_per_target_loop_rejects(strategy, friends, n_targets):
+    """One target, or no target with both a non-empty list and truth (every
+    friend list empty without friendships), raises the same error."""
+    c = _sparse_corpus(friends)
+    cfg = ExperimentConfig(n_targets=n_targets, n_candidates=4, k_values=(2,), n_values=(3, 50), seed=4)
+    message = _value_error(run_experiment, c, cfg, [strategy])
+    assert message == _value_error(grid_oracle.run_experiment, c, cfg, [strategy])
+    if n_targets > 1:
+        assert message == "need at least one target with a non-empty list and truth"
