@@ -5,6 +5,10 @@ and categorical columns are one-hot encoded over their most frequent
 levels.  The penalized objective is (1/n)-scaled loss + lambda * ||w||_1
 with an unpenalized intercept; the logistic case wraps the same
 coordinate sweep in an iteratively reweighted quadratic approximation.
+Every fit is part of a lambda path (``_fit_path``), which encodes and
+standardizes its design once and fits each lambda in turn from the
+previous one's coefficients: ``fit_linear`` is a path of one lambda and
+``fit_linear_cv`` runs one path per fold.
 
 The sweeps alternate between full sweeps, a Python loop over every column
 that keeps the residual current at O(n) per coordinate step, and sweeps
@@ -312,6 +316,61 @@ def _cd_sweeps(Z, y, w, b, lam, omega, max_sweeps, tol):
     return b, sweeps, False, delta_max
 
 
+def _standardize(data: DesignMatrix, max_levels: int):
+    """(encoder, mu, sigma, Z): the encoded design, each column scaled to
+    mean 0 and standard deviation 1 (constant ones only centred), in C order."""
+    encoder = fit_encoder(data.X, data.categorical, max_levels)
+    Z = encoder.transform(data.X)
+    mu = Z.mean(axis=0)
+    sigma = Z.std(axis=0)
+    sigma = np.where(sigma > 0, sigma, 1.0)
+    return encoder, mu, sigma, (Z - mu) / sigma
+
+
+def _fit_path(data: DesignMatrix, link: str, lambdas, max_iter: int, tol: float, max_levels: int):
+    """Fit each lambda in the order given on one standardized design, from
+    the previous lambda's w and b (the first from zero).  Returns one
+    (model, the last sweep's largest change) per lambda; a model whose
+    sweep budget ran out has ``converged`` False."""
+    if link not in ("identity", "logistic"):
+        raise ValueError(f"link must be 'identity' or 'logistic', got {link!r}")
+    if any(lam < 0 for lam in lambdas):
+        raise ValueError("l1_lambda must be >= 0")
+    y = data.y
+    if link == "logistic" and not np.all(np.isin(np.unique(y), (0.0, 1.0))):
+        raise ValueError("logistic link requires binary 0/1 targets")
+    encoder, mu, sigma, Z = _standardize(data, max_levels)
+    Z = np.asfortranarray(Z)
+    names = encoder.names(data.names if data.names else tuple(f"x{j}" for j in range(data.n_cols)))
+    w = np.zeros(Z.shape[1])
+    b = 0.0
+    path = []
+    for lam in lambdas:
+        if link == "identity":
+            b, used, converged, last_delta = _cd_sweeps(Z, y, w, b, lam, None, max_iter, tol)
+        else:
+            used, converged = 0, False
+            last_delta = float("nan")  # stays nan if no sweep runs
+            while not converged and used < max_iter:
+                z = Z @ w + b
+                p = sigmoid(z)
+                omega = np.maximum(p * (1.0 - p), 1e-6)
+                w_before, b_before = w.copy(), b
+                b, sweeps, _, last_delta = _cd_sweeps(
+                    Z, z + (y - p) / omega, w, b, lam, omega, min(max_iter - used, 100), tol
+                )
+                used += sweeps
+                delta = max(float(np.max(np.abs(w - w_before))) if len(w) else 0.0, abs(b - b_before))
+                converged = delta < tol
+        model = LinearModel(
+            link=link, l1_lambda=lam, weights=w.copy(), intercept=float(b), mu=mu, sigma=sigma,
+            encoder=encoder, feature_names=names, n_raw_features=data.n_cols,
+            converged=bool(converged), n_sweeps=used,
+        )
+        path.append((model, last_delta))
+    return path
+
+
 def fit_linear(
     data: DesignMatrix,
     link: str = "identity",
@@ -319,77 +378,14 @@ def fit_linear(
     max_iter: int = 1000,
     tol: float = 1e-8,
     max_levels: int = 20,
-    warm_start: LinearModel | None = None,
 ) -> LinearModel:
     """Coordinate-descent fit; raises ConvergenceError (carrying the last
     iterate) if the sweep budget runs out."""
-    if link not in ("identity", "logistic"):
-        raise ValueError(f"link must be 'identity' or 'logistic', got {link!r}")
-    if l1_lambda < 0:
-        raise ValueError("l1_lambda must be >= 0")
-    if link == "logistic":
-        labels = np.unique(data.y)
-        if not np.all(np.isin(labels, (0.0, 1.0))):
-            raise ValueError("logistic link requires binary 0/1 targets")
-    encoder = (
-        warm_start.encoder
-        if warm_start is not None
-        else fit_encoder(data.X, data.categorical, max_levels)
-    )
-    Z_raw = encoder.transform(data.X)
-    if warm_start is not None:
-        mu, sigma = warm_start.mu, warm_start.sigma
-    else:
-        mu = Z_raw.mean(axis=0)
-        sigma = Z_raw.std(axis=0)
-        sigma = np.where(sigma > 0, sigma, 1.0)
-    Z = np.asfortranarray((Z_raw - mu) / sigma)
-    y = data.y
-    w = warm_start.weights.copy() if warm_start is not None else np.zeros(Z.shape[1])
-    b = warm_start.intercept if warm_start is not None else 0.0
-
-    names = encoder.names(data.names if data.names else tuple(f"x{j}" for j in range(data.n_cols)))
-    used = 0
-    last_delta = float("nan")  # stays nan if no sweep runs
-    if link == "identity":
-        b, used, converged, last_delta = _cd_sweeps(Z, y, w, b, l1_lambda, None, max_iter, tol)
-    else:
-        converged = False
-        for _ in range(max_iter):
-            z = Z @ w + b
-            p = sigmoid(z)
-            omega = np.maximum(p * (1.0 - p), 1e-6)
-            y_work = z + (y - p) / omega
-            w_before = w.copy()
-            b_before = b
-            inner_budget = max(max_iter - used, 1)
-            b, sweeps, _, last_delta = _cd_sweeps(
-                Z, y_work, w, b, l1_lambda, omega, min(inner_budget, 100), tol
-            )
-            used += sweeps
-            delta = max(float(np.max(np.abs(w - w_before))) if len(w) else 0.0, abs(b - b_before))
-            if delta < tol:
-                converged = True
-                break
-            if used >= max_iter:
-                break
-    model = LinearModel(
-        link=link,
-        l1_lambda=l1_lambda,
-        weights=w,
-        intercept=float(b),
-        mu=mu,
-        sigma=sigma,
-        encoder=encoder,
-        feature_names=names,
-        n_raw_features=data.n_cols,
-        converged=bool(converged),
-        n_sweeps=used,
-    )
-    if not converged:
+    [(model, last_delta)] = _fit_path(data, link, [l1_lambda], max_iter, tol, max_levels)
+    if not model.converged:
         raise ConvergenceError(
             f"coordinate descent did not converge within {max_iter} sweeps "
-            f"({link} link, lambda={l1_lambda:g}, {used} sweeps used, last sweep's "
+            f"({link} link, lambda={l1_lambda:g}, {model.n_sweeps} sweeps used, last sweep's "
             f"largest coefficient change {last_delta:.3g}, tol {tol:g})",
             model,
         )
@@ -398,12 +394,7 @@ def fit_linear(
 
 def lambda_max(data: DesignMatrix, link: str = "identity", max_levels: int = 20) -> float:
     """Smallest lambda that forces all weights to zero."""
-    encoder = fit_encoder(data.X, data.categorical, max_levels)
-    Z = encoder.transform(data.X)
-    mu = Z.mean(axis=0)
-    sigma = Z.std(axis=0)
-    sigma = np.where(sigma > 0, sigma, 1.0)
-    Z = (Z - mu) / sigma
+    _, _, _, Z = _standardize(data, max_levels)
     y = data.y
     # at the all-zero solution the fitted mean equals mean(y) for both links
     resid = y - y.mean()
@@ -444,28 +435,28 @@ def fit_linear_cv(
     tol: float = 1e-6,
     max_levels: int = 20,
 ):
-    """Pick lambda by k-fold CV (warm-started along the descending grid),
-    then refit on all rows.  Returns (model, {lambda: mean CV loss})."""
+    """Pick lambda by k-fold CV, then refit on all rows.  Returns (model,
+    {lambda: mean CV loss}).
+
+    Each fold fits the grid, largest lambda first, as one path, so its rows
+    are encoded and standardized once, not once per lambda: on a 63k x 250
+    hybrid fold that prologue alone takes about 0.4 s on a 2-core host.  A
+    fold fit that runs out of sweeps is scored at its last iterate."""
+    if folds < 2:
+        raise ValueError("folds must be >= 2")
     if lambdas is None:
         lambdas = default_lambda_grid(data, link, max_levels=max_levels)
     grid = sorted(set(float(l) for l in lambdas), reverse=True)
     if not grid:
         raise ValueError("lambda grid is empty")
-    folds = max(2, min(folds, data.n_rows))
+    folds = min(folds, data.n_rows)
     totals = {lam: 0.0 for lam in grid}
     cv_tol = max(tol, 1e-5)  # selection does not need final-fit precision
     for train_idx, val_idx in _kfold_indices(data.n_rows, folds, seed):
-        train = data.take(train_idx)
         Xv = data.X[val_idx]
         yv = data.y[val_idx]
-        warm = None
-        for lam in grid:
-            try:
-                model = fit_linear(train, link, lam, max_iter, cv_tol, max_levels, warm_start=warm)
-            except ConvergenceError as err:
-                model = err.model
-            warm = model
-            totals[lam] += cv_loss(model.predict(Xv), yv, link) * len(val_idx)
+        for model, _ in _fit_path(data.take(train_idx), link, grid, max_iter, cv_tol, max_levels):
+            totals[model.l1_lambda] += cv_loss(model.predict(Xv), yv, link) * len(val_idx)
     # minimize CV loss; ties prefer the larger lambda (sparser model)
     best = grid[0]
     for lam in grid:

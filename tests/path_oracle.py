@@ -1,0 +1,153 @@
+"""The lambda search that ``mlcore.linear.fit_linear_cv`` replaced, kept as
+the reference its path fits are tested against.
+
+Every (fold, lambda) is its own ``fit_linear`` call: the fold's rows are
+encoded and standardized again for each lambda, and the previous lambda's
+model is handed over as ``warm_start``, from which the call takes the
+encoder, mu, sigma, weights and intercept.  A fit that runs out of sweeps
+raises, and the CV loop scores the model the error carries.
+"""
+
+import numpy as np
+
+from interestsim.mlcore.linear import (
+    ConvergenceError,
+    LinearModel,
+    _cd_sweeps,
+    _kfold_indices,
+    cv_loss,
+    fit_encoder,
+    sigmoid,
+)
+
+
+def fit_linear(data, link="identity", l1_lambda=0.0, max_iter=1000, tol=1e-8, max_levels=20, warm_start=None):
+    if link not in ("identity", "logistic"):
+        raise ValueError(f"link must be 'identity' or 'logistic', got {link!r}")
+    if l1_lambda < 0:
+        raise ValueError("l1_lambda must be >= 0")
+    if link == "logistic":
+        labels = np.unique(data.y)
+        if not np.all(np.isin(labels, (0.0, 1.0))):
+            raise ValueError("logistic link requires binary 0/1 targets")
+    encoder = (
+        warm_start.encoder
+        if warm_start is not None
+        else fit_encoder(data.X, data.categorical, max_levels)
+    )
+    Z_raw = encoder.transform(data.X)
+    if warm_start is not None:
+        mu, sigma = warm_start.mu, warm_start.sigma
+    else:
+        mu = Z_raw.mean(axis=0)
+        sigma = Z_raw.std(axis=0)
+        sigma = np.where(sigma > 0, sigma, 1.0)
+    Z = np.asfortranarray((Z_raw - mu) / sigma)
+    y = data.y
+    w = warm_start.weights.copy() if warm_start is not None else np.zeros(Z.shape[1])
+    b = warm_start.intercept if warm_start is not None else 0.0
+
+    names = encoder.names(data.names if data.names else tuple(f"x{j}" for j in range(data.n_cols)))
+    used = 0
+    last_delta = float("nan")
+    if link == "identity":
+        b, used, converged, last_delta = _cd_sweeps(Z, y, w, b, l1_lambda, None, max_iter, tol)
+    else:
+        converged = False
+        for _ in range(max_iter):
+            z = Z @ w + b
+            p = sigmoid(z)
+            omega = np.maximum(p * (1.0 - p), 1e-6)
+            y_work = z + (y - p) / omega
+            w_before = w.copy()
+            b_before = b
+            inner_budget = max(max_iter - used, 1)
+            b, sweeps, _, last_delta = _cd_sweeps(
+                Z, y_work, w, b, l1_lambda, omega, min(inner_budget, 100), tol
+            )
+            used += sweeps
+            delta = max(float(np.max(np.abs(w - w_before))) if len(w) else 0.0, abs(b - b_before))
+            if delta < tol:
+                converged = True
+                break
+            if used >= max_iter:
+                break
+    model = LinearModel(
+        link=link,
+        l1_lambda=l1_lambda,
+        weights=w,
+        intercept=float(b),
+        mu=mu,
+        sigma=sigma,
+        encoder=encoder,
+        feature_names=names,
+        n_raw_features=data.n_cols,
+        converged=bool(converged),
+        n_sweeps=used,
+    )
+    if not converged:
+        raise ConvergenceError(
+            f"coordinate descent did not converge within {max_iter} sweeps "
+            f"({link} link, lambda={l1_lambda:g}, {used} sweeps used, last sweep's "
+            f"largest coefficient change {last_delta:.3g}, tol {tol:g})",
+            model,
+        )
+    return model
+
+
+def lambda_max(data, link="identity", max_levels=20):
+    encoder = fit_encoder(data.X, data.categorical, max_levels)
+    Z = encoder.transform(data.X)
+    mu = Z.mean(axis=0)
+    sigma = Z.std(axis=0)
+    sigma = np.where(sigma > 0, sigma, 1.0)
+    Z = (Z - mu) / sigma
+    y = data.y
+    resid = y - y.mean()
+    return float(np.max(np.abs(Z.T @ resid)) / len(y))
+
+
+def default_lambda_grid(data, link, n_points=5, max_levels=20):
+    lmax = lambda_max(data, link, max_levels)
+    if lmax <= 0:
+        return [0.0]
+    return list(lmax * np.logspace(-0.5, -3.0, n_points))
+
+
+def cv_fold_models(data, link, lambdas=None, folds=10, seed=0, max_iter=2000, tol=1e-6, max_levels=20):
+    """Every (fold, lambda) model of the warm-started search in fit order,
+    and each lambda's summed validation loss."""
+    if lambdas is None:
+        lambdas = default_lambda_grid(data, link, max_levels=max_levels)
+    grid = sorted(set(float(l) for l in lambdas), reverse=True)
+    folds = max(2, min(folds, data.n_rows))
+    totals = {lam: 0.0 for lam in grid}
+    cv_tol = max(tol, 1e-5)
+    fitted = []
+    for train_idx, val_idx in _kfold_indices(data.n_rows, folds, seed):
+        train = data.take(train_idx)
+        Xv = data.X[val_idx]
+        yv = data.y[val_idx]
+        warm = None
+        for lam in grid:
+            try:
+                model = fit_linear(train, link, lam, max_iter, cv_tol, max_levels, warm_start=warm)
+            except ConvergenceError as err:
+                model = err.model
+            warm = model
+            fitted.append(model)
+            totals[lam] += cv_loss(model.predict(Xv), yv, link) * len(val_idx)
+    return fitted, totals
+
+
+def fit_linear_cv(data, link, lambdas=None, folds=10, seed=0, max_iter=2000, tol=1e-6, max_levels=20):
+    """(model, cv_table) of the warm-started search; the refit on all rows
+    is a cold ``fit_linear`` at the chosen lambda."""
+    _, totals = cv_fold_models(data, link, lambdas, folds, seed, max_iter, tol, max_levels)
+    grid = list(totals)
+    best = grid[0]
+    for lam in grid:
+        if totals[lam] < totals[best] - 1e-12:
+            best = lam
+    model = fit_linear(data, link, best, max_iter, tol, max_levels)
+    return model, {lam: totals[lam] / data.n_rows for lam in grid}

@@ -1,8 +1,11 @@
 import argparse
+import csv
+import hashlib
 import json
 
 import pytest
 
+from interestsim import cli
 from interestsim.cli import _parse_int_list, _selfsim_table, main, write_profiles
 from interestsim import evalkit, mlcore
 from interestsim.corpus import write_corpus
@@ -180,3 +183,43 @@ def test_config_errors_exit_2_naming_the_file_and_line(tmp_path, capsys, case):
     }[case]
     assert err.startswith(expected)
     assert not (tmp_path / "corpus").exists()
+
+
+@pytest.mark.parametrize("model", ["l1linear", "hybrid", "tree"])
+def test_train_rejects_fewer_than_two_folds(tmp_path, tiny_corpus, capsys, model):
+    corpus_dir = tmp_path / "corpus"
+    write_corpus(tiny_corpus, corpus_dir)
+    samples, out = tmp_path / "samples.csv", tmp_path / "model.json"
+    assert main(["featurize", "--corpus", str(corpus_dir), "--pairs", "300", "--out", str(samples)]) == 0
+    capsys.readouterr()
+    argv = ["train", "--model", model, "--task", "reg", "--in", str(samples), "--folds", "1", "--out", str(out)]
+    assert main(argv) == 1
+    assert "folds must be >= 2" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_pipeline_runs_end_to_end(tmp_path, monkeypatch):
+    preset = {
+        "users": 300, "videos": 150, "tags": 60, "topics": 8, "cities": 5, "groups": 12,
+        "pairs": 3000, "rec_targets": 40, "rec_candidates": 100,
+    }
+    monkeypatch.setitem(cli.PRESETS, "small", preset)
+    out = tmp_path / "run"
+    assert main(["pipeline", "--preset", "small", "--seed", "42", "--out", str(out)]) == 0
+    reports = out / "reports"
+    assert len(json.loads((reports / "models.json").read_text())) == 14
+    assert len(json.loads((reports / "ablation.json").read_text())) == 7
+    with open(reports / "recommend.csv", newline="") as fh:
+        assert len(list(csv.DictReader(fh))) == 200
+    assert len(list((out / "study").glob("*.csv"))) == 13
+    assert len(list((out / "samples").glob("*.csv"))) == 6
+    assert sorted(p.name for p in (out / "models").glob("*.json")) == [
+        "hybrid_clf_ptp.json", "hybrid_reg_ptp.json", "hybrid_reg_rtp.json", "hybrid_reg_vbp.json"
+    ]
+    # The manifest hashes the files as it writes them, so this checks the
+    # manifest's listing, not the outputs' content.
+    outputs = json.loads((out / "manifest.json").read_text())["outputs"]
+    assert len(outputs) == 3 + 6 + 13
+    for path, digest in outputs.items():
+        with open(path, "rb") as fh:
+            assert hashlib.sha256(fh.read()).hexdigest() == digest

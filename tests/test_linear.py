@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import path_oracle
 from cd_oracle import _cd_sweeps as oracle_sweeps
 from interestsim.mlcore import (
     ConvergenceError,
@@ -267,3 +268,79 @@ def test_sweeps_match_residual_oracle_on_duplicated_columns(link):
     # budgets that stop inside the active sweeps, just after a shrink
     for max_sweeps in range(1, 30):
         _assert_sweeps_match(Z, y, lam, omega, max_sweeps=max_sweeps, tol=1e-8, w0=w0, b0=0.1)
+
+
+# -- the lambda path against the warm-started search it replaced ----------------
+
+
+def _path_data(design, link, n=240):
+    rng = np.random.default_rng(21)
+    X = rng.normal(size=(n, 5))
+    X[:, 1] = X[:, 0] + 0.3 * X[:, 1]  # correlated columns
+    signal = X[:, 0] - 0.5 * X[:, 2] + np.sin(2 * X[:, 3])
+    categorical = ()
+    if design == "categorical":
+        cat = rng.integers(0, 4, size=n).astype(float)
+        signal = signal + np.array([0.0, 1.0, -1.0, 0.5])[cat.astype(int)]
+        X, categorical = np.column_stack([X, cat]), (5,)
+    else:  # a hybrid's design: leaf one-hots, some leaf columns repeated, then X
+        gbdt = fit_gbdt(dm(X, signal + 0.3 * rng.normal(size=n)), n_trees=4, max_depth=3)
+        leaves = encode_leaves(gbdt, X)
+        X = np.hstack([leaves, leaves[:, ::3], X])
+    y = signal + 0.3 * rng.normal(size=n)
+    if link == "logistic":
+        y = (y > np.median(y)).astype(float)
+    return dm(X, y, categorical)
+
+
+def _assert_same_model(new, old):
+    assert (new.link, new.l1_lambda, new.intercept, new.converged, new.n_sweeps) == (
+        old.link, old.l1_lambda, old.intercept, old.converged, old.n_sweeps
+    )
+    for a, b in ((new.weights, old.weights), (new.mu, old.mu), (new.sigma, old.sigma)):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    assert (new.encoder, new.feature_names, new.n_raw_features) == (
+        old.encoder, old.feature_names, old.n_raw_features
+    )
+
+
+# at 400 sweeps some fold fits run out while the refits converge; at 6 all
+# fold fits and every refit run out
+@pytest.mark.parametrize("max_iter", [2000, 400, 6], ids=["budget-2000", "budget-400", "budget-6"])
+@pytest.mark.parametrize("link", ["identity", "logistic"])
+@pytest.mark.parametrize("design", ["categorical", "duplicated-leaves"])
+def test_cv_path_matches_warm_started_oracle(design, link, max_iter):
+    data = _path_data(design, link)
+    grid = linear.default_lambda_grid(data, link)
+    assert grid == path_oracle.default_lambda_grid(data, link)
+    # every fold's path, fit for fit, against the chain of warm-started calls
+    old_fits, _ = path_oracle.cv_fold_models(data, link, folds=3, seed=4, max_iter=max_iter)
+    new_fits = [
+        model
+        for train_idx, _ in linear._kfold_indices(data.n_rows, 3, 4)
+        for model, _ in linear._fit_path(data.take(train_idx), link, grid, max_iter, 1e-5, 20)
+    ]
+    assert len(new_fits) == len(old_fits) == 3 * len(grid)
+    for new, old in zip(new_fits, old_fits):
+        _assert_same_model(new, old)
+    if max_iter == 6:
+        assert not all(m.converged for m in old_fits)
+    # and the selection and refit on all rows
+    try:
+        old_model, old_table = path_oracle.fit_linear_cv(data, link, folds=3, seed=4, max_iter=max_iter)
+    except ConvergenceError as err:
+        with pytest.raises(ConvergenceError) as exc:
+            fit_linear_cv(data, link, folds=3, seed=4, max_iter=max_iter)
+        assert str(exc.value) == str(err)
+        _assert_same_model(exc.value.model, err.model)
+        return
+    model, table = fit_linear_cv(data, link, folds=3, seed=4, max_iter=max_iter)
+    assert list(table.items()) == list(old_table.items())
+    _assert_same_model(model, old_model)
+
+
+@pytest.mark.parametrize("folds", [1, 0, -3])
+def test_cv_rejects_fewer_than_two_folds(folds):
+    X, y = random_regression(14)
+    with pytest.raises(ValueError, match="folds must be >= 2"):
+        fit_linear_cv(dm(X, y), "identity", folds=folds)
