@@ -3,7 +3,8 @@ study, recommend, and the end-to-end pipeline runner.
 
 Every subcommand writes a manifest (tool version, resolved config,
 sha256 of inputs) beside its outputs; all outputs are byte-stable for a
-fixed seed, independent of thread count.
+fixed seed.  Fitted models on large designs can differ in their last bits
+between BLAS thread counts (see ``mlcore.linear._cd_sweeps``).
 """
 
 from __future__ import annotations
@@ -50,17 +51,13 @@ def _sha256(path: Path) -> str:
 
 def write_manifest(target, command: str, config: dict, inputs: list[Path], outputs: list[Path] = ()) -> None:
     """Config snapshot + input/output checksums + tool version, beside
-    outputs.
-
-    The thread count is deliberately not part of the snapshot: results
-    must be byte-identical for any value.
-    """
+    outputs."""
     target = Path(target)
     path = target / "manifest.json" if target.is_dir() else target.with_name(target.name + ".manifest.json")
     payload = {
         "tool_version": __version__,
         "command": command,
-        "config": {k: v for k, v in sorted(config.items()) if k not in ("threads", "config")},
+        "config": config,
         "inputs": {str(p): _sha256(Path(p)) for p in sorted(str(x) for x in inputs)},
         "outputs": {str(p): _sha256(Path(p)) for p in sorted(str(x) for x in outputs)},
     }
@@ -161,7 +158,7 @@ def cmd_profile(args) -> int:
 
 def cmd_featurize(args) -> int:
     corpus = load_corpus(args.corpus)
-    table = build_training_set(corpus, args.pairs, args.kind, args.seed, threads=args.threads)
+    table = build_training_set(corpus, args.pairs, args.kind, args.seed)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     write_samples(table, out)
@@ -270,9 +267,7 @@ def cmd_study(args) -> int:
     if args.bins < 1:
         raise ValueError(f"--bins must be at least 1, got {args.bins}")
     corpus = load_corpus(args.corpus)
-    among = args.among
-    if among == "auto":
-        among = "friends" if args.key in ("msgcount", "msgdays") else "random"
+    among = evalkit.study_population(args.key) if args.among == "auto" else args.among
     pairs = evalkit.sample_pairs(corpus, args.pairs, args.seed, among)
     table = evalkit.bucket_similarity(corpus, pairs, args.key, args.kind, n_bins=args.bins)
     out = Path(args.out)
@@ -366,15 +361,13 @@ def cmd_recommend(args) -> int:
 
 def _pipeline_models(out: Path, samples, seed: int, log) -> dict:
     """Train/evaluate the model table and the per-kind hybrids."""
-    from .evalkit import run_protocol
-
     results = []
     models_dir = out / "models"
     models_dir.mkdir(parents=True, exist_ok=True)
     hybrids = {}
     for task in ("clf", "reg"):
         for kind_name in mlcore.MODEL_KINDS:
-            report, model = run_protocol(samples["ptp"], kind_name, task, seed=seed)
+            report, model = evalkit.run_protocol(samples["ptp"], kind_name, task, seed=seed)
             metric = report.get("auc", report.get("reduced_mae_pct"))
             log(f"  {kind_name:8s} {task} ptp -> {metric:.4f}")
             results.append(report)
@@ -383,7 +376,7 @@ def _pipeline_models(out: Path, samples, seed: int, log) -> dict:
                 if task == "reg":
                     hybrids["ptp"] = model
     for kind in ("rtp", "vbp"):
-        report, model = run_protocol(samples[kind], "hybrid", "reg", seed=seed)
+        report, model = evalkit.run_protocol(samples[kind], "hybrid", "reg", seed=seed)
         log(f"  hybrid   reg {kind} -> {report['reduced_mae_pct']:.4f}")
         results.append(report)
         mlcore.save_model(model, models_dir / f"hybrid_reg_{kind}.json")
@@ -425,10 +418,10 @@ def cmd_pipeline(args) -> int:
     samples_full: dict[str, SampleTable] = {}
     for kind in KINDS:
         log(f"pipeline: featurizing {preset['pairs']} {kind} pairs")
-        table = build_training_set(corpus, preset["pairs"], kind, seed, threads=args.threads)
+        table = build_training_set(corpus, preset["pairs"], kind, seed)
         samples_full[kind] = table
         # persist the same 70/30 split run_protocol derives from this seed
-        split = evalkit.train_test_split(len(table), 0.7, seed)
+        split = evalkit.train_test_split(len(table), seed)
         for part, idx in (("train", split.train), ("test", split.test)):
             cols = {k: v[idx] for k, v in table.columns.items()}
             write_samples(SampleTable(kind, cols, table.labels[idx]), samples_dir / f"{part}_{kind}.csv")
@@ -445,10 +438,12 @@ def cmd_pipeline(args) -> int:
     log("pipeline: correlation study tables")
     study_dir = out / "study"
     study_dir.mkdir(parents=True, exist_ok=True)
-    random_pairs = evalkit.sample_pairs(corpus, 60_000, seed, "random")
-    friend_pairs = evalkit.sample_pairs(corpus, 30_000, seed, "friends")
+    pairs_among = {
+        "random": evalkit.sample_pairs(corpus, 60_000, seed, "random"),
+        "friends": evalkit.sample_pairs(corpus, 30_000, seed, "friends"),
+    }
     for key in ("gender", "friendship", "msgdays", "friendratio", "individuality", "samecity"):
-        pairs = friend_pairs if key in ("msgcount", "msgdays") else random_pairs
+        pairs = pairs_among[evalkit.study_population(key)]
         for kind in ("ptp", "rtp"):
             table = evalkit.bucket_similarity(corpus, pairs, key, kind)
             table.to_csv(study_dir / f"{key}_{kind}.csv")
@@ -542,7 +537,6 @@ def build_parser(strict: bool = True) -> argparse.ArgumentParser:
     p.add_argument("--kind", choices=KINDS, default="ptp")
     p.add_argument("--pairs", type=int, default=100_000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--out", required=strict)
     p.set_defaults(func=cmd_featurize)
 
@@ -589,7 +583,6 @@ def build_parser(strict: bool = True) -> argparse.ArgumentParser:
     p = add_parser("pipeline", help="end-to-end run over a preset")
     p.add_argument("--preset", choices=sorted(PRESETS), default="paper-desk")
     p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--out", required=strict)
     p.set_defaults(func=cmd_pipeline)
     return parser

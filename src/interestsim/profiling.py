@@ -8,9 +8,10 @@ user count, per-tag owner counts) are always computed over the same day
 window as the profiles themselves.
 
 Every production path reads the ``ProfileIndex`` that ``Corpus.profile_index``
-builds once per (window, kind).  The per-user dict engine (``build_ptp``,
-``build_rtp``, ``tag_similarity``, ``video_similarity``, ``individuality``)
-is reference-only, behind ``pairfeat.extract`` and the tests.
+builds once per (window, kind); ``ProfileIndex.individuality_values`` is the
+one individuality.  The per-user dict engine (``build_ptp``, ``build_rtp``,
+``tag_similarity``, ``video_similarity``) is reference-only, behind
+``pairfeat.extract`` and the tests.
 """
 
 from __future__ import annotations
@@ -34,13 +35,6 @@ class TagProfile:
     window: Window
     kind: str  # "ptp" or "rtp"
     weights: dict[int, float]  # tag id -> weight > 0; absent tags weigh 0
-
-
-@dataclass(frozen=True)
-class Individuality:
-    user: int
-    kind: str
-    value: float  # >= 0; 0 for an empty profile, at most sqrt(profile size)
 
 
 def _window_population(c: Corpus, window: Window) -> tuple[int, dict[int, int]]:
@@ -104,35 +98,6 @@ def video_similarity(c: Corpus, u: int, v: int, window: Window) -> float:
     if not su or not sv:
         return 0.0
     return len(su & sv) / (math.sqrt(len(su)) * math.sqrt(len(sv)))
-
-
-def individuality(c: Corpus, u: int, kind: str, window: Window) -> Individuality:
-    """Expected affinity of a user's profile to the active population.
-
-    For tag kinds this is sum_i w_i * |U_i| / (||w||_2 * |U|); for ``vbp``
-    the same formula with per-video viewer counts over binary weights.
-    Empty profile yields 0.
-    """
-    if kind not in KINDS:
-        raise ValueError(f"unknown profile kind {kind!r}")
-    if kind == "vbp":
-        vids = c.view_set(u, window)
-        if not vids:
-            return Individuality(u, kind, 0.0)
-        actives = active_users(c, window)
-        viewer_counts = Counter()
-        for a in actives:
-            for m in c.view_set(a, window):
-                viewer_counts[m] += 1
-        num = sum(viewer_counts[m] for m in vids)
-        return Individuality(u, kind, num / (math.sqrt(len(vids)) * len(actives)))
-    profile = build_ptp(c, u, window) if kind == "ptp" else build_rtp(c, u, window)
-    if not profile.weights:
-        return Individuality(u, kind, 0.0)
-    n_active, counts = _window_population(c, window)
-    num = sum(w * counts[t] for t, w in profile.weights.items())
-    norm = math.sqrt(sum(w * w for w in profile.weights.values()))
-    return Individuality(u, kind, num / (norm * n_active))
 
 
 def row_products(A: sp.csr_matrix, B: sp.csr_matrix) -> np.ndarray:
@@ -237,7 +202,9 @@ class ProfileIndex:
         return row_products(self.W_normalized[ra], self.W_normalized[rb])
 
     def individuality_values(self, user_ids) -> np.ndarray:
-        """Vectorized individuality; 0 for empty profiles."""
+        """Expected affinity of each user's profile to the window's active
+        population: sum_i w_i * |U_i| / (||w||_2 * |U|), with ``W``'s weights
+        and the owner counts ``item_user_counts``; 0 for an empty profile."""
         rows = self.corpus.rows_for(user_ids)
         counts = self.item_user_counts.astype(np.float64)
         num = np.asarray(self.W[rows] @ counts).ravel()

@@ -15,7 +15,7 @@ corpus (``tests/test_synthgen.py``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -76,9 +76,6 @@ class GenConfig:
             raise ValueError("daily_view_rate must be positive")
         if not 0.0 <= self.inactive_fraction < 1.0:
             raise ValueError("inactive_fraction must be in [0, 1)")
-
-    def with_overrides(self, **kwargs) -> "GenConfig":
-        return replace(self, **kwargs)
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,8 @@
 import pytest
 
 from interestsim.corpus import Corpus, UserRecord, VideoRecord
+from interestsim.mlcore import encode_leaves, fit_gbdt, fit_linear
+from interestsim.mlcore.hybrid import HybridModel, _distinct_leaf_design, _full_width
 from interestsim.synthgen import GenConfig, generate
 
 
@@ -17,6 +19,17 @@ def corpus_from_records(users, videos, views, friends, memberships, messages, re
         [(a, b, day, count) for (a, b), days in messages.items() for day, count in days.items()],
         report=report,
     )
+
+
+def one_lambda_hybrid(data, task, gbdt_params, lam):
+    """A hybrid whose lasso is fitted at ``lam`` alone (no CV), from
+    ``fit_hybrid``'s own steps: the encoder, the distinct leaf columns and
+    the map back to every leaf column."""
+    loss, link = ("logistic", "logistic") if task == "clf" else ("squared", "identity")
+    encoder = fit_gbdt(data, loss=loss, **gbdt_params)
+    design, kept, rep = _distinct_leaf_design(encode_leaves(encoder, data.X), data)
+    linear = _full_width(fit_linear(design, link, lam, max_iter=2000, tol=1e-6), kept, rep, data)
+    return HybridModel(encoder, linear, data.n_cols, lam, {lam: float("nan")})
 
 
 def make_corpus(

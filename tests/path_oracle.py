@@ -21,7 +21,7 @@ from interestsim.mlcore.linear import (
 )
 
 
-def fit_linear(data, link="identity", l1_lambda=0.0, max_iter=1000, tol=1e-8, max_levels=20, warm_start=None):
+def fit_linear(data, link="identity", l1_lambda=0.0, max_iter=1000, tol=1e-8, warm_start=None):
     if link not in ("identity", "logistic"):
         raise ValueError(f"link must be 'identity' or 'logistic', got {link!r}")
     if l1_lambda < 0:
@@ -33,7 +33,7 @@ def fit_linear(data, link="identity", l1_lambda=0.0, max_iter=1000, tol=1e-8, ma
     encoder = (
         warm_start.encoder
         if warm_start is not None
-        else fit_encoder(data.X, data.categorical, max_levels)
+        else fit_encoder(data.X, data.categorical)
     )
     Z_raw = encoder.transform(data.X)
     if warm_start is not None:
@@ -95,8 +95,8 @@ def fit_linear(data, link="identity", l1_lambda=0.0, max_iter=1000, tol=1e-8, ma
     return model
 
 
-def lambda_max(data, link="identity", max_levels=20):
-    encoder = fit_encoder(data.X, data.categorical, max_levels)
+def lambda_max(data):
+    encoder = fit_encoder(data.X, data.categorical)
     Z = encoder.transform(data.X)
     mu = Z.mean(axis=0)
     sigma = Z.std(axis=0)
@@ -107,19 +107,17 @@ def lambda_max(data, link="identity", max_levels=20):
     return float(np.max(np.abs(Z.T @ resid)) / len(y))
 
 
-def default_lambda_grid(data, link, n_points=5, max_levels=20):
-    lmax = lambda_max(data, link, max_levels)
+def default_lambda_grid(data):
+    lmax = lambda_max(data)
     if lmax <= 0:
         return [0.0]
-    return list(lmax * np.logspace(-0.5, -3.0, n_points))
+    return list(lmax * np.logspace(-0.5, -3.0, 5))
 
 
-def cv_fold_models(data, link, lambdas=None, folds=10, seed=0, max_iter=2000, tol=1e-6, max_levels=20):
+def cv_fold_models(data, link, folds=10, seed=0, max_iter=2000, tol=1e-6):
     """Every (fold, lambda) model of the warm-started search in fit order,
     and each lambda's summed validation loss."""
-    if lambdas is None:
-        lambdas = default_lambda_grid(data, link, max_levels=max_levels)
-    grid = sorted(set(float(l) for l in lambdas), reverse=True)
+    grid = sorted(set(float(l) for l in default_lambda_grid(data)), reverse=True)
     folds = max(2, min(folds, data.n_rows))
     totals = {lam: 0.0 for lam in grid}
     cv_tol = max(tol, 1e-5)
@@ -131,7 +129,7 @@ def cv_fold_models(data, link, lambdas=None, folds=10, seed=0, max_iter=2000, to
         warm = None
         for lam in grid:
             try:
-                model = fit_linear(train, link, lam, max_iter, cv_tol, max_levels, warm_start=warm)
+                model = fit_linear(train, link, lam, max_iter, cv_tol, warm_start=warm)
             except ConvergenceError as err:
                 model = err.model
             warm = model
@@ -140,14 +138,14 @@ def cv_fold_models(data, link, lambdas=None, folds=10, seed=0, max_iter=2000, to
     return fitted, totals
 
 
-def fit_linear_cv(data, link, lambdas=None, folds=10, seed=0, max_iter=2000, tol=1e-6, max_levels=20):
+def fit_linear_cv(data, link, folds=10, seed=0, max_iter=2000, tol=1e-6):
     """(model, cv_table) of the warm-started search; the refit on all rows
     is a cold ``fit_linear`` at the chosen lambda."""
-    _, totals = cv_fold_models(data, link, lambdas, folds, seed, max_iter, tol, max_levels)
+    _, totals = cv_fold_models(data, link, folds, seed, max_iter, tol)
     grid = list(totals)
     best = grid[0]
     for lam in grid:
         if totals[lam] < totals[best] - 1e-12:
             best = lam
-    model = fit_linear(data, link, best, max_iter, tol, max_levels)
+    model = fit_linear(data, link, best, max_iter, tol)
     return model, {lam: totals[lam] / data.n_rows for lam in grid}

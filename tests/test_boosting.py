@@ -124,10 +124,15 @@ def test_gbdt_invalid_params():
 
 
 def test_degenerate_forest_equals_single_tree():
+    # one feature leaves no pool to draw, so the one tree presorts its
+    # bootstrap sample: fit_tree on the rows the tree's stream draws
     X, y = regression_data(6)
+    X = X[:, :1]
     data = dm(X, y)
-    forest = fit_forest(data, n_trees=1, max_depth=5, min_leaf=4, feature_subsample=None, bootstrap=False)
-    tree = fit_tree(data, max_depth=5, min_leaf=4)
+    forest = fit_forest(data, n_trees=1, max_depth=5, min_leaf=4, seed=3)
+    [child] = np.random.SeedSequence(3).spawn(1)
+    rows = np.random.default_rng(child).integers(0, len(y), size=len(y))
+    tree = fit_tree(data.take(rows), max_depth=5, min_leaf=4)
     assert model_to_dict(forest)["trees"][0]["root"] == model_to_dict(tree)["tree"]["root"]
     assert np.array_equal(forest.predict(X), tree.predict(X))
 

@@ -7,7 +7,6 @@ from interestsim.evalkit import (
     BinaryLabeling,
     auc,
     bucket_similarity,
-    pearson,
     reduced_mae_ratio,
     run_protocol,
     sample_pairs,
@@ -93,19 +92,8 @@ def test_reduced_mae_degenerate_target_rejected():
         reduced_mae_ratio([0.5], [0.5], 0.5)
 
 
-def test_pearson_exact_values():
-    assert pearson([1, 2, 3], [1, 2, 3]) == pytest.approx(1.0)
-    assert pearson([1, 2, 3], [-1, -2, -3]) == pytest.approx(-1.0)
-    assert pearson([1, 2, 3], [2, 4, 5]) == pytest.approx(0.9819805060619659, abs=1e-12)
-
-
-def test_pearson_zero_variance_rejected():
-    with pytest.raises(ValueError):
-        pearson([1, 1, 1], [1, 2, 3])
-
-
 def test_split_disjoint_exhaustive():
-    split = train_test_split(100, 0.7, seed=5)
+    split = train_test_split(100, seed=5)
     assert len(split.train) == 70 and len(split.test) == 30
     assert set(split.train) | set(split.test) == set(range(100))
     assert set(split.train) & set(split.test) == set()
@@ -131,6 +119,16 @@ def study_corpus():
     return corpus, null
 
 
+def _count(table):
+    """Pairs over all buckets of a table."""
+    return sum(count for _, _, count, _ in table.rows)
+
+
+def _by_bucket(table):
+    """bucket -> (mean, count, stderr)."""
+    return {bucket: rest for bucket, *rest in table.rows}
+
+
 def _random_pairs(c, n, seed):
     rng = np.random.default_rng(seed)
     ids = np.asarray(c.user_ids)
@@ -148,7 +146,7 @@ def test_bucket_single_pair():
     a = np.array([corpus.user_ids[0]])
     b = np.array([corpus.user_ids[1]])
     table = bucket_similarity(corpus, (a, b), "gender", "ptp")
-    assert table.counts_total() == 1
+    assert _count(table) == 1
     (bucket, mean, count, se) = table.rows[0]
     assert count == 1 and se == 0.0
     assert mean == pytest.approx(float(fz.label_similarity(a, b)[0]))
@@ -157,12 +155,12 @@ def test_bucket_single_pair():
 def test_gender_buckets_null_vs_skewed(study_corpus):
     planted, null = study_corpus
     pairs = _random_pairs(planted, 40_000, 7)
-    table = bucket_similarity(planted, pairs, "gender", "ptp").as_dict()
+    table = _by_bucket(bucket_similarity(planted, pairs, "gender", "ptp"))
     assert table["FF"][0] > table["MM"][0]
     # pair count sized so pair-sampling noise dominates the per-corpus
     # user-level noise the iid stderr cannot see
     pairs0 = _random_pairs(null, 5_000, 7)
-    t0 = bucket_similarity(null, pairs0, "gender", "ptp").as_dict()
+    t0 = _by_bucket(bucket_similarity(null, pairs0, "gender", "ptp"))
     gap = abs(t0["FF"][0] - t0["MM"][0])
     two_se = 2 * (t0["FF"][2] + t0["MM"][2])
     assert gap < two_se
@@ -173,7 +171,7 @@ def test_bucket_counts_sum_to_pairs(study_corpus):
     pairs = _random_pairs(planted, 5_000, 8)
     for key in ("gender", "friendship", "msgdays", "individuality"):
         table = bucket_similarity(planted, pairs, key, "ptp")
-        assert table.counts_total() == len(pairs[0])
+        assert _count(table) == len(pairs[0])
 
 
 def test_bucket_unknown_key_rejected(study_corpus):
@@ -213,7 +211,7 @@ def test_bucket_one_pair_matches_oracle(study_corpus, study_pairs, kind):
     for key in BUCKET_KEYS:
         got = bucket_similarity(planted, pair, key, kind, n_bins=3)
         assert got.rows == bucket_oracle.bucket_similarity(planted, pair, key, kind, n_bins=3).rows
-        assert got.counts_total() == 1 and got.rows[0][3] == 0.0
+        assert _count(got) == 1 and got.rows[0][3] == 0.0
 
 
 def test_bucket_empty_bins_get_no_row(study_corpus, study_pairs):
@@ -230,7 +228,7 @@ def test_bucket_empty_bins_get_no_row(study_corpus, study_pairs):
         got = bucket_similarity(planted, pair, "friendratio", "ptp", n_bins=n_bins)
         want = bucket_oracle.bucket_similarity(planted, pair, "friendratio", "ptp", n_bins=n_bins)
         assert got.rows == want.rows
-        assert len(got.rows) == 2 and got.counts_total() == 2
+        assert len(got.rows) == 2 and _count(got) == 2
         assert got.rows[1][0].startswith(f"{n_bins - 1:02d} ")
 
 

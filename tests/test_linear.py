@@ -11,7 +11,6 @@ from interestsim.mlcore import (
     fit_linear,
     fit_linear_cv,
     linear,
-    logistic_loss,
     sigmoid,
 )
 
@@ -61,35 +60,13 @@ def test_one_dimensional_soft_threshold_closed_form():
         assert model.weights[0] == pytest.approx(expected, abs=1e-9)
 
 
-def test_logistic_gradient_matches_finite_differences():
-    rng = np.random.default_rng(3)
-    worst = 0.0
-    for _ in range(30):
-        n, p = 40, 4
-        X = rng.normal(size=(n, p))
-        y = (rng.random(n) < 0.5).astype(float)
-        w = rng.normal(size=p)
-        b = float(rng.normal())
-        _, grad_w, grad_b = logistic_loss(w, b, X, y)
-        eps = 1e-6
-        for j in range(p):
-            wp = w.copy(); wp[j] += eps
-            wm = w.copy(); wm[j] -= eps
-            num = (logistic_loss(wp, b, X, y)[0] - logistic_loss(wm, b, X, y)[0]) / (2 * eps)
-            rel = abs(num - grad_w[j]) / max(abs(num), 1e-12)
-            worst = max(worst, rel)
-        num_b = (logistic_loss(w, b + eps, X, y)[0] - logistic_loss(w, b - eps, X, y)[0]) / (2 * eps)
-        worst = max(worst, abs(num_b - grad_b) / max(abs(num_b), 1e-12))
-    assert worst < 1e-5
-
-
 def test_monotone_sparsity_along_lambda_grid():
     X, y = random_regression(4, n=200, p=12, noise=0.3)
     grid = np.logspace(-3, 0.3, 8)
     counts = []
     for lam in grid:
         model = fit_linear(dm(X, y), "identity", l1_lambda=float(lam), tol=1e-10, max_iter=5000)
-        counts.append(model.nonzero_count)
+        counts.append(np.count_nonzero(model.weights))
     assert all(a >= b for a, b in zip(counts, counts[1:]))
 
 
@@ -127,13 +104,17 @@ def test_categorical_one_hot_expansion():
 
 
 def test_rare_levels_capped_by_max_levels():
+    # levels 0..19 occur 5 times each, levels 20..29 once: only the 20 most
+    # frequent get an indicator column, and the rare ones encode as all-zero
+    assert linear.MAX_LEVELS == 20
     rng = np.random.default_rng(8)
-    cat = np.concatenate([np.zeros(50), np.ones(50), np.arange(2, 32)]).astype(float)
+    cat = np.concatenate([np.repeat(np.arange(20), 5), np.arange(20, 30)]).astype(float)
     y = rng.normal(size=len(cat))
     X = cat[:, None]
-    model = fit_linear(dm(X, y, categorical=(0,)), "identity", l1_lambda=0.1, max_levels=2)
-    assert len(model.weights) == 2
-    assert model.encoder.levels[0] == (0.0, 1.0)
+    model = fit_linear(dm(X, y, categorical=(0,)), "identity", l1_lambda=0.1)
+    assert len(model.weights) == 20
+    assert model.encoder.levels[0] == tuple(float(v) for v in range(20))
+    assert not model.encoder.transform(np.array([[25.0]])).any()
 
 
 def test_cv_selects_reasonable_lambda():
@@ -146,16 +127,24 @@ def test_cv_selects_reasonable_lambda():
 
 
 def test_cv_single_lambda_grid():
-    X, y = random_regression(10)
-    model, table = fit_linear_cv(dm(X, y), "identity", lambdas=[0.05], folds=3, seed=0)
-    assert model.l1_lambda == 0.05
-    assert list(table) == [0.05]
+    # a constant target has lambda_max 0, so the default grid is [0.0]
+    X, _ = random_regression(10)
+    model, table = fit_linear_cv(dm(X, np.full(len(X), 1.5)), "identity", folds=3, seed=0)
+    assert model.l1_lambda == 0.0
+    assert list(table) == [0.0]
+    assert np.allclose(model.weights, 0.0, atol=1e-12) and model.intercept == pytest.approx(1.5)
 
 
-def test_cv_rejects_empty_lambda_grid():
+def test_cv_grid_is_five_python_floats_largest_first():
     X, y = random_regression(11)
-    with pytest.raises(ValueError, match="lambda grid is empty"):
-        fit_linear_cv(dm(X, y), "identity", lambdas=[], folds=3)
+    data = dm(X, y)
+    _, table = fit_linear_cv(data, "identity", folds=3)
+    grid = linear.default_lambda_grid(data)
+    assert list(table) == grid == sorted(grid, reverse=True)
+    assert len(grid) == 5 and all(type(lam) is float for lam in grid)
+    # lmax forces every weight to zero, and a little below it one enters
+    assert np.all(fit_linear(data, "identity", grid[0] * np.sqrt(10) * (1 + 1e-9)).weights == 0.0)
+    assert np.any(fit_linear(data, "identity", grid[0] * np.sqrt(10) * 0.99).weights != 0.0)
 
 
 def test_convergence_error_message_explains_the_failure():
@@ -311,14 +300,14 @@ def _assert_same_model(new, old):
 @pytest.mark.parametrize("design", ["categorical", "duplicated-leaves"])
 def test_cv_path_matches_warm_started_oracle(design, link, max_iter):
     data = _path_data(design, link)
-    grid = linear.default_lambda_grid(data, link)
-    assert grid == path_oracle.default_lambda_grid(data, link)
+    grid = linear.default_lambda_grid(data)
+    assert grid == path_oracle.default_lambda_grid(data)
     # every fold's path, fit for fit, against the chain of warm-started calls
     old_fits, _ = path_oracle.cv_fold_models(data, link, folds=3, seed=4, max_iter=max_iter)
     new_fits = [
         model
         for train_idx, _ in linear._kfold_indices(data.n_rows, 3, 4)
-        for model, _ in linear._fit_path(data.take(train_idx), link, grid, max_iter, 1e-5, 20)
+        for model, _ in linear._fit_path(data.take(train_idx), link, grid, max_iter, 1e-5)
     ]
     assert len(new_fits) == len(old_fits) == 3 * len(grid)
     for new, old in zip(new_fits, old_fits):

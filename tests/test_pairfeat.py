@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -154,8 +156,9 @@ def test_training_set_deterministic(feature_corpus):
 
 
 def test_training_set_empty_and_errors(feature_corpus):
-    table = build_training_set(feature_corpus, 0, "ptp", seed=1)
-    assert len(table) == 0
+    for n_pairs in (0, -5):
+        with pytest.raises(ValueError, match=f"need at least one pair, got {n_pairs}"):
+            build_training_set(feature_corpus, n_pairs, "ptp", seed=1)
     c = make_corpus(views=[(1, 10, 0)])
     with pytest.raises(ValueError):
         build_training_set(c, 10, "ptp", seed=1)
@@ -179,7 +182,7 @@ def test_planted_labels_exceed_null_labels():
     base = GenConfig(seed=5, n_users=400, n_videos=180, n_tags=70, n_topics=8)
     planted, _ = generate(base)
     null, _ = generate(
-        base.with_overrides(friend_interest=0.0, message_interest=0.0, group_topic=0.0, gender_topic_skew=0.0)
+        replace(base, friend_interest=0.0, message_interest=0.0, group_topic=0.0, gender_topic_skew=0.0)
     )
     # the planted corpus has peakier shared structure among friends; compare
     # mean similarity of friend pairs against the null corpus'
@@ -245,13 +248,13 @@ def test_design_matrix_layout(feature_corpus):
     assert dm.X.shape == (100, len(FEATURE_COLUMNS))
     assert dm.names == FEATURE_COLUMNS
     assert dm.categorical == (0, 3, 4)
-    social = table.to_design(categories=("social",))
-    assert social.X.shape[1] == 5
-    assert social.categorical == ()
-    two = table.to_design(categories=("demographic", "interest"))
-    assert two.X.shape[1] == 10
+    social, social_categorical, _ = table.feature_matrix(("social",))
+    assert social.shape[1] == 5
+    assert social_categorical == ()
+    two, _, _ = table.feature_matrix(("demographic", "interest"))
+    assert two.shape[1] == 10
     with pytest.raises(ValueError):
-        table.to_design(categories=("nope",))
+        table.feature_matrix(("nope",))
 
 
 def test_misaligned_pair_arrays_rejected():

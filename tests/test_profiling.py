@@ -13,7 +13,6 @@ from interestsim.profiling import (
     ProfileIndex,
     build_ptp,
     build_rtp,
-    individuality,
     row_products,
     self_similarity,
     self_similarity_series,
@@ -136,7 +135,7 @@ def test_individuality_exact_values():
     users = {i: UserRecord(i, "M", 20, 0) for i in (1, 2)}
     videos = {10: VideoRecord(10, frozenset({100}))}
     c = make_corpus(users=users, videos=videos, views=[(1, 10, 0), (2, 10, 0)])
-    assert individuality(c, 1, "ptp", (0, 0)).value == pytest.approx(1.0)
+    assert c.profile_index((0, 0), "ptp").individuality_values([1]).tolist() == pytest.approx([1.0])
     # profile {t: 3} with tag owned by half the active users -> 0.5
     users = {i: UserRecord(i, "M", 20, 0) for i in (1, 2, 3, 4)}
     videos = {
@@ -148,12 +147,12 @@ def test_individuality_exact_values():
     views = [(1, 10, 0), (1, 11, 0), (1, 12, 0), (2, 10, 0), (3, 13, 0), (4, 13, 0)]
     c = make_corpus(users=users, videos=videos, views=views)
     assert build_ptp(c, 1, (0, 0)).weights == {100: 3.0}
-    assert individuality(c, 1, "ptp", (0, 0)).value == pytest.approx(0.5)
+    assert c.profile_index((0, 0), "ptp").individuality_values([1]).tolist() == pytest.approx([0.5])
 
 
 def test_individuality_empty_profile_zero():
     c = make_corpus(views=[(1, 10, 0)])
-    assert individuality(c, 2, "ptp", (0, 0)).value == 0.0
+    assert c.profile_index((0, 0), "ptp").individuality_values([2]).tolist() == [0.0]
 
 
 def test_individuality_nonnegative_and_cauchy_schwarz_bounded(small_corpus):

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 import grid_oracle
-from interestsim import evalkit, recommend
+from interestsim import recommend
 from interestsim.corpus import Corpus
-from interestsim.mlcore import HybridModel
+from interestsim.mlcore import fit_gbdt
 from interestsim.pairfeat import build_training_set
 from interestsim.recommend import (
     DemographicSim,
@@ -24,6 +24,8 @@ from interestsim.recommend import (
     run_experiment,
 )
 from interestsim.synthgen import GenConfig, generate
+
+from conftest import one_lambda_hybrid
 
 
 @pytest.mark.parametrize("grid", [{"k_values": ()}, {"n_values": ()}])
@@ -62,17 +64,13 @@ def grid_case():
     c, _ = generate(GenConfig(seed=31, n_users=400, n_videos=200, n_tags=80, n_topics=8, inactive_fraction=0.0))
     gbdt = {"n_trees": 6, "max_depth": 3, "learning_rate": 0.1, "min_leaf": 10}
     models = {
-        kind: evalkit.fit_model("gbdt", build_training_set(c, 600, kind, 1).to_design(), "reg", params=gbdt)
+        kind: fit_gbdt(build_training_set(c, 600, kind, 1).to_design(), loss="squared", **gbdt)
         for kind in ("ptp", "vbp")
     }
-    models["rtp"] = evalkit.fit_model(
-        "hybrid",
-        build_training_set(c, 600, "rtp", 2).to_design(),
-        "reg",
-        folds=3,
-        params={"gbdt_params": gbdt, "l1_grid": [1e-3]},
-    )
-    assert isinstance(models["rtp"], HybridModel)
+    # at one fixed lambda: the hybrid at its CV-chosen lambda predicts
+    # different last bits in blocks of different sizes, and the grid rows
+    # then differ between block sizes
+    models["rtp"] = one_lambda_hybrid(build_training_set(c, 600, "rtp", 2).to_design(), "reg", gbdt, 1e-3)
     strategies = [PredictedSim(kind, models[kind]) for kind in ("ptp", "rtp", "vbp")] + [
         OracleSim("ptp"),
         OracleSim("rtp"),

@@ -1,4 +1,5 @@
 import hashlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -37,7 +38,8 @@ def test_degenerate_config_rejected():
 
 
 def test_null_homophily_decorrelates_friendship():
-    cfg = SMALL.with_overrides(
+    cfg = replace(
+        SMALL,
         n_users=900,
         friend_interest=0.0,
         message_interest=0.0,
@@ -62,7 +64,7 @@ def test_null_homophily_decorrelates_friendship():
 
 
 def test_friend_interest_raises_friend_similarity():
-    planted, _ = generate(SMALL.with_overrides(friend_interest=0.8))
+    planted, _ = generate(replace(SMALL, friend_interest=0.8))
     for corpus, expect_gap in [(planted, True)]:
         idx = ProfileIndex(corpus, (0, 0), "ptp")
         edges = sorted(corpus.friend_edges)
@@ -85,7 +87,7 @@ def test_write_then_load_roundtrip(tmp_path):
 
 
 def test_empty_views_config_writes_header_only(tmp_path):
-    cfg = SMALL.with_overrides(n_users=20, daily_view_rate=1e-9)
+    cfg = replace(SMALL, n_users=20, daily_view_rate=1e-9)
     c, _ = generate(cfg)
     write_corpus(c, tmp_path)
     assert (tmp_path / "views.csv").read_text() == "user_id,video_id,day\n"
@@ -119,7 +121,7 @@ def test_zipf_tag_popularity_is_skewed():
 
 
 def test_inactive_fraction_suppresses_day0():
-    cfg = SMALL.with_overrides(inactive_fraction=0.3)
+    cfg = replace(SMALL, inactive_fraction=0.3)
     c, _ = generate(cfg)
     from interestsim.corpus import active_users
 

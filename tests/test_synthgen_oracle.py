@@ -1,5 +1,7 @@
 """``synthgen.generate`` against the per-view generator it replaced."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -11,11 +13,11 @@ SMALL = GenConfig(seed=7, n_users=300, n_videos=150, n_tags=60, n_topics=9, n_ci
 CONFIGS = {
     "default": GenConfig(),
     "benchmark_shape": GenConfig(seed=42, n_users=1000, n_videos=400, n_tags=300, n_topics=20, n_cities=12, n_groups=40),
-    "no_drift": SMALL.with_overrides(interest_drift=0.0),
-    "no_inactive": SMALL.with_overrides(inactive_fraction=0.0),
-    "topics_without_videos": SMALL.with_overrides(n_videos=5),
-    "one_topic": SMALL.with_overrides(n_topics=1),
-    "mostly_empty_days": SMALL.with_overrides(daily_view_rate=0.05),
+    "no_drift": replace(SMALL, interest_drift=0.0),
+    "no_inactive": replace(SMALL, inactive_fraction=0.0),
+    "topics_without_videos": replace(SMALL, n_videos=5),
+    "one_topic": replace(SMALL, n_topics=1),
+    "mostly_empty_days": replace(SMALL, daily_view_rate=0.05),
 }
 
 

@@ -82,13 +82,15 @@ def test_min_leaf_at_and_past_half_the_rows(task, n):
 
 
 @pytest.mark.parametrize("task", ["clf", "reg"])
-@pytest.mark.parametrize("pool", [2, 5])
-def test_bootstrap_with_feature_pool(task, pool):
-    # a pool of 2 of 5 features sorts per node, 5 of 5 presorts each bootstrap sample
-    data = awkward_design(3, 150, task)
-    forest = fit_forest(
-        data, n_trees=4, max_depth=6, min_leaf=2, feature_subsample=pool / 5, seed=9, task=task
-    )
+@pytest.mark.parametrize("width", [1, 2, 5])
+def test_bootstrap_with_feature_pool(task, width):
+    # pools of 1 of 2 and 2 of 5 features sort per node; a one-feature
+    # design has no pool to draw and presorts each bootstrap sample
+    full = awkward_design(3, 150, task)
+    cols, pool = {1: ([0], 1), 2: ([0, 3], 1), 5: ([0, 1, 2, 3, 4], 2)}[width]
+    categorical = tuple(i for i, j in enumerate(cols) if j in full.categorical)
+    data = DesignMatrix(full.X[:, cols], full.y, categorical)
+    forest = fit_forest(data, n_trees=4, max_depth=6, min_leaf=2, seed=9, task=task)
     ref = oracle.fit_forest_trees(data, 4, 6, 2, pool, True, 9, task)
     assert model_to_dict(forest)["trees"] == [oracle.tree_to_dict(t) for t in ref]
 
@@ -175,10 +177,8 @@ def test_saved_text_and_routing_of_forests(task):
     data = awkward_design(7, 200, task)
     X = with_unseen_levels(data)
     # more than 8 trees, so that a pairwise sum would round differently
-    forest = fit_forest(
-        data, n_trees=12, max_depth=6, min_leaf=2, feature_subsample=0.6, seed=3, task=task
-    )
-    ref = oracle.fit_forest_trees(data, 12, 6, 2, 3, True, 3, task)
+    forest = fit_forest(data, n_trees=12, max_depth=6, min_leaf=2, seed=3, task=task)
+    ref = oracle.fit_forest_trees(data, 12, 6, 2, 2, True, 3, task)  # round(sqrt(5)) features per node
     assert text(model_to_dict(forest)["trees"]) == text([oracle.tree_to_dict(t) for t in ref])
     total = np.zeros(len(X))
     for t in ref:
