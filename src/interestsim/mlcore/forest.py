@@ -6,6 +6,13 @@ rows: a presort would partition all p columns of every bootstrap sample at
 every split, and that made forests slower.  A one-feature design has
 nothing to draw, so each of its trees presorts its bootstrap sample as
 fit_tree does.
+
+A tree depends only on its own ``SeedSequence`` child, which draws its
+bootstrap rows and then its node feature pools, so the trees are grown
+with ``_util.fork_map``: shares of them in forked workers, which send the
+grown trees back, and the first share in the caller.  They come back in
+seed order, the same trees as a serial loop for any number of CPUs.  The
+arguments are checked once, before the fan-out.
 """
 
 from __future__ import annotations
@@ -15,8 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .._util import fork_map
 from .data import DesignMatrix, check_width
-from .tree import Tree, _Columns, _grow_tree, route
+from .tree import Tree, _check_growth, _Columns, _grow_tree, route
 
 
 @dataclass
@@ -49,18 +57,20 @@ def fit_forest(
         raise ValueError("n_trees must be >= 1")
     if data.n_rows == 0:
         raise ValueError("cannot fit a forest on empty data")
+    _check_growth(task, min_leaf)
     p = data.n_cols
     k = max(1, round(math.sqrt(p)))
 
     def pool(r):
         return np.sort(r.choice(p, size=k, replace=False))
 
-    trees: list[Tree] = []
     cols = _Columns(data.X, data.categorical)
-    for child in np.random.SeedSequence(seed).spawn(n_trees):
+
+    def grow(child: np.random.SeedSequence) -> Tree:
         rng = np.random.default_rng(child)
         idx = rng.integers(0, data.n_rows, size=data.n_rows)
-        trees.append(_grow_tree(
+        return _grow_tree(
             cols, data.y, idx, max_depth, min_leaf, task, feature_pool=pool if k < p else None, rng=rng
-        )[0])
-    return ForestModel(trees, task, p, seed)
+        )[0]
+
+    return ForestModel(fork_map(grow, np.random.SeedSequence(seed).spawn(n_trees)), task, p, seed)

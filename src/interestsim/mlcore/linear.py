@@ -8,7 +8,15 @@ coordinate sweep in an iteratively reweighted quadratic approximation.
 Every fit is part of a lambda path (``_fit_path``), which encodes and
 standardizes its design once and fits each lambda in turn from the
 previous one's coefficients: ``fit_linear`` is a path of one lambda and
-``fit_linear_cv`` runs one path per fold.
+``fit_linear_cv`` runs one path per fold.  The folds are independent, so
+``fit_linear_cv`` fans them out over the CPUs with ``_util.fork_map``; each
+worker returns its folds' validation losses, the caller sums them in fold
+order and refits on all rows itself, so the CV table, the chosen lambda
+and the model are those of a serial loop, bit for bit, for any number of
+CPUs.  The folds run with one BLAS thread (see ``_util``), so on large
+designs their losses no longer depend on the BLAS thread count; the
+refit still does.  ``fit_linear``, which the benchmark harness hooks,
+never runs in a worker.
 
 The sweeps alternate between full sweeps, a Python loop over every column
 that keeps the residual current at O(n) per coordinate step, and sweeps
@@ -28,6 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg.blas import dtrsv
 
+from .._util import fork_map
 from .data import DesignMatrix, check_width
 
 
@@ -321,18 +330,22 @@ def _standardize(data: DesignMatrix):
     return encoder, mu, sigma, (Z - mu) / sigma
 
 
+def _check_link(link: str, data: DesignMatrix) -> None:
+    if link not in ("identity", "logistic"):
+        raise ValueError(f"link must be 'identity' or 'logistic', got {link!r}")
+    if link == "logistic" and not np.all(np.isin(np.unique(data.y), (0.0, 1.0))):
+        raise ValueError("logistic link requires binary 0/1 targets")
+
+
 def _fit_path(data: DesignMatrix, link: str, lambdas, max_iter: int, tol: float):
     """Fit each lambda in the order given on one standardized design, from
     the previous lambda's w and b (the first from zero).  Returns one
     (model, the last sweep's largest change) per lambda; a model whose
     sweep budget ran out has ``converged`` False."""
-    if link not in ("identity", "logistic"):
-        raise ValueError(f"link must be 'identity' or 'logistic', got {link!r}")
+    _check_link(link, data)
     if any(lam < 0 for lam in lambdas):
         raise ValueError("l1_lambda must be >= 0")
     y = data.y
-    if link == "logistic" and not np.all(np.isin(np.unique(y), (0.0, 1.0))):
-        raise ValueError("logistic link requires binary 0/1 targets")
     encoder, mu, sigma, Z = _standardize(data)
     Z = np.asfortranarray(Z)
     names = encoder.names(data.names if data.names else tuple(f"x{j}" for j in range(data.n_cols)))
@@ -429,18 +442,35 @@ def fit_linear_cv(
     Each fold fits the grid, largest lambda first, as one path, so its rows
     are encoded and standardized once, not once per lambda: on a 63k x 250
     hybrid fold that prologue alone takes about 0.4 s on a 2-core host.  A
-    fold fit that runs out of sweeps is scored at its last iterate."""
+    fold fit that runs out of sweeps is scored at its last iterate.
+
+    The arguments are checked here, once, before the folds fan out.  Each
+    fold (its split, path, predictions and summed validation loss) is one
+    ``fork_map`` item, run in a forked worker or in the caller; the losses
+    come back in fold order and are added up in that order, as a serial
+    loop adds them.  Only ``_fit_path`` and ``LinearModel.predict`` run in
+    a worker, never ``fit_linear``: the final refit stays in the caller."""
     if folds < 2:
         raise ValueError("folds must be >= 2")
+    if data.n_rows < 2:
+        raise ValueError(f"cross-validation needs at least 2 rows, got {data.n_rows}")
+    _check_link(link, data)
     grid = default_lambda_grid(data)
-    folds = min(folds, data.n_rows)
-    totals = {lam: 0.0 for lam in grid}
     cv_tol = max(tol, 1e-5)  # selection does not need final-fit precision
-    for train_idx, val_idx in _kfold_indices(data.n_rows, folds, seed):
+
+    def fold_losses(fold):
+        train_idx, val_idx = fold
         Xv = data.X[val_idx]
         yv = data.y[val_idx]
-        for model, _ in _fit_path(data.take(train_idx), link, grid, max_iter, cv_tol):
-            totals[model.l1_lambda] += cv_loss(model.predict(Xv), yv, link) * len(val_idx)
+        return [
+            cv_loss(model.predict(Xv), yv, link) * len(val_idx)
+            for model, _ in _fit_path(data.take(train_idx), link, grid, max_iter, cv_tol)
+        ]
+
+    totals = {lam: 0.0 for lam in grid}
+    for losses in fork_map(fold_losses, _kfold_indices(data.n_rows, min(folds, data.n_rows), seed)):
+        for lam, loss in zip(grid, losses):
+            totals[lam] += loss
     # minimize CV loss; ties prefer the larger lambda (sparser model)
     best = grid[0]
     for lam in grid:

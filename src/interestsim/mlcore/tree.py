@@ -295,6 +295,13 @@ def _best_split(cols: _Columns, idx, yv, s, s2, parent, nums, order, ranks, ys, 
     return best
 
 
+def _check_growth(task: str, min_leaf: int) -> None:
+    if task not in ("reg", "clf"):
+        raise ValueError(f"task must be 'reg' or 'clf', got {task!r}")
+    if min_leaf < 1:
+        raise ValueError("min_leaf must be >= 1")
+
+
 def _grow_tree(
     cols: _Columns, y: np.ndarray, rows: np.ndarray, max_depth: int, min_leaf: int, task: str,
     presort: tuple[np.ndarray, np.ndarray] | None = None, feature_pool=None, rng=None,
@@ -310,12 +317,9 @@ def _grow_tree(
     Returns the tree and ``rows`` reordered so that each leaf's rows are
     contiguous, leaves in pre-order: leaf ``i`` holds the next ``n[i]``.
     """
-    if task not in ("reg", "clf"):
-        raise ValueError(f"task must be 'reg' or 'clf', got {task!r}")
+    _check_growth(task, min_leaf)
     if len(rows) == 0:
         raise ValueError("cannot fit a tree on empty data")
-    if min_leaf < 1:
-        raise ValueError("min_leaf must be >= 1")
     idx = np.array(rows)  # each node's rows, in their order in ``rows``
     side = np.zeros(cols.X.shape[0], dtype=bool)
     p = len(cols.numeric)

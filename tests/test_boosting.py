@@ -9,6 +9,7 @@ from interestsim.mlcore import (
     fit_tree,
     model_to_dict,
 )
+from interestsim.mlcore import forest as forest_module
 from interestsim.mlcore.gbdt import GbdtModel
 from interestsim.mlcore.tree import Tree
 
@@ -176,7 +177,11 @@ def test_prediction_row_order_equivariance():
     assert np.array_equal(model.predict(X)[perm], model.predict(X[perm]))
 
 
-def test_forest_validates_task_and_min_leaf():
+def test_forest_validates_task_and_min_leaf(monkeypatch):
+    def no_fan_out(*args):
+        raise AssertionError("reached the tree fan-out")
+
+    monkeypatch.setattr(forest_module, "fork_map", no_fan_out)
     X, y = regression_data(12)
     with pytest.raises(ValueError, match="task"):
         fit_forest(dm(X, y), n_trees=2, task="classification")

@@ -333,3 +333,23 @@ def test_cv_rejects_fewer_than_two_folds(folds):
     X, y = random_regression(14)
     with pytest.raises(ValueError, match="folds must be >= 2"):
         fit_linear_cv(dm(X, y), "identity", folds=folds)
+
+
+def _no_fan_out(*args):
+    raise AssertionError("reached the fold fan-out")
+
+
+@pytest.mark.parametrize("link", ["identity", "logistic"])
+def test_cv_rejects_one_row_before_fan_out(link, monkeypatch):
+    monkeypatch.setattr(linear, "fork_map", _no_fan_out)
+    with pytest.raises(ValueError, match="at least 2 rows, got 1"):
+        fit_linear_cv(dm([[0.5, 2.0]], [1.0]), link, folds=3)
+
+
+def test_cv_rejects_bad_link_and_targets_before_fan_out(monkeypatch):
+    monkeypatch.setattr(linear, "fork_map", _no_fan_out)
+    X, y = random_regression(15)
+    with pytest.raises(ValueError, match="link must be 'identity' or 'logistic', got 'probit'"):
+        fit_linear_cv(dm(X, y), "probit", folds=3)
+    with pytest.raises(ValueError, match="logistic link requires binary 0/1 targets"):
+        fit_linear_cv(dm(X, y), "logistic", folds=3)
