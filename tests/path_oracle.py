@@ -5,7 +5,11 @@ Every (fold, lambda) is its own ``fit_linear`` call: the fold's rows are
 encoded and standardized again for each lambda, and the previous lambda's
 model is handed over as ``warm_start``, from which the call takes the
 encoder, mu, sigma, weights and intercept.  A fit that runs out of sweeps
-raises, and the CV loop scores the model the error carries.
+raises, and the CV loop scores the model the error carries.  Under the
+logistic link each fold's chain also stops on the optimality certificate:
+its bound is eps * S(0, 0), read on the fold's cold-start design at the
+first lambda, and every call of the chain checks it at the start of each
+IRLS step and hands it to the sweeps.
 """
 
 import numpy as np
@@ -15,21 +19,15 @@ from interestsim.mlcore.linear import (
     LinearModel,
     _cd_sweeps,
     _kfold_indices,
+    _subgradient_norm,
     cv_loss,
     fit_encoder,
     sigmoid,
 )
 
 
-def fit_linear(data, link="identity", l1_lambda=0.0, max_iter=1000, tol=1e-8, warm_start=None):
-    if link not in ("identity", "logistic"):
-        raise ValueError(f"link must be 'identity' or 'logistic', got {link!r}")
-    if l1_lambda < 0:
-        raise ValueError("l1_lambda must be >= 0")
-    if link == "logistic":
-        labels = np.unique(data.y)
-        if not np.all(np.isin(labels, (0.0, 1.0))):
-            raise ValueError("logistic link requires binary 0/1 targets")
+def _design(data, warm_start):
+    """(encoder, mu, sigma, Z): the fit's standardized design, in Fortran order."""
     encoder = (
         warm_start.encoder
         if warm_start is not None
@@ -42,7 +40,32 @@ def fit_linear(data, link="identity", l1_lambda=0.0, max_iter=1000, tol=1e-8, wa
         mu = Z_raw.mean(axis=0)
         sigma = Z_raw.std(axis=0)
         sigma = np.where(sigma > 0, sigma, 1.0)
-    Z = np.asfortranarray((Z_raw - mu) / sigma)
+    return encoder, mu, sigma, np.asfortranarray((Z_raw - mu) / sigma)
+
+
+def certificate_bound(data, lam):
+    """eps * S(0, 0) on the cold-start design, with LIBLINEAR's -s 6 default
+    eps = 0.01 * max(min(n+, n-), 1) / n."""
+    _, _, _, Z = _design(data, None)
+    y = data.y
+    n = len(y)
+    w = np.zeros(Z.shape[1])
+    p = sigmoid(Z @ w + 0.0)
+    s0 = _subgradient_norm(Z.T @ (p - y) / n, float(np.mean(p - y)), w, lam)
+    n_pos = int(np.sum(y == 1.0))
+    return 0.01 * max(min(n_pos, n - n_pos), 1) / n * s0
+
+
+def fit_linear(data, link="identity", l1_lambda=0.0, max_iter=1000, tol=1e-8, warm_start=None, bound=None):
+    if link not in ("identity", "logistic"):
+        raise ValueError(f"link must be 'identity' or 'logistic', got {link!r}")
+    if l1_lambda < 0:
+        raise ValueError("l1_lambda must be >= 0")
+    if link == "logistic":
+        labels = np.unique(data.y)
+        if not np.all(np.isin(labels, (0.0, 1.0))):
+            raise ValueError("logistic link requires binary 0/1 targets")
+    encoder, mu, sigma, Z = _design(data, warm_start)
     y = data.y
     w = warm_start.weights.copy() if warm_start is not None else np.zeros(Z.shape[1])
     b = warm_start.intercept if warm_start is not None else 0.0
@@ -57,13 +80,18 @@ def fit_linear(data, link="identity", l1_lambda=0.0, max_iter=1000, tol=1e-8, wa
         for _ in range(max_iter):
             z = Z @ w + b
             p = sigmoid(z)
+            if bound is not None:
+                grad = Z.T @ (p - y) / len(y)
+                if _subgradient_norm(grad, float(np.mean(p - y)), w, l1_lambda) <= bound:
+                    converged = True
+                    break
             omega = np.maximum(p * (1.0 - p), 1e-6)
             y_work = z + (y - p) / omega
             w_before = w.copy()
             b_before = b
             inner_budget = max(max_iter - used, 1)
             b, sweeps, _, last_delta = _cd_sweeps(
-                Z, y_work, w, b, l1_lambda, omega, min(inner_budget, 100), tol
+                Z, y_work, w, b, l1_lambda, omega, min(inner_budget, 100), tol, bound
             )
             used += sweeps
             delta = max(float(np.max(np.abs(w - w_before))) if len(w) else 0.0, abs(b - b_before))
@@ -127,9 +155,10 @@ def cv_fold_models(data, link, folds=10, seed=0, max_iter=2000, tol=1e-6):
         Xv = data.X[val_idx]
         yv = data.y[val_idx]
         warm = None
+        bound = certificate_bound(train, grid[0]) if link == "logistic" else None
         for lam in grid:
             try:
-                model = fit_linear(train, link, lam, max_iter, cv_tol, warm_start=warm)
+                model = fit_linear(train, link, lam, max_iter, cv_tol, warm_start=warm, bound=bound)
             except ConvergenceError as err:
                 model = err.model
             warm = model

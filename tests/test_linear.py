@@ -210,15 +210,15 @@ def _lambda_max(Z, y, omega):
     return float(np.max(np.abs(Z.T @ (omega * centred))) / len(y))
 
 
-def _assert_sweeps_match(Z, y, lam, omega, max_sweeps, tol, w0=None, b0=0.0):
+def _assert_sweeps_match(Z, y, lam, omega, max_sweeps, tol, w0=None, b0=0.0, bound=None):
     w_new = np.zeros(Z.shape[1]) if w0 is None else w0.copy()
     w_old = w_new.copy()
-    b_new, sweeps_new, conv_new, _ = linear._cd_sweeps(Z, y, w_new, b0, lam, omega, max_sweeps, tol)
-    b_old, sweeps_old, conv_old = oracle_sweeps(Z, y, w_old, b0, lam, omega, max_sweeps, tol)
+    b_new, sweeps_new, conv_new, _ = linear._cd_sweeps(Z, y, w_new, b0, lam, omega, max_sweeps, tol, bound)
+    b_old, sweeps_old, conv_old = oracle_sweeps(Z, y, w_old, b0, lam, omega, max_sweeps, tol, bound)
     assert (sweeps_new, conv_new) == (sweeps_old, conv_old)
     assert np.max(np.abs(w_new - w_old), initial=0.0) < 1e-10
     assert abs(b_new - b_old) < 1e-10
-    return w_new
+    return w_new, sweeps_new
 
 
 @pytest.mark.parametrize("lam_frac", [0.0, 0.1, 0.95], ids=["lam0", "mid", "near-max"])
@@ -239,7 +239,7 @@ def test_sweeps_match_residual_oracle_through_sign_changes(link):
     # drop out inside active sweeps, where the triangular solve stops and
     # takes the scalar soft-threshold step
     Z, y, omega = _sweep_problem("leaf-one-hot", link)
-    w0 = _assert_sweeps_match(Z, y, 0.0, omega, max_sweeps=3000, tol=1e-10)
+    w0, _ = _assert_sweeps_match(Z, y, 0.0, omega, max_sweeps=3000, tol=1e-10)
     lam = 0.3 * _lambda_max(Z, y, omega)
     _assert_sweeps_match(Z, y, lam, omega, max_sweeps=2000, tol=1e-8, w0=w0, b0=0.1)
 
@@ -257,6 +257,22 @@ def test_sweeps_match_residual_oracle_on_duplicated_columns(link):
     # budgets that stop inside the active sweeps, just after a shrink
     for max_sweeps in range(1, 30):
         _assert_sweeps_match(Z, y, lam, omega, max_sweeps=max_sweeps, tol=1e-8, w0=w0, b0=0.1)
+
+
+@pytest.mark.parametrize("design", ["constant-column", "categorical", "leaf-one-hot"])
+def test_sweeps_match_residual_oracle_with_a_certificate_bound(design):
+    # with a bound, the sweep also stops once its own minimum-norm
+    # subgradient, read after a full sweep or every 10th active sweep in a
+    # row, is within it: sooner than the coefficient test alone (12 sweeps
+    # is a full one, 10 active ones and the full one that verifies)
+    Z, y, omega = _sweep_problem(design, "logistic")
+    lam = 0.01 * _lambda_max(Z, y, omega)
+    n = len(y)
+    s0 = linear._subgradient_norm(-(Z.T @ (omega * y)) / n, -float(omega @ y) / n, np.zeros(Z.shape[1]), lam)
+    _, plain = _assert_sweeps_match(Z, y, lam, omega, max_sweeps=2000, tol=1e-10)
+    for frac in (1e-1, 1e-2, 1e-3, 1e-4):
+        _, bounded = _assert_sweeps_match(Z, y, lam, omega, max_sweeps=2000, tol=1e-10, bound=frac * s0)
+        assert bounded < plain
 
 
 # -- the lambda path against the warm-started search it replaced ----------------
@@ -293,8 +309,9 @@ def _assert_same_model(new, old):
     )
 
 
-# at 400 sweeps some fold fits run out while the refits converge; at 6 all
-# fold fits and every refit run out
+# at 400 sweeps some identity fold fits on the duplicated leaves run out
+# (the logistic ones are certified first) while the refits converge; at 6
+# all fold fits and every refit run out
 @pytest.mark.parametrize("max_iter", [2000, 400, 6], ids=["budget-2000", "budget-400", "budget-6"])
 @pytest.mark.parametrize("link", ["identity", "logistic"])
 @pytest.mark.parametrize("design", ["categorical", "duplicated-leaves"])
@@ -302,12 +319,13 @@ def test_cv_path_matches_warm_started_oracle(design, link, max_iter):
     data = _path_data(design, link)
     grid = linear.default_lambda_grid(data)
     assert grid == path_oracle.default_lambda_grid(data)
-    # every fold's path, fit for fit, against the chain of warm-started calls
+    # every fold's path, fit for fit, against the chain of warm-started
+    # calls, both stopping on the certificate under the logistic link
     old_fits, _ = path_oracle.cv_fold_models(data, link, folds=3, seed=4, max_iter=max_iter)
     new_fits = [
         model
         for train_idx, _ in linear._kfold_indices(data.n_rows, 3, 4)
-        for model, _ in linear._fit_path(data.take(train_idx), link, grid, max_iter, 1e-5)
+        for model, _ in linear._fit_path(data.take(train_idx), link, grid, max_iter, 1e-5, certify=True)
     ]
     assert len(new_fits) == len(old_fits) == 3 * len(grid)
     for new, old in zip(new_fits, old_fits):
@@ -326,6 +344,87 @@ def test_cv_path_matches_warm_started_oracle(design, link, max_iter):
     model, table = fit_linear_cv(data, link, folds=3, seed=4, max_iter=max_iter)
     assert list(table.items()) == list(old_table.items())
     _assert_same_model(model, old_model)
+
+
+# -- the optimality certificate of the logistic fold fits ----------------------
+
+
+def _brute_force_subgradient_norm(g, g_b, w, lam, steps=20_001):
+    """Each coordinate's smallest |g_j + t| over t in its subdifferential of
+    lam * |w_j| ({lam * sign(w_j)}, or [-lam, lam] sampled at ``steps``
+    points where w_j = 0), summed, plus the free intercept's |g_b|."""
+    total = abs(g_b)
+    for gj, wj in zip(g, w):
+        ts = np.array([lam * np.sign(wj)]) if wj != 0 else np.linspace(-lam, lam, steps)
+        total += float(np.min(np.abs(gj + ts)))
+    return total
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.05, 0.5])
+def test_subgradient_norm_matches_brute_force_minimum(lam):
+    # w_j > 0, w_j < 0, and w_j = 0 with |g_j| above and below lam, each
+    # with both signs of g_j
+    g = np.array([0.3, -0.8, 0.9, -0.02, 0.7, -0.6, 0.04, -0.03, 0.0])
+    w = np.array([1.5, 0.2, -0.4, -2.0, 0.0, 0.0, 0.0, 0.0, 0.0])
+    for g_b in (0.0, 0.25, -0.125):
+        got = linear._subgradient_norm(g, g_b, w, lam)
+        # the sampled interval misses the exact minimizer by at most its step
+        want = _brute_force_subgradient_norm(g, g_b, w, lam)
+        assert got == pytest.approx(want, abs=len(g) * lam / 20_000 + 1e-12)
+    # by hand at lam = 0.5: |0.8| + |-0.3| + |0.4| + |-0.52| + 0.2 + 0.1 + 0 + 0 + 0, and |g_b|
+    assert linear._subgradient_norm(g, -0.125, w, 0.5) == pytest.approx(2.445)
+    # at lam = 0 it is ||g||_1 + |g_b| whatever w is
+    assert linear._subgradient_norm(g, 0.25, w, 0.0) == pytest.approx(np.abs(g).sum() + 0.25)
+
+
+def _logistic_objective(Z, y, w, b, lam):
+    z = Z @ w + b
+    return float(np.mean(np.logaddexp(0.0, z) - y * z)) + lam * float(np.abs(w).sum())
+
+
+def test_certified_fold_fits_end_within_budget_near_the_optimum():
+    data = _path_data("duplicated-leaves", "logistic")
+    grid = linear.default_lambda_grid(data)
+    ran_out = 0
+    for train_idx, _ in linear._kfold_indices(data.n_rows, 3, 4):
+        train = data.take(train_idx)
+        y, n = train.y, train.n_rows
+        Z = np.asfortranarray(linear._standardize(train)[3])
+        # coordinate descent alone runs out of its 400 sweeps on some fits
+        plain = linear._fit_path(train, "logistic", grid, 400, 1e-5)
+        ran_out += not all(m.converged for m, _ in plain)
+        w0 = np.zeros(Z.shape[1])
+        p0 = sigmoid(Z @ w0)
+        s0 = linear._subgradient_norm(Z.T @ (p0 - y) / n, float(np.mean(p0 - y)), w0, grid[0])
+        n_pos = int(y.sum())
+        bound = 0.01 * max(min(n_pos, n - n_pos), 1) / n * s0
+        for model, _ in linear._fit_path(train, "logistic", grid, 400, 1e-5, certify=True):
+            w, b, lam = model.weights, model.intercept, model.l1_lambda
+            assert model.converged and model.n_sweeps < 400
+            p = sigmoid(Z @ w + b)
+            s = linear._subgradient_norm(Z.T @ (p - y) / n, float(np.mean(p - y)), w, lam)
+            assert s <= bound
+            # against a long run under the coefficient test: by convexity,
+            # F(w) - F(w_ref) <= S(w) * max|(w, b) - (w_ref, b_ref)|, and the
+            # objective is within 1% of the reference's
+            [(ref, _)] = linear._fit_path(train, "logistic", [lam], 20_000, 1e-8)
+            f_ref = _logistic_objective(Z, y, ref.weights, ref.intercept, lam)
+            gap = _logistic_objective(Z, y, w, b, lam) - f_ref
+            far = max(np.max(np.abs(w - ref.weights)), abs(b - ref.intercept))
+            assert gap <= s * far + 1e-12
+            assert gap <= 0.01 * f_ref
+    assert ran_out > 0
+
+
+@pytest.mark.parametrize("link", ["identity", "logistic"])
+@pytest.mark.parametrize("design", ["categorical", "duplicated-leaves"])
+def test_cv_model_is_fit_linear_at_the_chosen_lambda(design, link):
+    # the certificate stops fold fits only: the model returned is the one
+    # fit_linear gives at the chosen lambda with the same budget and tol
+    data = _path_data(design, link)
+    model, table = fit_linear_cv(data, link, folds=3, seed=9, max_iter=2000, tol=1e-6)
+    assert model.l1_lambda in table
+    _assert_same_model(model, fit_linear(data, link, model.l1_lambda, max_iter=2000, tol=1e-6))
 
 
 @pytest.mark.parametrize("folds", [1, 0, -3])
