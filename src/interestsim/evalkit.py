@@ -294,10 +294,14 @@ def run_protocol(
         train_mean = float(np.mean(sims[split.train]))
         report["train_mean"] = train_mean
         report["reduced_mae_pct"] = reduced_mae_ratio(scores, sims[split.test], train_mean)
-    if hasattr(model, "chosen_lambda"):
-        report["lambda"] = model.chosen_lambda
-    elif hasattr(model, "l1_lambda"):
-        report["lambda"] = model.l1_lambda
+    linear = model.linear if isinstance(model, mlcore.HybridModel) else model
+    if isinstance(linear, mlcore.LinearModel):  # lambda and the solver's diagnostics
+        report.update({"lambda": linear.l1_lambda, "converged": linear.converged, "n_sweeps": linear.n_sweeps})
+        # the identity link's certificate, S near 0 from a cancelling residual
+        # gradient, differs in its last digits between BLAS thread counts, so
+        # only the model file keeps it; the logistic link's is its stopping test
+        if linear.link == "logistic":
+            report["certificate"] = linear.certificate
     if hasattr(model, "pruning_alpha") and model.pruning_alpha is not None:
         report["pruning_alpha"] = model.pruning_alpha
     return report, model

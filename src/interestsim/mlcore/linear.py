@@ -18,16 +18,14 @@ designs their losses no longer depend on the BLAS thread count; the
 refit still does.  ``fit_linear``, which the benchmark harness hooks,
 never runs in a worker.
 
-A fit has two stopping tests.  Every fit stops once an IRLS step (for
-the identity link, a full sweep) moves no coefficient and not the
-intercept by ``tol`` or more.  The logistic fold fits of
-``fit_linear_cv`` also stop on newGLMNET's optimality certificate, the
-minimum-norm subgradient shrunk by LIBLINEAR's fixed factor (see
-``_fit_path``), whichever passes first; it also ends their IRLS
-sub-problems early (see ``_cd_sweeps``).  Refits, ``fit_linear`` and the
-identity link use the coefficient test alone, so a returned model is the
-same whichever test stopped the folds, as long as they choose the same
-lambda.
+Each link has one stopping rule, the same for fold fits, refits and
+every ``fit_linear`` call.  An identity-link fit stops once a full sweep
+moves no coefficient and not the intercept by ``tol`` or more.  A logistic
+fit stops on newGLMNET's optimality certificate, the minimum-norm
+subgradient shrunk by LIBLINEAR's fixed factor (see ``_fit_path``), which
+also ends its IRLS sub-problems (see ``_cd_sweeps``); ``tol`` is an
+identity-link setting.  Every model records that certificate at its exit,
+under the identity link as a diagnostic only.
 
 The sweeps alternate between full sweeps, a Python loop over every column
 that keeps the residual current at O(n) per coordinate step, and sweeps
@@ -120,11 +118,14 @@ class LinearModel:
     n_raw_features: int
     converged: bool = True
     n_sweeps: int = 0
+    certificate: float | None = None  # S(w, b) / S(0, 0) at exit (see _fit_path)
 
     def decision_function(self, X: np.ndarray) -> np.ndarray:
         X = check_width(X, self.n_raw_features)
         Z = (self.encoder.transform(X) - self.mu) / self.sigma
-        return Z @ self.weights + self.intercept
+        # summed along each C-order row, so a row's value does not depend on
+        # its batch, as Z @ w's does
+        return np.multiply(Z, self.weights, order="C").sum(axis=1) + self.intercept
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         z = self.decision_function(X)
@@ -215,17 +216,16 @@ def _cd_sweeps(Z, y, w, b, lam, omega, max_sweeps, tol, bound=None):
     """Cyclic coordinate descent on (1/2n) sum omega*(y - Zw - b)^2 + lam*||w||_1.
 
     Alternates full sweeps with sweeps over the active set A (the nonzero
-    coefficients) and declares convergence only when a full sweep moves
-    every coefficient and the intercept by less than tol.
-
-    With a ``bound``, it also declares convergence when, after a full
-    sweep, this problem's own minimum-norm subgradient S
-    (``_subgradient_norm``, one Z' Omega r product) is at most ``bound``:
-    newGLMNET's stopping test for its inner solve (Yuan, Ho & Lin 2012).
-    Every 10th active sweep in a row checks S over A alone, from the
-    tracked gradient, and if it passes, the next sweep is a full one that
-    checks all of S.  Without a bound, as in every refit, every
-    ``fit_linear`` call and the identity link, neither check runs.
+    coefficients) and has one stopping rule, its caller's link's.  Without
+    a ``bound`` (the identity link) it declares convergence only when a
+    full sweep moves every coefficient and the intercept by less than tol.
+    With a ``bound`` (a logistic fit's IRLS sub-problem) tol is not used:
+    it declares convergence only when, after a full sweep, this problem's
+    own minimum-norm subgradient S (``_subgradient_norm``, one Z' Omega r
+    product) is at most ``bound``, newGLMNET's stopping test for its inner
+    solve (Yuan, Ho & Lin 2012).  Every 10th active sweep in a row checks S
+    over A alone, from the tracked gradient, and if it passes, the next
+    sweep is a full one that checks all of S.
 
     A full sweep loops over all columns and updates the residual r after
     each coordinate step, at O(n) per step.  An active sweep works in Gram
@@ -346,7 +346,7 @@ def _cd_sweeps(Z, y, w, b, lam, omega, max_sweeps, tol, bound=None):
             if bound is not None and active_run % 10 == 0:
                 certified = _subgradient_norm(-u, -wr_sum / n, wA, lam) <= bound
         delta_max = max(delta_max, abs(db))
-        if delta_max < tol or certified:
+        if (certified if bound is not None else delta_max < tol):
             if full:
                 return b, sweeps, True, delta_max
             full = True  # verify on a full sweep
@@ -378,64 +378,70 @@ def _check_link(link: str, data: DesignMatrix) -> None:
 CERT_EPS = 0.01  # LIBLINEAR's default stopping tolerance for L1 logistic regression (-s 6)
 
 
-def _fit_path(data: DesignMatrix, link: str, lambdas, max_iter: int, tol: float, certify: bool = False):
+def _subgradient_at(Z, y, w, b, lam, link):
+    """(S(w, b), z = Zw + b, p) for the link's mean loss, whose gradient is
+    Z'(p - y) / n in w and mean(p - y) in b: p = sigmoid(z), or z itself."""
+    z = Z @ w + b
+    p = sigmoid(z) if link == "logistic" else z
+    return _subgradient_norm(Z.T @ (p - y) / len(y), float(np.mean(p - y)), w, lam), z, p
+
+
+def _fit_path(data: DesignMatrix, link: str, lambdas, max_iter: int, tol: float):
     """Fit each lambda in the order given on one standardized design, from
     the previous lambda's w and b (the first from zero).  Returns one
-    (model, the last sweep's largest change) per lambda; a model whose
-    sweep budget ran out has ``converged`` False.
+    (model, the stopping test's last reading, as text) per lambda; a model
+    whose sweep budget ran out has ``converged`` False.
 
-    Every fit stops when an IRLS step moves no coefficient and not the
-    intercept by tol or more.  With ``certify`` (logistic link only), a fit
-    also stops, converged, on newGLMNET's optimality certificate (Yuan, Ho
-    & Lin 2012; LIBLINEAR's rule for -s 6): at the start of an IRLS step,
-    S(w, b) <= eps * S(0, 0), where S is ``_subgradient_norm`` of the mean
-    logistic loss at the step's p, S(0, 0) is read at the cold start of the
-    path's first lambda and used for every lambda, and eps = CERT_EPS *
-    max(min(n+, n-), 1) / n.  The same bound ends each IRLS sub-problem
-    early (see ``_cd_sweeps``)."""
+    An identity-link fit stops when a full sweep moves no coefficient and
+    not the intercept by tol or more.  A logistic fit stops, converged, on
+    newGLMNET's optimality certificate (Yuan, Ho & Lin 2012; LIBLINEAR's
+    rule for -s 6): at the start of an IRLS step, S(w, b) <= eps * S(0, 0),
+    where S is ``_subgradient_norm`` of the mean logistic loss, S(0, 0) is
+    read at the cold start of the path's first lambda and used for every
+    lambda, and eps = CERT_EPS * max(min(n+, n-), 1) / n.  The same bound
+    ends each IRLS sub-problem (see ``_cd_sweeps``), and tol is not used.
+    Each model records S / S(0, 0) at its exit as ``certificate``; under the
+    identity link it is a diagnostic, one Z' r product, never a test."""
     _check_link(link, data)
     if any(lam < 0 for lam in lambdas):
         raise ValueError("l1_lambda must be >= 0")
     y = data.y
-    n = len(y)
     encoder, mu, sigma, Z = _standardize(data)
     Z = np.asfortranarray(Z)
     names = encoder.names(data.names if data.names else tuple(f"x{j}" for j in range(data.n_cols)))
     w = np.zeros(Z.shape[1])
     b = 0.0
-    bound = None
+    s0 = _subgradient_at(Z, y, w, b, lambdas[0], link)[0]
+    n_pos = int(np.count_nonzero(y))
+    eps = CERT_EPS * max(min(n_pos, len(y) - n_pos), 1) / len(y)
+    bound = eps * s0
     path = []
     for lam in lambdas:
         if link == "identity":
             b, used, converged, last_delta = _cd_sweeps(Z, y, w, b, lam, None, max_iter, tol)
+            s = _subgradient_at(Z, y, w, b, lam, link)[0]
         else:
-            used, converged = 0, False
-            last_delta = float("nan")  # stays nan if no sweep runs
-            while not converged and used < max_iter:
-                z = Z @ w + b
-                p = sigmoid(z)
-                if certify:
-                    s = _subgradient_norm(Z.T @ (p - y) / n, float(np.mean(p - y)), w, lam)
-                    if bound is None:
-                        n_pos = int(np.count_nonzero(y))
-                        bound = CERT_EPS * max(min(n_pos, n - n_pos), 1) / n * s
-                    if s <= bound:
-                        converged = True
-                        break
+            used = 0
+            s, z, p = _subgradient_at(Z, y, w, b, lam, link)
+            while s > bound and used < max_iter:
                 omega = np.maximum(p * (1.0 - p), 1e-6)
-                w_before, b_before = w.copy(), b
-                b, sweeps, _, last_delta = _cd_sweeps(
-                    Z, z + (y - p) / omega, w, b, lam, omega, min(max_iter - used, 100), tol, bound
+                b, sweeps, _, _ = _cd_sweeps(
+                    Z, z + (y - p) / omega, w, b, lam, omega, min(max_iter - used, 100), None, bound
                 )
                 used += sweeps
-                delta = max(float(np.max(np.abs(w - w_before))) if len(w) else 0.0, abs(b - b_before))
-                converged = delta < tol
+                s, z, p = _subgradient_at(Z, y, w, b, lam, link)
+            converged = s <= bound
+        certificate = s / s0 if s0 > 0 else 0.0  # S(0, 0) is 0 only where the cold start is optimal
+        why = (
+            f"last sweep's largest coefficient change {last_delta:.3g}, tol {tol:g}" if link == "identity"
+            else f"optimality certificate S/S(0, 0) {certificate:.3g} above eps {eps:.3g}"
+        )
         model = LinearModel(
             link=link, l1_lambda=lam, weights=w.copy(), intercept=float(b), mu=mu, sigma=sigma,
             encoder=encoder, feature_names=names, n_raw_features=data.n_cols,
-            converged=bool(converged), n_sweeps=used,
+            converged=bool(converged), n_sweeps=used, certificate=certificate,
         )
-        path.append((model, last_delta))
+        path.append((model, why))
     return path
 
 
@@ -447,13 +453,12 @@ def fit_linear(
     tol: float = 1e-8,
 ) -> LinearModel:
     """Coordinate-descent fit; raises ConvergenceError (carrying the last
-    iterate) if the sweep budget runs out."""
-    [(model, last_delta)] = _fit_path(data, link, [l1_lambda], max_iter, tol)
+    iterate) if the sweep budget runs out; ``tol`` is the identity link's."""
+    [(model, why)] = _fit_path(data, link, [l1_lambda], max_iter, tol)
     if not model.converged:
         raise ConvergenceError(
             f"coordinate descent did not converge within {max_iter} sweeps "
-            f"({link} link, lambda={l1_lambda:g}, {model.n_sweeps} sweeps used, last sweep's "
-            f"largest coefficient change {last_delta:.3g}, tol {tol:g})",
+            f"({link} link, lambda={l1_lambda:g}, {model.n_sweeps} sweeps used, {why})",
             model,
         )
     return model
@@ -505,14 +510,14 @@ def fit_linear_cv(
     hybrid fold that prologue alone takes about 0.4 s on a 2-core host.  A
     fold fit that runs out of sweeps is scored at its last iterate.
 
-    Selection runs looser than the final fit.  The fold fits stop on the
-    coefficient test at ``max(tol, 1e-5)`` and, under the logistic link,
-    also on the optimality certificate of ``_fit_path`` (``certify``),
-    whichever passes first: coordinate descent on a rank-deficient design
-    such as a hybrid's keeps drifting along a flat face of the objective
-    long after it stops improving.  The refit is a plain ``fit_linear`` at
-    the chosen lambda, with ``max_iter`` and ``tol`` and no certificate, so
-    the model returned is the one ``fit_linear`` gives at that lambda.
+    The fold fits and the refit stop on their link's one rule (see
+    ``_fit_path``), so a logistic fold fit is certified as the refit is.
+    The identity link's fold fits alone run looser, at ``max(tol, 1e-5)``:
+    its coefficient test on a rank-deficient design such as a hybrid's
+    keeps drifting along a flat face of the objective long after it stops
+    improving.  That ``cv_tol`` is the one difference left between fold fits
+    and refit; an exact lasso path solver would remove it.  The refit is a
+    plain ``fit_linear`` at the chosen lambda, with ``max_iter`` and ``tol``.
 
     The arguments are checked here, once, before the folds fan out.  Each
     fold (its split, path, predictions and summed validation loss) is one
@@ -526,7 +531,7 @@ def fit_linear_cv(
         raise ValueError(f"cross-validation needs at least 2 rows, got {data.n_rows}")
     _check_link(link, data)
     grid = default_lambda_grid(data)
-    cv_tol = max(tol, 1e-5)  # selection does not need final-fit precision
+    cv_tol = max(tol, 1e-5)  # the identity link's selection does not need final-fit precision
 
     def fold_losses(fold):
         train_idx, val_idx = fold
@@ -534,7 +539,7 @@ def fit_linear_cv(
         yv = data.y[val_idx]
         return [
             cv_loss(model.predict(Xv), yv, link) * len(val_idx)
-            for model, _ in _fit_path(data.take(train_idx), link, grid, max_iter, cv_tol, certify=True)
+            for model, _ in _fit_path(data.take(train_idx), link, grid, max_iter, cv_tol)
         ]
 
     totals = {lam: 0.0 for lam in grid}

@@ -1,4 +1,8 @@
-"""Versioned JSON serialization for every model family."""
+"""Versioned JSON serialization for every model family.
+
+Format 3 adds a linear model's ``certificate``; format 2 files still load,
+with ``certificate`` None.
+"""
 
 from __future__ import annotations
 
@@ -13,7 +17,8 @@ from .hybrid import HybridModel
 from .linear import CategoricalEncoder, LinearModel
 from .tree import Tree
 
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
+READABLE_VERSIONS = (2, FORMAT_VERSION)
 
 
 def _tree_to_dict(tree: Tree) -> dict:
@@ -96,6 +101,7 @@ def _linear_to_dict(model: LinearModel) -> dict:
         "n_raw_features": model.n_raw_features,
         "converged": model.converged,
         "n_sweeps": model.n_sweeps,
+        "certificate": model.certificate,
     }
 
 
@@ -115,6 +121,7 @@ def _linear_from_dict(d: dict) -> LinearModel:
         n_raw_features=d["n_raw_features"],
         converged=d["converged"],
         n_sweeps=d["n_sweeps"],
+        certificate=d.get("certificate"),
     )
 
 
@@ -160,7 +167,7 @@ def model_to_dict(model) -> dict:
 
 def model_from_dict(d: dict):
     version = d.get("format_version")
-    if version != FORMAT_VERSION:
+    if version not in READABLE_VERSIONS:
         raise ValueError(f"unsupported model format version {version!r}")
     kind = d["model_type"]
     if kind == "tree":

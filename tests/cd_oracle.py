@@ -2,10 +2,11 @@
 replaced, kept as the reference it is tested against.
 
 Every sweep, full or over the active set, is a Python loop over columns
-that updates the residual after each coordinate step.  With a bound, the
-minimum-norm subgradient is read from the residual: over every column
-after a full sweep, and over the sweep's columns after every 10th active
-sweep in a row.
+that updates the residual after each coordinate step.  It has one
+stopping rule: the coefficient test without a bound, and with one (a
+logistic IRLS sub-problem) the minimum-norm subgradient alone, read from
+the residual: over every column after a full sweep, and over the sweep's
+columns after every 10th active sweep in a row.
 """
 
 import numpy as np
@@ -26,9 +27,9 @@ def _cd_sweeps(Z, y, w, b, lam, omega, max_sweeps, tol, bound=None):
 
     Alternates full sweeps with sweeps over the active (nonzero) set and
     declares convergence only when a full sweep moves every coefficient
-    by less than tol, or with a bound, when the subgradient after a full
-    sweep is at most bound.  Mutates w; returns (intercept, sweeps,
-    converged).
+    by less than tol or, with a bound, whatever tol is, only when the
+    subgradient after a full sweep is at most bound.  Mutates w; returns
+    (intercept, sweeps, converged).
     """
     n = len(y)
     if omega is None:
@@ -76,7 +77,7 @@ def _cd_sweeps(Z, y, w, b, lam, omega, max_sweeps, tol, bound=None):
             wr = r if omega is None else omega * r
             g = -(Z.T @ wr)[cols] / n
             certified = _subgradient_norm(g, -float(wr.sum()) / n, w[cols], lam) <= bound
-        if delta_max < tol or certified:
+        if (certified if bound is not None else delta_max < tol):
             if full:
                 return b, sweeps, True
             full = True  # verify on a full sweep

@@ -5,11 +5,14 @@ Every (fold, lambda) is its own ``fit_linear`` call: the fold's rows are
 encoded and standardized again for each lambda, and the previous lambda's
 model is handed over as ``warm_start``, from which the call takes the
 encoder, mu, sigma, weights and intercept.  A fit that runs out of sweeps
-raises, and the CV loop scores the model the error carries.  Under the
-logistic link each fold's chain also stops on the optimality certificate:
-its bound is eps * S(0, 0), read on the fold's cold-start design at the
-first lambda, and every call of the chain checks it at the start of each
-IRLS step and hands it to the sweeps.
+raises, and the CV loop scores the model the error carries.  Each link has
+one stopping rule.  The identity link stops on the coefficient test.  The
+logistic link stops on the optimality certificate: its bound is
+eps * S(0, 0), read on the cold-start design at the chain's first lambda
+(at its own lambda for a lone call, such as the refit), and every call
+checks it at the start of each IRLS step and hands it to the sweeps, which
+stop on it alone.  ``certify=False`` gives the coefficient test that every
+logistic fit outside the CV folds used before, kept as a contrast.
 """
 
 import numpy as np
@@ -43,20 +46,24 @@ def _design(data, warm_start):
     return encoder, mu, sigma, np.asfortranarray((Z_raw - mu) / sigma)
 
 
-def certificate_bound(data, lam):
-    """eps * S(0, 0) on the cold-start design, with LIBLINEAR's -s 6 default
-    eps = 0.01 * max(min(n+, n-), 1) / n."""
+def cold_start_subgradient(data, lam, link):
+    """S(0, 0): the minimum-norm subgradient of the link's mean loss at
+    w = 0, b = 0 on the cold-start design, where the fitted mean is 1/2
+    under the logistic link and 0 under the identity link."""
     _, _, _, Z = _design(data, None)
     y = data.y
-    n = len(y)
-    w = np.zeros(Z.shape[1])
-    p = sigmoid(Z @ w + 0.0)
-    s0 = _subgradient_norm(Z.T @ (p - y) / n, float(np.mean(p - y)), w, lam)
+    p = np.full(len(y), 0.5 if link == "logistic" else 0.0)
+    return _subgradient_norm(Z.T @ (p - y) / len(y), float(np.mean(p - y)), np.zeros(Z.shape[1]), lam)
+
+
+def certificate_eps(y):
+    """LIBLINEAR's -s 6 default eps = 0.01 * max(min(n+, n-), 1) / n."""
     n_pos = int(np.sum(y == 1.0))
-    return 0.01 * max(min(n_pos, n - n_pos), 1) / n * s0
+    return 0.01 * max(min(n_pos, len(y) - n_pos), 1) / len(y)
 
 
-def fit_linear(data, link="identity", l1_lambda=0.0, max_iter=1000, tol=1e-8, warm_start=None, bound=None):
+def fit_linear(data, link="identity", l1_lambda=0.0, max_iter=1000, tol=1e-8, warm_start=None, s0=None,
+               certify=True):
     if link not in ("identity", "logistic"):
         raise ValueError(f"link must be 'identity' or 'logistic', got {link!r}")
     if l1_lambda < 0:
@@ -65,34 +72,48 @@ def fit_linear(data, link="identity", l1_lambda=0.0, max_iter=1000, tol=1e-8, wa
         labels = np.unique(data.y)
         if not np.all(np.isin(labels, (0.0, 1.0))):
             raise ValueError("logistic link requires binary 0/1 targets")
+    if s0 is None:
+        s0 = cold_start_subgradient(data, l1_lambda, link)
     encoder, mu, sigma, Z = _design(data, warm_start)
     y = data.y
+    n = len(y)
     w = warm_start.weights.copy() if warm_start is not None else np.zeros(Z.shape[1])
     b = warm_start.intercept if warm_start is not None else 0.0
+
+    def subgradient():
+        z = Z @ w + b
+        p = sigmoid(z) if link == "logistic" else z
+        return _subgradient_norm(Z.T @ (p - y) / n, float(np.mean(p - y)), w, l1_lambda), z, p
 
     names = encoder.names(data.names if data.names else tuple(f"x{j}" for j in range(data.n_cols)))
     used = 0
     last_delta = float("nan")
+    bound = certificate_eps(y) * s0
     if link == "identity":
         b, used, converged, last_delta = _cd_sweeps(Z, y, w, b, l1_lambda, None, max_iter, tol)
+    elif certify:
+        converged = False
+        while True:
+            s, z, p = subgradient()
+            if s <= bound:
+                converged = True
+                break
+            if used >= max_iter:
+                break
+            omega = np.maximum(p * (1.0 - p), 1e-6)
+            y_work = z + (y - p) / omega
+            b, sweeps, _, _ = _cd_sweeps(Z, y_work, w, b, l1_lambda, omega, min(max_iter - used, 100), None, bound)
+            used += sweeps
     else:
         converged = False
         for _ in range(max_iter):
             z = Z @ w + b
             p = sigmoid(z)
-            if bound is not None:
-                grad = Z.T @ (p - y) / len(y)
-                if _subgradient_norm(grad, float(np.mean(p - y)), w, l1_lambda) <= bound:
-                    converged = True
-                    break
             omega = np.maximum(p * (1.0 - p), 1e-6)
             y_work = z + (y - p) / omega
             w_before = w.copy()
             b_before = b
-            inner_budget = max(max_iter - used, 1)
-            b, sweeps, _, last_delta = _cd_sweeps(
-                Z, y_work, w, b, l1_lambda, omega, min(inner_budget, 100), tol, bound
-            )
+            b, sweeps, _, last_delta = _cd_sweeps(Z, y_work, w, b, l1_lambda, omega, min(max_iter - used, 100), tol)
             used += sweeps
             delta = max(float(np.max(np.abs(w - w_before))) if len(w) else 0.0, abs(b - b_before))
             if delta < tol:
@@ -100,6 +121,7 @@ def fit_linear(data, link="identity", l1_lambda=0.0, max_iter=1000, tol=1e-8, wa
                 break
             if used >= max_iter:
                 break
+    s = subgradient()[0]
     model = LinearModel(
         link=link,
         l1_lambda=l1_lambda,
@@ -112,15 +134,32 @@ def fit_linear(data, link="identity", l1_lambda=0.0, max_iter=1000, tol=1e-8, wa
         n_raw_features=data.n_cols,
         converged=bool(converged),
         n_sweeps=used,
+        certificate=s / s0 if s0 > 0 else 0.0,
     )
     if not converged:
+        if link == "logistic" and certify:
+            why = f"optimality certificate S/S(0, 0) {s / s0:.3g} above eps {certificate_eps(y):.3g}"
+        else:
+            why = f"last sweep's largest coefficient change {last_delta:.3g}, tol {tol:g}"
         raise ConvergenceError(
             f"coordinate descent did not converge within {max_iter} sweeps "
-            f"({link} link, lambda={l1_lambda:g}, {used} sweeps used, last sweep's "
-            f"largest coefficient change {last_delta:.3g}, tol {tol:g})",
+            f"({link} link, lambda={l1_lambda:g}, {used} sweeps used, {why})",
             model,
         )
     return model
+
+
+def coefficient_test_chain(data, lambdas, max_iter, tol, link="logistic"):
+    """The models of one warm-started chain under the coefficient test,
+    unconverged ones included."""
+    models, warm = [], None
+    for lam in lambdas:
+        try:
+            warm = fit_linear(data, link, lam, max_iter, tol, warm_start=warm, certify=False)
+        except ConvergenceError as err:
+            warm = err.model
+        models.append(warm)
+    return models
 
 
 def lambda_max(data):
@@ -155,10 +194,10 @@ def cv_fold_models(data, link, folds=10, seed=0, max_iter=2000, tol=1e-6):
         Xv = data.X[val_idx]
         yv = data.y[val_idx]
         warm = None
-        bound = certificate_bound(train, grid[0]) if link == "logistic" else None
+        s0 = cold_start_subgradient(train, grid[0], link)
         for lam in grid:
             try:
-                model = fit_linear(train, link, lam, max_iter, cv_tol, warm_start=warm, bound=bound)
+                model = fit_linear(train, link, lam, max_iter, cv_tol, warm_start=warm, s0=s0)
             except ConvergenceError as err:
                 model = err.model
             warm = model

@@ -18,12 +18,14 @@ from interestsim.mlcore import (
     fit_linear,
     fit_linear_cv,
     fit_tree,
+    linear,
     load_model,
     predict,
     prune_tree,
     save_model,
 )
 
+import path_oracle
 from conftest import one_lambda_hybrid
 
 
@@ -147,6 +149,34 @@ def test_convergence_state_survives_serialization(tmp_path):
     assert back.n_sweeps == model.n_sweeps == 1
 
 
+@pytest.mark.parametrize("builder", ["linear", "hybrid"])
+def test_certificate_survives_serialization_and_format_2_still_loads(tmp_path, builder):
+    X, y = nonlinear_data(9)
+    data = dm(X, (y > np.median(y)).astype(float))
+    if builder == "linear":
+        model = fit_linear(data, "logistic", l1_lambda=0.01)
+        fitted = model
+    else:
+        model = fit_hybrid(data, task="clf", gbdt_params={"n_trees": 3}, folds=3)
+        fitted = model.linear
+    assert fitted.converged and 0.0 < fitted.certificate <= 0.005
+    path = tmp_path / "model.json"
+    save_model(model, path)
+    payload = json.loads(path.read_text())
+    assert payload["format_version"] == 3
+    back = load_model(path)
+    assert (back if builder == "linear" else back.linear).certificate == fitted.certificate
+    # a format-2 file is a format-3 file without the certificate
+    payload["format_version"] = 2
+    del payload["linear"]["certificate"]
+    path.write_text(json.dumps(payload))
+    old = load_model(path)
+    old_linear = old if builder == "linear" else old.linear
+    assert old_linear.certificate is None
+    assert (old_linear.converged, old_linear.n_sweeps) == (fitted.converged, fitted.n_sweeps)
+    assert np.array_equal(predict(old, X), predict(model, X))
+
+
 def test_unsupported_version_rejected(tmp_path):
     import json
 
@@ -229,15 +259,27 @@ def test_duplicate_leaf_columns_fit_once(task):
     distinct = fit_linear(dm(np.hstack([leaves[:, kept], X]), y), link, lam, max_iter=2000, tol=1e-6)
     assert np.array_equal(w[np.concatenate([kept, leaves.shape[1] + np.arange(X.shape[1])])], distinct.weights)
     assert hybrid.linear.intercept == distinct.intercept
-    # the same coefficients; only the BLAS product's grouping of the terms differs
+    # the same coefficients; only the grouping of each row's terms differs
     np.testing.assert_allclose(
         hybrid.predict(X), distinct.predict(np.hstack([leaves[:, kept], X])), rtol=1e-12, atol=1e-12
     )
 
+    # against a tight optimum on every leaf column, the oracle's long run
+    # under the coefficient test: by convexity F - F* <= S * max|(w, b) -
+    # (w*, b*)|, with S the hybrid's minimum-norm subgradient on that design.
+    # A certified fit_linear on every leaf column is no such optimum: its
+    # S(0, 0) sums over the repeated columns, so it stops further away.
     augmented = np.hstack([leaves, X])
-    full = fit_linear(dm(augmented, y), link, lam, max_iter=2000, tol=1e-6)
-    ours = _penalized_objective(hybrid.linear, augmented, y)
-    assert ours == pytest.approx(_penalized_objective(full, augmented, y), rel=1e-6)
+    [ref] = path_oracle.coefficient_test_chain(dm(augmented, y), [lam], 20_000, 1e-10, link)
+    m = hybrid.linear
+    Z = (augmented - m.mu) / m.sigma
+    z = Z @ m.weights + m.intercept
+    p = linear.sigmoid(z) if task == "clf" else z
+    s = linear._subgradient_norm(Z.T @ (p - y) / len(y), float(np.mean(p - y)), m.weights, lam)
+    ours, best = _penalized_objective(m, augmented, y), _penalized_objective(ref, augmented, y)
+    far = max(np.max(np.abs(m.weights - ref.weights)), abs(m.intercept - ref.intercept))
+    assert ours - best <= s * far + 1e-12
+    assert ours - best <= 1e-3 * best
 
 
 def test_convergence_error_carries_a_full_width_model():

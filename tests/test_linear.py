@@ -159,9 +159,17 @@ def test_convergence_error_message_explains_the_failure():
         f"lambda=0, 1 sweeps used, last sweep's largest coefficient change {last:.3g}, "
         "tol 1e-15)"
     )
+    # the logistic link names its certificate and eps (60 of 120 positive:
+    # eps = 0.01 * 60 / 120); tol plays no part
     yb = (y > np.median(y)).astype(float)
-    with pytest.raises(ConvergenceError, match=r"\(logistic link, lambda=0.001, 3 sweeps used"):
+    with pytest.raises(ConvergenceError) as exc:
         fit_linear(dm(X, yb), "logistic", l1_lambda=1e-3, max_iter=3, tol=1e-15)
+    certificate = exc.value.model.certificate
+    assert certificate > 0.005
+    assert str(exc.value) == (
+        "coordinate descent did not converge within 3 sweeps (logistic link, lambda=0.001, "
+        f"3 sweeps used, optimality certificate S/S(0, 0) {certificate:.3g} above eps 0.005)"
+    )
 
 
 # -- the Gram-space sweep against the residual-space oracle ---------------------
@@ -299,8 +307,8 @@ def _path_data(design, link, n=240):
 
 
 def _assert_same_model(new, old):
-    assert (new.link, new.l1_lambda, new.intercept, new.converged, new.n_sweeps) == (
-        old.link, old.l1_lambda, old.intercept, old.converged, old.n_sweeps
+    assert (new.link, new.l1_lambda, new.intercept, new.converged, new.n_sweeps, new.certificate) == (
+        old.link, old.l1_lambda, old.intercept, old.converged, old.n_sweeps, old.certificate
     )
     for a, b in ((new.weights, old.weights), (new.mu, old.mu), (new.sigma, old.sigma)):
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
@@ -309,9 +317,9 @@ def _assert_same_model(new, old):
     )
 
 
-# at 400 sweeps some identity fold fits on the duplicated leaves run out
-# (the logistic ones are certified first) while the refits converge; at 6
-# all fold fits and every refit run out
+# at 400 sweeps some identity fold fits on the duplicated leaves run out,
+# and so does their refit, while every logistic fit is certified; at 6 all
+# fold fits and every refit run out
 @pytest.mark.parametrize("max_iter", [2000, 400, 6], ids=["budget-2000", "budget-400", "budget-6"])
 @pytest.mark.parametrize("link", ["identity", "logistic"])
 @pytest.mark.parametrize("design", ["categorical", "duplicated-leaves"])
@@ -320,12 +328,13 @@ def test_cv_path_matches_warm_started_oracle(design, link, max_iter):
     grid = linear.default_lambda_grid(data)
     assert grid == path_oracle.default_lambda_grid(data)
     # every fold's path, fit for fit, against the chain of warm-started
-    # calls, both stopping on the certificate under the logistic link
+    # calls, both stopping on the certificate under the logistic link, and
+    # the refits too
     old_fits, _ = path_oracle.cv_fold_models(data, link, folds=3, seed=4, max_iter=max_iter)
     new_fits = [
         model
         for train_idx, _ in linear._kfold_indices(data.n_rows, 3, 4)
-        for model, _ in linear._fit_path(data.take(train_idx), link, grid, max_iter, 1e-5, certify=True)
+        for model, _ in linear._fit_path(data.take(train_idx), link, grid, max_iter, 1e-5)
     ]
     assert len(new_fits) == len(old_fits) == 3 * len(grid)
     for new, old in zip(new_fits, old_fits):
@@ -390,24 +399,24 @@ def test_certified_fold_fits_end_within_budget_near_the_optimum():
         train = data.take(train_idx)
         y, n = train.y, train.n_rows
         Z = np.asfortranarray(linear._standardize(train)[3])
-        # coordinate descent alone runs out of its 400 sweeps on some fits
-        plain = linear._fit_path(train, "logistic", grid, 400, 1e-5)
-        ran_out += not all(m.converged for m, _ in plain)
+        # the coefficient test alone runs out of its 400 sweeps on some fits
+        plain = path_oracle.coefficient_test_chain(train, grid, 400, 1e-5)
+        ran_out += not all(m.converged for m in plain)
         w0 = np.zeros(Z.shape[1])
         p0 = sigmoid(Z @ w0)
         s0 = linear._subgradient_norm(Z.T @ (p0 - y) / n, float(np.mean(p0 - y)), w0, grid[0])
         n_pos = int(y.sum())
         bound = 0.01 * max(min(n_pos, n - n_pos), 1) / n * s0
-        for model, _ in linear._fit_path(train, "logistic", grid, 400, 1e-5, certify=True):
+        for model, _ in linear._fit_path(train, "logistic", grid, 400, 1e-5):
             w, b, lam = model.weights, model.intercept, model.l1_lambda
             assert model.converged and model.n_sweeps < 400
             p = sigmoid(Z @ w + b)
             s = linear._subgradient_norm(Z.T @ (p - y) / n, float(np.mean(p - y)), w, lam)
-            assert s <= bound
+            assert s <= bound and model.certificate == s / s0
             # against a long run under the coefficient test: by convexity,
             # F(w) - F(w_ref) <= S(w) * max|(w, b) - (w_ref, b_ref)|, and the
             # objective is within 1% of the reference's
-            [(ref, _)] = linear._fit_path(train, "logistic", [lam], 20_000, 1e-8)
+            [ref] = path_oracle.coefficient_test_chain(train, [lam], 20_000, 1e-8)
             f_ref = _logistic_objective(Z, y, ref.weights, ref.intercept, lam)
             gap = _logistic_objective(Z, y, w, b, lam) - f_ref
             far = max(np.max(np.abs(w - ref.weights)), abs(b - ref.intercept))
@@ -416,11 +425,42 @@ def test_certified_fold_fits_end_within_budget_near_the_optimum():
     assert ran_out > 0
 
 
+def test_logistic_fit_linear_certifies_where_the_coefficient_test_runs_out():
+    # on the duplicated leaf columns, at the grid's middle lambda, the
+    # coefficient test still moves a coefficient by more than tol after
+    # 1000 sweeps; the certificate stops the same fit well within them
+    data = _path_data("duplicated-leaves", "logistic")
+    lam = linear.default_lambda_grid(data)[2]
+    with pytest.raises(ConvergenceError):
+        path_oracle.fit_linear(data, "logistic", lam, max_iter=1000, tol=1e-6, certify=False)
+    model = fit_linear(data, "logistic", lam, max_iter=1000, tol=1e-6)
+    assert model.converged and model.n_sweeps < 1000
+    assert model.certificate <= path_oracle.certificate_eps(data.y)
+    _assert_same_model(model, path_oracle.fit_linear(data, "logistic", lam, max_iter=1000, tol=1e-6))
+
+
+@pytest.mark.parametrize("design", ["categorical", "duplicated-leaves"])
+def test_lambda_zero_logistic_fit_certifies(design):
+    # the model table's unpenalized linear model: lambda 0, 3000 sweeps
+    data = _path_data(design, "logistic")
+    model = fit_linear(data, "logistic", 0.0, max_iter=3000, tol=1e-7)
+    assert model.converged and model.certificate <= path_oracle.certificate_eps(data.y)
+    _assert_same_model(model, path_oracle.fit_linear(data, "logistic", 0.0, max_iter=3000, tol=1e-7))
+    # at lambda 0, S is the 1-norm of the gradient, intercept included
+    Z = np.asfortranarray(linear._standardize(data)[3])
+    y = data.y
+    p = sigmoid(Z @ model.weights + model.intercept)
+    s = np.abs(Z.T @ (p - y) / len(y)).sum() + abs(np.mean(p - y))
+    assert s / path_oracle.cold_start_subgradient(data, 0.0, "logistic") == pytest.approx(model.certificate)
+    # tol is the identity link's: even one that any step would pass is not read
+    _assert_same_model(fit_linear(data, "logistic", 0.0, max_iter=3000, tol=1.0), model)
+
+
 @pytest.mark.parametrize("link", ["identity", "logistic"])
 @pytest.mark.parametrize("design", ["categorical", "duplicated-leaves"])
 def test_cv_model_is_fit_linear_at_the_chosen_lambda(design, link):
-    # the certificate stops fold fits only: the model returned is the one
-    # fit_linear gives at the chosen lambda with the same budget and tol
+    # the model returned is the one fit_linear gives at the chosen lambda
+    # with the same budget and tol
     data = _path_data(design, link)
     model, table = fit_linear_cv(data, link, folds=3, seed=9, max_iter=2000, tol=1e-6)
     assert model.l1_lambda in table

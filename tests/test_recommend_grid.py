@@ -8,7 +8,7 @@ import pytest
 import grid_oracle
 from interestsim import recommend
 from interestsim.corpus import Corpus
-from interestsim.mlcore import fit_gbdt
+from interestsim.mlcore import fit_gbdt, fit_hybrid, fit_linear_cv
 from interestsim.pairfeat import build_training_set
 from interestsim.recommend import (
     DemographicSim,
@@ -24,8 +24,6 @@ from interestsim.recommend import (
     run_experiment,
 )
 from interestsim.synthgen import GenConfig, generate
-
-from conftest import one_lambda_hybrid
 
 
 @pytest.mark.parametrize("grid", [{"k_values": ()}, {"n_values": ()}])
@@ -67,10 +65,7 @@ def grid_case():
         kind: fit_gbdt(build_training_set(c, 600, kind, 1).to_design(), loss="squared", **gbdt)
         for kind in ("ptp", "vbp")
     }
-    # at one fixed lambda: the hybrid at its CV-chosen lambda predicts
-    # different last bits in blocks of different sizes, and the grid rows
-    # then differ between block sizes
-    models["rtp"] = one_lambda_hybrid(build_training_set(c, 600, "rtp", 2).to_design(), "reg", gbdt, 1e-3)
+    models["rtp"] = fit_hybrid(build_training_set(c, 600, "rtp", 2).to_design(), "reg", gbdt)
     strategies = [PredictedSim(kind, models[kind]) for kind in ("ptp", "rtp", "vbp")] + [
         OracleSim("ptp"),
         OracleSim("rtp"),
@@ -95,6 +90,20 @@ def test_blocked_grid_matches_per_target_loop(grid_case, monkeypatch, block_pair
     rows = run_experiment(c, cfg, strategies)
     assert len(rows) == 10 * 2 * 3
     assert rows == expected
+
+
+def test_predictions_do_not_depend_on_the_batch(grid_case):
+    # the grid predicts in blocks of up to _BLOCK_PAIRS pairs, so its rows
+    # hold only if a row's prediction has the same bits in any batch
+    c, _, strategies, _ = grid_case
+    design = build_training_set(c, 600, "rtp", 2).to_design()
+    lasso, _ = fit_linear_cv(design, "identity", folds=3)
+    X = design.X
+    for model in (strategies[1].model, lasso):
+        whole = model.predict(X)
+        for size in (1, 7, 333):
+            parts = np.concatenate([model.predict(X[i : i + size]) for i in range(0, len(X), size)])
+            assert parts.tobytes() == whole.tobytes()
 
 
 def test_single_target_grid_still_rejected(small_corpus):
