@@ -18,14 +18,10 @@ designs their losses no longer depend on the BLAS thread count; the
 refit still does.  ``fit_linear``, which the benchmark harness hooks,
 never runs in a worker.
 
-Each link has one stopping rule, the same for fold fits, refits and
-every ``fit_linear`` call.  An identity-link fit stops once a full sweep
-moves no coefficient and not the intercept by ``tol`` or more.  A logistic
-fit stops on newGLMNET's optimality certificate, the minimum-norm
-subgradient shrunk by LIBLINEAR's fixed factor (see ``_fit_path``), which
-also ends its IRLS sub-problems (see ``_cd_sweeps``); ``tol`` is an
-identity-link setting.  Every model records that certificate at its exit,
-under the identity link as a diagnostic only.
+Each link has one stopping rule for every fit: an identity-link fit
+stops once a full sweep moves no coefficient and not the intercept by
+``tol``; a logistic fit, and each of its IRLS sub-problems, on newGLMNET's
+optimality certificate, which every model records (see ``_fit_path``).
 
 The sweeps alternate between full sweeps, a Python loop over every column
 that keeps the residual current at O(n) per coordinate step, and sweeps
@@ -123,8 +119,7 @@ class LinearModel:
     def decision_function(self, X: np.ndarray) -> np.ndarray:
         X = check_width(X, self.n_raw_features)
         Z = (self.encoder.transform(X) - self.mu) / self.sigma
-        # summed along each C-order row, so a row's value does not depend on
-        # its batch, as Z @ w's does
+        # row by row, so a value does not depend on its batch, as Z @ w's does
         return np.multiply(Z, self.weights, order="C").sum(axis=1) + self.intercept
 
     def predict(self, X: np.ndarray) -> np.ndarray:
@@ -216,16 +211,14 @@ def _cd_sweeps(Z, y, w, b, lam, omega, max_sweeps, tol, bound=None):
     """Cyclic coordinate descent on (1/2n) sum omega*(y - Zw - b)^2 + lam*||w||_1.
 
     Alternates full sweeps with sweeps over the active set A (the nonzero
-    coefficients) and has one stopping rule, its caller's link's.  Without
-    a ``bound`` (the identity link) it declares convergence only when a
-    full sweep moves every coefficient and the intercept by less than tol.
-    With a ``bound`` (a logistic fit's IRLS sub-problem) tol is not used:
-    it declares convergence only when, after a full sweep, this problem's
-    own minimum-norm subgradient S (``_subgradient_norm``, one Z' Omega r
-    product) is at most ``bound``, newGLMNET's stopping test for its inner
-    solve (Yuan, Ho & Lin 2012).  Every 10th active sweep in a row checks S
-    over A alone, from the tracked gradient, and if it passes, the next
-    sweep is a full one that checks all of S.
+    coefficients).  Without a ``bound`` (identity link) it converges when a
+    full sweep moves every coefficient and the intercept by less than tol;
+    with one (a logistic IRLS sub-problem) tol is unused and it converges
+    when, after a full sweep, the problem's own minimum-norm subgradient S
+    (``_subgradient_norm``, one Z' Omega r product) is at most ``bound``,
+    newGLMNET's inner test (Yuan, Ho & Lin 2012).  Every 10th active sweep
+    in a row checks S over A alone, from the tracked gradient, and if it
+    passes, the next sweep is a full one that checks all of S.
 
     A full sweep loops over all columns and updates the residual r after
     each coordinate step, at O(n) per step.  An active sweep works in Gram
@@ -379,29 +372,32 @@ CERT_EPS = 0.01  # LIBLINEAR's default stopping tolerance for L1 logistic regres
 
 
 def _subgradient_at(Z, y, w, b, lam, link):
-    """(S(w, b), z = Zw + b, p) for the link's mean loss, whose gradient is
-    Z'(p - y) / n in w and mean(p - y) in b: p = sigmoid(z), or z itself."""
+    """(S(w, b), z = Zw + b, p = sigmoid(z) or z) of the link's mean loss."""
     z = Z @ w + b
     p = sigmoid(z) if link == "logistic" else z
     return _subgradient_norm(Z.T @ (p - y) / len(y), float(np.mean(p - y)), w, lam), z, p
 
 
+def _certificate_eps(y):
+    """LIBLINEAR's -s 6 default eps = CERT_EPS * max(min(n+, n-), 1) / n."""
+    n_pos = int(np.count_nonzero(y))
+    return CERT_EPS * max(min(n_pos, len(y) - n_pos), 1) / len(y)
+
+
 def _fit_path(data: DesignMatrix, link: str, lambdas, max_iter: int, tol: float):
     """Fit each lambda in the order given on one standardized design, from
     the previous lambda's w and b (the first from zero).  Returns one
-    (model, the stopping test's last reading, as text) per lambda; a model
-    whose sweep budget ran out has ``converged`` False.
+    (model, the identity link's last largest change, else None) per lambda;
+    a model whose sweep budget ran out has ``converged`` False.
 
     An identity-link fit stops when a full sweep moves no coefficient and
-    not the intercept by tol or more.  A logistic fit stops, converged, on
-    newGLMNET's optimality certificate (Yuan, Ho & Lin 2012; LIBLINEAR's
-    rule for -s 6): at the start of an IRLS step, S(w, b) <= eps * S(0, 0),
-    where S is ``_subgradient_norm`` of the mean logistic loss, S(0, 0) is
-    read at the cold start of the path's first lambda and used for every
-    lambda, and eps = CERT_EPS * max(min(n+, n-), 1) / n.  The same bound
-    ends each IRLS sub-problem (see ``_cd_sweeps``), and tol is not used.
-    Each model records S / S(0, 0) at its exit as ``certificate``; under the
-    identity link it is a diagnostic, one Z' r product, never a test."""
+    not the intercept by tol.  A logistic fit and its IRLS sub-problems
+    (``_cd_sweeps``) stop on newGLMNET's optimality certificate (Yuan, Ho &
+    Lin 2012; LIBLINEAR's -s 6 rule), S(w, b) <= ``_certificate_eps`` *
+    S(0, 0), S being the mean logistic loss's ``_subgradient_norm`` and
+    S(0, 0) read at the path's cold start and first lambda (a lone fit's
+    own, as in LIBLINEAR).  Each model records S / S(0, 0) as
+    ``certificate``, under the identity link as a diagnostic only."""
     _check_link(link, data)
     if any(lam < 0 for lam in lambdas):
         raise ValueError("l1_lambda must be >= 0")
@@ -412,16 +408,14 @@ def _fit_path(data: DesignMatrix, link: str, lambdas, max_iter: int, tol: float)
     w = np.zeros(Z.shape[1])
     b = 0.0
     s0 = _subgradient_at(Z, y, w, b, lambdas[0], link)[0]
-    n_pos = int(np.count_nonzero(y))
-    eps = CERT_EPS * max(min(n_pos, len(y) - n_pos), 1) / len(y)
-    bound = eps * s0
+    bound = _certificate_eps(y) * s0
     path = []
     for lam in lambdas:
         if link == "identity":
             b, used, converged, last_delta = _cd_sweeps(Z, y, w, b, lam, None, max_iter, tol)
             s = _subgradient_at(Z, y, w, b, lam, link)[0]
         else:
-            used = 0
+            used, last_delta = 0, None
             s, z, p = _subgradient_at(Z, y, w, b, lam, link)
             while s > bound and used < max_iter:
                 omega = np.maximum(p * (1.0 - p), 1e-6)
@@ -431,17 +425,12 @@ def _fit_path(data: DesignMatrix, link: str, lambdas, max_iter: int, tol: float)
                 used += sweeps
                 s, z, p = _subgradient_at(Z, y, w, b, lam, link)
             converged = s <= bound
-        certificate = s / s0 if s0 > 0 else 0.0  # S(0, 0) is 0 only where the cold start is optimal
-        why = (
-            f"last sweep's largest coefficient change {last_delta:.3g}, tol {tol:g}" if link == "identity"
-            else f"optimality certificate S/S(0, 0) {certificate:.3g} above eps {eps:.3g}"
-        )
         model = LinearModel(
             link=link, l1_lambda=lam, weights=w.copy(), intercept=float(b), mu=mu, sigma=sigma,
             encoder=encoder, feature_names=names, n_raw_features=data.n_cols,
-            converged=bool(converged), n_sweeps=used, certificate=certificate,
+            converged=bool(converged), n_sweeps=used, certificate=s / s0 if s0 > 0 else 0.0,
         )
-        path.append((model, why))
+        path.append((model, last_delta))
     return path
 
 
@@ -454,8 +443,13 @@ def fit_linear(
 ) -> LinearModel:
     """Coordinate-descent fit; raises ConvergenceError (carrying the last
     iterate) if the sweep budget runs out; ``tol`` is the identity link's."""
-    [(model, why)] = _fit_path(data, link, [l1_lambda], max_iter, tol)
+    [(model, last_delta)] = _fit_path(data, link, [l1_lambda], max_iter, tol)
     if not model.converged:
+        if link == "logistic":
+            eps = _certificate_eps(data.y)
+            why = f"optimality certificate S/S(0, 0) {model.certificate:.3g} above eps {eps:.3g}"
+        else:
+            why = f"last sweep's largest coefficient change {last_delta:.3g}, tol {tol:g}"
         raise ConvergenceError(
             f"coordinate descent did not converge within {max_iter} sweeps "
             f"({link} link, lambda={l1_lambda:g}, {model.n_sweeps} sweeps used, {why})",
@@ -510,14 +504,14 @@ def fit_linear_cv(
     hybrid fold that prologue alone takes about 0.4 s on a 2-core host.  A
     fold fit that runs out of sweeps is scored at its last iterate.
 
-    The fold fits and the refit stop on their link's one rule (see
-    ``_fit_path``), so a logistic fold fit is certified as the refit is.
-    The identity link's fold fits alone run looser, at ``max(tol, 1e-5)``:
-    its coefficient test on a rank-deficient design such as a hybrid's
-    keeps drifting along a flat face of the objective long after it stops
-    improving.  That ``cv_tol`` is the one difference left between fold fits
-    and refit; an exact lasso path solver would remove it.  The refit is a
-    plain ``fit_linear`` at the chosen lambda, with ``max_iter`` and ``tol``.
+    The fold fits and the refit, a plain ``fit_linear``, stop on their
+    link's one rule (see ``_fit_path``); a logistic refit reads S(0, 0) at
+    its own lambda, so its bound is at least as loose as a fold fit's
+    there.  The identity link's only difference between them is that fold
+    fits run looser, at ``cv_tol = max(tol, 1e-5)``: on a rank-deficient
+    design such as a hybrid's the coefficient test keeps drifting along a
+    flat face of the objective long after it stops improving.  An exact
+    lasso path solver would remove it.
 
     The arguments are checked here, once, before the folds fan out.  Each
     fold (its split, path, predictions and summed validation loss) is one

@@ -18,7 +18,6 @@ from interestsim.mlcore import (
     fit_linear,
     fit_linear_cv,
     fit_tree,
-    linear,
     load_model,
     predict,
     prune_tree,
@@ -264,22 +263,24 @@ def test_duplicate_leaf_columns_fit_once(task):
         hybrid.predict(X), distinct.predict(np.hstack([leaves[:, kept], X])), rtol=1e-12, atol=1e-12
     )
 
-    # against a tight optimum on every leaf column, the oracle's long run
-    # under the coefficient test: by convexity F - F* <= S * max|(w, b) -
-    # (w*, b*)|, with S the hybrid's minimum-norm subgradient on that design.
-    # A certified fit_linear on every leaf column is no such optimum: its
-    # S(0, 0) sums over the repeated columns, so it stops further away.
     augmented = np.hstack([leaves, X])
-    [ref] = path_oracle.coefficient_test_chain(dm(augmented, y), [lam], 20_000, 1e-10, link)
-    m = hybrid.linear
-    Z = (augmented - m.mu) / m.sigma
-    z = Z @ m.weights + m.intercept
-    p = linear.sigmoid(z) if task == "clf" else z
-    s = linear._subgradient_norm(Z.T @ (p - y) / len(y), float(np.mean(p - y)), m.weights, lam)
-    ours, best = _penalized_objective(m, augmented, y), _penalized_objective(ref, augmented, y)
-    far = max(np.max(np.abs(m.weights - ref.weights)), abs(m.intercept - ref.intercept))
-    assert ours - best <= s * far + 1e-12
-    assert ours - best <= 1e-3 * best
+    if task == "reg":
+        full = fit_linear(dm(augmented, y), link, lam, max_iter=2000, tol=1e-6)
+        ours = _penalized_objective(hybrid.linear, augmented, y)
+        assert ours == pytest.approx(_penalized_objective(full, augmented, y), rel=1e-6)
+    else:
+        # A certified fit_linear on every leaf column is no reference: its
+        # S(0, 0) sums over the repeated columns, so it stops further from
+        # the optimum (0.26664) than the hybrid (0.26200).  Against a tight
+        # optimum, the oracle's 20,000-sweep run under the coefficient test
+        # (0.26195), the certified stop leaves a gap of 2.1e-4 relative.  The
+        # convexity bound F - F* <= S * max|(w, b) - (w*, b*)| holds at any
+        # iterate, so only the gap is checked.
+        [ref] = path_oracle.coefficient_test_chain(dm(augmented, y), [lam], 20_000, 1e-10)
+        assert ref.converged
+        ours = _penalized_objective(hybrid.linear, augmented, y)
+        best = _penalized_objective(ref, augmented, y)
+        assert 0.0 <= ours - best <= 5e-4 * best
 
 
 def test_convergence_error_carries_a_full_width_model():
