@@ -4,8 +4,8 @@ study, recommend, and the end-to-end pipeline runner.
 Every subcommand writes a manifest (tool version, resolved config,
 sha256 of inputs) beside its outputs; all outputs are byte-stable for a
 fixed seed.  Fitted models on large designs can differ in their last bits
-between BLAS thread counts (see ``mlcore.linear._cd_sweeps``), and so can
-an identity-link model's ``certificate`` on small ones.  So the model
+between BLAS thread counts (see ``linear._cd_sweeps``, ``_gram_block``), and
+so can an identity-link model's ``certificate`` on small ones.  So the model
 files (format 3) keep every linear fit's certificate, while
 ``reports/models.json`` gives each linear, l1linear and hybrid row its fit's
 converged flag and sweeps, and the certificate only under the logistic link,

@@ -234,7 +234,7 @@ def fit_model(kind: str, data: DesignMatrix, task: str, folds: int = 10, seed: i
         raise ValueError(f"unknown model kind {kind!r}; choose from {mlcore.MODEL_KINDS}")
     link = "logistic" if task == "clf" else "identity"
     if kind == "linear":
-        return mlcore.fit_linear(data, link, l1_lambda=0.0, max_iter=3000, tol=1e-7)
+        return mlcore.fit_linear(data, link, l1_lambda=0.0, max_iter=3000)
     if kind == "l1linear":
         model, _ = mlcore.fit_linear_cv(data, link, folds=folds, seed=seed)
         return model

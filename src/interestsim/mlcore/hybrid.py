@@ -80,11 +80,11 @@ def fit_hybrid(
     gbdt_params: dict | None = None,
     folds: int = 10,
     max_iter: int = 2000,
-    tol: float = 1e-6,
 ) -> HybridModel:
     """Encoder first, then CV-selected lasso / L1-logistic on
     [leaf one-hots, original features], fitted on the distinct leaf
-    columns and mapped back to all of them."""
+    columns and mapped back to all of them: the linear ``certificate`` is
+    S / S(0, 0) of the fit on the distinct leaf columns."""
     if task not in ("clf", "reg"):
         raise ValueError(f"task must be 'clf' or 'reg', got {task!r}")
     params = gbdt_params or {}
@@ -93,9 +93,7 @@ def fit_hybrid(
     design, kept, rep = _distinct_leaf_design(encode_leaves(encoder, data.X), data)
     link = "logistic" if task == "clf" else "identity"
     try:
-        linear, cv_table = fit_linear_cv(
-            design, link, folds=folds, seed=params.get("seed", 0), max_iter=max_iter, tol=tol
-        )
+        linear, cv_table = fit_linear_cv(design, link, folds=folds, seed=params.get("seed", 0), max_iter=max_iter)
     except ConvergenceError as err:
         err.model = _full_width(err.model, kept, rep, data)
         raise

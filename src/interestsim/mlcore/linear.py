@@ -1,13 +1,11 @@
-"""L1-regularized linear and logistic models via coordinate descent.
+"""L1-regularized linear and logistic models (lasso homotopy, coordinate descent).
 
 Features are standardized internally (parameters stored with the model)
 and categorical columns are one-hot encoded over their most frequent
 levels.  The penalized objective is (1/n)-scaled loss + lambda * ||w||_1
-with an unpenalized intercept; the logistic case wraps the same
-coordinate sweep in an iteratively reweighted quadratic approximation.
-Every fit is part of a lambda path (``_fit_path``), which encodes and
-standardizes its design once and fits each lambda in turn from the
-previous one's coefficients: ``fit_linear`` is a path of one lambda and
+with an unpenalized intercept.  Every fit is part of a lambda path
+(``_fit_path``), which encodes and standardizes its design once and fits
+each lambda in turn: ``fit_linear`` is a path of one lambda and
 ``fit_linear_cv`` runs one path per fold.  The folds are independent, so
 ``fit_linear_cv`` fans them out over the CPUs with ``_util.fork_map``; each
 worker returns its folds' validation losses, the caller sums them in fold
@@ -18,17 +16,17 @@ designs their losses no longer depend on the BLAS thread count; the
 refit still does.  ``fit_linear``, which the benchmark harness hooks,
 never runs in a worker.
 
-Each link has one stopping rule for every fit: an identity-link fit
-stops once a full sweep moves no coefficient and not the intercept by
-``tol``; a logistic fit, and each of its IRLS sub-problems, on newGLMNET's
-optimality certificate, which every model records (see ``_fit_path``).
+Each link has one solver and one stopping rule: the identity link the
+exact LARS-lasso homotopy (``_lasso_path``), the logistic link cyclic
+coordinate descent (``_cd_sweeps``) in iteratively reweighted least squares,
+stopping on newGLMNET's optimality certificate (see ``_fit_path``).
 
 The sweeps alternate between full sweeps, a Python loop over every column
 that keeps the residual current at O(n) per coordinate step, and sweeps
 over the active (nonzero) set, which run in Gram space: on a fixed active
 set a cyclic sweep is one triangular solve with the active block of
-Z' Omega Z / n, at O(|active|) per coordinate step.  That block is built
-from matrix-vector products only, because OpenBLAS rounds matrix-matrix
+Z' Omega Z / n, at O(|active|) per coordinate step.  It and the homotopy's
+G are built from matrix-vector products only: OpenBLAS rounds matrix-matrix
 products differently under different thread counts.  On large designs the
 matrix-vector products differ too (see ``_cd_sweeps``), so a fit there can
 depend on the thread count in its last bits.
@@ -46,8 +44,8 @@ from .data import DesignMatrix, check_width
 
 
 class ConvergenceError(Exception):
-    """Raised when coordinate descent exhausts its budget; carries the
-    last iterate in ``.model``."""
+    """Raised when a fit exhausts its budget of sweeps or homotopy steps;
+    carries the model it stopped at in ``.model``."""
 
     def __init__(self, message: str, model: "LinearModel"):
         super().__init__(message)
@@ -114,7 +112,7 @@ class LinearModel:
     n_raw_features: int
     converged: bool = True
     n_sweeps: int = 0
-    certificate: float | None = None  # S(w, b) / S(0, 0) at exit (see _fit_path)
+    certificate: float | None = None  # S(w, b) / S(0, 0) at exit (see _fit_path), a hybrid's on its distinct leaves
 
     def decision_function(self, X: np.ndarray) -> np.ndarray:
         X = check_width(X, self.n_raw_features)
@@ -164,9 +162,7 @@ def _gram_block(Z, omega, cols, col_ss):
     is mirrored into the upper triangle, so G is exactly symmetric.  Its
     diagonal is ``col_ss[cols]``, the divisor of the full sweeps' scalar
     steps."""
-    Zw = Z[:, cols]
-    if omega is not None:
-        Zw *= omega[:, None]
+    Zw = Z if omega is None else Z[:, cols] * omega[:, None]  # None: Omega = I, A all columns, Z not copied
     G = np.empty((len(cols), len(cols)), order="F")
     for i, k in enumerate(cols):
         G[i:, i] = Zw[:, i:].T @ Z[:, k]
@@ -207,18 +203,17 @@ def _active_step(G, u, w, lam):
         d[m:] = dtrsv(G[m:, m:], rhs[m:] - G[m:, :m] @ d[:m], lower=1)
 
 
-def _cd_sweeps(Z, y, w, b, lam, omega, max_sweeps, tol, bound=None):
-    """Cyclic coordinate descent on (1/2n) sum omega*(y - Zw - b)^2 + lam*||w||_1.
+def _cd_sweeps(Z, y, w, b, lam, omega, max_sweeps, bound):
+    """Cyclic coordinate descent on (1/2n) sum omega*(y - Zw - b)^2 + lam*||w||_1,
+    a logistic fit's IRLS sub-problem.
 
     Alternates full sweeps with sweeps over the active set A (the nonzero
-    coefficients).  Without a ``bound`` (identity link) it converges when a
-    full sweep moves every coefficient and the intercept by less than tol;
-    with one (a logistic IRLS sub-problem) tol is unused and it converges
-    when, after a full sweep, the problem's own minimum-norm subgradient S
-    (``_subgradient_norm``, one Z' Omega r product) is at most ``bound``,
-    newGLMNET's inner test (Yuan, Ho & Lin 2012).  Every 10th active sweep
-    in a row checks S over A alone, from the tracked gradient, and if it
-    passes, the next sweep is a full one that checks all of S.
+    coefficients).  It converges when, after a full sweep, the problem's own
+    minimum-norm subgradient S (``_subgradient_norm``, one Z' Omega r
+    product) is at most ``bound``, newGLMNET's inner test (Yuan, Ho & Lin
+    2012).  Every 10th active sweep in a row checks S over A alone, from the
+    tracked gradient, and if it passes, the next sweep is a full one that
+    checks all of S.
 
     A full sweep loops over all columns and updates the residual r after
     each coordinate step, at O(n) per step.  An active sweep works in Gram
@@ -249,24 +244,17 @@ def _cd_sweeps(Z, y, w, b, lam, omega, max_sweeps, tol, bound=None):
     459,900 entries or fewer differed.  Fits on larger designs can
     therefore depend on the thread count.
 
-    Mutates w; returns (intercept, sweeps, converged, the last sweep's
-    largest change of a coefficient or the intercept).
+    Mutates w; returns (intercept, sweeps, converged).
     """
     n = len(y)
-    if omega is None:
-        col_ss = np.einsum("ij,ij->j", Z, Z) / n
-        wsum = float(n)
-        col_wsum = Z.sum(axis=0)
-    else:
-        col_ss = np.einsum("i,ij,ij->j", omega, Z, Z) / n
-        wsum = float(omega.sum())
-        col_wsum = Z.T @ omega
+    col_ss = np.einsum("i,ij,ij->j", omega, Z, Z) / n
+    wsum = float(omega.sum())
+    col_wsum = Z.T @ omega
     r = y - Z @ w - b
     p = Z.shape[1]
     full = True
     sweeps = active_run = 0
     A = G = u = None  # the active block; u is None while r is current
-    delta_max = float("nan")
     while sweeps < max_sweeps:
         sweeps += 1
         certified = False
@@ -275,38 +263,26 @@ def _cd_sweeps(Z, y, w, b, lam, omega, max_sweeps, tol, bound=None):
                 w[A] = wA
                 r = y - Z @ w - b
                 u = None
-            delta_max = 0.0
             for j in range(p):
                 if col_ss[j] <= 0:
                     continue
                 zj = Z[:, j]
                 wj = w[j]
-                if omega is None:
-                    rho = float(zj @ r) / n + col_ss[j] * wj
-                else:
-                    rho = float(zj @ (omega * r)) / n + col_ss[j] * wj
-                new = _soft(rho, lam) / col_ss[j]
+                new = _soft(float(zj @ (omega * r)) / n + col_ss[j] * wj, lam) / col_ss[j]
                 if new != wj:
                     r -= (new - wj) * zj
                     w[j] = new
-                    delta = abs(new - wj)
-                    if delta > delta_max:
-                        delta_max = delta
-            if omega is None:
-                db = float(r.sum()) / n
-            else:
-                db = float((omega * r).sum()) / wsum
+            db = float((omega * r).sum()) / wsum
             if db != 0.0:
                 b += db
                 r -= db
             active_run = 0
-            if bound is not None:
-                wr = r if omega is None else omega * r
-                certified = _subgradient_norm(-(Z.T @ wr) / n, -float(wr.sum()) / n, w, lam) <= bound
+            wr = omega * r
+            certified = _subgradient_norm(-(Z.T @ wr) / n, -float(wr.sum()) / n, w, lam) <= bound
         else:
             if u is None:
                 keep = np.flatnonzero((w != 0) & (col_ss > 0))
-                wr = r if omega is None else omega * r
+                wr = omega * r
                 u = (Z.T @ wr)[keep] / n
                 wr_sum = float(wr.sum())
                 if G is None or not np.array_equal(keep, A):
@@ -327,27 +303,100 @@ def _cd_sweeps(Z, y, w, b, lam, omega, max_sweeps, tol, bound=None):
                 wA += d
                 u -= G @ d
                 wr_sum -= float(cA @ d)
-                delta_max = float(np.max(np.abs(d)))
-            else:
-                delta_max = 0.0
             db = wr_sum / wsum
             if db != 0.0:
                 b += db
                 u -= cA * (db / n)
                 wr_sum -= db * wsum
             active_run += 1
-            if bound is not None and active_run % 10 == 0:
+            if active_run % 10 == 0:
                 certified = _subgradient_norm(-u, -wr_sum / n, wA, lam) <= bound
-        delta_max = max(delta_max, abs(db))
-        if (certified if bound is not None else delta_max < tol):
+        if certified:
             if full:
-                return b, sweeps, True, delta_max
+                return b, sweeps, True
             full = True  # verify on a full sweep
         else:
             full = False
     if u is not None:
         w[A] = wA
-    return b, sweeps, False, delta_max
+    return b, sweeps, False
+
+
+RANK_TOL = 1e-8  # least squared residual off the active columns, per G_jj, for a column to join
+TIE_TOL = 1e-12  # events this share of lambda_max above the next lambda count as reaching it
+
+
+def _chol_row(L, G, A, j):
+    """(l, r): L l = G[A, j] for L the Cholesky factor of G[A, A], and
+    r = G_jj - l'l, the squared residual of column j off the columns A."""
+    l = dtrsv(L[: len(A), : len(A)], G[A, j], lower=1) if A else np.zeros(0)
+    return l, G[j, j] - float(l @ l)
+
+
+def _lasso_path(G, c, lambdas, max_steps):
+    """The minimizers w of w'Gw / 2 - c'w + lam * ||w||_1 at each of the
+    non-increasing ``lambdas``, as (w, steps, lambda reached), by the
+    LARS-lasso homotopy (Efron, Hastie, Johnstone & Tibshirani 2004).
+
+    From lambda_max = max |c| down, w is piecewise linear in lambda: with
+    active set A and signs s, w_A = G_AA^-1 (c_A - lambda s_A) until an
+    inactive correlation c_j - G_j w reaches +-lambda (j joins) or an
+    active w_j reaches 0 (it leaves, and cannot rejoin with the same sign
+    at the next event).  Each event is a step.  w_A is solved afresh on
+    each segment from G_AA's Cholesky factor, kept by triangular solves.
+    Two rules keep the path exact on a singular G, such as a hybrid's leaf
+    blocks or a categorical's kept levels give: a column joins only if its
+    squared residual off A exceeds ``RANK_TOL`` * G_jj, so the active
+    columns stay linearly independent (Tibshirani 2013), and one that fails
+    waits until a column leaves; and an event within ``TIE_TOL`` *
+    lambda_max above the next lambda counts as reaching it.  A path out of
+    ``max_steps`` stops, exact, at the lambda of its next event."""
+    p = len(c)
+    lam = float(np.max(np.abs(c), initial=0.0))
+    tie = TIE_TOL * lam
+    w, s = np.zeros(p), np.zeros(p)
+    A, L = [], np.zeros((p, p), order="F")
+    waiting = np.zeros(p, dtype=bool)  # failed the rank test since a column last left
+    left, steps, path = None, 0, []
+    for target in lambdas:
+        while lam > target:
+            LA = L[: len(A), : len(A)]
+            u, d = (dtrsv(LA, dtrsv(LA, v, lower=1), lower=1, trans=1) if A else v for v in (c[A], s[A]))
+            e, a = c - G[:, A] @ u, G[:, A] @ d  # correlations e + lam' * a on the segment
+            with np.errstate(divide="ignore", invalid="ignore"):
+                up = np.where(a < 1, np.minimum(e / (1.0 - a), lam), -np.inf)
+                down = np.where(a > -1, np.minimum(-e / (1.0 + a), lam), -np.inf)
+                leave = np.where(s[A] * d < 0, np.minimum(u / d, lam), -np.inf)
+            if left is not None:  # it left with correlation s_j * lambda; the other side stays open
+                (up if s[left] > 0 else down)[left] = -np.inf
+            join = np.where(waiting, -np.inf, np.maximum(up, down))
+            join[A] = -np.inf
+            j = int(np.argmax(join))
+            event = max(join[j], np.max(leave, initial=-np.inf))
+            lam = target if event <= target + tie else event
+            w[A] = u - lam * d
+            if lam == target or steps == max_steps:
+                break
+            if join[j] >= event:
+                l, r = _chol_row(L, G, A, j)
+                if r <= RANK_TOL * G[j, j]:
+                    waiting[j] = True
+                    continue
+                s[j] = 1.0 if up[j] >= down[j] else -1.0
+                L[len(A), : len(A)], L[len(A), len(A)] = l, np.sqrt(r)
+                A.append(j)
+                left = None
+            else:
+                m = int(np.argmax(leave))
+                left = A.pop(m)
+                w[left] = 0.0
+                for i in range(m, len(A)):
+                    l, r = _chol_row(L, G, A[:i], A[i])
+                    L[i, :i], L[i, i] = l, np.sqrt(r)
+                waiting[:] = False
+            steps += 1
+        path.append((w.copy(), steps, lam))
+    return path
 
 
 def _standardize(data: DesignMatrix):
@@ -384,24 +433,26 @@ def _certificate_eps(y):
     return CERT_EPS * max(min(n_pos, len(y) - n_pos), 1) / len(y)
 
 
-def _fit_path(data: DesignMatrix, link: str, lambdas, max_iter: int, tol: float):
-    """Fit each lambda in the order given on one standardized design, from
-    the previous lambda's w and b (the first from zero).  Returns one
-    (model, the identity link's last largest change, else None) per lambda;
-    a model whose sweep budget ran out has ``converged`` False.
+def _fit_path(data: DesignMatrix, link: str, lambdas, max_iter: int):
+    """Fit each lambda in the order given on one standardized design Z.
+    Returns one (model, the lambda the identity link's homotopy reached,
+    else None) per lambda; a model whose budget ran out has ``converged``
+    False.
 
-    An identity-link fit stops when a full sweep moves no coefficient and
-    not the intercept by tol.  A logistic fit and its IRLS sub-problems
-    (``_cd_sweeps``) stop on newGLMNET's optimality certificate (Yuan, Ho &
-    Lin 2012; LIBLINEAR's -s 6 rule), S(w, b) <= ``_certificate_eps`` *
-    S(0, 0), S being the mean logistic loss's ``_subgradient_norm`` and
-    S(0, 0) read at the path's cold start and first lambda (a lone fit's
-    own, as in LIBLINEAR).  Each model records S / S(0, 0) as
-    ``certificate``, under the identity link as a diagnostic only."""
+    Identity-link lambdas must not increase: ``_lasso_path`` solves them in
+    at most ``max_iter`` steps on G = Z'Z / n and c = Z'(y - mean(y)) / n,
+    the mean residual is the intercept and ``n_sweeps`` counts the steps.
+    A logistic fit starts from the previous lambda's w and b (the first
+    from zero); it and its IRLS sub-problems (``_cd_sweeps``) stop on
+    newGLMNET's optimality certificate (Yuan, Ho & Lin 2012; LIBLINEAR's
+    -s 6 rule), S(w, b) <= ``_certificate_eps`` * S(0, 0), S being the mean
+    logistic loss's ``_subgradient_norm`` and S(0, 0) read at the path's
+    cold start and first lambda (a lone fit's own, as in LIBLINEAR).  Each
+    model records S / S(0, 0) as ``certificate``."""
     _check_link(link, data)
     if any(lam < 0 for lam in lambdas):
         raise ValueError("l1_lambda must be >= 0")
-    y = data.y
+    y, n = data.y, data.n_rows
     encoder, mu, sigma, Z = _standardize(data)
     Z = np.asfortranarray(Z)
     names = encoder.names(data.names if data.names else tuple(f"x{j}" for j in range(data.n_cols)))
@@ -409,19 +460,22 @@ def _fit_path(data: DesignMatrix, link: str, lambdas, max_iter: int, tol: float)
     b = 0.0
     s0 = _subgradient_at(Z, y, w, b, lambdas[0], link)[0]
     bound = _certificate_eps(y) * s0
+    if link == "identity":
+        G = _gram_block(Z, None, np.arange(Z.shape[1]), np.einsum("ij,ij->j", Z, Z) / n)
+        solved = _lasso_path(G, Z.T @ (y - y.mean()) / n, lambdas, max_iter)
     path = []
-    for lam in lambdas:
+    for i, lam in enumerate(lambdas):
         if link == "identity":
-            b, used, converged, last_delta = _cd_sweeps(Z, y, w, b, lam, None, max_iter, tol)
+            w, used, reached = solved[i]
+            b = float(np.mean(y - Z @ w))
             s = _subgradient_at(Z, y, w, b, lam, link)[0]
+            converged = reached <= lam
         else:
-            used, last_delta = 0, None
+            used, reached = 0, None
             s, z, p = _subgradient_at(Z, y, w, b, lam, link)
             while s > bound and used < max_iter:
                 omega = np.maximum(p * (1.0 - p), 1e-6)
-                b, sweeps, _, _ = _cd_sweeps(
-                    Z, z + (y - p) / omega, w, b, lam, omega, min(max_iter - used, 100), None, bound
-                )
+                b, sweeps, _ = _cd_sweeps(Z, z + (y - p) / omega, w, b, lam, omega, min(max_iter - used, 100), bound)
                 used += sweeps
                 s, z, p = _subgradient_at(Z, y, w, b, lam, link)
             converged = s <= bound
@@ -430,7 +484,7 @@ def _fit_path(data: DesignMatrix, link: str, lambdas, max_iter: int, tol: float)
             encoder=encoder, feature_names=names, n_raw_features=data.n_cols,
             converged=bool(converged), n_sweeps=used, certificate=s / s0 if s0 > 0 else 0.0,
         )
-        path.append((model, last_delta))
+        path.append((model, reached))
     return path
 
 
@@ -439,20 +493,18 @@ def fit_linear(
     link: str = "identity",
     l1_lambda: float = 0.0,
     max_iter: int = 1000,
-    tol: float = 1e-8,
 ) -> LinearModel:
-    """Coordinate-descent fit; raises ConvergenceError (carrying the last
-    iterate) if the sweep budget runs out; ``tol`` is the identity link's."""
-    [(model, last_delta)] = _fit_path(data, link, [l1_lambda], max_iter, tol)
+    """One lambda's fit (see ``_fit_path``); raises ConvergenceError if its
+    budget of ``max_iter`` sweeps or homotopy steps runs out."""
+    [(model, reached)] = _fit_path(data, link, [l1_lambda], max_iter)
     if not model.converged:
-        if link == "logistic":
-            eps = _certificate_eps(data.y)
-            why = f"optimality certificate S/S(0, 0) {model.certificate:.3g} above eps {eps:.3g}"
-        else:
-            why = f"last sweep's largest coefficient change {last_delta:.3g}, tol {tol:g}"
         raise ConvergenceError(
-            f"coordinate descent did not converge within {max_iter} sweeps "
-            f"({link} link, lambda={l1_lambda:g}, {model.n_sweeps} sweeps used, {why})",
+            f"coordinate descent did not converge within {max_iter} sweeps (logistic link, "
+            f"lambda={l1_lambda:g}, {model.n_sweeps} sweeps used, optimality certificate S/S(0, 0) "
+            f"{model.certificate:.3g} above eps {_certificate_eps(data.y):.3g})"
+            if link == "logistic"
+            else f"the lasso homotopy did not reach lambda={l1_lambda:g} within {max_iter} steps "
+            f"(identity link, stopped at lambda={reached:.6g})",
             model,
         )
     return model
@@ -494,7 +546,6 @@ def fit_linear_cv(
     folds: int = 10,
     seed: int = 0,
     max_iter: int = 2000,
-    tol: float = 1e-6,
 ):
     """Pick lambda by k-fold CV, then refit on all rows.  Returns (model,
     {lambda: mean CV loss}).
@@ -502,16 +553,12 @@ def fit_linear_cv(
     Each fold fits the grid, largest lambda first, as one path, so its rows
     are encoded and standardized once, not once per lambda: on a 63k x 250
     hybrid fold that prologue alone takes about 0.4 s on a 2-core host.  A
-    fold fit that runs out of sweeps is scored at its last iterate.
+    fold fit that runs out of budget is scored where it stopped.
 
     The fold fits and the refit, a plain ``fit_linear``, stop on their
     link's one rule (see ``_fit_path``); a logistic refit reads S(0, 0) at
     its own lambda, so its bound is at least as loose as a fold fit's
-    there.  The identity link's only difference between them is that fold
-    fits run looser, at ``cv_tol = max(tol, 1e-5)``: on a rank-deficient
-    design such as a hybrid's the coefficient test keeps drifting along a
-    flat face of the objective long after it stops improving.  An exact
-    lasso path solver would remove it.
+    there.
 
     The arguments are checked here, once, before the folds fan out.  Each
     fold (its split, path, predictions and summed validation loss) is one
@@ -525,7 +572,6 @@ def fit_linear_cv(
         raise ValueError(f"cross-validation needs at least 2 rows, got {data.n_rows}")
     _check_link(link, data)
     grid = default_lambda_grid(data)
-    cv_tol = max(tol, 1e-5)  # the identity link's selection does not need final-fit precision
 
     def fold_losses(fold):
         train_idx, val_idx = fold
@@ -533,7 +579,7 @@ def fit_linear_cv(
         yv = data.y[val_idx]
         return [
             cv_loss(model.predict(Xv), yv, link) * len(val_idx)
-            for model, _ in _fit_path(data.take(train_idx), link, grid, max_iter, cv_tol)
+            for model, _ in _fit_path(data.take(train_idx), link, grid, max_iter)
         ]
 
     totals = {lam: 0.0 for lam in grid}
@@ -545,6 +591,6 @@ def fit_linear_cv(
     for lam in grid:
         if totals[lam] < totals[best] - 1e-12:
             best = lam
-    model = fit_linear(data, link, best, max_iter, tol)
+    model = fit_linear(data, link, best, max_iter)
     cv_table = {lam: totals[lam] / data.n_rows for lam in grid}
     return model, cv_table

@@ -28,7 +28,7 @@ def one_lambda_hybrid(data, task, gbdt_params, lam):
     loss, link = ("logistic", "logistic") if task == "clf" else ("squared", "identity")
     encoder = fit_gbdt(data, loss=loss, **gbdt_params)
     design, kept, rep = _distinct_leaf_design(encode_leaves(encoder, data.X), data)
-    linear = _full_width(fit_linear(design, link, lam, max_iter=2000, tol=1e-6), kept, rep, data)
+    linear = _full_width(fit_linear(design, link, lam, max_iter=2000), kept, rep, data)
     return HybridModel(encoder, linear, data.n_cols, lam, {lam: float("nan")})
 
 

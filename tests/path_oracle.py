@@ -4,24 +4,30 @@ the reference its path fits are tested against.
 Every (fold, lambda) is its own ``fit_linear`` call: the fold's rows are
 encoded and standardized again for each lambda, and the previous lambda's
 model is handed over as ``warm_start``, from which the call takes the
-encoder, mu, sigma, weights and intercept.  A fit that runs out of sweeps
-raises, and the CV loop scores the model the error carries.  Each link has
-one stopping rule.  The identity link stops on the coefficient test.  The
-logistic link stops on the optimality certificate: its bound is
+encoder, mu, sigma, weights and intercept.  A fit that runs out of its
+budget raises, and the CV loop scores the model the error carries.  Each link has
+one solver and one stopping rule.  The identity link runs a lone
+``_lasso_path`` from lambda_max to the call's lambda, on its own Gram
+matrix, so its steps count from lambda_max.  The logistic link stops on
+the optimality certificate: its bound is
 eps * S(0, 0), read on the cold-start design at the chain's first lambda
 (at its own lambda for a lone call, such as the refit), and every call
 checks it at the start of each IRLS step and hands it to the sweeps, which
 stop on it alone.  ``certify=False`` gives the coefficient test that every
-logistic fit outside the CV folds used before, kept as a contrast.
+logistic fit outside the CV folds used before, kept as a contrast and run
+on ``cd_oracle``'s sweeps.
 """
 
 import numpy as np
 
+from cd_oracle import _cd_sweeps as oracle_sweeps
 from interestsim.mlcore.linear import (
     ConvergenceError,
     LinearModel,
     _cd_sweeps,
+    _gram_block,
     _kfold_indices,
+    _lasso_path,
     _subgradient_norm,
     cv_loss,
     fit_encoder,
@@ -87,10 +93,12 @@ def fit_linear(data, link="identity", l1_lambda=0.0, max_iter=1000, tol=1e-8, wa
 
     names = encoder.names(data.names if data.names else tuple(f"x{j}" for j in range(data.n_cols)))
     used = 0
-    last_delta = float("nan")
     bound = certificate_eps(y) * s0
     if link == "identity":
-        b, used, converged, last_delta = _cd_sweeps(Z, y, w, b, l1_lambda, None, max_iter, tol)
+        G = _gram_block(Z, None, np.arange(Z.shape[1]), np.einsum("ij,ij->j", Z, Z) / n)
+        [(w, used, reached)] = _lasso_path(G, Z.T @ (y - y.mean()) / n, [l1_lambda], max_iter)
+        b = float(np.mean(y - Z @ w))
+        converged = reached <= l1_lambda
     elif certify:
         converged = False
         while True:
@@ -102,7 +110,7 @@ def fit_linear(data, link="identity", l1_lambda=0.0, max_iter=1000, tol=1e-8, wa
                 break
             omega = np.maximum(p * (1.0 - p), 1e-6)
             y_work = z + (y - p) / omega
-            b, sweeps, _, _ = _cd_sweeps(Z, y_work, w, b, l1_lambda, omega, min(max_iter - used, 100), None, bound)
+            b, sweeps, _ = _cd_sweeps(Z, y_work, w, b, l1_lambda, omega, min(max_iter - used, 100), bound)
             used += sweeps
     else:
         converged = False
@@ -113,7 +121,7 @@ def fit_linear(data, link="identity", l1_lambda=0.0, max_iter=1000, tol=1e-8, wa
             y_work = z + (y - p) / omega
             w_before = w.copy()
             b_before = b
-            b, sweeps, _, last_delta = _cd_sweeps(Z, y_work, w, b, l1_lambda, omega, min(max_iter - used, 100), tol)
+            b, sweeps, _ = oracle_sweeps(Z, y_work, w, b, l1_lambda, omega, min(max_iter - used, 100), tol)
             used += sweeps
             delta = max(float(np.max(np.abs(w - w_before))) if len(w) else 0.0, abs(b - b_before))
             if delta < tol:
@@ -137,10 +145,16 @@ def fit_linear(data, link="identity", l1_lambda=0.0, max_iter=1000, tol=1e-8, wa
         certificate=s / s0 if s0 > 0 else 0.0,
     )
     if not converged:
-        if link == "logistic" and certify:
+        if link == "identity":
+            raise ConvergenceError(
+                f"the lasso homotopy did not reach lambda={l1_lambda:g} within {max_iter} steps "
+                f"(identity link, stopped at lambda={reached:.6g})",
+                model,
+            )
+        if certify:
             why = f"optimality certificate S/S(0, 0) {s / s0:.3g} above eps {certificate_eps(y):.3g}"
         else:
-            why = f"last sweep's largest coefficient change {last_delta:.3g}, tol {tol:g}"
+            why = f"last IRLS step's largest coefficient change {delta:.3g}, tol {tol:g}"
         raise ConvergenceError(
             f"coordinate descent did not converge within {max_iter} sweeps "
             f"({link} link, lambda={l1_lambda:g}, {used} sweeps used, {why})",
@@ -181,13 +195,12 @@ def default_lambda_grid(data):
     return list(lmax * np.logspace(-0.5, -3.0, 5))
 
 
-def cv_fold_models(data, link, folds=10, seed=0, max_iter=2000, tol=1e-6):
+def cv_fold_models(data, link, folds=10, seed=0, max_iter=2000):
     """Every (fold, lambda) model of the warm-started search in fit order,
     and each lambda's summed validation loss."""
     grid = sorted(set(float(l) for l in default_lambda_grid(data)), reverse=True)
     folds = max(2, min(folds, data.n_rows))
     totals = {lam: 0.0 for lam in grid}
-    cv_tol = max(tol, 1e-5)
     fitted = []
     for train_idx, val_idx in _kfold_indices(data.n_rows, folds, seed):
         train = data.take(train_idx)
@@ -197,7 +210,7 @@ def cv_fold_models(data, link, folds=10, seed=0, max_iter=2000, tol=1e-6):
         s0 = cold_start_subgradient(train, grid[0], link)
         for lam in grid:
             try:
-                model = fit_linear(train, link, lam, max_iter, cv_tol, warm_start=warm, s0=s0)
+                model = fit_linear(train, link, lam, max_iter, warm_start=warm, s0=s0)
             except ConvergenceError as err:
                 model = err.model
             warm = model
@@ -206,14 +219,14 @@ def cv_fold_models(data, link, folds=10, seed=0, max_iter=2000, tol=1e-6):
     return fitted, totals
 
 
-def fit_linear_cv(data, link, folds=10, seed=0, max_iter=2000, tol=1e-6):
+def fit_linear_cv(data, link, folds=10, seed=0, max_iter=2000):
     """(model, cv_table) of the warm-started search; the refit on all rows
     is a cold ``fit_linear`` at the chosen lambda."""
-    _, totals = cv_fold_models(data, link, folds, seed, max_iter, tol)
+    _, totals = cv_fold_models(data, link, folds, seed, max_iter)
     grid = list(totals)
     best = grid[0]
     for lam in grid:
         if totals[lam] < totals[best] - 1e-12:
             best = lam
-    model = fit_linear(data, link, best, max_iter, tol)
+    model = fit_linear(data, link, best, max_iter)
     return model, {lam: totals[lam] / data.n_rows for lam in grid}

@@ -22,7 +22,10 @@ from interestsim.mlcore import (
     predict,
     prune_tree,
     save_model,
+    sigmoid,
 )
+from interestsim.mlcore import linear
+from interestsim.mlcore.hybrid import _distinct_leaf_design
 
 import path_oracle
 from conftest import one_lambda_hybrid
@@ -139,7 +142,7 @@ def test_serialization_roundtrip(tmp_path, builder):
 def test_convergence_state_survives_serialization(tmp_path):
     X, y = nonlinear_data(8)
     with pytest.raises(ConvergenceError) as exc:
-        fit_linear(dm(X, y), "identity", l1_lambda=0.0, max_iter=1, tol=1e-15)
+        fit_linear(dm(X, y), "identity", l1_lambda=0.0, max_iter=1)
     model = exc.value.model
     path = tmp_path / "model.json"
     save_model(model, path)
@@ -174,6 +177,27 @@ def test_certificate_survives_serialization_and_format_2_still_loads(tmp_path, b
     assert old_linear.certificate is None
     assert (old_linear.converged, old_linear.n_sweeps) == (fitted.converged, fitted.n_sweeps)
     assert np.array_equal(predict(old, X), predict(model, X))
+
+
+def test_hybrid_certificate_is_that_of_its_fit_on_the_distinct_leaf_columns():
+    X, y = nonlinear_data(9)
+    data = dm(X, (y > np.median(y)).astype(float))
+    hybrid = fit_hybrid(data, task="clf", gbdt_params={"n_trees": 12, "max_depth": 3}, folds=3)
+    model = hybrid.linear
+    leaves = encode_leaves(hybrid.encoder, X)
+    design, kept, _ = _distinct_leaf_design(leaves, data)
+    assert len(kept) < leaves.shape[1]
+    # S / S(0, 0) at the model's lambda, both read on [distinct leaf columns,
+    # X] standardized as the refit saw it
+    w = model.weights[np.concatenate([kept, leaves.shape[1] + np.arange(X.shape[1])])]
+    Z = linear._standardize(design)[3]
+    p = sigmoid(Z @ w + model.intercept)
+    s = linear._subgradient_norm(Z.T @ (p - data.y) / len(X), float(np.mean(p - data.y)), w, model.l1_lambda)
+    s0 = path_oracle.cold_start_subgradient(design, model.l1_lambda, "logistic")
+    assert s / s0 == pytest.approx(model.certificate, rel=1e-9)
+    # on every leaf column S(0, 0) sums over the repeated ones too
+    full = path_oracle.cold_start_subgradient(dm(np.hstack([leaves, X]), data.y), model.l1_lambda, "logistic")
+    assert s / full != pytest.approx(model.certificate, rel=1e-3)
 
 
 def test_unsupported_version_rejected(tmp_path):
@@ -240,10 +264,15 @@ def test_duplicate_leaf_columns_fit_once(task):
     if task == "clf":
         y = (y > np.median(y)).astype(float)
     link = "logistic" if task == "clf" else "identity"
-    # at a fixed lambda: on this design the reg CV picks lambda 0.0055,
-    # where the refit drifts along the design's flat face and never converges
-    lam = 0.05
-    hybrid = one_lambda_hybrid(dm(X, y), task, {"n_trees": 12, "max_depth": 3}, lam)
+    params = {"n_trees": 12, "max_depth": 3}
+    if task == "reg":
+        hybrid = fit_hybrid(dm(X, y), task, params, folds=3)
+        lam = hybrid.chosen_lambda
+    else:
+        # at a fixed lambda: the certified refit at the CV's lambda stops
+        # 3.5e-3 relative above the optimum, outside the bound checked below
+        lam = 0.05
+        hybrid = one_lambda_hybrid(dm(X, y), task, params, lam)
     leaves = encode_leaves(hybrid.encoder, X)
     first = {}
     for j in range(leaves.shape[1]):
@@ -255,7 +284,7 @@ def test_duplicate_leaf_columns_fit_once(task):
     assert len(w) == leaves.shape[1] + X.shape[1]
     assert np.all(w[repeats] == 0.0)
 
-    distinct = fit_linear(dm(np.hstack([leaves[:, kept], X]), y), link, lam, max_iter=2000, tol=1e-6)
+    distinct = fit_linear(dm(np.hstack([leaves[:, kept], X]), y), link, lam, max_iter=2000)
     assert np.array_equal(w[np.concatenate([kept, leaves.shape[1] + np.arange(X.shape[1])])], distinct.weights)
     assert hybrid.linear.intercept == distinct.intercept
     # the same coefficients; only the grouping of each row's terms differs
@@ -265,9 +294,9 @@ def test_duplicate_leaf_columns_fit_once(task):
 
     augmented = np.hstack([leaves, X])
     if task == "reg":
-        full = fit_linear(dm(augmented, y), link, lam, max_iter=2000, tol=1e-6)
+        full = fit_linear(dm(augmented, y), link, lam, max_iter=2000)
         ours = _penalized_objective(hybrid.linear, augmented, y)
-        assert ours == pytest.approx(_penalized_objective(full, augmented, y), rel=1e-6)
+        assert ours == pytest.approx(_penalized_objective(full, augmented, y), rel=1e-12)
     else:
         # A certified fit_linear on every leaf column is no reference: its
         # S(0, 0) sums over the repeated columns, so it stops further from
@@ -286,7 +315,7 @@ def test_duplicate_leaf_columns_fit_once(task):
 def test_convergence_error_carries_a_full_width_model():
     X, y = nonlinear_data(11)
     with pytest.raises(ConvergenceError) as exc:
-        fit_hybrid(dm(X, y), task="reg", gbdt_params={"n_trees": 8}, folds=3, max_iter=1, tol=1e-15)
+        fit_hybrid(dm(X, y), task="reg", gbdt_params={"n_trees": 8}, folds=3, max_iter=1)
     model = exc.value.model
     assert model.n_sweeps == 1
     # the same encoder fit_hybrid built: the model reads its whole augmented design

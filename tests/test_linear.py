@@ -40,7 +40,7 @@ def test_huge_lambda_shrinks_everything():
 
 def test_lambda_zero_matches_normal_equations():
     X, y = random_regression(1)
-    model = fit_linear(dm(X, y), "identity", l1_lambda=0.0, tol=1e-12, max_iter=5000)
+    model = fit_linear(dm(X, y), "identity", l1_lambda=0.0)
     Xa = np.hstack([X, np.ones((len(y), 1))])
     beta, *_ = np.linalg.lstsq(Xa, y, rcond=None)
     pred_direct = Xa @ beta
@@ -55,7 +55,7 @@ def test_one_dimensional_soft_threshold_closed_form():
     y = y - y.mean()
     beta_ols = float(x @ y) / len(y)
     for lam in [0.0, 0.1, 0.3, abs(beta_ols) + 0.2]:
-        model = fit_linear(dm(x[:, None], y), "identity", l1_lambda=lam, tol=1e-12, max_iter=5000)
+        model = fit_linear(dm(x[:, None], y), "identity", l1_lambda=lam)
         expected = np.sign(beta_ols) * max(abs(beta_ols) - lam, 0.0)
         assert model.weights[0] == pytest.approx(expected, abs=1e-9)
 
@@ -65,7 +65,7 @@ def test_monotone_sparsity_along_lambda_grid():
     grid = np.logspace(-3, 0.3, 8)
     counts = []
     for lam in grid:
-        model = fit_linear(dm(X, y), "identity", l1_lambda=float(lam), tol=1e-10, max_iter=5000)
+        model = fit_linear(dm(X, y), "identity", l1_lambda=float(lam))
         counts.append(np.count_nonzero(model.weights))
     assert all(a >= b for a, b in zip(counts, counts[1:]))
 
@@ -73,7 +73,7 @@ def test_monotone_sparsity_along_lambda_grid():
 def test_convergence_error_carries_last_iterate():
     X, y = random_regression(5)
     with pytest.raises(ConvergenceError) as exc:
-        fit_linear(dm(X, y), "identity", l1_lambda=0.0, max_iter=1, tol=1e-15)
+        fit_linear(dm(X, y), "identity", l1_lambda=0.0, max_iter=1)
     model = exc.value.model
     assert model.weights.shape == (6,)
     assert model.converged is False
@@ -96,7 +96,7 @@ def test_categorical_one_hot_expansion():
     offsets = np.array([0.0, 1.0, -1.0])
     y = offsets[cat.astype(int)] + 0.01 * rng.normal(size=300)
     X = np.column_stack([cat, rng.normal(size=300)])
-    model = fit_linear(dm(X, y, categorical=(0,)), "identity", l1_lambda=0.0, tol=1e-12, max_iter=5000)
+    model = fit_linear(dm(X, y, categorical=(0,)), "identity", l1_lambda=0.0)
     assert len(model.weights) == 3 + 1  # one-hot block + numeric column
     pred = model.predict(X)
     assert np.max(np.abs(pred - y)) < 0.1
@@ -150,20 +150,23 @@ def test_cv_grid_is_five_python_floats_largest_first():
 def test_convergence_error_message_explains_the_failure():
     X, y = random_regression(12)
     with pytest.raises(ConvergenceError) as exc:
-        fit_linear(dm(X, y), "identity", l1_lambda=0.0, max_iter=1, tol=1e-15)
+        fit_linear(dm(X, y), "identity", l1_lambda=0.0, max_iter=3)
     model = exc.value.model
-    # one full sweep from zero: its largest change is the largest coefficient
-    last = max(np.max(np.abs(model.weights)), abs(model.intercept))
+    # the identity link names the lambda its three homotopy steps reached,
+    # where the fourth would be; the model is the exact fit there
+    reached = float(str(exc.value).rpartition("stopped at lambda=")[2].rstrip(")"))
     assert str(exc.value) == (
-        "coordinate descent did not converge within 1 sweeps (identity link, "
-        f"lambda=0, 1 sweeps used, last sweep's largest coefficient change {last:.3g}, "
-        "tol 1e-15)"
+        "the lasso homotopy did not reach lambda=0 within 3 steps "
+        f"(identity link, stopped at lambda={reached:.6g})"
     )
+    assert (model.converged, model.n_sweeps, np.count_nonzero(model.weights)) == (False, 3, 3)
+    exact = fit_linear(dm(X, y), "identity", l1_lambda=reached)
+    np.testing.assert_allclose(model.weights, exact.weights, rtol=0, atol=1e-5 * reached)
     # the logistic link names its certificate and eps (60 of 120 positive:
-    # eps = 0.01 * 60 / 120); tol plays no part
+    # eps = 0.01 * 60 / 120)
     yb = (y > np.median(y)).astype(float)
     with pytest.raises(ConvergenceError) as exc:
-        fit_linear(dm(X, yb), "logistic", l1_lambda=1e-3, max_iter=3, tol=1e-15)
+        fit_linear(dm(X, yb), "logistic", l1_lambda=1e-3, max_iter=3)
     certificate = exc.value.model.certificate
     assert certificate > 0.005
     assert str(exc.value) == (
@@ -172,17 +175,43 @@ def test_convergence_error_message_explains_the_failure():
     )
 
 
-# -- the Gram-space sweep against the residual-space oracle ---------------------
+def test_homotopy_takes_no_event_that_rounding_alone_puts_above_the_lambda():
+    # y is exactly a combination of three columns: once they are active the
+    # others' correlations with the residual are rounding, so their events
+    # lie within TIE_TOL * lambda_max above lambda = 0 and count as reaching
+    # it; the path takes one step per column of y and the others stay 0
+    X = np.random.default_rng(31).normal(size=(100, 6))
+    model = fit_linear(dm(X, X[:, :3] @ np.array([1.0, -2.0, 0.5])), "identity", 0.0)
+    assert model.n_sweeps == 3 and np.all(model.weights[3:] == 0.0)
+    assert model.certificate <= 1e-12
+
+
+def test_a_column_that_leaves_can_rejoin_with_the_other_sign():
+    # two pairs of correlated columns: on this draw a coefficient reaches 0
+    # and its column's next event is to rejoin with the other sign, so only
+    # the side it left from is barred at that event
+    rng = np.random.default_rng(27)
+    X = rng.normal(size=(40, 6))
+    X[:, 1] = X[:, 0] + 0.2 * rng.normal(size=40)
+    X[:, 3] = X[:, 2] + 0.2 * rng.normal(size=40)
+    y = X @ rng.normal(size=6) + rng.normal(size=40)
+    _assert_homotopy_solves(_standardized(X), y, [0.0])
+
+
+# -- each link's solver against the residual-space oracle ---------------------
 
 
 def _standardized(X, categorical=()):
-    """The design ``fit_linear`` hands to the sweep."""
+    """The design ``fit_linear`` hands to its solver."""
     Z = linear.fit_encoder(X, categorical).transform(X)
     sigma = Z.std(axis=0)
     return np.asfortranarray((Z - Z.mean(axis=0)) / np.where(sigma > 0, sigma, 1.0))
 
 
 def _oracle_design(name, n=200):
+    """Small rank-deficient designs: a constant column (0 once centred), a
+    categorical with every level kept, one column the sum of two others, and
+    a GBDT's leaf one-hots, one block per tree summing to 1."""
     rng = np.random.default_rng(13)
     X = rng.normal(size=(n, 6))
     X[:, 1] = X[:, 0] + 0.3 * X[:, 1]  # correlated columns
@@ -193,7 +222,9 @@ def _oracle_design(name, n=200):
         cat = rng.integers(0, 4, size=n).astype(float)
         signal = signal + np.array([0.0, 1.0, -1.0, 0.5])[cat.astype(int)]
         Z = _standardized(np.column_stack([cat, X]), categorical=(0,))
-    else:  # leaf one-hots of a GBDT, one block per tree summing to 1: collinear
+    elif name == "sum-column":
+        Z = _standardized(np.column_stack([X, X[:, 2] + X[:, 4]]))
+    else:
         target = signal + 0.3 * rng.normal(size=n)
         gbdt = fit_gbdt(dm(X, target), n_trees=4, max_depth=3)
         Z = _standardized(np.hstack([encode_leaves(gbdt, X), X]))
@@ -218,69 +249,120 @@ def _lambda_max(Z, y, omega):
     return float(np.max(np.abs(Z.T @ (omega * centred))) / len(y))
 
 
-def _assert_sweeps_match(Z, y, lam, omega, max_sweeps, tol, w0=None, b0=0.0, bound=None):
+def _assert_sweeps_match(Z, y, lam, omega, max_sweeps, w0=None, b0=0.0, bound_frac=1e-8):
+    """The logistic sub-problem's sweeps, stopping at S <= bound_frac * S(0, 0),
+    against the oracle's, sweep for sweep."""
+    n = len(y)
+    bound = bound_frac * linear._subgradient_norm(
+        -(Z.T @ (omega * y)) / n, -float(omega @ y) / n, np.zeros(Z.shape[1]), lam
+    )
     w_new = np.zeros(Z.shape[1]) if w0 is None else w0.copy()
     w_old = w_new.copy()
-    b_new, sweeps_new, conv_new, _ = linear._cd_sweeps(Z, y, w_new, b0, lam, omega, max_sweeps, tol, bound)
-    b_old, sweeps_old, conv_old = oracle_sweeps(Z, y, w_old, b0, lam, omega, max_sweeps, tol, bound)
+    b_new, sweeps_new, conv_new = linear._cd_sweeps(Z, y, w_new, b0, lam, omega, max_sweeps, bound)
+    b_old, sweeps_old, conv_old = oracle_sweeps(Z, y, w_old, b0, lam, omega, max_sweeps, None, bound)
     assert (sweeps_new, conv_new) == (sweeps_old, conv_old)
     assert np.max(np.abs(w_new - w_old), initial=0.0) < 1e-10
     assert abs(b_new - b_old) < 1e-10
     return w_new, sweeps_new
 
 
+KKT_TOL = 1e-12  # the homotopy's largest KKT violation, as a share of lambda_max
+OBJ_RTOL = 1e-12  # how far its objective may exceed long CD's, relative
+
+
+def _lasso_objective(Z, y, w, b, lam):
+    return 0.5 * float(np.mean((y - Z @ w - b) ** 2)) + lam * float(np.abs(w).sum())
+
+
+def _assert_homotopy_solves(Z, y, lambdas):
+    """The identity link's solver, ``_lasso_path`` on G = Z'Z / n with the
+    mean residual as intercept, at each of ``lambdas``: every coordinate
+    meets its KKT condition, read from Z, the active columns are linearly
+    independent, and the objective is no higher than after the oracle's
+    long coordinate descent.  Returns the path."""
+    n = len(y)
+    lmax = _lambda_max(Z, y, None)
+    path = linear._lasso_path(Z.T @ Z / n, Z.T @ (y - y.mean()) / n, lambdas, 10_000)
+    for lam, (w, _, reached) in zip(lambdas, path):
+        assert reached == lam
+        b = float(np.mean(y - Z @ w))
+        g = Z.T @ (y - Z @ w - b) / n
+        active = w != 0
+        kkt = np.where(active, np.abs(g - lam * np.sign(w)), np.maximum(np.abs(g) - lam, 0.0))
+        assert np.max(kkt) <= KKT_TOL * lmax
+        assert np.linalg.matrix_rank(Z[:, active]) == np.count_nonzero(active)
+        w_cd = np.zeros(Z.shape[1])
+        b_cd = oracle_sweeps(Z, y, w_cd, 0.0, lam, None, 5000, 1e-13)[0]
+        f_cd = _lasso_objective(Z, y, w_cd, b_cd, lam)
+        assert _lasso_objective(Z, y, w, b, lam) - f_cd <= OBJ_RTOL * f_cd
+    return path
+
+
 @pytest.mark.parametrize("lam_frac", [0.0, 0.1, 0.95], ids=["lam0", "mid", "near-max"])
 @pytest.mark.parametrize("link", ["identity", "logistic"])
-@pytest.mark.parametrize("design", ["constant-column", "categorical", "leaf-one-hot"])
+@pytest.mark.parametrize("design", ["constant-column", "categorical", "sum-column", "leaf-one-hot"])
 def test_sweeps_match_residual_oracle(design, link, lam_frac):
     Z, y, omega = _sweep_problem(design, link)
     lam = lam_frac * _lambda_max(Z, y, omega)
-    _assert_sweeps_match(Z, y, lam, omega, max_sweeps=2000, tol=1e-8)
+    if link == "identity":  # the homotopy, against the oracle's long run
+        _assert_homotopy_solves(Z, y, [lam])
+        return
+    _assert_sweeps_match(Z, y, lam, omega, max_sweeps=2000)
     # a budget too small to converge: stops after one full or one active sweep
     for max_sweeps in (1, 2):
-        _assert_sweeps_match(Z, y, lam, omega, max_sweeps=max_sweeps, tol=1e-8)
+        _assert_sweeps_match(Z, y, lam, omega, max_sweeps=max_sweeps)
 
 
 @pytest.mark.parametrize("link", ["identity", "logistic"])
 def test_sweeps_match_residual_oracle_through_sign_changes(link):
+    Z, y, omega = _sweep_problem("leaf-one-hot", link)
+    lmax = _lambda_max(Z, y, omega)
+    if link == "identity":
+        # along a grid down to 0 some coefficients leave the active set, and
+        # the path is exact at every lambda of it
+        lambdas = [*(lmax * np.logspace(0, -4, 20)), 0.0]
+        W = np.array([w for w, _, _ in _assert_homotopy_solves(Z, y, lambdas)])
+        assert np.any((W[:-1] != 0) & (np.sign(W[1:]) != np.sign(W[:-1])))
+        return
     # warm-started from the unpenalized fit, coefficients cross zero or
     # drop out inside active sweeps, where the triangular solve stops and
     # takes the scalar soft-threshold step
-    Z, y, omega = _sweep_problem("leaf-one-hot", link)
-    w0, _ = _assert_sweeps_match(Z, y, 0.0, omega, max_sweeps=3000, tol=1e-10)
-    lam = 0.3 * _lambda_max(Z, y, omega)
-    _assert_sweeps_match(Z, y, lam, omega, max_sweeps=2000, tol=1e-8, w0=w0, b0=0.1)
+    w0, _ = _assert_sweeps_match(Z, y, 0.0, omega, max_sweeps=3000)
+    _assert_sweeps_match(Z, y, 0.3 * lmax, omega, max_sweeps=2000, w0=w0, b0=0.1)
 
 
 @pytest.mark.parametrize("link", ["identity", "logistic"])
 def test_sweeps_match_residual_oracle_on_duplicated_columns(link):
-    # every third column repeated makes the design rank-deficient; from a
-    # dense warm start, active sweeps zero coefficients, so the active set
-    # shrinks between full sweeps and the sweep slices its block down
+    # every third column repeated makes the design rank-deficient
     Z, y, omega = _sweep_problem("leaf-one-hot", link)
     Z = np.asfortranarray(np.hstack([Z, Z[:, ::3]]))
     lam = 0.05 * _lambda_max(Z, y, omega)
+    if link == "identity":  # at most one of each pair is active
+        _assert_homotopy_solves(Z, y, [lam, 0.0])
+        return
+    # from a dense warm start, active sweeps zero coefficients, so the
+    # active set shrinks between full sweeps and the sweep slices its block
+    # down
     w0 = 0.5 * np.random.default_rng(1).normal(size=Z.shape[1])
-    _assert_sweeps_match(Z, y, lam, omega, max_sweeps=2000, tol=1e-8, w0=w0, b0=0.1)
+    _assert_sweeps_match(Z, y, lam, omega, max_sweeps=2000, w0=w0, b0=0.1)
     # budgets that stop inside the active sweeps, just after a shrink
     for max_sweeps in range(1, 30):
-        _assert_sweeps_match(Z, y, lam, omega, max_sweeps=max_sweeps, tol=1e-8, w0=w0, b0=0.1)
+        _assert_sweeps_match(Z, y, lam, omega, max_sweeps=max_sweeps, w0=w0, b0=0.1)
 
 
 @pytest.mark.parametrize("design", ["constant-column", "categorical", "leaf-one-hot"])
 def test_sweeps_match_residual_oracle_with_a_certificate_bound(design):
-    # with a bound, the sweep also stops once its own minimum-norm
-    # subgradient, read after a full sweep or every 10th active sweep in a
-    # row, is within it: sooner than the coefficient test alone (12 sweeps
-    # is a full one, 10 active ones and the full one that verifies)
+    # the sweep stops once its own minimum-norm subgradient, read after a
+    # full sweep or every 10th active sweep in a row, is within the bound:
+    # the looser the bound, the sooner (12 sweeps is a full one, 10 active
+    # ones and the full one that verifies)
     Z, y, omega = _sweep_problem(design, "logistic")
     lam = 0.01 * _lambda_max(Z, y, omega)
-    n = len(y)
-    s0 = linear._subgradient_norm(-(Z.T @ (omega * y)) / n, -float(omega @ y) / n, np.zeros(Z.shape[1]), lam)
-    _, plain = _assert_sweeps_match(Z, y, lam, omega, max_sweeps=2000, tol=1e-10)
-    for frac in (1e-1, 1e-2, 1e-3, 1e-4):
-        _, bounded = _assert_sweeps_match(Z, y, lam, omega, max_sweeps=2000, tol=1e-10, bound=frac * s0)
-        assert bounded < plain
+    used = [
+        _assert_sweeps_match(Z, y, lam, omega, max_sweeps=2000, bound_frac=frac)[1]
+        for frac in (1e-1, 1e-2, 1e-3, 1e-4, 1e-10)
+    ]
+    assert used == sorted(used) and used[0] < used[-1]
 
 
 # -- the lambda path against the warm-started search it replaced ----------------
@@ -317,9 +399,8 @@ def _assert_same_model(new, old):
     )
 
 
-# at 400 sweeps some identity fold fits on the duplicated leaves run out,
-# and so does their refit, while every logistic fit is certified; at 6 all
-# fold fits and every refit run out
+# every fit converges within 400 sweeps or homotopy steps; at 6 all fold
+# fits and every refit run out
 @pytest.mark.parametrize("max_iter", [2000, 400, 6], ids=["budget-2000", "budget-400", "budget-6"])
 @pytest.mark.parametrize("link", ["identity", "logistic"])
 @pytest.mark.parametrize("design", ["categorical", "duplicated-leaves"])
@@ -328,13 +409,14 @@ def test_cv_path_matches_warm_started_oracle(design, link, max_iter):
     grid = linear.default_lambda_grid(data)
     assert grid == path_oracle.default_lambda_grid(data)
     # every fold's path, fit for fit, against the chain of warm-started
-    # calls, both stopping on the certificate under the logistic link, and
-    # the refits too
+    # calls, both stopping on the certificate under the logistic link and
+    # each identity call a homotopy of its own from lambda_max, and the
+    # refits too
     old_fits, _ = path_oracle.cv_fold_models(data, link, folds=3, seed=4, max_iter=max_iter)
     new_fits = [
         model
         for train_idx, _ in linear._kfold_indices(data.n_rows, 3, 4)
-        for model, _ in linear._fit_path(data.take(train_idx), link, grid, max_iter, 1e-5)
+        for model, _ in linear._fit_path(data.take(train_idx), link, grid, max_iter)
     ]
     assert len(new_fits) == len(old_fits) == 3 * len(grid)
     for new, old in zip(new_fits, old_fits):
@@ -407,20 +489,17 @@ def test_certified_fold_fits_end_within_budget_near_the_optimum():
         s0 = linear._subgradient_norm(Z.T @ (p0 - y) / n, float(np.mean(p0 - y)), w0, grid[0])
         n_pos = int(y.sum())
         bound = 0.01 * max(min(n_pos, n - n_pos), 1) / n * s0
-        for model, _ in linear._fit_path(train, "logistic", grid, 400, 1e-5):
+        for model, _ in linear._fit_path(train, "logistic", grid, 400):
             w, b, lam = model.weights, model.intercept, model.l1_lambda
             assert model.converged and model.n_sweeps < 400
             p = sigmoid(Z @ w + b)
             s = linear._subgradient_norm(Z.T @ (p - y) / n, float(np.mean(p - y)), w, lam)
             assert s <= bound and model.certificate == s / s0
-            # against a long run under the coefficient test: by convexity,
-            # F(w) - F(w_ref) <= S(w) * max|(w, b) - (w_ref, b_ref)|, and the
-            # objective is within 1% of the reference's
+            # against a long run under the coefficient test, the objective is
+            # within 1% of the reference's
             [ref] = path_oracle.coefficient_test_chain(train, [lam], 20_000, 1e-8)
             f_ref = _logistic_objective(Z, y, ref.weights, ref.intercept, lam)
             gap = _logistic_objective(Z, y, w, b, lam) - f_ref
-            far = max(np.max(np.abs(w - ref.weights)), abs(b - ref.intercept))
-            assert gap <= s * far + 1e-12
             assert gap <= 0.01 * f_ref
     assert ran_out > 0
 
@@ -433,38 +512,36 @@ def test_logistic_fit_linear_certifies_where_the_coefficient_test_runs_out():
     lam = linear.default_lambda_grid(data)[2]
     with pytest.raises(ConvergenceError):
         path_oracle.fit_linear(data, "logistic", lam, max_iter=1000, tol=1e-6, certify=False)
-    model = fit_linear(data, "logistic", lam, max_iter=1000, tol=1e-6)
+    model = fit_linear(data, "logistic", lam, max_iter=1000)
     assert model.converged and model.n_sweeps < 1000
     assert model.certificate <= path_oracle.certificate_eps(data.y)
-    _assert_same_model(model, path_oracle.fit_linear(data, "logistic", lam, max_iter=1000, tol=1e-6))
+    _assert_same_model(model, path_oracle.fit_linear(data, "logistic", lam, max_iter=1000))
 
 
 @pytest.mark.parametrize("design", ["categorical", "duplicated-leaves"])
 def test_lambda_zero_logistic_fit_certifies(design):
     # the model table's unpenalized linear model: lambda 0, 3000 sweeps
     data = _path_data(design, "logistic")
-    model = fit_linear(data, "logistic", 0.0, max_iter=3000, tol=1e-7)
+    model = fit_linear(data, "logistic", 0.0, max_iter=3000)
     assert model.converged and model.certificate <= path_oracle.certificate_eps(data.y)
-    _assert_same_model(model, path_oracle.fit_linear(data, "logistic", 0.0, max_iter=3000, tol=1e-7))
+    _assert_same_model(model, path_oracle.fit_linear(data, "logistic", 0.0, max_iter=3000))
     # at lambda 0, S is the 1-norm of the gradient, intercept included
     Z = np.asfortranarray(linear._standardize(data)[3])
     y = data.y
     p = sigmoid(Z @ model.weights + model.intercept)
     s = np.abs(Z.T @ (p - y) / len(y)).sum() + abs(np.mean(p - y))
     assert s / path_oracle.cold_start_subgradient(data, 0.0, "logistic") == pytest.approx(model.certificate)
-    # tol is the identity link's: even one that any step would pass is not read
-    _assert_same_model(fit_linear(data, "logistic", 0.0, max_iter=3000, tol=1.0), model)
 
 
 @pytest.mark.parametrize("link", ["identity", "logistic"])
 @pytest.mark.parametrize("design", ["categorical", "duplicated-leaves"])
 def test_cv_model_is_fit_linear_at_the_chosen_lambda(design, link):
     # the model returned is the one fit_linear gives at the chosen lambda
-    # with the same budget and tol
+    # with the same budget
     data = _path_data(design, link)
-    model, table = fit_linear_cv(data, link, folds=3, seed=9, max_iter=2000, tol=1e-6)
+    model, table = fit_linear_cv(data, link, folds=3, seed=9, max_iter=2000)
     assert model.l1_lambda in table
-    _assert_same_model(model, fit_linear(data, link, model.l1_lambda, max_iter=2000, tol=1e-6))
+    _assert_same_model(model, fit_linear(data, link, model.l1_lambda, max_iter=2000))
 
 
 @pytest.mark.parametrize("folds", [1, 0, -3])
