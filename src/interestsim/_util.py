@@ -24,6 +24,7 @@ designs they were not (see ``mlcore.linear._cd_sweeps``, ``_gram_block``).
 from __future__ import annotations
 
 import ctypes
+import functools
 import hashlib
 import os
 import pickle
@@ -58,9 +59,12 @@ def parallel_map(fn, items: list, threads: int = 1) -> list:
         return list(pool.map(fn, items))
 
 
-def _openblas_libraries() -> list:
+@functools.cache
+def _openblas_libraries() -> tuple:
     """(set_count, stop_pool) of every OpenBLAS loaded in this process
-    (numpy and scipy each bundle one), found by path in /proc/self/maps.
+    (numpy and scipy each bundle one), found by path in /proc/self/maps
+    once per process, at the first call: ``mlcore`` loads scipy's with its
+    own import, before any of its ``fork_map`` calls.
 
     ``set_count`` is ``openblas_set_num_threads_local``: it sets the
     calling thread's BLAS thread count and returns the previous one.
@@ -72,7 +76,7 @@ def _openblas_libraries() -> list:
         with open("/proc/self/maps", encoding="utf-8") as fh:
             paths = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
     except OSError:
-        return []
+        return ()
     found = []
     for path in paths:
         try:
@@ -85,10 +89,10 @@ def _openblas_libraries() -> list:
             set_count.argtypes, set_count.restype = [ctypes.c_int], ctypes.c_int
             stop_pool.argtypes, stop_pool.restype = [], ctypes.c_int
             found.append((set_count, stop_pool))
-    return found
+    return tuple(found)
 
 
-def _set_blas_threads(libraries: list, counts: list) -> list:
+def _set_blas_threads(libraries: tuple, counts: list) -> list:
     """Set this thread's count in each library and return the previous
     ones.  Setting a count starts the pool again if a fork shut it down,
     and a freshly started pool thread spins for about 0.1 s, on the CPUs

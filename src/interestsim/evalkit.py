@@ -296,6 +296,8 @@ def run_protocol(
         report["reduced_mae_pct"] = reduced_mae_ratio(scores, sims[split.test], train_mean)
     linear = model.linear if isinstance(model, mlcore.HybridModel) else model
     if isinstance(linear, mlcore.LinearModel):  # lambda and the solver's diagnostics
+        # n_sweeps counts coordinate-descent sweeps under the logistic link
+        # and homotopy steps under the identity link
         report.update({"lambda": linear.l1_lambda, "converged": linear.converged, "n_sweeps": linear.n_sweeps})
         # the identity link's certificate, S near 0 from a cancelling residual
         # gradient, differs in its last digits between BLAS thread counts, so

@@ -3,18 +3,18 @@
 Features are standardized internally (parameters stored with the model)
 and categorical columns are one-hot encoded over their most frequent
 levels.  The penalized objective is (1/n)-scaled loss + lambda * ||w||_1
-with an unpenalized intercept.  Every fit is part of a lambda path
-(``_fit_path``), which encodes and standardizes its design once and fits
-each lambda in turn: ``fit_linear`` is a path of one lambda and
-``fit_linear_cv`` runs one path per fold.  The folds are independent, so
-``fit_linear_cv`` fans them out over the CPUs with ``_util.fork_map``; each
-worker returns its folds' validation losses, the caller sums them in fold
-order and refits on all rows itself, so the CV table, the chosen lambda
-and the model are those of a serial loop, bit for bit, for any number of
-CPUs.  The folds run with one BLAS thread (see ``_util``), so on large
-designs their losses no longer depend on the BLAS thread count; the
-refit still does.  ``fit_linear``, which the benchmark harness hooks,
-never runs in a worker.
+with an unpenalized intercept.  Every fit is a lambda path (``_fit_path``)
+on standardized, centred rows: ``fit_linear`` fits one lambda on its
+design, and ``fit_linear_cv`` runs one path per fold on the fold's rows of
+its one design, centred by their means (which moves only the intercept).
+The folds are independent, so ``fit_linear_cv`` fans them out over the
+CPUs with ``_util.fork_map``; each worker returns its folds' validation
+losses, the caller sums them in fold order and refits on all rows itself,
+so the CV table, the chosen lambda and the model are those of a serial
+loop, bit for bit, for any number of CPUs.  The folds run with one BLAS
+thread (see ``_util``), so on large designs their losses no longer depend
+on the BLAS thread count; the refit still does.  ``fit_linear``, which the
+benchmark harness hooks, never runs in a worker.
 
 Each link has one solver and one stopping rule: the identity link the
 exact LARS-lasso homotopy (``_lasso_path``), the logistic link cyclic
@@ -111,20 +111,23 @@ class LinearModel:
     feature_names: tuple[str, ...]
     n_raw_features: int
     converged: bool = True
-    n_sweeps: int = 0
+    n_sweeps: int = 0  # coordinate-descent sweeps (logistic link) or homotopy steps (identity link)
     certificate: float | None = None  # S(w, b) / S(0, 0) at exit (see _fit_path), a hybrid's on its distinct leaves
 
     def decision_function(self, X: np.ndarray) -> np.ndarray:
         X = check_width(X, self.n_raw_features)
-        Z = (self.encoder.transform(X) - self.mu) / self.sigma
-        # row by row, so a value does not depend on its batch, as Z @ w's does
-        return np.multiply(Z, self.weights, order="C").sum(axis=1) + self.intercept
+        return _decision((self.encoder.transform(X) - self.mu) / self.sigma, self.weights, self.intercept)
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         z = self.decision_function(X)
         if self.link == "logistic":
             return sigmoid(z)
         return z
+
+
+def _decision(Z, w, b):
+    """Zw + b row by row, so a value does not depend on its batch, as Z @ w's does."""
+    return np.multiply(Z, w, order="C").sum(axis=1) + b
 
 
 def sigmoid(z: np.ndarray) -> np.ndarray:
@@ -433,29 +436,23 @@ def _certificate_eps(y):
     return CERT_EPS * max(min(n_pos, len(y) - n_pos), 1) / len(y)
 
 
-def _fit_path(data: DesignMatrix, link: str, lambdas, max_iter: int):
-    """Fit each lambda in the order given on one standardized design Z.
-    Returns one (model, the lambda the identity link's homotopy reached,
-    else None) per lambda; a model whose budget ran out has ``converged``
-    False.
+def _fit_path(Z, y, link: str, lambdas, max_iter: int):
+    """Fit each lambda in the order given on standardized, centred rows Z
+    (in Fortran order) with targets y.  Returns one (w, b, steps, converged,
+    certificate, the lambda the identity link's homotopy reached, else
+    None) per lambda; converged is False where the budget ran out.
 
     Identity-link lambdas must not increase: ``_lasso_path`` solves them in
     at most ``max_iter`` steps on G = Z'Z / n and c = Z'(y - mean(y)) / n,
-    the mean residual is the intercept and ``n_sweeps`` counts the steps.
+    the mean residual is the intercept and the steps count from lambda_max.
     A logistic fit starts from the previous lambda's w and b (the first
     from zero); it and its IRLS sub-problems (``_cd_sweeps``) stop on
     newGLMNET's optimality certificate (Yuan, Ho & Lin 2012; LIBLINEAR's
     -s 6 rule), S(w, b) <= ``_certificate_eps`` * S(0, 0), S being the mean
     logistic loss's ``_subgradient_norm`` and S(0, 0) read at the path's
-    cold start and first lambda (a lone fit's own, as in LIBLINEAR).  Each
-    model records S / S(0, 0) as ``certificate``."""
-    _check_link(link, data)
-    if any(lam < 0 for lam in lambdas):
-        raise ValueError("l1_lambda must be >= 0")
-    y, n = data.y, data.n_rows
-    encoder, mu, sigma, Z = _standardize(data)
-    Z = np.asfortranarray(Z)
-    names = encoder.names(data.names if data.names else tuple(f"x{j}" for j in range(data.n_cols)))
+    cold start and first lambda (a lone fit's own, as in LIBLINEAR); its
+    steps are sweeps.  The certificate is S / S(0, 0)."""
+    n = len(y)
     w = np.zeros(Z.shape[1])
     b = 0.0
     s0 = _subgradient_at(Z, y, w, b, lambdas[0], link)[0]
@@ -479,12 +476,7 @@ def _fit_path(data: DesignMatrix, link: str, lambdas, max_iter: int):
                 used += sweeps
                 s, z, p = _subgradient_at(Z, y, w, b, lam, link)
             converged = s <= bound
-        model = LinearModel(
-            link=link, l1_lambda=lam, weights=w.copy(), intercept=float(b), mu=mu, sigma=sigma,
-            encoder=encoder, feature_names=names, n_raw_features=data.n_cols,
-            converged=bool(converged), n_sweeps=used, certificate=s / s0 if s0 > 0 else 0.0,
-        )
-        path.append((model, reached))
+        path.append((w.copy(), float(b), used, bool(converged), s / s0 if s0 > 0 else 0.0, reached))
     return path
 
 
@@ -496,12 +488,19 @@ def fit_linear(
 ) -> LinearModel:
     """One lambda's fit (see ``_fit_path``); raises ConvergenceError if its
     budget of ``max_iter`` sweeps or homotopy steps runs out."""
-    [(model, reached)] = _fit_path(data, link, [l1_lambda], max_iter)
-    if not model.converged:
+    _check_link(link, data)
+    if l1_lambda < 0:
+        raise ValueError("l1_lambda must be >= 0")
+    encoder, mu, sigma, Z = _standardize(data)
+    Z = np.asfortranarray(Z)
+    [(w, b, used, converged, certificate, reached)] = _fit_path(Z, data.y, link, [l1_lambda], max_iter)
+    names = encoder.names(data.names if data.names else tuple(f"x{j}" for j in range(data.n_cols)))
+    model = LinearModel(link, l1_lambda, w, b, mu, sigma, encoder, names, data.n_cols, converged, used, certificate)
+    if not converged:
         raise ConvergenceError(
             f"coordinate descent did not converge within {max_iter} sweeps (logistic link, "
-            f"lambda={l1_lambda:g}, {model.n_sweeps} sweeps used, optimality certificate S/S(0, 0) "
-            f"{model.certificate:.3g} above eps {_certificate_eps(data.y):.3g})"
+            f"lambda={l1_lambda:g}, {used} sweeps used, optimality certificate S/S(0, 0) "
+            f"{certificate:.3g} above eps {_certificate_eps(data.y):.3g})"
             if link == "logistic"
             else f"the lasso homotopy did not reach lambda={l1_lambda:g} within {max_iter} steps "
             f"(identity link, stopped at lambda={reached:.6g})",
@@ -510,13 +509,11 @@ def fit_linear(
     return model
 
 
-def default_lambda_grid(data: DesignMatrix) -> list[float]:
+def default_lambda_grid(Z: np.ndarray, y: np.ndarray) -> list[float]:
     """Five lambdas from lmax / sqrt(10) down to lmax / 1000, largest first,
-    as Python floats (the CV table's keys).  lmax is the smallest lambda
-    that forces every weight to zero: at w = 0 the fitted mean is mean(y)
-    for both links, so it is max |Z' (y - mean(y))| / n."""
-    _, _, _, Z = _standardize(data)
-    y = data.y
+    as Python floats (the CV table's keys), for ``_standardize``'s Z.  lmax
+    is the smallest lambda that forces every weight to zero: at w = 0 the
+    fitted mean is mean(y) for both links, so it is max |Z' (y - mean(y))| / n."""
     lmax = float(np.max(np.abs(Z.T @ (y - y.mean()))) / len(y))
     if lmax <= 0:
         return [0.0]
@@ -550,10 +547,11 @@ def fit_linear_cv(
     """Pick lambda by k-fold CV, then refit on all rows.  Returns (model,
     {lambda: mean CV loss}).
 
-    Each fold fits the grid, largest lambda first, as one path, so its rows
-    are encoded and standardized once, not once per lambda: on a 63k x 250
-    hybrid fold that prologue alone takes about 0.4 s on a 2-core host.  A
-    fold fit that runs out of budget is scored where it stopped.
+    The design is encoded and standardized once, and the grid read off it.
+    Each fold fits the grid, largest lambda first, as one path on its
+    training rows of that design, centred by their means, and scores its
+    validation rows centred by the same means.  A fold fit that runs out of
+    budget is scored where it stopped.
 
     The fold fits and the refit, a plain ``fit_linear``, stop on their
     link's one rule (see ``_fit_path``); a logistic refit reads S(0, 0) at
@@ -561,36 +559,36 @@ def fit_linear_cv(
     there.
 
     The arguments are checked here, once, before the folds fan out.  Each
-    fold (its split, path, predictions and summed validation loss) is one
-    ``fork_map`` item, run in a forked worker or in the caller; the losses
-    come back in fold order and are added up in that order, as a serial
-    loop adds them.  Only ``_fit_path`` and ``LinearModel.predict`` run in
-    a worker, never ``fit_linear``: the final refit stays in the caller."""
+    fold (its rows, path and summed validation loss) is one ``fork_map``
+    item, run in a forked worker or in the caller; the losses come back in
+    fold order and are added up in that order, as a serial loop adds them.
+    Only ``_fit_path`` runs in a worker, never ``fit_linear``: the refit
+    stays in the caller, after the CV's design is released."""
     if folds < 2:
         raise ValueError("folds must be >= 2")
     if data.n_rows < 2:
         raise ValueError(f"cross-validation needs at least 2 rows, got {data.n_rows}")
     _check_link(link, data)
-    grid = default_lambda_grid(data)
+    Z, y = _standardize(data)[3], data.y
+    grid = default_lambda_grid(Z, y)
 
     def fold_losses(fold):
         train_idx, val_idx = fold
-        Xv = data.X[val_idx]
-        yv = data.y[val_idx]
-        return [
-            cv_loss(model.predict(Xv), yv, link) * len(val_idx)
-            for model, _ in _fit_path(data.take(train_idx), link, grid, max_iter)
-        ]
+        Zt = Z[train_idx]
+        m = Zt.mean(axis=0)
+        Zt = np.asfortranarray(np.subtract(Zt, m, out=Zt))
+        Zv, yv = Z[val_idx] - m, y[val_idx]
+        scores = [_decision(Zv, w, b) for w, b, *_ in _fit_path(Zt, y[train_idx], link, grid, max_iter)]
+        return [cv_loss(sigmoid(z) if link == "logistic" else z, yv, link) * len(val_idx) for z in scores]
 
     totals = {lam: 0.0 for lam in grid}
     for losses in fork_map(fold_losses, _kfold_indices(data.n_rows, min(folds, data.n_rows), seed)):
         for lam, loss in zip(grid, losses):
             totals[lam] += loss
+    del Z
     # minimize CV loss; ties prefer the larger lambda (sparser model)
     best = grid[0]
     for lam in grid:
         if totals[lam] < totals[best] - 1e-12:
             best = lam
-    model = fit_linear(data, link, best, max_iter)
-    cv_table = {lam: totals[lam] / data.n_rows for lam in grid}
-    return model, cv_table
+    return fit_linear(data, link, best, max_iter), {lam: totals[lam] / data.n_rows for lam in grid}

@@ -456,11 +456,17 @@ def write_samples(table: SampleTable, path) -> None:
 
 
 def read_samples(path) -> SampleTable:
-    """Samples as ``write_samples`` writes them; a bad header or row raises ``FormatError``."""
+    """Samples as ``write_samples`` writes them; a bad header or row raises
+    ``FormatError``, and so does a ``label_sim`` column that is neither all
+    blank (unlabelled samples) nor all numbers."""
     table = _Table(Path(path), CSV_HEADER)
     fields = [table.column(j) for j in range(len(CSV_HEADER))]
     columns = {name: table.parse(fields[j], name) for j, name in enumerate(CSV_HEADER[:2])}
-    labels = table.parse(fields[3], "label_sim", kind=float) if fields[3] and fields[3][0] else None
+    blank = np.array(fields[3], dtype=str) == ""
+    labelled = not blank.size or not blank[0]
+    first = "a number" if labelled else "blank"
+    table.check(blank != blank[:1], f"label_sim is {first} on the first row but {{!r}} here", fields[3])
+    labels = table.parse(fields[3], "label_sim", kind=float) if labelled else None
     for j, name in enumerate(FEATURE_COLUMNS, start=4):
         columns[name] = table.parse(fields[j], name, kind=float)
     table.close()

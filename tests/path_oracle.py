@@ -4,9 +4,14 @@ the reference its path fits are tested against.
 Every (fold, lambda) is its own ``fit_linear`` call: the fold's rows are
 encoded and standardized again for each lambda, and the previous lambda's
 model is handed over as ``warm_start``, from which the call takes the
-encoder, mu, sigma, weights and intercept.  A fit that runs out of its
-budget raises, and the CV loop scores the model the error carries.  Each link has
-one solver and one stopping rule.  The identity link runs a lone
+encoder, mu, sigma, weights and intercept.  A fold's chain starts from
+``cv_start``'s zero model, which carries the encoder, mu and sigma of all
+rows, so every call fits the fold's rows of the all-rows standardization;
+``shift`` subtracts their column means (``fold_means``) from them, so its
+intercept is on those centred rows, and the validation rows are scored
+centred by the same means.  A fit that runs out of its budget raises, and
+the CV loop scores the model the error carries.  Each link has one solver
+and one stopping rule.  The identity link runs a lone
 ``_lasso_path`` from lambda_max to the call's lambda, on its own Gram
 matrix, so its steps count from lambda_max.  The logistic link stops on
 the optimality certificate: its bound is
@@ -35,8 +40,9 @@ from interestsim.mlcore.linear import (
 )
 
 
-def _design(data, warm_start):
-    """(encoder, mu, sigma, Z): the fit's standardized design, in Fortran order."""
+def _design(data, warm_start, shift=None):
+    """(encoder, mu, sigma, Z): the fit's standardized design, less ``shift``
+    if given, in C order."""
     encoder = (
         warm_start.encoder
         if warm_start is not None
@@ -49,14 +55,27 @@ def _design(data, warm_start):
         mu = Z_raw.mean(axis=0)
         sigma = Z_raw.std(axis=0)
         sigma = np.where(sigma > 0, sigma, 1.0)
-    return encoder, mu, sigma, np.asfortranarray((Z_raw - mu) / sigma)
+    Z = (Z_raw - mu) / sigma
+    return encoder, mu, sigma, Z if shift is None else Z - shift
 
 
-def cold_start_subgradient(data, lam, link):
+def cv_start(data, link):
+    """A zero model that carries the encoder, mu and sigma of all of ``data``'s rows."""
+    encoder, mu, sigma, Z = _design(data, None)
+    return LinearModel(link, 0.0, np.zeros(Z.shape[1]), 0.0, mu, sigma, encoder, (), data.n_cols)
+
+
+def fold_means(train, start):
+    """The column means of a fold's rows of ``start``'s standardization."""
+    return _design(train, start)[3].mean(axis=0)
+
+
+def cold_start_subgradient(data, lam, link, start=None, shift=None):
     """S(0, 0): the minimum-norm subgradient of the link's mean loss at
-    w = 0, b = 0 on the cold-start design, where the fitted mean is 1/2
-    under the logistic link and 0 under the identity link."""
-    _, _, _, Z = _design(data, None)
+    w = 0, b = 0 on the cold-start design (or on ``start``'s, less
+    ``shift``), where the fitted mean is 1/2 under the logistic link and 0
+    under the identity link."""
+    Z = np.asfortranarray(_design(data, start, shift)[3])
     y = data.y
     p = np.full(len(y), 0.5 if link == "logistic" else 0.0)
     return _subgradient_norm(Z.T @ (p - y) / len(y), float(np.mean(p - y)), np.zeros(Z.shape[1]), lam)
@@ -69,7 +88,7 @@ def certificate_eps(y):
 
 
 def fit_linear(data, link="identity", l1_lambda=0.0, max_iter=1000, tol=1e-8, warm_start=None, s0=None,
-               certify=True):
+               certify=True, shift=None):
     if link not in ("identity", "logistic"):
         raise ValueError(f"link must be 'identity' or 'logistic', got {link!r}")
     if l1_lambda < 0:
@@ -80,7 +99,8 @@ def fit_linear(data, link="identity", l1_lambda=0.0, max_iter=1000, tol=1e-8, wa
             raise ValueError("logistic link requires binary 0/1 targets")
     if s0 is None:
         s0 = cold_start_subgradient(data, l1_lambda, link)
-    encoder, mu, sigma, Z = _design(data, warm_start)
+    encoder, mu, sigma, Z = _design(data, warm_start, shift)
+    Z = np.asfortranarray(Z)
     y = data.y
     n = len(y)
     w = warm_start.weights.copy() if warm_start is not None else np.zeros(Z.shape[1])
@@ -163,13 +183,13 @@ def fit_linear(data, link="identity", l1_lambda=0.0, max_iter=1000, tol=1e-8, wa
     return model
 
 
-def coefficient_test_chain(data, lambdas, max_iter, tol, link="logistic"):
+def coefficient_test_chain(data, lambdas, max_iter, tol, link="logistic", start=None, shift=None):
     """The models of one warm-started chain under the coefficient test,
-    unconverged ones included."""
-    models, warm = [], None
+    unconverged ones included, from ``start`` (default: a cold start)."""
+    models, warm = [], start
     for lam in lambdas:
         try:
-            warm = fit_linear(data, link, lam, max_iter, tol, warm_start=warm, certify=False)
+            warm = fit_linear(data, link, lam, max_iter, tol, warm_start=warm, certify=False, shift=shift)
         except ConvergenceError as err:
             warm = err.model
         models.append(warm)
@@ -197,25 +217,29 @@ def default_lambda_grid(data):
 
 def cv_fold_models(data, link, folds=10, seed=0, max_iter=2000):
     """Every (fold, lambda) model of the warm-started search in fit order,
-    and each lambda's summed validation loss."""
+    and each lambda's summed validation loss.  The models' intercepts are
+    on their fold's centred rows."""
     grid = sorted(set(float(l) for l in default_lambda_grid(data)), reverse=True)
     folds = max(2, min(folds, data.n_rows))
     totals = {lam: 0.0 for lam in grid}
     fitted = []
+    start = cv_start(data, link)
     for train_idx, val_idx in _kfold_indices(data.n_rows, folds, seed):
         train = data.take(train_idx)
-        Xv = data.X[val_idx]
+        m = fold_means(train, start)
+        Zv = _design(data.take(val_idx), start, m)[3]
         yv = data.y[val_idx]
-        warm = None
-        s0 = cold_start_subgradient(train, grid[0], link)
+        warm = start
+        s0 = cold_start_subgradient(train, grid[0], link, start, m)
         for lam in grid:
             try:
-                model = fit_linear(train, link, lam, max_iter, warm_start=warm, s0=s0)
+                model = fit_linear(train, link, lam, max_iter, warm_start=warm, s0=s0, shift=m)
             except ConvergenceError as err:
                 model = err.model
             warm = model
             fitted.append(model)
-            totals[lam] += cv_loss(model.predict(Xv), yv, link) * len(val_idx)
+            z = np.multiply(Zv, model.weights, order="C").sum(axis=1) + model.intercept
+            totals[lam] += cv_loss(sigmoid(z) if link == "logistic" else z, yv, link) * len(val_idx)
     return fitted, totals
 
 

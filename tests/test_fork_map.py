@@ -147,3 +147,8 @@ def test_items_run_with_one_blas_thread(two_cpus):
     for inner in fork_map(lambda x: blas_counts(), range(3)):
         assert inner == [1] * len(before)
     assert blas_counts() == before
+
+
+def test_openblas_libraries_are_looked_up_once_per_process():
+    # fork_map reads them on every call; the first lookup is kept
+    assert _util._openblas_libraries() is _util._openblas_libraries()

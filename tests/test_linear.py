@@ -139,7 +139,7 @@ def test_cv_grid_is_five_python_floats_largest_first():
     X, y = random_regression(11)
     data = dm(X, y)
     _, table = fit_linear_cv(data, "identity", folds=3)
-    grid = linear.default_lambda_grid(data)
+    grid = linear.default_lambda_grid(linear._standardize(data)[3], data.y)
     assert list(table) == grid == sorted(grid, reverse=True)
     assert len(grid) == 5 and all(type(lam) is float for lam in grid)
     # lmax forces every weight to zero, and a little below it one enters
@@ -401,29 +401,54 @@ def _assert_same_model(new, old):
 
 # every fit converges within 400 sweeps or homotopy steps; at 6 all fold
 # fits and every refit run out
+def _record_fold_paths(monkeypatch):
+    """Run ``fit_linear_cv``'s folds in the caller and record every
+    ``_fit_path`` call it makes as (Z, y, lambdas, path): the folds' in fold
+    order, then the refit's."""
+    calls = []
+    fit_path = linear._fit_path
+
+    def recording(Z, y, link, lambdas, max_iter):
+        calls.append((Z, y, lambdas, fit_path(Z, y, link, lambdas, max_iter)))
+        return calls[-1][3]
+
+    monkeypatch.setattr(linear, "_fit_path", recording)
+    monkeypatch.setattr(linear, "fork_map", lambda fn, items: [fn(x) for x in items])
+    return calls
+
+
+def _fold_rows(Z_cv, train_idx):
+    """A fold's training rows of the CV design and their column means."""
+    Zt = Z_cv[train_idx]
+    return Zt, Zt.mean(axis=0)
+
+
 @pytest.mark.parametrize("max_iter", [2000, 400, 6], ids=["budget-2000", "budget-400", "budget-6"])
 @pytest.mark.parametrize("link", ["identity", "logistic"])
 @pytest.mark.parametrize("design", ["categorical", "duplicated-leaves"])
-def test_cv_path_matches_warm_started_oracle(design, link, max_iter):
+def test_cv_path_matches_warm_started_oracle(design, link, max_iter, monkeypatch):
     data = _path_data(design, link)
-    grid = linear.default_lambda_grid(data)
+    grid = linear.default_lambda_grid(linear._standardize(data)[3], data.y)
     assert grid == path_oracle.default_lambda_grid(data)
     # every fold's path, fit for fit, against the chain of warm-started
-    # calls, both stopping on the certificate under the logistic link and
-    # each identity call a homotopy of its own from lambda_max, and the
-    # refits too
+    # calls on the fold's centred rows of the all-rows standardization,
+    # both stopping on the certificate under the logistic link and each
+    # identity call a homotopy of its own from lambda_max, and the refits too
     old_fits, _ = path_oracle.cv_fold_models(data, link, folds=3, seed=4, max_iter=max_iter)
-    new_fits = [
-        model
-        for train_idx, _ in linear._kfold_indices(data.n_rows, 3, 4)
-        for model, _ in linear._fit_path(data.take(train_idx), link, grid, max_iter)
-    ]
-    assert len(new_fits) == len(old_fits) == 3 * len(grid)
-    for new, old in zip(new_fits, old_fits):
-        _assert_same_model(new, old)
+    calls = _record_fold_paths(monkeypatch)
+    try:
+        fit_linear_cv(data, link, folds=3, seed=4, max_iter=max_iter)
+    except ConvergenceError:
+        pass
+    new_fits = [fit for _, _, _, path in calls[:3] for fit in path]
+    assert len(calls) == 4 and len(new_fits) == len(old_fits) == 3 * len(grid)
+    for (w, b, steps, converged, certificate, _), old in zip(new_fits, old_fits):
+        assert (b, steps, converged, certificate) == (old.intercept, old.n_sweeps, old.converged, old.certificate)
+        assert w.tobytes() == old.weights.tobytes()
     if max_iter == 6:
         assert not all(m.converged for m in old_fits)
     # and the selection and refit on all rows
+    monkeypatch.undo()
     try:
         old_model, old_table = path_oracle.fit_linear_cv(data, link, folds=3, seed=4, max_iter=max_iter)
     except ConvergenceError as err:
@@ -435,6 +460,72 @@ def test_cv_path_matches_warm_started_oracle(design, link, max_iter):
     model, table = fit_linear_cv(data, link, folds=3, seed=4, max_iter=max_iter)
     assert list(table.items()) == list(old_table.items())
     _assert_same_model(model, old_model)
+
+
+@pytest.mark.parametrize("folds", [3, 10])
+def test_cv_standardizes_once_and_once_more_for_the_refit(folds, monkeypatch):
+    # the grid and every fold are read off one standardized design; the
+    # refit, a plain fit_linear, standardizes its own
+    calls = []
+    standardize = linear._standardize
+    monkeypatch.setattr(linear, "_standardize", lambda data: calls.append(data.n_rows) or standardize(data))
+    monkeypatch.setattr(linear, "fork_map", lambda fn, items: [fn(x) for x in items])
+    X, y = random_regression(16)
+    for link, target in (("identity", y), ("logistic", (y > np.median(y)).astype(float))):
+        calls.clear()
+        fit_linear_cv(dm(X, target), link, folds=folds)
+        assert calls == [len(y), len(y)]
+
+
+@pytest.mark.parametrize("link", ["identity", "logistic"])
+@pytest.mark.parametrize("design", ["categorical", "duplicated-leaves"])
+def test_cv_folds_solve_their_rows_of_the_one_design(design, link, monkeypatch):
+    data = _path_data(design, link)
+    calls = _record_fold_paths(monkeypatch)
+    _, table = fit_linear_cv(data, link, folds=3, seed=4)
+    Z_cv = linear._standardize(data)[3]
+    grid = linear.default_lambda_grid(Z_cv, data.y)
+    # the refit solves all rows as standardized, not centred again
+    assert np.array_equal(calls[3][0], Z_cv) and calls[3][2] == [min(table, key=table.get)]
+    totals = dict.fromkeys(grid, 0.0)
+    for (Z, y, lambdas, path), (train_idx, val_idx) in zip(calls, linear._kfold_indices(data.n_rows, 3, 4)):
+        (Zt, means), n = _fold_rows(Z_cv, train_idx), len(train_idx)
+        Zc = Zt - means
+        assert lambdas == grid and np.array_equal(y, data.y[train_idx]) and np.array_equal(Z, Zc)
+        if link == "identity":
+            # the homotopy on a Gram matrix centred here (the fit and the
+            # penalty; the weights too where no leaf column repeats, since
+            # how a repeated column's weight is shared is not unique), and the
+            # lasso KKT conditions on the fold's uncentred rows of the CV
+            # design, where the intercept is b - means @ w
+            c = Zc.T @ (y - y.mean()) / n
+            ref = linear._lasso_path(Zc.T @ Zc / n, c, grid, 2000)
+            for lam, (w, b, _, converged, _, _), (w_ref, _, _) in zip(grid, path, ref):
+                assert converged
+                np.testing.assert_allclose(Zc @ w, Zc @ w_ref, rtol=0, atol=1e-10)
+                assert abs(np.abs(w).sum() - np.abs(w_ref).sum()) <= 1e-10
+                if design == "categorical":
+                    np.testing.assert_allclose(w, w_ref, rtol=0, atol=1e-10)
+                g = Zt.T @ (y - Zt @ w - (b - means @ w)) / n
+                kkt = np.where(w != 0, np.abs(g - lam * np.sign(w)), np.maximum(np.abs(g) - lam, 0.0))
+                assert np.max(kkt) <= KKT_TOL * np.max(np.abs(c))
+        else:
+            # the certificate, recomputed on the centred rows, is within the
+            # path's bound, eps * S(0, 0) at the first lambda
+            p0 = np.full(n, 0.5)
+            s0 = linear._subgradient_norm(Zc.T @ (p0 - y) / n, float(np.mean(p0 - y)), np.zeros(Zc.shape[1]), grid[0])
+            for lam, (w, b, _, converged, certificate, _) in zip(grid, path):
+                p = sigmoid(Zc @ w + b)
+                s = linear._subgradient_norm(Zc.T @ (p - y) / n, float(np.mean(p - y)), w, lam)
+                assert converged and s <= path_oracle.certificate_eps(y) * s0
+                assert certificate == pytest.approx(s / s0, rel=1e-9)
+        # each fold scores its validation rows as the fold's rows of the CV design
+        for lam, (w, b, *_) in zip(grid, path):
+            pred = Z_cv[val_idx] @ w + (b - means @ w)
+            pred = sigmoid(pred) if link == "logistic" else pred
+            totals[lam] += linear.cv_loss(pred, data.y[val_idx], link) * len(val_idx)
+    for lam in grid:
+        assert table[lam] == pytest.approx(totals[lam] / data.n_rows, rel=1e-12)
 
 
 # -- the optimality certificate of the logistic fold fits ----------------------
@@ -474,30 +565,33 @@ def _logistic_objective(Z, y, w, b, lam):
 
 
 def test_certified_fold_fits_end_within_budget_near_the_optimum():
+    # each fold's path on its centred rows of the CV design, as fit_linear_cv solves it
     data = _path_data("duplicated-leaves", "logistic")
-    grid = linear.default_lambda_grid(data)
+    Z_cv = linear._standardize(data)[3]
+    grid = linear.default_lambda_grid(Z_cv, data.y)
+    start = path_oracle.cv_start(data, "logistic")
     ran_out = 0
     for train_idx, _ in linear._kfold_indices(data.n_rows, 3, 4):
         train = data.take(train_idx)
         y, n = train.y, train.n_rows
-        Z = np.asfortranarray(linear._standardize(train)[3])
+        Zt, means = _fold_rows(Z_cv, train_idx)
+        Z = np.asfortranarray(Zt - means)
         # the coefficient test alone runs out of its 400 sweeps on some fits
-        plain = path_oracle.coefficient_test_chain(train, grid, 400, 1e-5)
+        plain = path_oracle.coefficient_test_chain(train, grid, 400, 1e-5, start=start, shift=means)
         ran_out += not all(m.converged for m in plain)
         w0 = np.zeros(Z.shape[1])
         p0 = sigmoid(Z @ w0)
         s0 = linear._subgradient_norm(Z.T @ (p0 - y) / n, float(np.mean(p0 - y)), w0, grid[0])
         n_pos = int(y.sum())
         bound = 0.01 * max(min(n_pos, n - n_pos), 1) / n * s0
-        for model, _ in linear._fit_path(train, "logistic", grid, 400):
-            w, b, lam = model.weights, model.intercept, model.l1_lambda
-            assert model.converged and model.n_sweeps < 400
+        for lam, (w, b, steps, converged, certificate, _) in zip(grid, linear._fit_path(Z, y, "logistic", grid, 400)):
+            assert converged and steps < 400
             p = sigmoid(Z @ w + b)
             s = linear._subgradient_norm(Z.T @ (p - y) / n, float(np.mean(p - y)), w, lam)
-            assert s <= bound and model.certificate == s / s0
+            assert s <= bound and certificate == s / s0
             # against a long run under the coefficient test, the objective is
             # within 1% of the reference's
-            [ref] = path_oracle.coefficient_test_chain(train, [lam], 20_000, 1e-8)
+            [ref] = path_oracle.coefficient_test_chain(train, [lam], 20_000, 1e-8, start=start, shift=means)
             f_ref = _logistic_objective(Z, y, ref.weights, ref.intercept, lam)
             gap = _logistic_objective(Z, y, w, b, lam) - f_ref
             assert gap <= 0.01 * f_ref
@@ -509,7 +603,7 @@ def test_logistic_fit_linear_certifies_where_the_coefficient_test_runs_out():
     # coefficient test still moves a coefficient by more than tol after
     # 1000 sweeps; the certificate stops the same fit well within them
     data = _path_data("duplicated-leaves", "logistic")
-    lam = linear.default_lambda_grid(data)[2]
+    lam = linear.default_lambda_grid(linear._standardize(data)[3], data.y)[2]
     with pytest.raises(ConvergenceError):
         path_oracle.fit_linear(data, "logistic", lam, max_iter=1000, tol=1e-6, certify=False)
     model = fit_linear(data, "logistic", lam, max_iter=1000)

@@ -242,6 +242,33 @@ def test_read_samples_names_the_bad_line(tmp_path, feature_corpus):
         read_samples(empty)
 
 
+def test_read_samples_rejects_labels_on_some_rows_only(tmp_path, feature_corpus):
+    # label_sim is the fourth field: blank on every row (unlabelled) or a
+    # number on every row; the first row that disagrees with row one is named
+    path = tmp_path / "samples.csv"
+    write_samples(build_training_set(feature_corpus, 5, "ptp", seed=4), path)
+    header, *rows = path.read_text(encoding="utf-8").splitlines()
+
+    def blank_label(row):
+        fields = row.split(",")
+        fields[3] = ""
+        return ",".join(fields)
+
+    first_blank = tmp_path / "first_blank.csv"
+    first_blank.write_text("\n".join([header, blank_label(rows[0]), *rows[1:]]) + "\n")
+    label = rows[1].split(",")[3]
+    with pytest.raises(FormatError, match=rf"^first_blank\.csv:3: label_sim is blank on the first row but '{label}' here$"):
+        read_samples(first_blank)
+    later_blank = tmp_path / "later_blank.csv"
+    later_blank.write_text("\n".join([header, *rows[:3], blank_label(rows[3]), rows[4]]) + "\n")
+    with pytest.raises(FormatError, match=r"^later_blank\.csv:5: label_sim is a number on the first row but '' here$"):
+        read_samples(later_blank)
+    unlabelled = tmp_path / "unlabelled.csv"
+    unlabelled.write_text("\n".join([header, *map(blank_label, rows)]) + "\n")
+    back = read_samples(unlabelled)
+    assert back.labels is None and len(back) == 5
+
+
 def test_design_matrix_layout(feature_corpus):
     table = build_training_set(feature_corpus, 100, "ptp", seed=6)
     dm = table.to_design()
