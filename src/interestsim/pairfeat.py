@@ -321,11 +321,23 @@ class PairFeaturizer:
         values[ok] = num[ok] / (norm[ok] * n_masked[ok])
         return values, day0.active_mask[rh].astype(np.float64)
 
-    def extract_batch(self, targets, helpers) -> dict[str, np.ndarray]:
-        rt, rh = self.rows(targets, helpers)
-        c = self.corpus
+    def interest_columns(self, rt: np.ndarray, rh: np.ndarray) -> dict[str, np.ndarray]:
+        """The ``interest`` columns, the only ones that depend on the kind."""
         past_sim, has_past = self.past_similarity(rt, rh)
         indiv, has_indiv = self.helper_individuality(rt, rh)
+        return {
+            "past_sim_month": past_sim,
+            "has_past": has_past,
+            "helper_individuality": indiv,
+            "has_individuality": has_indiv,
+        }
+
+    def extract_batch(self, targets, helpers) -> dict[str, np.ndarray]:
+        """Every column of the aligned pairs: the ``demographic`` and
+        ``social`` columns, which are the same for every kind, and this
+        kind's ``interest_columns``."""
+        rt, rh = self.rows(targets, helpers)
+        c = self.corpus
         return {
             "target": np.asarray(targets, dtype=np.int64),
             "helper": np.asarray(helpers, dtype=np.int64),
@@ -340,10 +352,7 @@ class PairFeaturizer:
             "common_groups": self.common_groups(rt, rh),
             "msg_count_month": self.msg_count_month(rt, rh),
             "msg_days_month": self.msg_days_month(rt, rh),
-            "past_sim_month": past_sim,
-            "has_past": has_past,
-            "helper_individuality": indiv,
-            "has_individuality": has_indiv,
+            **self.interest_columns(rt, rh),
         }
 
 

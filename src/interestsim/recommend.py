@@ -7,14 +7,18 @@ demographics.  Recommendation lists are the top-N day-0-popular videos
 among the selected neighbors.  Strategies and lists read the corpus's
 profile indexes (``Corpus.profile_index``) and arrays, and keep no state.
 
-The experiment grid scores each scoring strategy (predicted, oracle, past,
-demo) once per target, whatever the K values: whole targets go together in
-blocks of up to ``_BLOCK_PAIRS`` (target, candidate) pairs, one featurizer
-and one model call per block, and each K then cuts the target's ranking.
-The friend, random and popular strategies select per target and K.  The
-budget bounds memory: on the benchmark's 100 x 200 grid, one block per
-strategy (21k pairs) lifted the peak RSS from 254-268 to 278-283 MiB for
-a 6% shorter grid.
+The experiment grid goes block by block: whole targets go together in
+blocks of up to ``_BLOCK_PAIRS`` (target, candidate) pairs, and each block
+is featurized once for every scoring strategy (predicted, oracle, past,
+demo).  One ``extract_batch`` gives the kind-free columns and the first
+predicted kind's interest columns, each further kind adds only its
+interest columns, and past reads predicted-vbp's ``past_sim_month``.  Each
+predicted kind makes one model call per block, each strategy ranks a
+target's candidates once, and each K cuts that ranking; only the neighbor
+lists outlive the block.  The friend, random and popular strategies
+select per target and K.  The budget bounds memory: on the benchmark's
+100 x 200 grid, one block for the whole grid (21k pairs) lifted the peak
+RSS from 246-251 to 279-281 MiB for a grid 1-4% shorter.
 
 Each (strategy, K) is evaluated in arrays, for all targets and every N at
 once: the product of the targets' neighbor counts with the day-0 ``vbp``
@@ -126,21 +130,41 @@ def _pair_scores(c: Corpus, targets, candidates: np.ndarray, strategy) -> np.nda
     array aligned with ``candidates``.  Each pair's score depends on that
     pair alone."""
     targets = np.broadcast_to(np.asarray(targets, dtype=np.int64), np.shape(candidates))
-    if isinstance(strategy, OracleSim):
-        return c.profile_index(DAY0, strategy.kind).similarity_pairs(targets, candidates)
-    if isinstance(strategy, PredictedSim):
-        cols = PairFeaturizer(c, strategy.kind).extract_batch(targets, candidates)
-        table = SampleTable(strategy.kind, cols, None)
-        X, _, _ = table.feature_matrix()
-        return model_predict(strategy.model, X)
-    if isinstance(strategy, PastLongTerm):
-        return c.profile_index(PAST_WINDOW, "vbp").similarity_pairs(targets, candidates)
-    if isinstance(strategy, DemographicSim):
-        t, v = c.rows_for(targets), c.rows_for(candidates)
-        same_gender = (c.is_f[t] == c.is_f[v]).astype(np.float64)
-        same_city = (c.cities[t] == c.cities[v]).astype(np.float64)
-        return same_gender + same_city + (1.0 - np.abs(c.ages[t] - c.ages[v]) / 30.0)
-    raise TypeError(f"strategy {strategy!r} does not score candidates")
+    return _block_scores(c, targets, candidates, [strategy])[0]
+
+
+def _block_scores(c: Corpus, targets: np.ndarray, candidates: np.ndarray, strategies) -> list[np.ndarray]:
+    """Each scoring strategy's scores of the aligned pairs, from one
+    featurization: the first predicted kind's ``extract_batch`` gives the
+    kind-free columns, each further kind adds only its interest columns,
+    and ``past`` reads predicted-vbp's ``past_sim_month`` if there is one,
+    the same row products on the same past-month vbp index."""
+    rt, rh = c.rows_for(targets), c.rows_for(candidates)
+    columns: dict[str, dict[str, np.ndarray]] = {}
+    for kind in dict.fromkeys(s.kind for s in strategies if isinstance(s, PredictedSim)):
+        fz = PairFeaturizer(c, kind)
+        if columns:
+            columns[kind] = {**next(iter(columns.values())), **fz.interest_columns(rt, rh)}
+        else:
+            columns[kind] = fz.extract_batch(targets, candidates)
+    scores = []
+    for s in strategies:
+        if isinstance(s, OracleSim):
+            scores.append(c.profile_index(DAY0, s.kind).similarity_pairs(targets, candidates))
+        elif isinstance(s, PredictedSim):
+            X, _, _ = SampleTable(s.kind, columns[s.kind], None).feature_matrix()
+            scores.append(model_predict(s.model, X))
+        elif isinstance(s, PastLongTerm) and "vbp" in columns:
+            scores.append(columns["vbp"]["past_sim_month"])
+        elif isinstance(s, PastLongTerm):
+            scores.append(c.profile_index(PAST_WINDOW, "vbp").similarity_pairs(targets, candidates))
+        elif isinstance(s, DemographicSim):
+            same_gender = (c.is_f[rt] == c.is_f[rh]).astype(np.float64)
+            same_city = (c.cities[rt] == c.cities[rh]).astype(np.float64)
+            scores.append(same_gender + same_city + (1.0 - np.abs(c.ages[rt] - c.ages[rh]) / 30.0))
+        else:
+            raise TypeError(f"strategy {s!r} does not score candidates")
+    return scores
 
 
 def select_neighbors(
@@ -283,30 +307,33 @@ def _target_blocks(targets: list[int], candidates: dict[int, np.ndarray]):
         yield block
 
 
-def _scored_neighbors(c: Corpus, targets, candidates, strategy, k_values) -> dict[int, dict[int, np.ndarray]]:
+def _scored_neighbors(c: Corpus, targets, candidates, strategies, k_values) -> list[dict[int, dict[int, np.ndarray]]]:
     """The top-K candidates of each target for each K (``[k][target]``)
-    under a scoring strategy, each target's candidates scored and ranked
-    once and every K a prefix of that ranking."""
-    neighbors: dict[int, dict[int, np.ndarray]] = {k: {} for k in k_values}
+    under each scoring strategy, each block of targets featurized once for
+    all of them, each target's candidates ranked once per strategy and
+    every K a prefix of that ranking."""
+    neighbors = [{k: {} for k in k_values} for _ in strategies]
     for block in _target_blocks(targets, candidates):
         sizes = [len(candidates[t]) for t in block]
         pair_targets = np.repeat(np.asarray(block, dtype=np.int64), sizes)
-        scores = _pair_scores(c, pair_targets, np.concatenate([candidates[t] for t in block]), strategy)
-        for t, s in zip(block, np.split(scores, np.cumsum(sizes)[:-1])):
-            ranked = _rank(s, candidates[t])
-            for k in k_values:
-                neighbors[k][t] = ranked[:k]
+        pair_candidates = np.concatenate([candidates[t] for t in block])
+        for out, scores in zip(neighbors, _block_scores(c, pair_targets, pair_candidates, strategies)):
+            for t, s in zip(block, np.split(scores, np.cumsum(sizes)[:-1])):
+                ranked = _rank(s, candidates[t])
+                for k in k_values:
+                    out[k][t] = ranked[:k]
     return neighbors
 
 
 def run_experiment(c: Corpus, cfg: ExperimentConfig, strategies) -> list[dict]:
     """F-measure and Diversification across the strategy x K x N grid.
 
-    A scoring strategy (predicted, oracle, past, demo) scores each target's
-    candidates once, in blocks of whole targets, and every K is cut from
-    that one ranking; the friend, random and popular strategies select per
-    K and target, the random one drawing in target order from one
-    generator per K.  Each (strategy, K) is then evaluated for all targets
+    The scoring strategies (predicted, oracle, past, demo) are scored
+    together, block of whole targets by block, from one featurization per
+    block; each ranks a target's candidates once, and every K is cut from
+    that ranking.  The friend, random and popular strategies select per K
+    and target, the random one drawing in target order from one generator
+    per K.  Each (strategy, K) is then evaluated for all targets
     and every N at once, from one top-``max(N)`` ranking per target.  Rows
     run strategy by strategy, K within strategy and N within K.  A second
     run on the corpus reuses its profile indexes."""
@@ -316,16 +343,16 @@ def run_experiment(c: Corpus, cfg: ExperimentConfig, strategies) -> list[dict]:
     truth_sizes = truth.sum(axis=1)
     max_n = max(cfg.n_values)
     rows = []
+    scored = iter(_scored_neighbors(c, targets, candidates, [s for s in strategies if isinstance(s, _SCORED)],
+                                    cfg.k_values))
     for strategy in strategies:
-        scored = None
-        if isinstance(strategy, _SCORED):
-            scored = _scored_neighbors(c, targets, candidates, strategy, cfg.k_values)
+        neighbors = next(scored) if isinstance(strategy, _SCORED) else None
         for k in cfg.k_values:
-            if scored is None:
+            if neighbors is None:
                 rng = subrng(cfg.seed, f"recommend.randomk.{k}")
                 lists = [select_neighbors(c, t, candidates[t], strategy, k, rng=rng) for t in targets]
             else:
-                lists = [scored[k][t] for t in targets]
+                lists = [neighbors[k][t] for t in targets]
             top, lengths = _top_videos(c, lists, max_n)
             listed = np.arange(top.shape[1]) < lengths[:, np.newaxis]
             # hits[:, j]: each target's hits among its first j videos
