@@ -18,7 +18,7 @@ need: with 2 CPUs and 2 BLAS threads, the hybrid reg rtp protocol at
 ``paper-desk`` (seed 42) took 77 s fanned out that way, 39-42 s
 serially and 35 s fanned out with one thread per item.  One thread also
 makes an item's bits independent of the BLAS thread count, which on large
-designs they were not (see ``mlcore.linear._cd_sweeps``, ``_gram_block``).
+designs they were not (see ``mlcore.linear._gram_block``).
 """
 
 from __future__ import annotations

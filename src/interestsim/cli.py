@@ -4,12 +4,12 @@ study, recommend, and the end-to-end pipeline runner.
 Every subcommand writes a manifest (tool version, resolved config,
 sha256 of inputs) beside its outputs; all outputs are byte-stable for a
 fixed seed.  Fitted models on large designs can differ in their last bits
-between BLAS thread counts (see ``linear._cd_sweeps``, ``_gram_block``), and
-so can an identity-link model's ``certificate`` on small ones.  So the model
-files (format 3) keep every linear fit's certificate, while
+between BLAS thread counts (see ``linear._gram_block``), and so can an
+identity-link model's ``certificate`` on small ones.  So the model files
+(format 3) keep every linear fit's certificate, while
 ``reports/models.json`` gives each linear, l1linear and hybrid row its fit's
-converged flag and sweeps, and the certificate only under the logistic link,
-where it is the stopping test.
+converged flag and ``n_sweeps``, its homotopy steps under both links, and
+the certificate only under the logistic link, where it is the stopping test.
 """
 
 from __future__ import annotations

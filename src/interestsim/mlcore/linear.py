@@ -1,4 +1,4 @@
-"""L1-regularized linear and logistic models (lasso homotopy, coordinate descent).
+"""L1-regularized linear and logistic models, both solved by one lasso homotopy.
 
 Features are standardized internally (parameters stored with the model)
 and categorical columns are one-hot encoded over their most frequent
@@ -16,20 +16,13 @@ thread (see ``_util``), so on large designs their losses no longer depend
 on the BLAS thread count; the refit still does.  ``fit_linear``, which the
 benchmark harness hooks, never runs in a worker.
 
-Each link has one solver and one stopping rule: the identity link the
-exact LARS-lasso homotopy (``_lasso_path``), the logistic link cyclic
-coordinate descent (``_cd_sweeps``) in iteratively reweighted least squares,
-stopping on newGLMNET's optimality certificate (see ``_fit_path``).
-
-The sweeps alternate between full sweeps, a Python loop over every column
-that keeps the residual current at O(n) per coordinate step, and sweeps
-over the active (nonzero) set, which run in Gram space: on a fixed active
-set a cyclic sweep is one triangular solve with the active block of
-Z' Omega Z / n, at O(|active|) per coordinate step.  It and the homotopy's
-G are built from matrix-vector products only: OpenBLAS rounds matrix-matrix
-products differently under different thread counts.  On large designs the
-matrix-vector products differ too (see ``_cd_sweeps``), so a fit there can
-depend on the thread count in its last bits.
+Both links have one exact inner solver, the LARS-lasso homotopy
+(``_lasso_path``), and one stopping rule each.  The identity link is one
+homotopy on G = Z'Z / n.  The logistic link takes proximal Newton steps
+(``_newton_step``): each minimizes the loss's second-order model plus the
+penalty, a weighted lasso that the homotopy solves exactly, and the fit
+stops on newGLMNET's optimality certificate (see ``_fit_path``).  Every
+Gram matrix is built from matrix-vector products (``_gram_block``).
 """
 
 from __future__ import annotations
@@ -44,8 +37,8 @@ from .data import DesignMatrix, check_width
 
 
 class ConvergenceError(Exception):
-    """Raised when a fit exhausts its budget of sweeps or homotopy steps;
-    carries the model it stopped at in ``.model``."""
+    """Raised when a fit stops short of its stopping rule (see
+    ``fit_linear``); carries the model it stopped at in ``.model``."""
 
     def __init__(self, message: str, model: "LinearModel"):
         super().__init__(message)
@@ -111,7 +104,7 @@ class LinearModel:
     feature_names: tuple[str, ...]
     n_raw_features: int
     converged: bool = True
-    n_sweeps: int = 0  # coordinate-descent sweeps (logistic link) or homotopy steps (identity link)
+    n_sweeps: int = 0  # homotopy steps, under both links (the name is kept for the model files)
     certificate: float | None = None  # S(w, b) / S(0, 0) at exit (see _fit_path), a hybrid's on its distinct leaves
 
     def decision_function(self, X: np.ndarray) -> np.ndarray:
@@ -149,180 +142,25 @@ def _subgradient_norm(g, g_b, w, lam):
     return float(np.where(w != 0, np.abs(g + lam * np.sign(w)), at_zero).sum()) + abs(g_b)
 
 
-def _soft(x: float, t: float) -> float:
-    if x > t:
-        return x - t
-    if x < -t:
-        return x + t
-    return 0.0
+def _gram_block(Z, omega=None):
+    """G = Z' Omega Z / n in Fortran order (Omega = diag(omega), or I).
 
-
-def _gram_block(Z, omega, cols, col_ss):
-    """G = Z_A' Omega Z_A / n for the columns A = ``cols``, in Fortran order.
-
-    The part of column k on and below the diagonal is one matrix-vector
-    product, Z_wA' z_k over the rows of A from k on (see ``_cd_sweeps``), and
-    is mirrored into the upper triangle, so G is exactly symmetric.  Its
-    diagonal is ``col_ss[cols]``, the divisor of the full sweeps' scalar
-    steps."""
-    Zw = Z if omega is None else Z[:, cols] * omega[:, None]  # None: Omega = I, A all columns, Z not copied
-    G = np.empty((len(cols), len(cols)), order="F")
-    for i, k in enumerate(cols):
-        G[i:, i] = Zw[:, i:].T @ Z[:, k]
-        G[i, i + 1 :] = G[i + 1 :, i]
-    G /= len(Z)
-    G.flat[:: len(cols) + 1] = col_ss[cols]
+    Column k on and below the diagonal is one matrix-vector product,
+    Z[:, k:]' (omega * z_k), mirrored above it, so G is exactly symmetric;
+    the diagonal is each column's sum of squares by ``einsum``.  OpenBLAS
+    rounds matrix-matrix products such as Z'Z differently under different
+    thread counts.  Under 0.3.31 (Haswell, 2 cores) these products, Z'r and
+    Zw differed in their last bits between 1 and 2 threads too, on Fortran
+    float64 designs from 2100 x 226 up (none of 459,900 entries or fewer),
+    so fits on larger designs can depend on the thread count."""
+    n, p = Z.shape
+    G = np.empty((p, p), order="F")
+    for k in range(p):
+        G[k:, k] = Z[:, k:].T @ (Z[:, k] if omega is None else omega * Z[:, k])
+        G[k, k + 1 :] = G[k + 1 :, k]
+    G /= n
+    G.flat[:: p + 1] = (np.einsum("ij,ij->j", Z, Z) if omega is None else np.einsum("i,ij,ij->j", omega, Z, Z)) / n
     return G
-
-
-def _active_step(G, u, w, lam):
-    """The step d of one cyclic sweep over the active block.
-
-    ``G`` is the block's Gram matrix (only its lower triangle is read),
-    ``u = Z_A' Omega r / n`` the gradient at the sweep's start and ``w`` the
-    block's coefficients, all nonzero.  While every coefficient keeps its
-    sign s, coordinate j moves by d_j = (u_j - sum_{k<j} G_jk d_k - lam*s_j)
-    / G_jj: the sweep is the forward substitution
-    (diag + lower)(G) d = u - lam*s.  The first coordinate whose new value
-    would change sign or reach zero takes the scalar soft-threshold step
-    instead, and the solve resumes after it.  At lam = 0 every sign is valid.
-    """
-    s = np.sign(w)
-    rhs = u - lam * s
-    d = dtrsv(G, rhs, lower=1)
-    if lam == 0.0:
-        return d
-    m = 0
-    while True:
-        flips = np.flatnonzero((w[m:] + d[m:]) * s[m:] <= 0)
-        if not len(flips):
-            return d
-        m += int(flips[0])
-        rho = u[m] - float(G[m, :m] @ d[:m]) + G[m, m] * w[m]
-        d[m] = _soft(rho, lam) / G[m, m] - w[m]
-        m += 1
-        if m == len(w):
-            return d
-        d[m:] = dtrsv(G[m:, m:], rhs[m:] - G[m:, :m] @ d[:m], lower=1)
-
-
-def _cd_sweeps(Z, y, w, b, lam, omega, max_sweeps, bound):
-    """Cyclic coordinate descent on (1/2n) sum omega*(y - Zw - b)^2 + lam*||w||_1,
-    a logistic fit's IRLS sub-problem.
-
-    Alternates full sweeps with sweeps over the active set A (the nonzero
-    coefficients).  It converges when, after a full sweep, the problem's own
-    minimum-norm subgradient S (``_subgradient_norm``, one Z' Omega r
-    product) is at most ``bound``, newGLMNET's inner test (Yuan, Ho & Lin
-    2012).  Every 10th active sweep in a row checks S over A alone, from the
-    tracked gradient, and if it passes, the next sweep is a full one that
-    checks all of S.
-
-    A full sweep loops over all columns and updates the residual r after
-    each coordinate step, at O(n) per step.  An active sweep works in Gram
-    space (Friedman, Hastie & Tibshirani 2010, covariance updates): the
-    gradient u = Z_A' Omega r / n is set from r once after a full sweep and
-    then updated through G = Z_A' Omega Z_A / n, so one sweep is one
-    triangular solve (``_active_step``) at O(|A|) per coordinate step, and
-    r is recomputed before the next full sweep.  The intercept is updated
-    after every sweep from the tracked sum of Omega r.
-
-    A is taken from w after each full sweep.  Between full sweeps the
-    block's coefficients wA and column sums of Omega Z_A are local arrays,
-    written back to w before the next full sweep, and A can only shrink: a
-    coefficient that an active sweep sets to zero leaves it.  One test that
-    all of wA is still nonzero decides this; only when it fails are the
-    leaving coefficients zeroed in w and A, u, wA, the column sums and G
-    sliced down.
-
-    G is built only when a full sweep brings in a column it lacks, one
-    matrix-vector product per column (``_gram_block``); otherwise its block
-    is sliced out.  A matrix-matrix product such as Zw' Z would be quicker
-    to build, but OpenBLAS rounds it differently under different thread
-    counts.  The matrix-vector and dot products are not thread-invariant on
-    large designs either: under OpenBLAS 0.3.31 (Haswell kernels, 2 cores),
-    Z' r, Z w and ``_gram_block``'s products on Fortran float64 designs
-    differed in their last bits between 1 and 2 threads from 2100 x 226
-    up, and at 63000 x 250 so did the per-column zj' r; no design of
-    459,900 entries or fewer differed.  Fits on larger designs can
-    therefore depend on the thread count.
-
-    Mutates w; returns (intercept, sweeps, converged).
-    """
-    n = len(y)
-    col_ss = np.einsum("i,ij,ij->j", omega, Z, Z) / n
-    wsum = float(omega.sum())
-    col_wsum = Z.T @ omega
-    r = y - Z @ w - b
-    p = Z.shape[1]
-    full = True
-    sweeps = active_run = 0
-    A = G = u = None  # the active block; u is None while r is current
-    while sweeps < max_sweeps:
-        sweeps += 1
-        certified = False
-        if full:
-            if u is not None:
-                w[A] = wA
-                r = y - Z @ w - b
-                u = None
-            for j in range(p):
-                if col_ss[j] <= 0:
-                    continue
-                zj = Z[:, j]
-                wj = w[j]
-                new = _soft(float(zj @ (omega * r)) / n + col_ss[j] * wj, lam) / col_ss[j]
-                if new != wj:
-                    r -= (new - wj) * zj
-                    w[j] = new
-            db = float((omega * r).sum()) / wsum
-            if db != 0.0:
-                b += db
-                r -= db
-            active_run = 0
-            wr = omega * r
-            certified = _subgradient_norm(-(Z.T @ wr) / n, -float(wr.sum()) / n, w, lam) <= bound
-        else:
-            if u is None:
-                keep = np.flatnonzero((w != 0) & (col_ss > 0))
-                wr = omega * r
-                u = (Z.T @ wr)[keep] / n
-                wr_sum = float(wr.sum())
-                if G is None or not np.array_equal(keep, A):
-                    if G is not None and np.isin(keep, A).all():
-                        pos = np.searchsorted(A, keep)
-                        G = np.asfortranarray(G[np.ix_(pos, pos)])
-                    else:
-                        G = _gram_block(Z, omega, keep, col_ss)
-                A, wA, cA = keep, w[keep], col_wsum[keep]
-            else:
-                still = wA != 0
-                if not still.all():
-                    w[A[~still]] = 0.0
-                    A, u, wA, cA = A[still], u[still], wA[still], cA[still]
-                    G = np.asfortranarray(G[np.ix_(still, still)])
-            if len(A):
-                d = _active_step(G, u, wA, lam)
-                wA += d
-                u -= G @ d
-                wr_sum -= float(cA @ d)
-            db = wr_sum / wsum
-            if db != 0.0:
-                b += db
-                u -= cA * (db / n)
-                wr_sum -= db * wsum
-            active_run += 1
-            if active_run % 10 == 0:
-                certified = _subgradient_norm(-u, -wr_sum / n, wA, lam) <= bound
-        if certified:
-            if full:
-                return b, sweeps, True
-            full = True  # verify on a full sweep
-        else:
-            full = False
-    if u is not None:
-        w[A] = wA
-    return b, sweeps, False
 
 
 RANK_TOL = 1e-8  # least squared residual off the active columns, per G_jj, for a column to join
@@ -421,13 +259,17 @@ def _check_link(link: str, data: DesignMatrix) -> None:
 
 
 CERT_EPS = 0.01  # LIBLINEAR's default stopping tolerance for L1 logistic regression (-s 6)
+ARMIJO = 0.01  # newGLMNET's share of a Newton step's predicted decrease that the objective must fall by
+MAX_HALVINGS = 20  # newGLMNET's cap on line-search trials per Newton step (LIBLINEAR's max_num_linesearch)
 
 
 def _subgradient_at(Z, y, w, b, lam, link):
-    """(S(w, b), z = Zw + b, p = sigmoid(z) or z) of the link's mean loss."""
+    """(S(w, b), z = Zw + b, p = sigmoid(z) or z, g = Z'(p - y) / n) of the
+    link's mean loss; g is its gradient in w."""
     z = Z @ w + b
     p = sigmoid(z) if link == "logistic" else z
-    return _subgradient_norm(Z.T @ (p - y) / len(y), float(np.mean(p - y)), w, lam), z, p
+    g = Z.T @ (p - y) / len(y)
+    return _subgradient_norm(g, float(np.mean(p - y)), w, lam), z, p, g
 
 
 def _certificate_eps(y):
@@ -436,47 +278,102 @@ def _certificate_eps(y):
     return CERT_EPS * max(min(n_pos, len(y) - n_pos), 1) / len(y)
 
 
+def _weighted_lasso(ZW, omega, t):
+    """(G, c, m, t_bar) of the weighted lasso over v and a free intercept,
+    (1/2n) sum omega * (t - ZW v - b)^2 + lam * ||v||_1.
+
+    Its intercept is b = t_bar - m'v, m and t_bar being the omega-weighted
+    means of ZW's columns and of t, so it is v'Gv / 2 - c'v + lam * ||v||_1
+    up to a constant, with G = Zc' Omega Zc / n and c = Zc' Omega (t - t_bar)
+    / n on the centred columns Zc = ZW - 1m'.  ``ZW`` is centred in place."""
+    wsum = float(omega.sum())
+    m = ZW.T @ omega / wsum
+    t_bar = float(omega @ t) / wsum
+    ZW -= m
+    return _gram_block(ZW, omega), ZW.T @ (omega * (t - t_bar)) / len(t), m, t_bar
+
+
+def _newton_step(Z, y, w, b, z, p, g, lam, max_steps):
+    """One proximal Newton step (Lee, Sun & Saunders 2014) of the mean
+    logistic loss plus lam * ||w||_1 from (w, b), at z = Zw + b,
+    p = sigmoid(z) and the loss's gradient g in w.
+
+    Its direction minimizes the loss's second-order model plus the penalty:
+    the weighted lasso (``_weighted_lasso``) with omega = p(1 - p), at least
+    1e-6, and working response t = z + (y - p) / omega, solved exactly by
+    ``_lasso_path`` in at most ``max_steps`` homotopy steps.  Only the
+    columns W that are nonzero or violate their optimality condition
+    (|g_j| > lam) enter it.  The step d is scaled by 1, 1/2, 1/4, ... until
+    the objective falls by at least ``ARMIJO`` * s * Delta, Delta = g'd +
+    g_b d_b + lam (||w + d||_1 - ||w||_1) < 0 being the model's predicted
+    change (newGLMNET's line search, Yuan, Ho & Lin 2012).
+
+    Returns (w, b, steps) of the new iterate, or (None, None, steps) if the
+    homotopy runs out of steps (its partial solution is not used) or no
+    trial of ``MAX_HALVINGS`` falls enough."""
+    omega = np.maximum(p * (1.0 - p), 1e-6)
+    W = np.flatnonzero((w != 0) | (np.abs(g) > lam))
+    G, c, m, t_bar = _weighted_lasso(Z[:, W], omega, z + (y - p) / omega)
+    [(v, steps, reached)] = _lasso_path(G, c, [lam], max_steps)
+    if reached <= lam:
+        d = -w
+        d[W] += v
+        d_b = t_bar - float(m @ v) - b
+        delta = float(g @ d) + float(np.mean(p - y)) * d_b + lam * (np.abs(v).sum() - np.abs(w).sum())
+        zd = Z @ d + d_b
+        loss = np.logaddexp(0.0, z)
+        s = 1.0
+        for _ in range(MAX_HALVINGS):
+            fall = float(np.mean(np.logaddexp(0.0, z + s * zd) - loss - s * y * zd))
+            fall += lam * (np.abs(w + s * d).sum() - np.abs(w).sum())
+            if fall <= ARMIJO * s * delta < 0:
+                return w + s * d, b + s * d_b, steps
+            s /= 2
+    return None, None, steps
+
+
 def _fit_path(Z, y, link: str, lambdas, max_iter: int):
     """Fit each lambda in the order given on standardized, centred rows Z
     (in Fortran order) with targets y.  Returns one (w, b, steps, converged,
     certificate, the lambda the identity link's homotopy reached, else
-    None) per lambda; converged is False where the budget ran out.
+    None) per lambda; steps are homotopy steps, at most ``max_iter`` each.
 
-    Identity-link lambdas must not increase: ``_lasso_path`` solves them in
-    at most ``max_iter`` steps on G = Z'Z / n and c = Z'(y - mean(y)) / n,
-    the mean residual is the intercept and the steps count from lambda_max.
+    Identity-link lambdas must not increase: ``_lasso_path`` solves them on
+    G = Z'Z / n and c = Z'(y - mean(y)) / n, the mean residual is the
+    intercept and the steps count from lambda_max.  The certificate is left
+    None: ``fit_linear`` computes it for the one model it returns.
+
     A logistic fit starts from the previous lambda's w and b (the first
-    from zero); it and its IRLS sub-problems (``_cd_sweeps``) stop on
-    newGLMNET's optimality certificate (Yuan, Ho & Lin 2012; LIBLINEAR's
-    -s 6 rule), S(w, b) <= ``_certificate_eps`` * S(0, 0), S being the mean
-    logistic loss's ``_subgradient_norm`` and S(0, 0) read at the path's
-    cold start and first lambda (a lone fit's own, as in LIBLINEAR); its
-    steps are sweeps.  The certificate is S / S(0, 0)."""
-    n = len(y)
+    from zero) and takes proximal Newton steps (``_newton_step``) until
+    newGLMNET's optimality certificate holds (Yuan, Ho & Lin 2012;
+    LIBLINEAR's -s 6 rule): S(w, b) <= ``_certificate_eps`` * S(0, 0), S
+    being the mean logistic loss's ``_subgradient_norm`` and S(0, 0) read
+    at the path's cold start and first lambda (a lone fit's own, as in
+    LIBLINEAR).  A step that cannot be taken ends the fit, not converged,
+    at the last iterate.  The certificate is S / S(0, 0)."""
     w = np.zeros(Z.shape[1])
+    if link == "identity":
+        n = len(y)
+        solved = _lasso_path(_gram_block(Z), Z.T @ (y - y.mean()) / n, lambdas, max_iter)
+        return [
+            (w, float(np.mean(y - Z @ w)), used, bool(reached <= lam), None, reached)
+            for lam, (w, used, reached) in zip(lambdas, solved)
+        ]
     b = 0.0
     s0 = _subgradient_at(Z, y, w, b, lambdas[0], link)[0]
     bound = _certificate_eps(y) * s0
-    if link == "identity":
-        G = _gram_block(Z, None, np.arange(Z.shape[1]), np.einsum("ij,ij->j", Z, Z) / n)
-        solved = _lasso_path(G, Z.T @ (y - y.mean()) / n, lambdas, max_iter)
     path = []
-    for i, lam in enumerate(lambdas):
-        if link == "identity":
-            w, used, reached = solved[i]
-            b = float(np.mean(y - Z @ w))
-            s = _subgradient_at(Z, y, w, b, lam, link)[0]
-            converged = reached <= lam
-        else:
-            used, reached = 0, None
-            s, z, p = _subgradient_at(Z, y, w, b, lam, link)
-            while s > bound and used < max_iter:
-                omega = np.maximum(p * (1.0 - p), 1e-6)
-                b, sweeps, _ = _cd_sweeps(Z, z + (y - p) / omega, w, b, lam, omega, min(max_iter - used, 100), bound)
-                used += sweeps
-                s, z, p = _subgradient_at(Z, y, w, b, lam, link)
-            converged = s <= bound
-        path.append((w.copy(), float(b), used, bool(converged), s / s0 if s0 > 0 else 0.0, reached))
+    for lam in lambdas:
+        used = 0
+        s, z, p, g = _subgradient_at(Z, y, w, b, lam, link)
+        while s > bound:
+            w_new, b_new, steps = _newton_step(Z, y, w, b, z, p, g, lam, max_iter - used)
+            used += steps
+            if w_new is None:
+                break
+            w, b = w_new, b_new
+            s, z, p, g = _subgradient_at(Z, y, w, b, lam, link)
+        path.append((w, float(b), used, bool(s <= bound), s / s0 if s0 > 0 else 0.0, None))
     return path
 
 
@@ -486,20 +383,24 @@ def fit_linear(
     l1_lambda: float = 0.0,
     max_iter: int = 1000,
 ) -> LinearModel:
-    """One lambda's fit (see ``_fit_path``); raises ConvergenceError if its
-    budget of ``max_iter`` sweeps or homotopy steps runs out."""
+    """One lambda's fit (see ``_fit_path``); raises ConvergenceError if it
+    stops short, its budget of ``max_iter`` homotopy steps spent or, under
+    the logistic link, a Newton step not taken."""
     _check_link(link, data)
     if l1_lambda < 0:
         raise ValueError("l1_lambda must be >= 0")
     encoder, mu, sigma, Z = _standardize(data)
     Z = np.asfortranarray(Z)
     [(w, b, used, converged, certificate, reached)] = _fit_path(Z, data.y, link, [l1_lambda], max_iter)
+    if certificate is None:  # the identity link's, read for this model only
+        s0, s = (_subgradient_at(Z, data.y, v, c, l1_lambda, link)[0] for v, c in ((np.zeros_like(w), 0.0), (w, b)))
+        certificate = s / s0 if s0 > 0 else 0.0
     names = encoder.names(data.names if data.names else tuple(f"x{j}" for j in range(data.n_cols)))
     model = LinearModel(link, l1_lambda, w, b, mu, sigma, encoder, names, data.n_cols, converged, used, certificate)
     if not converged:
         raise ConvergenceError(
-            f"coordinate descent did not converge within {max_iter} sweeps (logistic link, "
-            f"lambda={l1_lambda:g}, {used} sweeps used, optimality certificate S/S(0, 0) "
+            f"proximal Newton did not converge within {max_iter} homotopy steps (logistic link, "
+            f"lambda={l1_lambda:g}, {used} steps used, optimality certificate S/S(0, 0) "
             f"{certificate:.3g} above eps {_certificate_eps(data.y):.3g})"
             if link == "logistic"
             else f"the lasso homotopy did not reach lambda={l1_lambda:g} within {max_iter} steps "

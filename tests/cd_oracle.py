@@ -1,12 +1,12 @@
-"""The residual-space coordinate descent that ``mlcore.linear._cd_sweeps``
-replaced, kept as the reference it is tested against.
+"""Residual-space coordinate descent, the independent reference optimum
+that ``mlcore.linear``'s homotopy and Newton steps are tested against.
 
 Every sweep, full or over the active set, is a Python loop over columns
 that updates the residual after each coordinate step.  It has one
-stopping rule: the coefficient test without a bound, and with one (a
-logistic IRLS sub-problem) the minimum-norm subgradient alone, read from
-the residual: over every column after a full sweep, and over the sweep's
-columns after every 10th active sweep in a row.
+stopping rule: the coefficient test without a bound, and with one the
+minimum-norm subgradient alone, read from the residual: over every
+column after a full sweep, and over the sweep's columns after every 10th
+active sweep in a row.
 """
 
 import numpy as np

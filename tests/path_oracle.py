@@ -17,10 +17,12 @@ matrix, so its steps count from lambda_max.  The logistic link stops on
 the optimality certificate: its bound is
 eps * S(0, 0), read on the cold-start design at the chain's first lambda
 (at its own lambda for a lone call, such as the refit), and every call
-checks it at the start of each IRLS step and hands it to the sweeps, which
-stop on it alone.  ``certify=False`` gives the coefficient test that every
-logistic fit outside the CV folds used before, kept as a contrast and run
-on ``cd_oracle``'s sweeps.
+checks it before each of its proximal Newton steps (``_newton_step``).
+This tests the path's plumbing (warm starts, bounds, budgets and
+centring); the optimum itself is checked against ``cd_oracle``.
+``certify=False`` gives the coefficient test that every logistic fit
+outside the CV folds used before, kept as a contrast and run as IRLS on
+``cd_oracle``'s sweeps.
 """
 
 import numpy as np
@@ -29,10 +31,10 @@ from cd_oracle import _cd_sweeps as oracle_sweeps
 from interestsim.mlcore.linear import (
     ConvergenceError,
     LinearModel,
-    _cd_sweeps,
     _gram_block,
     _kfold_indices,
     _lasso_path,
+    _newton_step,
     _subgradient_norm,
     cv_loss,
     fit_encoder,
@@ -109,29 +111,28 @@ def fit_linear(data, link="identity", l1_lambda=0.0, max_iter=1000, tol=1e-8, wa
     def subgradient():
         z = Z @ w + b
         p = sigmoid(z) if link == "logistic" else z
-        return _subgradient_norm(Z.T @ (p - y) / n, float(np.mean(p - y)), w, l1_lambda), z, p
+        g = Z.T @ (p - y) / n
+        return _subgradient_norm(g, float(np.mean(p - y)), w, l1_lambda), z, p, g
 
     names = encoder.names(data.names if data.names else tuple(f"x{j}" for j in range(data.n_cols)))
     used = 0
     bound = certificate_eps(y) * s0
     if link == "identity":
-        G = _gram_block(Z, None, np.arange(Z.shape[1]), np.einsum("ij,ij->j", Z, Z) / n)
-        [(w, used, reached)] = _lasso_path(G, Z.T @ (y - y.mean()) / n, [l1_lambda], max_iter)
+        [(w, used, reached)] = _lasso_path(_gram_block(Z), Z.T @ (y - y.mean()) / n, [l1_lambda], max_iter)
         b = float(np.mean(y - Z @ w))
         converged = reached <= l1_lambda
     elif certify:
         converged = False
         while True:
-            s, z, p = subgradient()
+            s, z, p, g = subgradient()
             if s <= bound:
                 converged = True
                 break
-            if used >= max_iter:
+            w_next, b_next, steps = _newton_step(Z, y, w, b, z, p, g, l1_lambda, max_iter - used)
+            used += steps
+            if w_next is None:
                 break
-            omega = np.maximum(p * (1.0 - p), 1e-6)
-            y_work = z + (y - p) / omega
-            b, sweeps, _ = _cd_sweeps(Z, y_work, w, b, l1_lambda, omega, min(max_iter - used, 100), bound)
-            used += sweeps
+            w, b = w_next, b_next
     else:
         converged = False
         for _ in range(max_iter):
@@ -172,12 +173,15 @@ def fit_linear(data, link="identity", l1_lambda=0.0, max_iter=1000, tol=1e-8, wa
                 model,
             )
         if certify:
-            why = f"optimality certificate S/S(0, 0) {s / s0:.3g} above eps {certificate_eps(y):.3g}"
-        else:
-            why = f"last IRLS step's largest coefficient change {delta:.3g}, tol {tol:g}"
+            raise ConvergenceError(
+                f"proximal Newton did not converge within {max_iter} homotopy steps "
+                f"({link} link, lambda={l1_lambda:g}, {used} steps used, "
+                f"optimality certificate S/S(0, 0) {s / s0:.3g} above eps {certificate_eps(y):.3g})",
+                model,
+            )
         raise ConvergenceError(
-            f"coordinate descent did not converge within {max_iter} sweeps "
-            f"({link} link, lambda={l1_lambda:g}, {used} sweeps used, {why})",
+            f"coordinate descent did not converge within {max_iter} sweeps ({link} link, lambda={l1_lambda:g}, "
+            f"{used} sweeps used, last IRLS step's largest coefficient change {delta:.3g}, tol {tol:g})",
             model,
         )
     return model

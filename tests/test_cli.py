@@ -225,7 +225,7 @@ def test_train_rejects_fewer_than_two_folds(tmp_path, tiny_corpus, capsys, model
 # which hold the run's paths.
 PIPELINE_DIGESTS = {
     "reports/ablation.json": "3ca4fe5c2f7621aa",
-    "reports/models.json": "d29d4193964487db",
+    "reports/models.json": "52154ddad64085e8",
     "reports/recommend.csv": "aeb2d54693862f32",
     "samples/test_ptp.csv": "e5b17b22c92410c2",
     "samples/test_rtp.csv": "e124b7dd873a6af1",

@@ -270,7 +270,7 @@ def test_duplicate_leaf_columns_fit_once(task):
         lam = hybrid.chosen_lambda
     else:
         # at a fixed lambda: the certified refit at the CV's lambda stops
-        # 3.5e-3 relative above the optimum, outside the bound checked below
+        # 2.0e-3 relative above the optimum, outside the bound checked below
         lam = 0.05
         hybrid = one_lambda_hybrid(dm(X, y), task, params, lam)
     leaves = encode_leaves(hybrid.encoder, X)
@@ -299,10 +299,10 @@ def test_duplicate_leaf_columns_fit_once(task):
         assert ours == pytest.approx(_penalized_objective(full, augmented, y), rel=1e-12)
     else:
         # A certified fit_linear on every leaf column is no reference: its
-        # S(0, 0) sums over the repeated columns, so it stops further from
-        # the optimum (0.26664) than the hybrid (0.26200).  Against a tight
+        # S(0, 0) sums over the repeated columns, so its bound is looser
+        # (here it stops at 0.26199, as the hybrid does).  Against a tight
         # optimum, the oracle's 20,000-sweep run under the coefficient test
-        # (0.26195), the certified stop leaves a gap of 2.1e-4 relative.  The
+        # (0.26195), the certified stop leaves a gap of 1.5e-4 relative.  The
         # convexity bound F - F* <= S * max|(w, b) - (w*, b*)| holds at any
         # iterate, so only the gap is checked.
         [ref] = path_oracle.coefficient_test_chain(dm(augmented, y), [lam], 20_000, 1e-10)

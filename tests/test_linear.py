@@ -163,15 +163,18 @@ def test_convergence_error_message_explains_the_failure():
     exact = fit_linear(dm(X, y), "identity", l1_lambda=reached)
     np.testing.assert_allclose(model.weights, exact.weights, rtol=0, atol=1e-5 * reached)
     # the logistic link names its certificate and eps (60 of 120 positive:
-    # eps = 0.01 * 60 / 120)
+    # eps = 0.01 * 60 / 120); the first Newton step's homotopy needs more
+    # than 3 steps, so its partial solution is not taken and the model stays
+    # at the cold start
     yb = (y > np.median(y)).astype(float)
     with pytest.raises(ConvergenceError) as exc:
         fit_linear(dm(X, yb), "logistic", l1_lambda=1e-3, max_iter=3)
-    certificate = exc.value.model.certificate
-    assert certificate > 0.005
+    model = exc.value.model
+    assert (model.converged, model.n_sweeps, model.certificate) == (False, 3, 1.0)
+    assert np.all(model.weights == 0.0) and model.intercept == 0.0
     assert str(exc.value) == (
-        "coordinate descent did not converge within 3 sweeps (logistic link, lambda=0.001, "
-        f"3 sweeps used, optimality certificate S/S(0, 0) {certificate:.3g} above eps 0.005)"
+        "proximal Newton did not converge within 3 homotopy steps (logistic link, lambda=0.001, "
+        "3 steps used, optimality certificate S/S(0, 0) 1 above eps 0.005)"
     )
 
 
@@ -233,7 +236,9 @@ def _oracle_design(name, n=200):
 
 
 def _sweep_problem(design, link):
-    """(Z, working response, omega) as one IRLS step of ``fit_linear`` sees it."""
+    """(Z, y, omega): the design with the identity link's targets and no
+    weights, or with the working response and weights of one logistic
+    Newton step at a non-zero (w, b)."""
     Z, y, yb = _oracle_design(design)
     if link == "identity":
         return Z, y, None
@@ -249,52 +254,43 @@ def _lambda_max(Z, y, omega):
     return float(np.max(np.abs(Z.T @ (omega * centred))) / len(y))
 
 
-def _assert_sweeps_match(Z, y, lam, omega, max_sweeps, w0=None, b0=0.0, bound_frac=1e-8):
-    """The logistic sub-problem's sweeps, stopping at S <= bound_frac * S(0, 0),
-    against the oracle's, sweep for sweep."""
-    n = len(y)
-    bound = bound_frac * linear._subgradient_norm(
-        -(Z.T @ (omega * y)) / n, -float(omega @ y) / n, np.zeros(Z.shape[1]), lam
-    )
-    w_new = np.zeros(Z.shape[1]) if w0 is None else w0.copy()
-    w_old = w_new.copy()
-    b_new, sweeps_new, conv_new = linear._cd_sweeps(Z, y, w_new, b0, lam, omega, max_sweeps, bound)
-    b_old, sweeps_old, conv_old = oracle_sweeps(Z, y, w_old, b0, lam, omega, max_sweeps, None, bound)
-    assert (sweeps_new, conv_new) == (sweeps_old, conv_old)
-    assert np.max(np.abs(w_new - w_old), initial=0.0) < 1e-10
-    assert abs(b_new - b_old) < 1e-10
-    return w_new, sweeps_new
-
-
 KKT_TOL = 1e-12  # the homotopy's largest KKT violation, as a share of lambda_max
 OBJ_RTOL = 1e-12  # how far its objective may exceed long CD's, relative
 
 
-def _lasso_objective(Z, y, w, b, lam):
-    return 0.5 * float(np.mean((y - Z @ w - b) ** 2)) + lam * float(np.abs(w).sum())
+def _lasso_objective(Z, y, w, b, lam, omega=None):
+    omega = np.ones(len(y)) if omega is None else omega
+    return 0.5 * float(np.mean(omega * (y - Z @ w - b) ** 2)) + lam * float(np.abs(w).sum())
 
 
-def _assert_homotopy_solves(Z, y, lambdas):
-    """The identity link's solver, ``_lasso_path`` on G = Z'Z / n with the
-    mean residual as intercept, at each of ``lambdas``: every coordinate
-    meets its KKT condition, read from Z, the active columns are linearly
-    independent, and the objective is no higher than after the oracle's
-    long coordinate descent.  Returns the path."""
+def _assert_homotopy_solves(Z, y, lambdas, omega=None):
+    """``_lasso_path`` on the (omega-)weighted lasso with a free intercept,
+    G and c built here on the directly centred columns, at each of
+    ``lambdas``: every coordinate meets its KKT condition, read from Z with
+    the weighted mean residual as intercept, the active columns are
+    linearly independent, and the objective is no higher than after the
+    oracle's long coordinate descent.  No weights is the identity link's
+    problem, a logistic Newton step's is weighted.  Returns the path."""
     n = len(y)
-    lmax = _lambda_max(Z, y, None)
-    path = linear._lasso_path(Z.T @ Z / n, Z.T @ (y - y.mean()) / n, lambdas, 10_000)
+    lmax = _lambda_max(Z, y, omega)
+    if omega is None:
+        path = linear._lasso_path(Z.T @ Z / n, Z.T @ (y - y.mean()) / n, lambdas, 10_000)
+    else:
+        Zc = Z - (omega @ Z) / omega.sum()
+        path = linear._lasso_path(Zc.T @ (omega[:, None] * Zc) / n, Zc.T @ (omega * y) / n, lambdas, 10_000)
+    weights = np.ones(n) if omega is None else omega
     for lam, (w, _, reached) in zip(lambdas, path):
         assert reached == lam
-        b = float(np.mean(y - Z @ w))
-        g = Z.T @ (y - Z @ w - b) / n
+        b = float(weights @ (y - Z @ w)) / weights.sum()
+        g = Z.T @ (weights * (y - Z @ w - b)) / n
         active = w != 0
         kkt = np.where(active, np.abs(g - lam * np.sign(w)), np.maximum(np.abs(g) - lam, 0.0))
         assert np.max(kkt) <= KKT_TOL * lmax
         assert np.linalg.matrix_rank(Z[:, active]) == np.count_nonzero(active)
         w_cd = np.zeros(Z.shape[1])
-        b_cd = oracle_sweeps(Z, y, w_cd, 0.0, lam, None, 5000, 1e-13)[0]
-        f_cd = _lasso_objective(Z, y, w_cd, b_cd, lam)
-        assert _lasso_objective(Z, y, w, b, lam) - f_cd <= OBJ_RTOL * f_cd
+        b_cd = oracle_sweeps(Z, y, w_cd, 0.0, lam, omega, 5000, 1e-13)[0]
+        f_cd = _lasso_objective(Z, y, w_cd, b_cd, lam, omega)
+        assert _lasso_objective(Z, y, w, b, lam, omega) - f_cd <= OBJ_RTOL * f_cd
     return path
 
 
@@ -302,67 +298,91 @@ def _assert_homotopy_solves(Z, y, lambdas):
 @pytest.mark.parametrize("link", ["identity", "logistic"])
 @pytest.mark.parametrize("design", ["constant-column", "categorical", "sum-column", "leaf-one-hot"])
 def test_sweeps_match_residual_oracle(design, link, lam_frac):
+    # the homotopy on each link's problem, against the oracle's long run
     Z, y, omega = _sweep_problem(design, link)
-    lam = lam_frac * _lambda_max(Z, y, omega)
-    if link == "identity":  # the homotopy, against the oracle's long run
-        _assert_homotopy_solves(Z, y, [lam])
-        return
-    _assert_sweeps_match(Z, y, lam, omega, max_sweeps=2000)
-    # a budget too small to converge: stops after one full or one active sweep
-    for max_sweeps in (1, 2):
-        _assert_sweeps_match(Z, y, lam, omega, max_sweeps=max_sweeps)
+    _assert_homotopy_solves(Z, y, [lam_frac * _lambda_max(Z, y, omega)], omega)
 
 
 @pytest.mark.parametrize("link", ["identity", "logistic"])
 def test_sweeps_match_residual_oracle_through_sign_changes(link):
+    # along a grid down to 0 some coefficients leave the active set, and
+    # the path is exact at every lambda of it
     Z, y, omega = _sweep_problem("leaf-one-hot", link)
-    lmax = _lambda_max(Z, y, omega)
-    if link == "identity":
-        # along a grid down to 0 some coefficients leave the active set, and
-        # the path is exact at every lambda of it
-        lambdas = [*(lmax * np.logspace(0, -4, 20)), 0.0]
-        W = np.array([w for w, _, _ in _assert_homotopy_solves(Z, y, lambdas)])
-        assert np.any((W[:-1] != 0) & (np.sign(W[1:]) != np.sign(W[:-1])))
-        return
-    # warm-started from the unpenalized fit, coefficients cross zero or
-    # drop out inside active sweeps, where the triangular solve stops and
-    # takes the scalar soft-threshold step
-    w0, _ = _assert_sweeps_match(Z, y, 0.0, omega, max_sweeps=3000)
-    _assert_sweeps_match(Z, y, 0.3 * lmax, omega, max_sweeps=2000, w0=w0, b0=0.1)
+    lambdas = [*(_lambda_max(Z, y, omega) * np.logspace(0, -4, 20)), 0.0]
+    W = np.array([w for w, _, _ in _assert_homotopy_solves(Z, y, lambdas, omega)])
+    assert np.any((W[:-1] != 0) & (np.sign(W[1:]) != np.sign(W[:-1])))
 
 
 @pytest.mark.parametrize("link", ["identity", "logistic"])
 def test_sweeps_match_residual_oracle_on_duplicated_columns(link):
-    # every third column repeated makes the design rank-deficient
+    # every third column repeated makes the design rank-deficient: at most
+    # one of each pair is active
     Z, y, omega = _sweep_problem("leaf-one-hot", link)
     Z = np.asfortranarray(np.hstack([Z, Z[:, ::3]]))
-    lam = 0.05 * _lambda_max(Z, y, omega)
-    if link == "identity":  # at most one of each pair is active
-        _assert_homotopy_solves(Z, y, [lam, 0.0])
-        return
-    # from a dense warm start, active sweeps zero coefficients, so the
-    # active set shrinks between full sweeps and the sweep slices its block
-    # down
-    w0 = 0.5 * np.random.default_rng(1).normal(size=Z.shape[1])
-    _assert_sweeps_match(Z, y, lam, omega, max_sweeps=2000, w0=w0, b0=0.1)
-    # budgets that stop inside the active sweeps, just after a shrink
-    for max_sweeps in range(1, 30):
-        _assert_sweeps_match(Z, y, lam, omega, max_sweeps=max_sweeps, w0=w0, b0=0.1)
+    _assert_homotopy_solves(Z, y, [0.05 * _lambda_max(Z, y, omega), 0.0], omega)
+
+
+def _logistic_objective(Z, y, w, b, lam):
+    z = Z @ w + b
+    return float(np.mean(np.logaddexp(0.0, z) - y * z)) + lam * float(np.abs(w).sum())
 
 
 @pytest.mark.parametrize("design", ["constant-column", "categorical", "leaf-one-hot"])
-def test_sweeps_match_residual_oracle_with_a_certificate_bound(design):
-    # the sweep stops once its own minimum-norm subgradient, read after a
-    # full sweep or every 10th active sweep in a row, is within the bound:
-    # the looser the bound, the sooner (12 sweeps is a full one, 10 active
-    # ones and the full one that verifies)
-    Z, y, omega = _sweep_problem(design, "logistic")
-    lam = 0.01 * _lambda_max(Z, y, omega)
-    used = [
-        _assert_sweeps_match(Z, y, lam, omega, max_sweeps=2000, bound_frac=frac)[1]
-        for frac in (1e-1, 1e-2, 1e-3, 1e-4, 1e-10)
-    ]
+def test_sweeps_match_residual_oracle_with_a_certificate_bound(design, monkeypatch):
+    # the Newton steps stop once S <= eps * S(0, 0): the looser eps, the
+    # sooner; at the tightest the fit is at the optimum of the oracle's
+    # long IRLS run of coordinate descent.  (Near S = 1e-10 S(0, 0) the
+    # objective's decrease is below its rounding, and the line search
+    # rightly gives up.)
+    Z, _, y = _oracle_design(design)
+    lam = 0.01 * _lambda_max(Z, y, None)
+    s0 = linear._subgradient_at(Z, y, np.zeros(Z.shape[1]), 0.0, lam, "logistic")[0]
+    used = []
+    for eps in (1e-1, 1e-2, 1e-3, 1e-4, 1e-8):
+        monkeypatch.setattr(linear, "CERT_EPS", eps)
+        [(w, b, steps, converged, certificate, _)] = linear._fit_path(Z, y, "logistic", [lam], 2000)
+        assert converged and certificate <= linear._certificate_eps(y)
+        assert linear._subgradient_at(Z, y, w, b, lam, "logistic")[0] == pytest.approx(certificate * s0, rel=1e-12)
+        used.append(steps)
     assert used == sorted(used) and used[0] < used[-1]
+    [ref] = path_oracle.coefficient_test_chain(dm(Z, y), [lam], 20_000, 1e-12)
+    assert ref.converged
+    f_ref = _logistic_objective(Z, y, ref.weights / ref.sigma, ref.intercept - ref.weights @ (ref.mu / ref.sigma), lam)
+    assert abs(_logistic_objective(Z, y, w, b, lam) - f_ref) <= 1e-9 * f_ref
+
+
+def test_newton_step_solves_the_weighted_lasso_of_a_directly_centred_design():
+    # a categorical block and repeated leaf columns, at a non-trivial (w, b)
+    data = _path_data("duplicated-leaves", "logistic")
+    cat = np.random.default_rng(5).integers(0, 4, size=data.n_rows).astype(float)
+    Z = np.asfortranarray(linear._standardize(dm(np.column_stack([data.X, cat]), data.y, (data.n_cols,)))[3])
+    y, n = data.y, data.n_rows
+    w = np.where(np.arange(Z.shape[1]) % 3 == 0, 0.2 * np.cos(np.arange(Z.shape[1])), 0.0)
+    b = -0.3
+    lam = 0.02
+    _, z, p, g = linear._subgradient_at(Z, y, w, b, lam, "logistic")
+    omega = np.maximum(p * (1.0 - p), 1e-6)
+    t = z + (y - p) / omega
+    W = np.flatnonzero((w != 0) | (np.abs(g) > lam))
+    assert 0 < np.count_nonzero(w) < len(W) < Z.shape[1]
+    G, c, m, t_bar = linear._weighted_lasso(Z[:, W], omega, t)
+    Zc = Z[:, W] - m
+    np.testing.assert_allclose(m, Z[:, W].T @ omega / omega.sum(), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(G, Zc.T @ np.diag(omega) @ Zc / n, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(c, Zc.T @ np.diag(omega) @ (t - omega @ t / omega.sum()) / n, rtol=0, atol=1e-12)
+    # the inner solution meets the weighted lasso's KKT conditions on Z,
+    # its intercept the weighted mean residual
+    [(v, _, reached)] = linear._lasso_path(G, c, [lam], 1000)
+    assert reached == lam and np.count_nonzero(v) > 0
+    r = t - Z[:, W] @ v - (t_bar - m @ v)
+    assert abs(omega @ r) / n <= 1e-10
+    u = Z[:, W].T @ (omega * r) / n
+    kkt = np.where(v != 0, np.abs(u - lam * np.sign(v)), np.maximum(np.abs(u) - lam, 0.0))
+    assert np.max(kkt) <= 1e-10
+    # and the step, a unit step here, lowers the objective
+    w_new, b_new, steps = linear._newton_step(Z, y, w, b, z, p, g, lam, 1000)
+    assert steps > 0 and set(np.flatnonzero(w_new)) <= set(W)
+    assert _logistic_objective(Z, y, w_new, b_new, lam) < _logistic_objective(Z, y, w, b, lam)
 
 
 # -- the lambda path against the warm-started search it replaced ----------------
@@ -399,8 +419,8 @@ def _assert_same_model(new, old):
     )
 
 
-# every fit converges within 400 sweeps or homotopy steps; at 6 all fold
-# fits and every refit run out
+# every fit converges within 400 homotopy steps; at 6 all fold fits and
+# every refit run out
 def _record_fold_paths(monkeypatch):
     """Run ``fit_linear_cv``'s folds in the caller and record every
     ``_fit_path`` call it makes as (Z, y, lambdas, path): the folds' in fold
@@ -433,7 +453,8 @@ def test_cv_path_matches_warm_started_oracle(design, link, max_iter, monkeypatch
     # every fold's path, fit for fit, against the chain of warm-started
     # calls on the fold's centred rows of the all-rows standardization,
     # both stopping on the certificate under the logistic link and each
-    # identity call a homotopy of its own from lambda_max, and the refits too
+    # identity call a homotopy of its own from lambda_max, and the refits
+    # too; an identity fold fit's certificate is never computed
     old_fits, _ = path_oracle.cv_fold_models(data, link, folds=3, seed=4, max_iter=max_iter)
     calls = _record_fold_paths(monkeypatch)
     try:
@@ -443,7 +464,8 @@ def test_cv_path_matches_warm_started_oracle(design, link, max_iter, monkeypatch
     new_fits = [fit for _, _, _, path in calls[:3] for fit in path]
     assert len(calls) == 4 and len(new_fits) == len(old_fits) == 3 * len(grid)
     for (w, b, steps, converged, certificate, _), old in zip(new_fits, old_fits):
-        assert (b, steps, converged, certificate) == (old.intercept, old.n_sweeps, old.converged, old.certificate)
+        assert (b, steps, converged) == (old.intercept, old.n_sweeps, old.converged)
+        assert certificate == (old.certificate if link == "logistic" else None)
         assert w.tobytes() == old.weights.tobytes()
     if max_iter == 6:
         assert not all(m.converged for m in old_fits)
@@ -559,11 +581,6 @@ def test_subgradient_norm_matches_brute_force_minimum(lam):
     assert linear._subgradient_norm(g, 0.25, w, 0.0) == pytest.approx(np.abs(g).sum() + 0.25)
 
 
-def _logistic_objective(Z, y, w, b, lam):
-    z = Z @ w + b
-    return float(np.mean(np.logaddexp(0.0, z) - y * z)) + lam * float(np.abs(w).sum())
-
-
 def test_certified_fold_fits_end_within_budget_near_the_optimum():
     # each fold's path on its centred rows of the CV design, as fit_linear_cv solves it
     data = _path_data("duplicated-leaves", "logistic")
@@ -576,7 +593,8 @@ def test_certified_fold_fits_end_within_budget_near_the_optimum():
         y, n = train.y, train.n_rows
         Zt, means = _fold_rows(Z_cv, train_idx)
         Z = np.asfortranarray(Zt - means)
-        # the coefficient test alone runs out of its 400 sweeps on some fits
+        # the oracle's coefficient test alone runs out of its 400 sweeps on
+        # some fits; the certified Newton steps end within 400 homotopy steps
         plain = path_oracle.coefficient_test_chain(train, grid, 400, 1e-5, start=start, shift=means)
         ran_out += not all(m.converged for m in plain)
         w0 = np.zeros(Z.shape[1])
@@ -600,8 +618,9 @@ def test_certified_fold_fits_end_within_budget_near_the_optimum():
 
 def test_logistic_fit_linear_certifies_where_the_coefficient_test_runs_out():
     # on the duplicated leaf columns, at the grid's middle lambda, the
-    # coefficient test still moves a coefficient by more than tol after
-    # 1000 sweeps; the certificate stops the same fit well within them
+    # oracle's coefficient test still moves a coefficient by more than tol
+    # after 1000 sweeps; the certificate stops the same fit well within
+    # 1000 homotopy steps
     data = _path_data("duplicated-leaves", "logistic")
     lam = linear.default_lambda_grid(linear._standardize(data)[3], data.y)[2]
     with pytest.raises(ConvergenceError):
@@ -614,7 +633,7 @@ def test_logistic_fit_linear_certifies_where_the_coefficient_test_runs_out():
 
 @pytest.mark.parametrize("design", ["categorical", "duplicated-leaves"])
 def test_lambda_zero_logistic_fit_certifies(design):
-    # the model table's unpenalized linear model: lambda 0, 3000 sweeps
+    # the model table's unpenalized linear model: lambda 0, 3000 steps
     data = _path_data(design, "logistic")
     model = fit_linear(data, "logistic", 0.0, max_iter=3000)
     assert model.converged and model.certificate <= path_oracle.certificate_eps(data.y)
