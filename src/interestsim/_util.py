@@ -18,7 +18,7 @@ need: with 2 CPUs and 2 BLAS threads, the hybrid reg rtp protocol at
 ``paper-desk`` (seed 42) took 77 s fanned out that way, 39-42 s
 serially and 35 s fanned out with one thread per item.  One thread also
 makes an item's bits independent of the BLAS thread count, which on large
-designs they were not (see ``mlcore.linear._gram_block``).
+designs they were not; ``mlcore.linear``'s fits run the same way.
 """
 
 from __future__ import annotations
@@ -106,9 +106,9 @@ def _set_blas_threads(libraries: tuple, counts: list) -> list:
 
 @contextmanager
 def _one_blas_thread():
-    """Run the block with one BLAS thread in this thread, and restore the
-    count after.  The count is thread-local, and a forked child inherits
-    it without calling into OpenBLAS."""
+    """Run the block, or the decorated function, with one BLAS thread in
+    this thread, and restore the count after.  The count is thread-local,
+    and a forked child inherits it without calling into OpenBLAS."""
     libraries = _openblas_libraries()
     before = _set_blas_threads(libraries, [1] * len(libraries))
     try:

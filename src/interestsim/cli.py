@@ -3,13 +3,11 @@ study, recommend, and the end-to-end pipeline runner.
 
 Every subcommand writes a manifest (tool version, resolved config,
 sha256 of inputs) beside its outputs; all outputs are byte-stable for a
-fixed seed.  Fitted models on large designs can differ in their last bits
-between BLAS thread counts (see ``linear._gram_block``), and so can an
-identity-link model's ``certificate`` on small ones.  So the model files
-(format 3) keep every linear fit's certificate, while
-``reports/models.json`` gives each linear, l1linear and hybrid row its fit's
-converged flag and ``n_sweeps``, its homotopy steps under both links, and
-the certificate only under the logistic link, where it is the stopping test.
+fixed seed, the model files too, for any BLAS thread count: every linear
+fit runs with one BLAS thread (see ``mlcore.linear``).  The model files
+(format 3) and ``reports/models.json`` give each linear, l1linear and
+hybrid fit its converged flag, ``n_sweeps`` (its homotopy steps under both
+links) and its optimality certificate under both links.
 """
 
 from __future__ import annotations

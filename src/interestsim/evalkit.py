@@ -297,12 +297,8 @@ def run_protocol(
     linear = model.linear if isinstance(model, mlcore.HybridModel) else model
     if isinstance(linear, mlcore.LinearModel):  # lambda and the solver's diagnostics
         # n_sweeps counts homotopy steps under both links
-        report.update({"lambda": linear.l1_lambda, "converged": linear.converged, "n_sweeps": linear.n_sweeps})
-        # the identity link's certificate, S near 0 from a cancelling residual
-        # gradient, differs in its last digits between BLAS thread counts, so
-        # only the model file keeps it; the logistic link's is its stopping test
-        if linear.link == "logistic":
-            report["certificate"] = linear.certificate
+        report.update({"lambda": linear.l1_lambda, "converged": linear.converged, "n_sweeps": linear.n_sweeps,
+                       "certificate": linear.certificate})
     if hasattr(model, "pruning_alpha") and model.pruning_alpha is not None:
         report["pruning_alpha"] = model.pruning_alpha
     return report, model

@@ -11,10 +11,15 @@ The folds are independent, so ``fit_linear_cv`` fans them out over the
 CPUs with ``_util.fork_map``; each worker returns its folds' validation
 losses, the caller sums them in fold order and refits on all rows itself,
 so the CV table, the chosen lambda and the model are those of a serial
-loop, bit for bit, for any number of CPUs.  The folds run with one BLAS
-thread (see ``_util``), so on large designs their losses no longer depend
-on the BLAS thread count; the refit still does.  ``fit_linear``, which the
+loop, bit for bit, for any number of CPUs.  ``fit_linear``, which the
 benchmark harness hooks, never runs in a worker.
+
+``fit_linear`` and ``fit_linear_cv`` run with one BLAS thread (see
+``_util._one_blas_thread``), as ``fork_map``'s items do.  OpenBLAS rounds
+its products, Z'Z and Z'r among them, differently under different thread
+counts, so fits, CV tables and certificates would otherwise depend on the
+BLAS thread count in their last bits; with one thread (where ``_util``
+finds OpenBLAS's thread control) they do not.
 
 Both links have one exact inner solver, the LARS-lasso homotopy
 (``_lasso_path``), and one stopping rule each.  The identity link is one
@@ -22,7 +27,8 @@ homotopy on G = Z'Z / n.  The logistic link takes proximal Newton steps
 (``_newton_step``): each minimizes the loss's second-order model plus the
 penalty, a weighted lasso that the homotopy solves exactly, and the fit
 stops on newGLMNET's optimality certificate (see ``_fit_path``).  Every
-Gram matrix is built from matrix-vector products (``_gram_block``).
+Gram matrix is one product A'A, which numpy hands to BLAS ``dsyrk`` and
+mirrors, so it is exactly symmetric.
 """
 
 from __future__ import annotations
@@ -32,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg.blas import dtrsv
 
-from .._util import fork_map
+from .._util import _one_blas_thread, fork_map
 from .data import DesignMatrix, check_width
 
 
@@ -140,27 +146,6 @@ def _subgradient_norm(g, g_b, w, lam):
     the intercept contributes |g_b|.  S is 0 exactly at a minimizer."""
     at_zero = np.maximum(np.abs(g) - lam, 0.0)
     return float(np.where(w != 0, np.abs(g + lam * np.sign(w)), at_zero).sum()) + abs(g_b)
-
-
-def _gram_block(Z, omega=None):
-    """G = Z' Omega Z / n in Fortran order (Omega = diag(omega), or I).
-
-    Column k on and below the diagonal is one matrix-vector product,
-    Z[:, k:]' (omega * z_k), mirrored above it, so G is exactly symmetric;
-    the diagonal is each column's sum of squares by ``einsum``.  OpenBLAS
-    rounds matrix-matrix products such as Z'Z differently under different
-    thread counts.  Under 0.3.31 (Haswell, 2 cores) these products, Z'r and
-    Zw differed in their last bits between 1 and 2 threads too, on Fortran
-    float64 designs from 2100 x 226 up (none of 459,900 entries or fewer),
-    so fits on larger designs can depend on the thread count."""
-    n, p = Z.shape
-    G = np.empty((p, p), order="F")
-    for k in range(p):
-        G[k:, k] = Z[:, k:].T @ (Z[:, k] if omega is None else omega * Z[:, k])
-        G[k, k + 1 :] = G[k + 1 :, k]
-    G /= n
-    G.flat[:: p + 1] = (np.einsum("ij,ij->j", Z, Z) if omega is None else np.einsum("i,ij,ij->j", omega, Z, Z)) / n
-    return G
 
 
 RANK_TOL = 1e-8  # least squared residual off the active columns, per G_jj, for a column to join
@@ -285,12 +270,15 @@ def _weighted_lasso(ZW, omega, t):
     Its intercept is b = t_bar - m'v, m and t_bar being the omega-weighted
     means of ZW's columns and of t, so it is v'Gv / 2 - c'v + lam * ||v||_1
     up to a constant, with G = Zc' Omega Zc / n and c = Zc' Omega (t - t_bar)
-    / n on the centred columns Zc = ZW - 1m'.  ``ZW`` is centred in place."""
+    / n on the centred columns Zc = ZW - 1m'.  ``ZW`` is centred and its
+    rows scaled by sqrt(omega) in place, so G is the one product ZW'ZW / n."""
     wsum = float(omega.sum())
     m = ZW.T @ omega / wsum
     t_bar = float(omega @ t) / wsum
+    root = np.sqrt(omega)
     ZW -= m
-    return _gram_block(ZW, omega), ZW.T @ (omega * (t - t_bar)) / len(t), m, t_bar
+    ZW *= root[:, None]
+    return ZW.T @ ZW / len(t), ZW.T @ (root * (t - t_bar)) / len(t), m, t_bar
 
 
 def _newton_step(Z, y, w, b, z, p, g, lam, max_steps):
@@ -354,7 +342,7 @@ def _fit_path(Z, y, link: str, lambdas, max_iter: int):
     w = np.zeros(Z.shape[1])
     if link == "identity":
         n = len(y)
-        solved = _lasso_path(_gram_block(Z), Z.T @ (y - y.mean()) / n, lambdas, max_iter)
+        solved = _lasso_path(Z.T @ Z / n, Z.T @ (y - y.mean()) / n, lambdas, max_iter)
         return [
             (w, float(np.mean(y - Z @ w)), used, bool(reached <= lam), None, reached)
             for lam, (w, used, reached) in zip(lambdas, solved)
@@ -377,6 +365,7 @@ def _fit_path(Z, y, link: str, lambdas, max_iter: int):
     return path
 
 
+@_one_blas_thread()
 def fit_linear(
     data: DesignMatrix,
     link: str = "identity",
@@ -438,6 +427,7 @@ def cv_loss(pred: np.ndarray, y: np.ndarray, link: str) -> float:
     return float(np.mean((pred - y) ** 2))
 
 
+@_one_blas_thread()
 def fit_linear_cv(
     data: DesignMatrix,
     link: str,

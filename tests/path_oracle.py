@@ -31,7 +31,6 @@ from cd_oracle import _cd_sweeps as oracle_sweeps
 from interestsim.mlcore.linear import (
     ConvergenceError,
     LinearModel,
-    _gram_block,
     _kfold_indices,
     _lasso_path,
     _newton_step,
@@ -118,7 +117,7 @@ def fit_linear(data, link="identity", l1_lambda=0.0, max_iter=1000, tol=1e-8, wa
     used = 0
     bound = certificate_eps(y) * s0
     if link == "identity":
-        [(w, used, reached)] = _lasso_path(_gram_block(Z), Z.T @ (y - y.mean()) / n, [l1_lambda], max_iter)
+        [(w, used, reached)] = _lasso_path(Z.T @ Z / n, Z.T @ (y - y.mean()) / n, [l1_lambda], max_iter)
         b = float(np.mean(y - Z @ w))
         converged = reached <= l1_lambda
     elif certify:

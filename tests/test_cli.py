@@ -219,13 +219,15 @@ def test_train_rejects_fewer_than_two_folds(tmp_path, tiny_corpus, capsys, model
 
 
 # The pipeline's outputs at seed 42 on the preset below, each file's floats
-# rounded to 9 significant digits (the CSVs already write %.9g).  The model
-# files are left out: under OpenBLAS 0.3.31 hybrid_reg_ptp.json differs in
-# its weights' last bits between 1 and 2 BLAS threads.  So are the manifests,
-# which hold the run's paths.
+# rounded to 9 significant digits (the CSVs already write %.9g).  The
+# manifests, which hold the run's paths, are left out.
 PIPELINE_DIGESTS = {
+    "models/hybrid_clf_ptp.json": "978b75bcd4b85314",
+    "models/hybrid_reg_ptp.json": "14304ec10b1c8976",
+    "models/hybrid_reg_rtp.json": "ccf0de9514a5ba3b",
+    "models/hybrid_reg_vbp.json": "dbe7bfcf2e5f22ce",
     "reports/ablation.json": "3ca4fe5c2f7621aa",
-    "reports/models.json": "52154ddad64085e8",
+    "reports/models.json": "07b3da78ed10684c",
     "reports/recommend.csv": "aeb2d54693862f32",
     "samples/test_ptp.csv": "e5b17b22c92410c2",
     "samples/test_rtp.csv": "e124b7dd873a6af1",
@@ -310,7 +312,7 @@ def test_pipeline_runs_end_to_end(tmp_path, monkeypatch):
     # and this checks the content
     got = {
         f"{part}/{path.name}": _content_digest(path)
-        for part in ("reports", "samples", "study")
+        for part in ("models", "reports", "samples", "study")
         for path in sorted((out / part).glob("*"))
     }
     assert got == PIPELINE_DIGESTS

@@ -212,26 +212,33 @@ def test_unsupported_version_rejected(tmp_path):
 _THREAD_FIT = """
 import json
 import numpy as np
-from interestsim.mlcore import DesignMatrix, fit_hybrid
+from interestsim.mlcore import DesignMatrix, fit_hybrid, fit_linear_cv
+
+def fields(m, table=None):
+    return {"weights": m.weights.tobytes().hex(), "intercept": float(m.intercept).hex(), "n_sweeps": m.n_sweeps,
+            "converged": m.converged, "certificate": float(m.certificate).hex(),
+            "table": [[float(k).hex(), float(v).hex()] for k, v in (table or {}).items()]}
 
 rng = np.random.default_rng(10)
 X = rng.random((1500, 6))
 signal = np.sin(4 * X[:, 0]) + (X[:, 1] > 0.5) * X[:, 2] + 0.5 * X[:, 3]
 y = (signal + 0.3 * rng.normal(size=1500) > np.median(signal)).astype(float)
-hybrid = fit_hybrid(DesignMatrix(X, y, ()), task="clf", gbdt_params={"n_trees": 12}, folds=2)
-m = hybrid.linear
-print(json.dumps({"weights": m.weights.tobytes().hex(), "intercept": float(m.intercept).hex(),
-                  "n_sweeps": m.n_sweeps, "converged": m.converged}))
+fits = [fields(fit_hybrid(DesignMatrix(X, y, ()), task="clf", gbdt_params={"n_trees": 12}, folds=2).linear)]
+X = rng.normal(size=(2500, 200))
+signal = X[:, :20] @ rng.normal(size=20)
+for link, y in (("identity", signal + rng.normal(size=2500)),
+                ("logistic", (signal + rng.normal(size=2500) > 0).astype(float))):
+    fits.append(fields(*fit_linear_cv(DesignMatrix(X, y, ()), link, folds=2)))
+print(json.dumps(fits))
 """
 
 
 def test_hybrid_fit_identical_across_blas_thread_counts():
-    # A Gram block built by one matrix-matrix product gives different bits
-    # here.  The design is at most 1500 x 102 (about 153k entries); under
-    # OpenBLAS 0.3.31 (Haswell kernels) no matrix-vector product of 459,900
-    # entries or fewer differed between 1 and 2 threads, and larger ones
-    # did, so this test does not show that fits of large designs are
-    # thread-invariant.
+    # A hybrid on a design of at most 1500 x 102, and a 2500 x 200 design
+    # (500,000 entries) under both links: OpenBLAS 0.3.31 (Haswell kernels)
+    # rounds products of this size differently under 1 and 2 threads, so
+    # only fits that run with one BLAS thread whatever the caller's count
+    # give the same models, CV tables and certificates.
     src = str(Path(interestsim.__file__).resolve().parent.parent)
     fits = []
     for threads in ("1", "2"):

@@ -1,8 +1,11 @@
+import os
+
 import numpy as np
 import pytest
 
 import path_oracle
 from cd_oracle import _cd_sweeps as oracle_sweeps
+from interestsim import _util
 from interestsim.mlcore import (
     ConvergenceError,
     DesignMatrix,
@@ -682,3 +685,47 @@ def test_cv_rejects_bad_link_and_targets_before_fan_out(monkeypatch):
         fit_linear_cv(dm(X, y), "probit", folds=3)
     with pytest.raises(ValueError, match="logistic link requires binary 0/1 targets"):
         fit_linear_cv(dm(X, y), "logistic", folds=3)
+
+
+# -- one BLAS thread per linear fit ------------------------------------------------
+
+
+@pytest.mark.parametrize("link", ["identity", "logistic"])
+def test_linear_fits_run_with_one_blas_thread(link, monkeypatch, tmp_path):
+    from test_fork_map import blas_counts, use_cpus  # test_fork_map imports this module
+
+    libraries = _util._openblas_libraries()
+    if not libraries:
+        pytest.skip("no OpenBLAS with openblas_set_num_threads_local is loaded")
+    use_cpus(monkeypatch, 2)
+    # every _fit_path call, in the caller or a fork_map child, appends its
+    # process and BLAS counts to a file that outlives the child
+    seen = tmp_path / "seen.txt"
+    fit_path = linear._fit_path
+
+    def recording(*args):
+        with open(seen, "a") as fh:
+            fh.write(f"{os.getpid()} {blas_counts()}\n")
+        return fit_path(*args)
+
+    monkeypatch.setattr(linear, "_fit_path", recording)
+    data = _path_data("categorical", link)
+    before = [set_count(2) for set_count, _ in libraries]  # a caller with two threads
+    try:
+        for fit in (lambda: fit_linear(data, link, 0.01), lambda: fit_linear_cv(data, link, folds=3, seed=4)):
+            fit()
+            assert blas_counts() == [2] * len(libraries)
+        with pytest.raises(ConvergenceError):
+            fit_linear(data, link, 0.0, max_iter=1)
+        assert blas_counts() == [2] * len(libraries)
+        with pytest.raises(ConvergenceError):
+            fit_linear_cv(data, link, folds=3, seed=4, max_iter=1)
+        assert blas_counts() == [2] * len(libraries)
+    finally:
+        for (set_count, _), n in zip(libraries, before):
+            set_count(n)
+    calls = [line.split(" ", 1) for line in seen.read_text().splitlines()]
+    # each fit_linear call solves one path, each fit_linear_cv call three folds and its refit
+    assert len(calls) == 2 * (1 + 3 + 1)
+    assert {pid for pid, _ in calls} > {str(os.getpid())}  # a child ran a fold too
+    assert {counts for _, counts in calls} == {str([1] * len(libraries))}
