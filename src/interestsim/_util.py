@@ -28,6 +28,7 @@ import functools
 import hashlib
 import os
 import pickle
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 
@@ -104,17 +105,28 @@ def _set_blas_threads(libraries: tuple, counts: list) -> list:
     return before
 
 
+_blas_entries = threading.local()  # .depth: the _one_blas_thread blocks open in this thread
+
+
 @contextmanager
 def _one_blas_thread():
     """Run the block, or the decorated function, with one BLAS thread in
     this thread, and restore the count after.  The count is thread-local,
-    and a forked child inherits it without calling into OpenBLAS."""
-    libraries = _openblas_libraries()
-    before = _set_blas_threads(libraries, [1] * len(libraries))
+    and a forked child inherits it without calling into OpenBLAS.  Only
+    the outermost block of a thread sets and restores it: a nested one
+    (``fork_map`` in ``fit_linear_cv``, say) finds one thread set and
+    leaves it, so it neither starts nor stops OpenBLAS's pool."""
+    depth = getattr(_blas_entries, "depth", 0)
+    if depth == 0:
+        libraries = _openblas_libraries()
+        before = _set_blas_threads(libraries, [1] * len(libraries))
+    _blas_entries.depth = depth + 1
     try:
         yield
     finally:
-        _set_blas_threads(libraries, before)
+        _blas_entries.depth = depth
+        if depth == 0:
+            _set_blas_threads(libraries, before)
 
 
 def _run_share(fn, share: list) -> list:

@@ -21,14 +21,21 @@ counts, so fits, CV tables and certificates would otherwise depend on the
 BLAS thread count in their last bits; with one thread (where ``_util``
 finds OpenBLAS's thread control) they do not.
 
-Both links have one exact inner solver, the LARS-lasso homotopy
+Both links have one exact inner solver, a lasso homotopy
 (``_lasso_path``), and one stopping rule each.  The identity link is one
-homotopy on G = Z'Z / n.  The logistic link takes proximal Newton steps
-(``_newton_step``): each minimizes the loss's second-order model plus the
-penalty, a weighted lasso that the homotopy solves exactly, and the fit
-stops on newGLMNET's optimality certificate (see ``_fit_path``).  Every
-Gram matrix is one product A'A, which numpy hands to BLAS ``dsyrk`` and
-mirrors, so it is exactly symmetric.
+homotopy on G = Z'Z / n that walks lambda down from lambda_max (LARS).
+The logistic link takes proximal Newton steps (``_newton_step``): each
+minimizes the loss's second-order model plus the penalty, a weighted
+lasso that the homotopy solves exactly, starting from the current iterate
+(zero at a path's cold start) and moving the lasso's linear term at the
+step's fixed lambda; the fit stops on newGLMNET's optimality certificate
+(see ``_fit_path``).  Steps (``n_sweeps``, ``max_iter``) are homotopy
+events counted from where each homotopy starts, so a Newton step whose
+active set does not change takes none.  The homotopy keeps the Cholesky
+factor of its active block (``_ActiveFactor``): a join appends a row, a
+leave refactors only the rows after the column that left, in one LAPACK
+call.  Every Gram matrix is one product A'A, which numpy hands to BLAS
+``dsyrk`` and mirrors, so it is exactly symmetric.
 """
 
 from __future__ import annotations
@@ -36,7 +43,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.blas import dtrsv
+from scipy.linalg.blas import dsyrk, dtrsv
+from scipy.linalg.lapack import dpotrf, dpotrs, dtrtri
 
 from .._util import _one_blas_thread, fork_map
 from .data import DesignMatrix, check_width
@@ -149,79 +157,189 @@ def _subgradient_norm(g, g_b, w, lam):
 
 
 RANK_TOL = 1e-8  # least squared residual off the active columns, per G_jj, for a column to join
-TIE_TOL = 1e-12  # events this share of lambda_max above the next lambda count as reaching it
+TIE_TOL = 1e-12  # events this share of lambda_max short of the next target count as reaching it
 
 
-def _chol_row(L, G, A, j):
-    """(l, r): L l = G[A, j] for L the Cholesky factor of G[A, A], and
-    r = G_jj - l'l, the squared residual of column j off the columns A."""
-    l = dtrsv(L[: len(A), : len(A)], G[A, j], lower=1) if A else np.zeros(0)
-    return l, G[j, j] - float(l @ l)
+class _ActiveFactor:
+    """The active columns A of a homotopy on G: the Cholesky factor L of
+    G[A, A] and the columns G[:, A], each kept in one buffer.
+
+    A column joins (``join``) by one triangular solve for its row of L, and
+    only if its squared residual off A exceeds ``RANK_TOL`` * G_jj, so the
+    active columns stay linearly independent (Tibshirani 2013).  When the
+    column at position m leaves (``leave``), the rows of L above it do not
+    change, those below lose their m-th entry, and their trailing block is
+    refactored by one LAPACK call, chol(G_33 - L_31 L_31'), 1 being the
+    columns before m and 3 those after it.  A start (``__init__``) factors
+    its columns by one ``dpotrf`` call; the first one that fails the rank
+    test (its squared residual is its diagonal entry of L, squared) is left
+    out and the rest factored again, until none fails."""
+
+    def __init__(self, G, start):
+        p = len(G)
+        self.G, self.L, self.GA = G, np.zeros((p, p), order="F"), np.empty((p, p), order="F")
+        A = np.asarray(start, dtype=np.intp)
+        while len(A):
+            L, info = dpotrf(G[np.ix_(A, A)], lower=1)
+            rows = info - 1 if info > 0 else len(A)  # the rows factored
+            failed = np.flatnonzero(np.diag(L)[:rows] ** 2 <= RANK_TOL * G[A[:rows], A[:rows]])
+            if info == 0 and not failed.size:
+                self.L[:rows, :rows], self.GA[:, :rows] = L, G[:, A]
+                break
+            A = np.delete(A, failed[0] if failed.size else rows)
+        self.order = np.empty(p, dtype=np.intp)  # A, in the order of L's rows, is order[:len(A)]
+        self.order[: len(A)] = A
+        self.A = self.order[: len(A)]
+
+    def solve(self, B):
+        """G[A, A]^-1 B."""
+        k = len(self.A)
+        return dpotrs(self.L[:k, :k], B, lower=1)[0] if k else B
+
+    def join(self, j: int) -> bool:
+        """Add column j to A, if it passes the rank test."""
+        k = len(self.A)
+        l = dtrsv(self.L[:k, :k], self.GA[j, :k], lower=1) if k else np.zeros(0)
+        r = self.G[j, j] - float(l @ l)
+        if r <= RANK_TOL * self.G[j, j]:
+            return False
+        self.L[k, :k], self.L[k, k], self.GA[:, k], self.order[k] = l, np.sqrt(r), self.G[:, j], j
+        self.A = self.order[: k + 1]
+        return True
+
+    def leave(self, m: int) -> int:
+        """Remove the column at position m of A and return it."""
+        j, k = int(self.A[m]), len(self.A) - 1
+        L, GA, order = self.L, self.GA, self.order
+        L[m:k, :m], GA[:, m:k], order[m:k] = L[m + 1 : k + 1, :m], GA[:, m + 1 : k + 1], order[m + 1 : k + 1]
+        self.A = order[:k]
+        if m < k:
+            L[m:k, m:k] = dpotrf(dsyrk(-1.0, L[m:k, :m], beta=1.0, c=GA[order[m:k], m:k], lower=1), lower=1)[0]
+        return j
+
+    def swap(self, m: int, j: int) -> int | None:
+        """Replace the column at position m of A by column j and return the
+        column replaced; None, and A as it was, if j fails the rank test."""
+        out = self.leave(m)
+        if self.join(j):
+            return out
+        self.join(out)
+        return None
 
 
-def _lasso_path(G, c, lambdas, max_steps):
+_SIDES = np.array([[1.0], [-1.0]])  # a correlation's two bounds, +lam' and -lam'
+
+
+@np.errstate(divide="ignore", invalid="ignore")
+def _lasso_path(G, c, lambdas, max_steps, start=None):
     """The minimizers w of w'Gw / 2 - c'w + lam * ||w||_1 at each of the
-    non-increasing ``lambdas``, as (w, steps, lambda reached), by the
-    LARS-lasso homotopy (Efron, Hastie, Johnstone & Tibshirani 2004).
+    non-increasing ``lambdas``, as (w, steps, lambda reached), by a lasso
+    homotopy: LARS (Efron, Hastie, Johnstone & Tibshirani 2004) from
+    lambda_max, or from a warm ``start`` (Garrigues & El Ghaoui 2008).
 
-    From lambda_max = max |c| down, w is piecewise linear in lambda: with
-    active set A and signs s, w_A = G_AA^-1 (c_A - lambda s_A) until an
-    inactive correlation c_j - G_j w reaches +-lambda (j joins) or an
-    active w_j reaches 0 (it leaves, and cannot rejoin with the same sign
-    at the next event).  Each event is a step.  w_A is solved afresh on
-    each segment from G_AA's Cholesky factor, kept by triangular solves.
-    Two rules keep the path exact on a singular G, such as a hybrid's leaf
-    blocks or a categorical's kept levels give: a column joins only if its
-    squared residual off A exceeds ``RANK_TOL`` * G_jj, so the active
-    columns stay linearly independent (Tibshirani 2013), and one that fails
-    waits until a column leaves; and an event within ``TIE_TOL`` *
-    lambda_max above the next lambda counts as reaching it.  A path out of
-    ``max_steps`` stops, exact, at the lambda of its next event."""
+    The point (c', lam') moves on straight segments, and on each w is the
+    minimizer for that point: with active set A and signs s, w_A =
+    G_AA^-1 (c'_A - lam' s_A), until an inactive correlation c'_j - G_j w
+    reaches +-lam' (j joins) or an active w_j reaches 0 (it leaves, and
+    cannot rejoin with the same sign at the next event).  Each event is a
+    step.  Without a start the path begins at w = 0 and lam' = lambda_max
+    = max |c|, and lam' walks down through ``lambdas`` with c' = c.  A
+    start w0 is taken at lam = lambdas[0]: it is the minimizer for c' =
+    G w0 + lam z0, z0 being sign(w0) on its support and clip((c - G w0) /
+    lam, -1, 1) elsewhere, and c' moves to c at that lambda; then lam'
+    walks down through the other lambdas.  Steps, and ``max_steps``, count
+    events from where the path begins, so a start at the minimizer takes
+    none.  ``_ActiveFactor`` keeps G_AA's Cholesky factor, and w_A is
+    solved afresh on each segment.
+
+    Three rules keep the path exact on a singular G, such as a hybrid's
+    leaf blocks or a categorical's kept levels give.  A column joins only
+    if it passes ``_ActiveFactor``'s rank test (a start's own columns that
+    fail it are left out of the start, whose z0 then covers them).  One
+    that fails is a combination beta of A's columns: while lam' walks with
+    c' = c its correlation stays at its bound, and it waits until a column
+    leaves; but c' moving from a start can carry it past the bound, and if
+    by the segment's end that would exceed ``TIE_TOL`` * lambda_max, it
+    swaps in instead, for the active column that moving w along G's null
+    vector e_j - beta zeroes first (which leaves Gw, and the objective, as
+    they are).  And an event that leaves the point within ``TIE_TOL`` *
+    lambda_max of the next target, in the largest coordinate, counts as
+    reaching it.  A path out of ``max_steps`` stops, exact, at its next
+    event, and reports the lambda there (infinity while c' has not yet
+    reached c)."""
     p = len(c)
-    lam = float(np.max(np.abs(c), initial=0.0))
-    tie = TIE_TOL * lam
+    lam_max = float(np.max(np.abs(c), initial=0.0))
     w, s = np.zeros(p), np.zeros(p)
-    A, L = [], np.zeros((p, p), order="F")
     waiting = np.zeros(p, dtype=bool)  # failed the rank test since a column last left
     left, steps, path = None, 0, []
+    # on a segment the point is c' = C[:, 0] + theta * C[:, 1], lam' = (1, theta) @ lams
+    C = np.column_stack([c, np.zeros(p)])
+    factor = _ActiveFactor(G, [] if start is None else np.flatnonzero(start))
+    if start is None:
+        lams, theta = np.array([0.0, 1.0]), lam_max
+    else:
+        A, lam = factor.A, float(lambdas[0])
+        w[A] = start[A]
+        s[A] = np.sign(w[A])
+        fit = factor.GA[:, : len(A)] @ w[A]
+        C[:, 1] = fit + np.where(s != 0, lam * s, np.clip(c - fit, -lam, lam)) - c
+        lams, theta = np.array([lam, 0.0]), 1.0
     for target in lambdas:
-        while lam > target:
-            LA = L[: len(A), : len(A)]
-            u, d = (dtrsv(LA, dtrsv(LA, v, lower=1), lower=1, trans=1) if A else v for v in (c[A], s[A]))
-            e, a = c - G[:, A] @ u, G[:, A] @ d  # correlations e + lam' * a on the segment
-            with np.errstate(divide="ignore", invalid="ignore"):
-                up = np.where(a < 1, np.minimum(e / (1.0 - a), lam), -np.inf)
-                down = np.where(a > -1, np.minimum(-e / (1.0 + a), lam), -np.inf)
-                leave = np.where(s[A] * d < 0, np.minimum(u / d, lam), -np.inf)
-            if left is not None:  # it left with correlation s_j * lambda; the other side stays open
-                (up if s[left] > 0 else down)[left] = -np.inf
-            join = np.where(waiting, -np.inf, np.maximum(up, down))
+        # the start has reached c: lam' walks down from its lambda, on a new
+        # line, where the last column to leave may meet either bound again
+        if lams[1] == 0.0 and theta == 0.0:
+            C[:, 1], lams, theta, left = 0.0, np.array([0.0, 1.0]), lams[0], None
+        goal = target if lams[1] else 0.0
+        speed = max(lams[1], float(np.max(np.abs(C[:, 1]))))
+        tie = TIE_TOL * lam_max / speed if speed > 0 else np.inf
+        while theta > goal:
+            A = factor.A
+            UD = factor.solve(C[A] - s[A, None] * lams)
+            u, d = UD.T
+            e, a = (C - factor.GA[:, : len(A)] @ UD).T  # correlations e + theta * a on the segment
+            # where +-(e + theta * a) reaches lam', rows + and -, as theta falls
+            slope = lams[1] - _SIDES * a
+            bound = np.where(slope > 0, np.minimum((_SIDES * e - lams[0]) / slope, theta), -np.inf)
+            leave = np.where(s[A] * d > 0, np.minimum(-u / d, theta), -np.inf)
+            if left is not None:  # it left with correlation s_j * lam'; the other side stays open
+                bound[0 if s[left] > 0 else 1, left] = -np.inf
+            join = np.where(waiting, -np.inf, bound.max(axis=0))
             join[A] = -np.inf
             j = int(np.argmax(join))
             event = max(join[j], np.max(leave, initial=-np.inf))
-            lam = target if event <= target + tie else event
-            w[A] = u - lam * d
-            if lam == target or steps == max_steps:
+            theta = goal if event <= goal + tie else event
+            w[A] = u + theta * d
+            if theta == goal or steps == max_steps:
                 break
             if join[j] >= event:
-                l, r = _chol_row(L, G, A, j)
-                if r <= RANK_TOL * G[j, j]:
-                    waiting[j] = True
+                sign = 1.0 if bound[0, j] >= bound[1, j] else -1.0
+                if factor.join(j):
+                    left = None
+                elif sign * (e[j] + goal * a[j]) - (lams[0] + goal * lams[1]) <= TIE_TOL * lam_max:
+                    waiting[j] = True  # it stays on its bound, up to rounding, to the segment's end
                     continue
-                s[j] = 1.0 if up[j] >= down[j] else -1.0
-                L[len(A), : len(A)], L[len(A), len(A)] = l, np.sqrt(r)
-                A.append(j)
-                left = None
+                else:  # j swaps in for the active column that moving w along G's null vector e_j - beta zeroes first
+                    beta = factor.solve(factor.GA[j, : len(A)])
+                    linv = dtrtri(factor.L[: len(A), : len(A)], lower=1)[0]
+                    rest = beta**2 / np.einsum("ij,ij->j", linv, linv)  # j's squared residual off A less each column
+                    t = np.where((sign * beta * s[A] > 0) & (rest > RANK_TOL * G[j, j]), np.abs(w[A] / beta), np.inf)
+                    m = int(np.lexsort((-rest, t))[0])
+                    shift = np.zeros(p)
+                    shift[A], shift[j] = -sign * t[m] * beta, sign * t[m]
+                    left = factor.swap(m, j) if t[m] < np.inf else None
+                    if left is None:
+                        waiting[j] = True
+                        continue
+                    w += shift
+                    w[left] = 0.0
+                    waiting[:] = False
+                s[j] = sign
             else:
-                m = int(np.argmax(leave))
-                left = A.pop(m)
+                left = factor.leave(int(np.argmax(leave)))
                 w[left] = 0.0
-                for i in range(m, len(A)):
-                    l, r = _chol_row(L, G, A[:i], A[i])
-                    L[i, :i], L[i, i] = l, np.sqrt(r)
                 waiting[:] = False
             steps += 1
-        path.append((w.copy(), steps, lam))
+        path.append((w.copy(), steps, theta if lams[1] else (lams[0] if theta == 0.0 else np.inf)))
     return path
 
 
@@ -289,7 +407,9 @@ def _newton_step(Z, y, w, b, z, p, g, lam, max_steps):
     Its direction minimizes the loss's second-order model plus the penalty:
     the weighted lasso (``_weighted_lasso``) with omega = p(1 - p), at least
     1e-6, and working response t = z + (y - p) / omega, solved exactly by
-    ``_lasso_path`` in at most ``max_steps`` homotopy steps.  Only the
+    ``_lasso_path`` in at most ``max_steps`` homotopy steps, counted from
+    its start at the current w (the homotopy moves the lasso's linear term
+    from one at which w is optimal to the step's, at lam).  Only the
     columns W that are nonzero or violate their optimality condition
     (|g_j| > lam) enter it.  The step d is scaled by 1, 1/2, 1/4, ... until
     the objective falls by at least ``ARMIJO`` * s * Delta, Delta = g'd +
@@ -302,7 +422,7 @@ def _newton_step(Z, y, w, b, z, p, g, lam, max_steps):
     omega = np.maximum(p * (1.0 - p), 1e-6)
     W = np.flatnonzero((w != 0) | (np.abs(g) > lam))
     G, c, m, t_bar = _weighted_lasso(Z[:, W], omega, z + (y - p) / omega)
-    [(v, steps, reached)] = _lasso_path(G, c, [lam], max_steps)
+    [(v, steps, reached)] = _lasso_path(G, c, [lam], max_steps, w[W])
     if reached <= lam:
         d = -w
         d[W] += v
@@ -327,9 +447,10 @@ def _fit_path(Z, y, link: str, lambdas, max_iter: int):
     None) per lambda; steps are homotopy steps, at most ``max_iter`` each.
 
     Identity-link lambdas must not increase: ``_lasso_path`` solves them on
-    G = Z'Z / n and c = Z'(y - mean(y)) / n, the mean residual is the
-    intercept and the steps count from lambda_max.  The certificate is left
-    None: ``fit_linear`` computes it for the one model it returns.
+    G = Z'Z / n and c = Z'(y - mean(y)) / n, the mean residual
+    mean(y) - mean(Z)'w is the intercept and the steps count from
+    lambda_max.  The certificate is left None: ``fit_linear`` computes it
+    for the one model it returns.
 
     A logistic fit starts from the previous lambda's w and b (the first
     from zero) and takes proximal Newton steps (``_newton_step``) until
@@ -341,10 +462,10 @@ def _fit_path(Z, y, link: str, lambdas, max_iter: int):
     at the last iterate.  The certificate is S / S(0, 0)."""
     w = np.zeros(Z.shape[1])
     if link == "identity":
-        n = len(y)
-        solved = _lasso_path(Z.T @ Z / n, Z.T @ (y - y.mean()) / n, lambdas, max_iter)
+        n, y_bar, m = len(y), y.mean(), Z.mean(axis=0)
+        solved = _lasso_path(Z.T @ Z / n, Z.T @ (y - y_bar) / n, lambdas, max_iter)
         return [
-            (w, float(np.mean(y - Z @ w)), used, bool(reached <= lam), None, reached)
+            (w, float(y_bar - m @ w), used, bool(reached <= lam), None, reached)
             for lam, (w, used, reached) in zip(lambdas, solved)
         ]
     b = 0.0

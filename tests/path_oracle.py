@@ -118,7 +118,7 @@ def fit_linear(data, link="identity", l1_lambda=0.0, max_iter=1000, tol=1e-8, wa
     bound = certificate_eps(y) * s0
     if link == "identity":
         [(w, used, reached)] = _lasso_path(Z.T @ Z / n, Z.T @ (y - y.mean()) / n, [l1_lambda], max_iter)
-        b = float(np.mean(y - Z @ w))
+        b = float(y.mean() - Z.mean(axis=0) @ w)
         converged = reached <= l1_lambda
     elif certify:
         converged = False

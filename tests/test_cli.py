@@ -222,12 +222,12 @@ def test_train_rejects_fewer_than_two_folds(tmp_path, tiny_corpus, capsys, model
 # rounded to 9 significant digits (the CSVs already write %.9g).  The
 # manifests, which hold the run's paths, are left out.
 PIPELINE_DIGESTS = {
-    "models/hybrid_clf_ptp.json": "978b75bcd4b85314",
-    "models/hybrid_reg_ptp.json": "14304ec10b1c8976",
-    "models/hybrid_reg_rtp.json": "ccf0de9514a5ba3b",
-    "models/hybrid_reg_vbp.json": "dbe7bfcf2e5f22ce",
+    "models/hybrid_clf_ptp.json": "2a853d18f9f2642d",
+    "models/hybrid_reg_ptp.json": "c41d00d79e397d62",
+    "models/hybrid_reg_rtp.json": "db9ff0e16de9ff52",
+    "models/hybrid_reg_vbp.json": "51d29529e0240476",
     "reports/ablation.json": "3ca4fe5c2f7621aa",
-    "reports/models.json": "07b3da78ed10684c",
+    "reports/models.json": "2d7f760d9fa5b397",
     "reports/recommend.csv": "aeb2d54693862f32",
     "samples/test_ptp.csv": "e5b17b22c92410c2",
     "samples/test_rtp.csv": "e124b7dd873a6af1",

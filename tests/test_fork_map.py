@@ -1,6 +1,7 @@
 """fork_map, and the fits that fan out through it: the same bits for any
 worker count."""
 
+import contextlib
 import dataclasses
 import os
 import signal
@@ -147,6 +148,36 @@ def test_items_run_with_one_blas_thread(two_cpus):
     for inner in fork_map(lambda x: blas_counts(), range(3)):
         assert inner == [1] * len(before)
     assert blas_counts() == before
+
+
+def test_nested_one_blas_thread_blocks_leave_the_count_to_the_outermost(monkeypatch):
+    # only the outermost block sets the count and restores the caller's,
+    # on an exception too; a nested one makes no call into OpenBLAS
+    libraries = _util._openblas_libraries()
+    if not libraries:
+        pytest.skip("no OpenBLAS with openblas_set_num_threads_local is loaded")
+    calls = []
+    set_blas_threads = _util._set_blas_threads
+    monkeypatch.setattr(_util, "_set_blas_threads", lambda *args: calls.append(args[1]) or set_blas_threads(*args))
+    before = [set_count(2) for set_count, _ in libraries]  # a caller with two threads
+    try:
+        for fail in (False, True):
+            calls.clear()
+            with pytest.raises(ZeroDivisionError) if fail else contextlib.nullcontext():
+                with _util._one_blas_thread():
+                    assert calls == [[1] * len(libraries)]
+                    with _util._one_blas_thread():
+                        with _util._one_blas_thread():
+                            assert blas_counts() == [1] * len(libraries)
+                            if fail:
+                                1 / 0
+                        assert blas_counts() == [1] * len(libraries)
+                    assert len(calls) == 1
+            assert calls == [[1] * len(libraries), [2] * len(libraries)]
+            assert blas_counts() == [2] * len(libraries)
+    finally:
+        for (set_count, _), n in zip(libraries, before):
+            set_count(n)
 
 
 def test_openblas_libraries_are_looked_up_once_per_process():

@@ -266,6 +266,16 @@ def _lasso_objective(Z, y, w, b, lam, omega=None):
     return 0.5 * float(np.mean(omega * (y - Z @ w - b) ** 2)) + lam * float(np.abs(w).sum())
 
 
+def _gram_problem(Z, y, omega=None):
+    """(G, c) of the (omega-)weighted lasso with a free intercept, built
+    here on the directly centred columns."""
+    n = len(y)
+    if omega is None:
+        return Z.T @ Z / n, Z.T @ (y - y.mean()) / n
+    Zc = Z - (omega @ Z) / omega.sum()
+    return Zc.T @ (omega[:, None] * Zc) / n, Zc.T @ (omega * y) / n
+
+
 def _assert_homotopy_solves(Z, y, lambdas, omega=None):
     """``_lasso_path`` on the (omega-)weighted lasso with a free intercept,
     G and c built here on the directly centred columns, at each of
@@ -276,11 +286,7 @@ def _assert_homotopy_solves(Z, y, lambdas, omega=None):
     problem, a logistic Newton step's is weighted.  Returns the path."""
     n = len(y)
     lmax = _lambda_max(Z, y, omega)
-    if omega is None:
-        path = linear._lasso_path(Z.T @ Z / n, Z.T @ (y - y.mean()) / n, lambdas, 10_000)
-    else:
-        Zc = Z - (omega @ Z) / omega.sum()
-        path = linear._lasso_path(Zc.T @ (omega[:, None] * Zc) / n, Zc.T @ (omega * y) / n, lambdas, 10_000)
+    path = linear._lasso_path(*_gram_problem(Z, y, omega), lambdas, 10_000)
     weights = np.ones(n) if omega is None else omega
     for lam, (w, _, reached) in zip(lambdas, path):
         assert reached == lam
@@ -304,6 +310,102 @@ def test_sweeps_match_residual_oracle(design, link, lam_frac):
     # the homotopy on each link's problem, against the oracle's long run
     Z, y, omega = _sweep_problem(design, link)
     _assert_homotopy_solves(Z, y, [lam_frac * _lambda_max(Z, y, omega)], omega)
+
+
+def _kkt_violation(G, c, w, lam):
+    r = c - G @ w
+    return float(np.max(np.where(w != 0, np.abs(r - lam * np.sign(w)), np.maximum(np.abs(r) - lam, 0.0))))
+
+
+@pytest.mark.parametrize("lam_frac", [0.0, 0.1, 0.95], ids=["lam0", "mid", "near-max"])
+@pytest.mark.parametrize("link", ["identity", "logistic"])
+@pytest.mark.parametrize("design", ["constant-column", "categorical", "sum-column", "leaf-one-hot"])
+def test_warm_started_homotopy_is_exact(design, link, lam_frac):
+    # from any start, the homotopy moves c at the start's lambda and ends at
+    # the cold path's minimizer: the same fitted values on the centred
+    # columns (on these singular designs the weights need not be unique),
+    # the same 1-norm where lambda > 0, and KKT to 1e-10; from the
+    # minimizer itself it takes no event
+    Z, y, omega = _sweep_problem(design, link)
+    G, c = _gram_problem(Z, y, omega)
+    weights = np.ones(len(y)) if omega is None else omega
+    Zc = Z - (weights @ Z) / weights.sum()
+    lam = lam_frac * _lambda_max(Z, y, omega)
+    [(w_cold, _, _)] = linear._lasso_path(G, c, [lam], 10_000)
+    flipped = w_cold.copy()
+    flipped[np.flatnonzero(w_cold)[0]] *= -1.0
+    flipped[np.flatnonzero(w_cold == 0)[0]] = 0.05
+    dense = np.full(len(c), 0.1)
+    assert len(linear._ActiveFactor(G, np.flatnonzero(dense)).A) < len(c)  # it holds columns failing the rank test
+    for name, start in (("zero", np.zeros(len(c))), ("exact", w_cold), ("flipped", flipped), ("rank", dense)):
+        [(w, steps, reached)] = linear._lasso_path(G, c, [lam], 10_000, start)
+        assert reached == lam, name
+        assert np.max(np.abs(Zc @ (w - w_cold))) <= 1e-12, name
+        if lam > 0:
+            assert abs(np.abs(w).sum() - np.abs(w_cold).sum()) <= 1e-12, name
+        assert _kkt_violation(G, c, w, lam) <= 1e-10, name
+        if name == "exact":
+            assert steps == 0
+
+
+def test_active_factor_is_the_cholesky_factor_after_every_event(monkeypatch):
+    # the first Newton step's weighted lasso on the duplicated leaf columns,
+    # down to lambda 0 and then from a warm start: after every join, leave
+    # and start the kept factor is chol(G[A, A]), and the path has a column
+    # that leaves and rejoins with the other sign
+    from scipy.linalg import cholesky
+
+    data = _path_data("duplicated-leaves", "logistic")
+    Z, y = np.asfortranarray(linear._standardize(data)[3]), data.y
+    _, z, p, _ = linear._subgradient_at(Z, y, np.zeros(Z.shape[1]), 0.0, 0.0, "logistic")
+    omega = np.maximum(p * (1.0 - p), 1e-6)
+    G, c, _, _ = linear._weighted_lasso(Z.copy(order="F"), omega, z + (y - p) / omega)
+    events = []
+
+    class Checked(linear._ActiveFactor):
+        def __init__(self, G, start):
+            super().__init__(G, start)
+            self.check("start", None)
+
+        def join(self, j):
+            joined = super().join(j)
+            if joined:
+                self.check("join", j)
+            return joined
+
+        def leave(self, m):
+            j = super().leave(m)
+            self.check("leave", j)
+            return j
+
+        def check(self, kind, j):
+            k = len(self.A)
+            assert np.all(self.GA[:, :k] == G[:, self.A])
+            want = cholesky(G[np.ix_(self.A, self.A)], lower=True) if k else np.zeros((0, 0))
+            np.testing.assert_allclose(np.tril(self.L[:k, :k]), want, rtol=0, atol=1e-12)
+            events.append((kind, j))
+
+    monkeypatch.setattr(linear, "_ActiveFactor", Checked)
+    lmax = float(np.max(np.abs(c)))
+    path = linear._lasso_path(G, c, [*(lmax * np.logspace(0, -4, 20)), 0.0], 10_000)
+    kinds = [kind for kind, _ in events]
+    assert kinds.count("join") > 10 and kinds.count("leave") > 0
+    W = np.array([w for w, _, _ in path])
+    rejoined = [
+        j for kind, j in events
+        if kind == "leave" and np.any(W[:, j] > 0) and np.any(W[:, j] < 0)
+    ]
+    assert rejoined
+    # and from a start with wrong signs and extra columns, some failing the
+    # rank test, at one lambda and then on down the path
+    events.clear()
+    start = path[10][0].copy()
+    start[::4] = -0.1
+    lambdas = [lmax * 1e-2, lmax * 1e-3, 0.0]
+    warm = linear._lasso_path(G, c, lambdas, 10_000, start)
+    assert events[0][0] == "start" and len(events) > 1
+    for lam, (w, _, reached) in zip(lambdas, warm):
+        assert reached == lam and _kkt_violation(G, c, w, lam) <= 1e-10
 
 
 @pytest.mark.parametrize("link", ["identity", "logistic"])
@@ -333,21 +435,27 @@ def _logistic_objective(Z, y, w, b, lam):
 @pytest.mark.parametrize("design", ["constant-column", "categorical", "leaf-one-hot"])
 def test_sweeps_match_residual_oracle_with_a_certificate_bound(design, monkeypatch):
     # the Newton steps stop once S <= eps * S(0, 0): the looser eps, the
-    # sooner; at the tightest the fit is at the optimum of the oracle's
-    # long IRLS run of coordinate descent.  (Near S = 1e-10 S(0, 0) the
-    # objective's decrease is below its rounding, and the line search
-    # rightly gives up.)
+    # sooner (in Newton steps; their homotopies start from the iterate, so
+    # once the active set settles a step takes no event); at the tightest
+    # the fit is at the optimum of the oracle's long IRLS run of coordinate
+    # descent.  (Near S = 1e-10 S(0, 0) the objective's decrease is below
+    # its rounding, and the line search rightly gives up.)
     Z, _, y = _oracle_design(design)
     lam = 0.01 * _lambda_max(Z, y, None)
     s0 = linear._subgradient_at(Z, y, np.zeros(Z.shape[1]), 0.0, lam, "logistic")[0]
-    used = []
+    newton_step = linear._newton_step
+    taken = []
+    monkeypatch.setattr(linear, "_newton_step", lambda *args: taken.append(1) or newton_step(*args))
+    used, newton = [], []
     for eps in (1e-1, 1e-2, 1e-3, 1e-4, 1e-8):
         monkeypatch.setattr(linear, "CERT_EPS", eps)
+        taken.clear()
         [(w, b, steps, converged, certificate, _)] = linear._fit_path(Z, y, "logistic", [lam], 2000)
         assert converged and certificate <= linear._certificate_eps(y)
         assert linear._subgradient_at(Z, y, w, b, lam, "logistic")[0] == pytest.approx(certificate * s0, rel=1e-12)
         used.append(steps)
-    assert used == sorted(used) and used[0] < used[-1]
+        newton.append(len(taken))
+    assert used == sorted(used) and newton == sorted(newton) and newton[0] < newton[-1]
     [ref] = path_oracle.coefficient_test_chain(dm(Z, y), [lam], 20_000, 1e-12)
     assert ref.converged
     f_ref = _logistic_objective(Z, y, ref.weights / ref.sigma, ref.intercept - ref.weights @ (ref.mu / ref.sigma), lam)
@@ -422,8 +530,6 @@ def _assert_same_model(new, old):
     )
 
 
-# every fit converges within 400 homotopy steps; at 6 all fold fits and
-# every refit run out
 def _record_fold_paths(monkeypatch):
     """Run ``fit_linear_cv``'s folds in the caller and record every
     ``_fit_path`` call it makes as (Z, y, lambdas, path): the folds' in fold
@@ -446,7 +552,10 @@ def _fold_rows(Z_cv, train_idx):
     return Zt, Zt.mean(axis=0)
 
 
-@pytest.mark.parametrize("max_iter", [2000, 400, 6], ids=["budget-2000", "budget-400", "budget-6"])
+# every fit converges within 400 homotopy steps; at 2 some fold fits run
+# out on every design and link (at 6, since each Newton step's homotopy
+# starts from the iterate, no logistic one on the categorical design does)
+@pytest.mark.parametrize("max_iter", [2000, 400, 6, 2], ids=["budget-2000", "budget-400", "budget-6", "budget-2"])
 @pytest.mark.parametrize("link", ["identity", "logistic"])
 @pytest.mark.parametrize("design", ["categorical", "duplicated-leaves"])
 def test_cv_path_matches_warm_started_oracle(design, link, max_iter, monkeypatch):
@@ -470,7 +579,7 @@ def test_cv_path_matches_warm_started_oracle(design, link, max_iter, monkeypatch
         assert (b, steps, converged) == (old.intercept, old.n_sweeps, old.converged)
         assert certificate == (old.certificate if link == "logistic" else None)
         assert w.tobytes() == old.weights.tobytes()
-    if max_iter == 6:
+    if max_iter == 2:
         assert not all(m.converged for m in old_fits)
     # and the selection and refit on all rows
     monkeypatch.undo()
