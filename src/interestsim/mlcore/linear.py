@@ -31,11 +31,13 @@ lasso that the homotopy solves exactly, starting from the current iterate
 step's fixed lambda; the fit stops on newGLMNET's optimality certificate
 (see ``_fit_path``).  Steps (``n_sweeps``, ``max_iter``) are homotopy
 events counted from where each homotopy starts, so a Newton step whose
-active set does not change takes none.  The homotopy keeps the Cholesky
-factor of its active block (``_ActiveFactor``): a join appends a row, a
-leave refactors only the rows after the column that left, in one LAPACK
-call.  Every Gram matrix is one product A'A, which numpy hands to BLAS
-``dsyrk`` and mirrors, so it is exactly symmetric.
+active set does not change takes none; it still counts as one step, so
+``max_iter`` bounds a logistic fit's Newton steps too.  The homotopy
+keeps the Cholesky factor of its active block (``_ActiveFactor``): a
+join appends a row, a leave refactors only the rows after the column
+that left, in one LAPACK call.  Every Gram matrix is one product A'A,
+which numpy hands to BLAS ``dsyrk`` and mirrors, so it is exactly
+symmetric.
 """
 
 from __future__ import annotations
@@ -270,6 +272,8 @@ def _lasso_path(G, c, lambdas, max_steps, start=None):
     p = len(c)
     lam_max = float(np.max(np.abs(c), initial=0.0))
     w, s = np.zeros(p), np.zeros(p)
+    if not p:  # no column: w is empty at every lambda, and no event happens
+        return [(w, 0, 0.0) for _ in lambdas]
     waiting = np.zeros(p, dtype=bool)  # failed the rank test since a column last left
     left, steps, path = None, 0, []
     # on a segment the point is c' = C[:, 0] + theta * C[:, 1], lam' = (1, theta) @ lams
@@ -318,19 +322,17 @@ def _lasso_path(G, c, lambdas, max_steps, start=None):
                 elif sign * (e[j] + goal * a[j]) - (lams[0] + goal * lams[1]) <= TIE_TOL * lam_max:
                     waiting[j] = True  # it stays on its bound, up to rounding, to the segment's end
                     continue
-                else:  # j swaps in for the active column that moving w along G's null vector e_j - beta zeroes first
+                else:  # j swaps in for the active column m that moving w along G's null vector e_j - beta zeroes first
                     beta = factor.solve(factor.GA[j, : len(A)])
                     linv = dtrtri(factor.L[: len(A), : len(A)], lower=1)[0]
                     rest = beta**2 / np.einsum("ij,ij->j", linv, linv)  # j's squared residual off A less each column
                     t = np.where((sign * beta * s[A] > 0) & (rest > RANK_TOL * G[j, j]), np.abs(w[A] / beta), np.inf)
                     m = int(np.lexsort((-rest, t))[0])
-                    shift = np.zeros(p)
-                    shift[A], shift[j] = -sign * t[m] * beta, sign * t[m]
                     left = factor.swap(m, j) if t[m] < np.inf else None
                     if left is None:
                         waiting[j] = True
                         continue
-                    w += shift
+                    # the move only picks m: the next segment solves w on the new A afresh
                     w[left] = 0.0
                     waiting[:] = False
                 s[j] = sign
@@ -444,7 +446,8 @@ def _fit_path(Z, y, link: str, lambdas, max_iter: int):
     """Fit each lambda in the order given on standardized, centred rows Z
     (in Fortran order) with targets y.  Returns one (w, b, steps, converged,
     certificate, the lambda the identity link's homotopy reached, else
-    None) per lambda; steps are homotopy steps, at most ``max_iter`` each.
+    None) per lambda; steps are homotopy steps, at most ``max_iter`` each,
+    and a logistic Newton step counts as at least one.
 
     Identity-link lambdas must not increase: ``_lasso_path`` solves them on
     G = Z'Z / n and c = Z'(y - mean(y)) / n, the mean residual
@@ -458,8 +461,8 @@ def _fit_path(Z, y, link: str, lambdas, max_iter: int):
     LIBLINEAR's -s 6 rule): S(w, b) <= ``_certificate_eps`` * S(0, 0), S
     being the mean logistic loss's ``_subgradient_norm`` and S(0, 0) read
     at the path's cold start and first lambda (a lone fit's own, as in
-    LIBLINEAR).  A step that cannot be taken ends the fit, not converged,
-    at the last iterate.  The certificate is S / S(0, 0)."""
+    LIBLINEAR).  A step that cannot be taken, or a spent budget, ends the
+    fit, not converged, at the last iterate.  The certificate is S / S(0, 0)."""
     w = np.zeros(Z.shape[1])
     if link == "identity":
         n, y_bar, m = len(y), y.mean(), Z.mean(axis=0)
@@ -475,9 +478,9 @@ def _fit_path(Z, y, link: str, lambdas, max_iter: int):
     for lam in lambdas:
         used = 0
         s, z, p, g = _subgradient_at(Z, y, w, b, lam, link)
-        while s > bound:
+        while s > bound and used < max_iter:
             w_new, b_new, steps = _newton_step(Z, y, w, b, z, p, g, lam, max_iter - used)
-            used += steps
+            used += max(steps, 1)
             if w_new is None:
                 break
             w, b = w_new, b_new

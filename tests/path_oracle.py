@@ -127,8 +127,10 @@ def fit_linear(data, link="identity", l1_lambda=0.0, max_iter=1000, tol=1e-8, wa
             if s <= bound:
                 converged = True
                 break
+            if used >= max_iter:
+                break
             w_next, b_next, steps = _newton_step(Z, y, w, b, z, p, g, l1_lambda, max_iter - used)
-            used += steps
+            used += max(steps, 1)
             if w_next is None:
                 break
             w, b = w_next, b_next

@@ -227,7 +227,7 @@ PIPELINE_DIGESTS = {
     "models/hybrid_reg_rtp.json": "db9ff0e16de9ff52",
     "models/hybrid_reg_vbp.json": "51d29529e0240476",
     "reports/ablation.json": "3ca4fe5c2f7621aa",
-    "reports/models.json": "2d7f760d9fa5b397",
+    "reports/models.json": "d09cfb51253407c7",
     "reports/recommend.csv": "aeb2d54693862f32",
     "samples/test_ptp.csv": "e5b17b22c92410c2",
     "samples/test_rtp.csv": "e124b7dd873a6af1",

@@ -35,10 +35,15 @@ def test_huge_lambda_shrinks_everything():
     model = fit_linear(dm(X, y), "identity", l1_lambda=1e6)
     assert np.all(model.weights == 0.0)
     assert model.intercept == pytest.approx(y.mean())
-    yb = (y > np.median(y)).astype(float)
-    model = fit_linear(dm(X, yb), "logistic", l1_lambda=1e6)
-    assert np.all(model.weights == 0.0)
-    assert sigmoid(np.array([model.intercept]))[0] == pytest.approx(yb.mean(), abs=1e-6)
+    # balanced labels need no Newton step; unbalanced ones take steps on
+    # the intercept alone, each on an empty working set.  With w = 0 the
+    # certificate's S is |sigmoid(b) - mean(y)|, S(0, 0) |1/2 - mean(y)|
+    for yb in ((y > np.median(y)).astype(float), (y > np.quantile(y, 0.7)).astype(float)):
+        model = fit_linear(dm(X, yb), "logistic", l1_lambda=1e6)
+        assert np.all(model.weights == 0.0)
+        assert model.converged and model.certificate <= linear._certificate_eps(yb)
+        gap = abs(sigmoid(np.array([model.intercept]))[0] - yb.mean())
+        assert gap == pytest.approx(model.certificate * abs(0.5 - yb.mean()), rel=1e-12, abs=1e-15)
 
 
 def test_lambda_zero_matches_normal_equations():
@@ -435,11 +440,11 @@ def _logistic_objective(Z, y, w, b, lam):
 @pytest.mark.parametrize("design", ["constant-column", "categorical", "leaf-one-hot"])
 def test_sweeps_match_residual_oracle_with_a_certificate_bound(design, monkeypatch):
     # the Newton steps stop once S <= eps * S(0, 0): the looser eps, the
-    # sooner (in Newton steps; their homotopies start from the iterate, so
-    # once the active set settles a step takes no event); at the tightest
-    # the fit is at the optimum of the oracle's long IRLS run of coordinate
-    # descent.  (Near S = 1e-10 S(0, 0) the objective's decrease is below
-    # its rounding, and the line search rightly gives up.)
+    # sooner (their homotopies start from the iterate, so once the active
+    # set settles a step takes no event, and counts as one step); at the
+    # tightest the fit is at the optimum of the oracle's long IRLS run of
+    # coordinate descent.  (Near S = 1e-10 S(0, 0) the objective's decrease
+    # is below its rounding, and the line search rightly gives up.)
     Z, _, y = _oracle_design(design)
     lam = 0.01 * _lambda_max(Z, y, None)
     s0 = linear._subgradient_at(Z, y, np.zeros(Z.shape[1]), 0.0, lam, "logistic")[0]
@@ -455,7 +460,8 @@ def test_sweeps_match_residual_oracle_with_a_certificate_bound(design, monkeypat
         assert linear._subgradient_at(Z, y, w, b, lam, "logistic")[0] == pytest.approx(certificate * s0, rel=1e-12)
         used.append(steps)
         newton.append(len(taken))
-    assert used == sorted(used) and newton == sorted(newton) and newton[0] < newton[-1]
+    assert used == sorted(used) and used[0] < used[-1]
+    assert newton == sorted(newton) and newton[0] < newton[-1]
     [ref] = path_oracle.coefficient_test_chain(dm(Z, y), [lam], 20_000, 1e-12)
     assert ref.converged
     f_ref = _logistic_objective(Z, y, ref.weights / ref.sigma, ref.intercept - ref.weights @ (ref.mu / ref.sigma), lam)
@@ -552,9 +558,9 @@ def _fold_rows(Z_cv, train_idx):
     return Zt, Zt.mean(axis=0)
 
 
-# every fit converges within 400 homotopy steps; at 2 some fold fits run
-# out on every design and link (at 6, since each Newton step's homotopy
-# starts from the iterate, no logistic one on the categorical design does)
+# every fit converges within 400 homotopy steps; at 6 and at 2 some fold
+# fits run out on every design and link, a logistic fit's Newton steps
+# counting one step each at least, and no fit exceeds its budget
 @pytest.mark.parametrize("max_iter", [2000, 400, 6, 2], ids=["budget-2000", "budget-400", "budget-6", "budget-2"])
 @pytest.mark.parametrize("link", ["identity", "logistic"])
 @pytest.mark.parametrize("design", ["categorical", "duplicated-leaves"])
@@ -577,9 +583,10 @@ def test_cv_path_matches_warm_started_oracle(design, link, max_iter, monkeypatch
     assert len(calls) == 4 and len(new_fits) == len(old_fits) == 3 * len(grid)
     for (w, b, steps, converged, certificate, _), old in zip(new_fits, old_fits):
         assert (b, steps, converged) == (old.intercept, old.n_sweeps, old.converged)
+        assert steps <= max_iter
         assert certificate == (old.certificate if link == "logistic" else None)
         assert w.tobytes() == old.weights.tobytes()
-    if max_iter == 2:
+    if max_iter <= 6:
         assert not all(m.converged for m in old_fits)
     # and the selection and refit on all rows
     monkeypatch.undo()
