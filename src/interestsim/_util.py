@@ -138,9 +138,18 @@ def _run_share(fn, share: list) -> list:
         _in_share = False
 
 
+def cpu_shares(items) -> list[list]:
+    """``items`` in contiguous shares, one per CPU in
+    ``os.sched_getaffinity(0)``, at most one per item: the shares
+    ``fork_map`` runs in its workers."""
+    items = list(items)
+    n = min(len(os.sched_getaffinity(0)), len(items))
+    return [items[len(items) * k // n : len(items) * (k + 1) // n] for k in range(n)]
+
+
 def fork_map(fn, items) -> list:
-    """``[fn(x) for x in items]``, split into contiguous shares over one
-    worker per CPU in ``os.sched_getaffinity(0)``, at most one per item.
+    """``[fn(x) for x in items]``, split into the contiguous ``cpu_shares``
+    of ``items``, one worker each.
 
     The caller computes the first share; each other share runs in an
     ``os.fork`` child, which sends its results (or the exception it
@@ -155,14 +164,13 @@ def fork_map(fn, items) -> list:
     items = list(items)
     if _in_share:
         return [fn(x) for x in items]
-    n = min(len(os.sched_getaffinity(0)), len(items))
+    shares = cpu_shares(items)
     with _one_blas_thread():
-        if n <= 1:
+        if len(shares) <= 1:
             return _run_share(fn, items)
-        bounds = [len(items) * k // n for k in range(n + 1)]
         children = []  # (pid, read end of its pipe)
         try:
-            for k in range(1, n):
+            for share in shares[1:]:
                 read, write = os.pipe()
                 pid = os.fork()
                 if pid == 0:  # the child: never returns into the caller's code
@@ -170,7 +178,7 @@ def fork_map(fn, items) -> list:
                     try:
                         os.close(read)
                         try:
-                            payload = pickle.dumps((True, _run_share(fn, items[bounds[k] : bounds[k + 1]])))
+                            payload = pickle.dumps((True, _run_share(fn, share)))
                         except BaseException as err:
                             payload = pickle.dumps((False, err))
                         with os.fdopen(write, "wb") as pipe:
@@ -180,7 +188,7 @@ def fork_map(fn, items) -> list:
                         os._exit(status)
                 os.close(write)
                 children.append((pid, read))
-            outcomes = [(True, _run_share(fn, items[: bounds[1]]))]
+            outcomes = [(True, _run_share(fn, shares[0]))]
         except BaseException as err:  # re-raised below, once every child is reaped
             outcomes = [(False, err)]
         for pid, read in children:

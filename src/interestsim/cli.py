@@ -7,7 +7,8 @@ fixed seed, the model files too, for any BLAS thread count: every linear
 fit runs with one BLAS thread (see ``mlcore.linear``).  The model files
 (format 3) and ``reports/models.json`` give each linear, l1linear and
 hybrid fit its converged flag, ``n_sweeps`` (its homotopy steps under both
-links) and its optimality certificate under both links.
+links) and its optimality certificate under both links;
+``reports/models.json`` gives each tree-based row its ``n_leaves``.
 """
 
 from __future__ import annotations
@@ -362,9 +363,28 @@ def cmd_recommend(args) -> int:
 # -- pipeline -----------------------------------------------------------------
 
 
+def _leaf_count(model) -> int | None:
+    """Leaves of a tree-based model: a pruned tree's, the total over a
+    forest's or a GBDT's trees, and a hybrid's leaf-encoding width."""
+    if isinstance(model, mlcore.HybridModel):
+        return model.encoder.encoded_width
+    if isinstance(model, mlcore.Tree):
+        return model.n_leaves
+    if isinstance(model, (mlcore.ForestModel, mlcore.GbdtModel)):
+        return sum(tree.n_leaves for tree in model.trees)
+    return None
+
+
 def _pipeline_models(out: Path, samples, seed: int, log) -> dict:
     """Train/evaluate the model table and the per-kind hybrids."""
     results = []
+
+    def record(report: dict, model) -> None:
+        leaves = _leaf_count(model)
+        if leaves is not None:
+            report["n_leaves"] = leaves
+        results.append(report)
+
     models_dir = out / "models"
     models_dir.mkdir(parents=True, exist_ok=True)
     hybrids = {}
@@ -373,7 +393,7 @@ def _pipeline_models(out: Path, samples, seed: int, log) -> dict:
             report, model = evalkit.run_protocol(samples["ptp"], kind_name, task, seed=seed)
             metric = report.get("auc", report.get("reduced_mae_pct"))
             log(f"  {kind_name:8s} {task} ptp -> {metric:.4f}")
-            results.append(report)
+            record(report, model)
             if kind_name == "hybrid":
                 mlcore.save_model(model, models_dir / f"hybrid_{task}_ptp.json")
                 if task == "reg":
@@ -381,7 +401,7 @@ def _pipeline_models(out: Path, samples, seed: int, log) -> dict:
     for kind in ("rtp", "vbp"):
         report, model = evalkit.run_protocol(samples[kind], "hybrid", "reg", seed=seed)
         log(f"  hybrid   reg {kind} -> {report['reduced_mae_pct']:.4f}")
-        results.append(report)
+        record(report, model)
         mlcore.save_model(model, models_dir / f"hybrid_reg_{kind}.json")
         hybrids[kind] = model
     with open(out / "reports" / "models.json", "w", encoding="utf-8") as fh:

@@ -1,18 +1,25 @@
 """Random forests: bagged trees with per-split feature subsampling.
 
-Trees grow through the one grower in tree.py.  Each node draws a pool of
-about sqrt(p) features and sorts only those columns, gathered for its own
-rows: a presort would partition all p columns of every bootstrap sample at
-every split, and that made forests slower.  A one-feature design has
-nothing to draw, so each of its trees presorts its bootstrap sample as
-fit_tree does.
+Trees grow through the one grower in tree.py, depth by depth, the trees
+of a share together.  Each tree's stream is its own ``SeedSequence``
+child: it draws the tree's bootstrap rows, then, at each depth, the pools
+of the depth's open nodes, in left-to-right order, from one uniform
+(nodes x features) matrix: a node's pool is the columns of the about
+sqrt(p) smallest entries of its row.  A one-feature design has nothing to
+draw, so each of its trees presorts its bootstrap sample as fit_tree does.
 
-A tree depends only on its own ``SeedSequence`` child, which draws its
-bootstrap rows and then its node feature pools, so the trees are grown
-with ``_util.fork_map``: shares of them in forked workers, which send the
-grown trees back, and the first share in the caller.  They come back in
-seed order, the same trees as a serial loop for any number of CPUs.  The
-arguments are checked once, before the fan-out.
+With a pool, each depth sorts only the sampled columns of its open nodes.
+Partitioning a presort of all columns per depth instead gave the same
+trees and took longer: 116 against 99 ms for the 24 trees of one
+benchmark forest (1,400 rows, 15 columns) and 558 against 514 ms for 4
+trees on 49,000 rows, on one CPU of a 2-vCPU VM (medians of 10 and 5
+alternating runs).
+
+A tree depends only on its stream, so the trees are grown with
+``_util.fork_map``: a contiguous share per CPU, in forked workers, which
+send the grown trees back, and the first share in the caller.  They come
+back in seed order, the same trees for any number of CPUs.  The arguments
+are checked once, before the fan-out.
 """
 
 from __future__ import annotations
@@ -22,9 +29,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .._util import fork_map
+from .._util import cpu_shares, fork_map
 from .data import DesignMatrix, check_width
-from .tree import Tree, _check_growth, _Columns, _grow_tree, route
+from .tree import Tree, _check_growth, _Columns, _grow_trees, route
 
 
 @dataclass
@@ -61,16 +68,13 @@ def fit_forest(
     p = data.n_cols
     k = max(1, round(math.sqrt(p)))
 
-    def pool(r):
-        return np.sort(r.choice(p, size=k, replace=False))
-
     cols = _Columns(data.X, data.categorical)
 
-    def grow(child: np.random.SeedSequence) -> Tree:
-        rng = np.random.default_rng(child)
-        idx = rng.integers(0, data.n_rows, size=data.n_rows)
-        return _grow_tree(
-            cols, data.y, idx, max_depth, min_leaf, task, feature_pool=pool if k < p else None, rng=rng
-        )[0]
+    def grow(share: list[np.random.SeedSequence]) -> list[Tree]:
+        rngs = [np.random.default_rng(child) for child in share]
+        samples = [rng.integers(0, data.n_rows, size=data.n_rows) for rng in rngs]
+        grown = _grow_trees(cols, data.y, samples, max_depth, min_leaf, task, pool=k if k < p else None, rngs=rngs)
+        return [tree for tree, _ in grown]
 
-    return ForestModel(fork_map(grow, np.random.SeedSequence(seed).spawn(n_trees)), task, p, seed)
+    shares = cpu_shares(np.random.SeedSequence(seed).spawn(n_trees))
+    return ForestModel([tree for share in fork_map(grow, shares) for tree in share], task, p, seed)

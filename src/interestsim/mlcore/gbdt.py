@@ -9,7 +9,7 @@ import numpy as np
 
 from .data import DesignMatrix, check_width
 from .linear import sigmoid
-from .tree import Tree, _Columns, _grow_tree, route
+from .tree import Tree, _Columns, _grow_trees, route
 
 
 @dataclass
@@ -81,18 +81,15 @@ def fit_gbdt(
     score = np.full(data.n_rows, base)
     model = GbdtModel([], learning_rate, base, loss, data.n_cols, seed)
     model.train_losses.append(_mean_loss(y, score, loss))
-    # X is the same at every stage, so one presort serves them all; with
-    # rows 0..n-1 the sorted positions are the row ids
+    # X is the same at every stage, so one presort serves them all
     cols = _Columns(data.X, data.categorical)
     rows = np.arange(data.n_rows)
     presort = cols.sort(rows, cols.numeric)
     for _ in range(n_trees):
         grad = y - (sigmoid(score) if loss == "logistic" else score)
-        stage_sort = presort[0].copy(), presort[1].copy()  # the grower partitions it in place
-        tree, leaf_rows = _grow_tree(cols, grad, rows, max_depth, min_leaf, "reg", stage_sort)
-        # each row's leaf value, read off the grower's leaf-ordered rows instead of routing X
-        leaf = tree.feature < 0
-        score[leaf_rows] += learning_rate * np.repeat(tree.value[leaf], tree.n[leaf])
+        [(tree, leaf)] = _grow_trees(cols, grad, [rows], max_depth, min_leaf, "reg", [presort])
+        # each row's leaf value, read off the grower instead of routing X
+        score += learning_rate * tree.value[leaf]
         model.trees.append(tree)
         model.train_losses.append(_mean_loss(y, score, loss))
     return model

@@ -227,7 +227,7 @@ PIPELINE_DIGESTS = {
     "models/hybrid_reg_rtp.json": "db9ff0e16de9ff52",
     "models/hybrid_reg_vbp.json": "51d29529e0240476",
     "reports/ablation.json": "3ca4fe5c2f7621aa",
-    "reports/models.json": "d09cfb51253407c7",
+    "reports/models.json": "786e5e8d948a370e",
     "reports/recommend.csv": "aeb2d54693862f32",
     "samples/test_ptp.csv": "e5b17b22c92410c2",
     "samples/test_rtp.csv": "e124b7dd873a6af1",
@@ -293,7 +293,12 @@ def test_pipeline_runs_end_to_end(tmp_path, monkeypatch):
     out = tmp_path / "run"
     assert main(["pipeline", "--preset", "small", "--seed", "42", "--out", str(out)]) == 0
     reports = out / "reports"
-    assert len(json.loads((reports / "models.json").read_text())) == 14
+    rows = json.loads((reports / "models.json").read_text())
+    assert len(rows) == 14
+    # every tree-based row counts its leaves; the linear rows have none
+    for row in rows:
+        assert (row["model"] in ("tree", "forest", "gbdt", "hybrid")) == ("n_leaves" in row)
+        assert row.get("n_leaves", 1) > 0
     assert len(json.loads((reports / "ablation.json").read_text())) == 7
     with open(reports / "recommend.csv", newline="") as fh:
         assert len(list(csv.DictReader(fh))) == 200

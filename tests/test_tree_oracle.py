@@ -20,20 +20,28 @@ from interestsim.mlcore import (
     prune_tree,
 )
 from interestsim.mlcore.linear import sigmoid
-from interestsim.mlcore.tree import _cv_losses
+from interestsim.mlcore import tree as tree_module
+from interestsim.mlcore.tree import _Columns, _cv_losses, _grow_trees
 
 
 def tree_dict(tree):
     return model_to_dict(tree)["tree"]
 
 
-def targets(rng, n, task):
-    if task == "clf":
+TASK = {"clf": "clf", "reg": "reg", "raw": "reg"}
+
+
+def targets(rng, n, target):
+    """0/1 labels (clf), normal targets rounded to 0.1 so that sums tie
+    too (reg), or unrounded ones (raw), whose sums round differently in
+    any order other than a node's own."""
+    if target == "clf":
         return (rng.random(n) < 0.4).astype(float)
-    return np.round(rng.normal(size=n), 1)  # rounded, so sums tie too
+    y = rng.normal(size=n)
+    return np.round(y, 1) if target == "reg" else y
 
 
-def awkward_design(seed, n, task):
+def awkward_design(seed, n, target):
     """Tied values, a constant column, and a categorical column whose
     levels follow column 0, so most nodes miss some of them."""
     rng = np.random.default_rng(seed)
@@ -43,8 +51,8 @@ def awkward_design(seed, n, task):
     X[:, 2] = np.round(rng.random(n), 1)
     X[:, 3] = 10 * X[:, 0] + rng.integers(0, 3, size=n)  # categorical
     X[:, 4] = rng.integers(0, 2, size=n)  # categorical, two levels
-    y = targets(rng, n, task)
-    y[X[:, 0] >= 4] += 1.0 if task == "reg" else 0.0
+    y = targets(rng, n, target)
+    y[X[:, 0] >= 4] += 0.0 if target == "clf" else 1.0
     return DesignMatrix(X, y, (3, 4))
 
 
@@ -58,10 +66,11 @@ def assert_same_pruning(tree, ref_tree, data, folds):
     assert tree_dict(pruned) == oracle.tree_to_dict(ref_pruned)
 
 
-@pytest.mark.parametrize("task", ["clf", "reg"])
+@pytest.mark.parametrize("target", ["clf", "reg", "raw"])
 @pytest.mark.parametrize("seed", [0, 1, 2])
-def test_ties_constant_column_and_missing_levels(task, seed):
-    data = awkward_design(seed, 240, task)
+def test_ties_constant_column_and_missing_levels(target, seed):
+    # at depth 8 with min_leaf 1 a depth holds nodes of very different sizes
+    data, task = awkward_design(seed, 240, target), TASK[target]
     for max_depth, min_leaf in ((8, 1), (5, 7)):
         tree = fit_tree(data, max_depth, min_leaf, task)
         ref = oracle.fit_tree(data, max_depth, min_leaf, task)
@@ -69,10 +78,10 @@ def test_ties_constant_column_and_missing_levels(task, seed):
         assert_same_pruning(tree, ref, data, folds=5)
 
 
-@pytest.mark.parametrize("task", ["clf", "reg"])
+@pytest.mark.parametrize("target", ["clf", "reg", "raw"])
 @pytest.mark.parametrize("n", [2, 3, 8, 9])
-def test_min_leaf_at_and_past_half_the_rows(task, n):
-    data = awkward_design(n, n, task)
+def test_min_leaf_at_and_past_half_the_rows(target, n):
+    data, task = awkward_design(n, n, target), TASK[target]
     for min_leaf in (n // 2, n // 2 + 1, n):
         tree = fit_tree(data, 6, min_leaf, task)
         ref = oracle.fit_tree(data, 6, min_leaf, task)
@@ -81,12 +90,12 @@ def test_min_leaf_at_and_past_half_the_rows(task, n):
             assert_same_pruning(tree, ref, data, folds=2)
 
 
-@pytest.mark.parametrize("task", ["clf", "reg"])
+@pytest.mark.parametrize("target", ["clf", "reg", "raw"])
 @pytest.mark.parametrize("width", [1, 2, 5])
-def test_bootstrap_with_feature_pool(task, width):
-    # pools of 1 of 2 and 2 of 5 features sort per node; a one-feature
-    # design has no pool to draw and presorts each bootstrap sample
-    full = awkward_design(3, 150, task)
+def test_bootstrap_with_feature_pool(target, width):
+    # pools of 1 of 2 and 2 of 5 features, drawn depth by depth; a
+    # one-feature design has no pool to draw
+    full, task = awkward_design(3, 150, target), TASK[target]
     cols, pool = {1: ([0], 1), 2: ([0, 3], 1), 5: ([0, 1, 2, 3, 4], 2)}[width]
     categorical = tuple(i for i, j in enumerate(cols) if j in full.categorical)
     data = DesignMatrix(full.X[:, cols], full.y, categorical)
@@ -95,16 +104,53 @@ def test_bootstrap_with_feature_pool(task, width):
     assert model_to_dict(forest)["trees"] == [oracle.tree_to_dict(t) for t in ref]
 
 
-@pytest.mark.parametrize("loss", ["squared", "logistic"])
-def test_gbdt_stages_match_reference_trees(loss):
-    data = awkward_design(4, 200, "clf" if loss == "logistic" else "reg")
-    model = fit_gbdt(data, n_trees=6, max_depth=3, learning_rate=0.3, loss=loss, min_leaf=4)
+@pytest.mark.parametrize(
+    "loss, target, depth",
+    [("squared", "reg", 3), ("logistic", "clf", 3), ("squared", "raw", 5)],
+    ids=["squared", "logistic", "squared-raw"],
+)
+def test_gbdt_stages_match_reference_trees(loss, target, depth):
+    data = awkward_design(4, 200, target)
+    model = fit_gbdt(data, n_trees=6, max_depth=depth, learning_rate=0.3, loss=loss, min_leaf=4)
     score = np.full(data.n_rows, model.base_score)
     for tree in model.trees:
         grad = data.y - (sigmoid(score) if loss == "logistic" else score)
-        ref = oracle.fit_tree(DesignMatrix(data.X, grad, data.categorical), 3, 4, "reg")
+        ref = oracle.fit_tree(DesignMatrix(data.X, grad, data.categorical), depth, 4, "reg")
         assert tree_dict(tree) == oracle.tree_to_dict(ref)
         score += model.learning_rate * ref.predict(data.X)
+
+
+@pytest.mark.parametrize("pool", [None, 2])
+@pytest.mark.parametrize("cap", [1 << 16, 100])
+def test_trees_grown_together_equal_trees_grown_alone(monkeypatch, pool, cap):
+    # samples of very different sizes share every depth's scans; a small cap
+    # splits them into several batches
+    data = awkward_design(9, 240, "raw")
+    rng = np.random.default_rng(2)
+    samples = [rng.integers(0, 240, size=size) for size in (240, 60, 9, 150)]
+    cols = _Columns(data.X, data.categorical)
+
+    def grow(group, seeds):
+        rngs = [np.random.default_rng(seed) for seed in seeds]
+        return _grow_trees(cols, data.y, group, 7, 2, "reg", pool=pool, rngs=rngs)
+
+    alone = [grow([sample], [seed])[0] for seed, sample in enumerate(samples)]
+    monkeypatch.setattr(tree_module, "_BATCH_ROWS", cap)
+    together = grow(samples, range(len(samples)))
+    for sample, (tree, leaf), (ref, ref_leaf) in zip(samples, together, alone):
+        assert text(model_to_dict(tree)) == text(model_to_dict(ref))
+        assert np.array_equal(leaf, ref_leaf)
+        # the leaf each entry lands in is the one routing its row reaches
+        assert np.array_equal(tree.value[leaf], tree.predict(data.X[sample]))
+
+
+def test_no_cut_anywhere_leaves_the_root_a_leaf():
+    # constant columns offer no cut, numeric or categorical
+    X = np.column_stack([np.full(30, 2.0), np.full(30, 7.0)])
+    data = DesignMatrix(X, np.arange(30.0), (1,))
+    tree = fit_tree(data, max_depth=4)
+    assert tree.n_leaves == 1
+    assert tree_dict(tree) == oracle.tree_to_dict(oracle.fit_tree(data, max_depth=4))
 
 
 @pytest.mark.parametrize("cat", [0, 1])
@@ -156,9 +202,9 @@ def oracle_gbdt_trees(data, model, max_depth, min_leaf):
     return trees
 
 
-@pytest.mark.parametrize("task", ["clf", "reg"])
-def test_saved_text_and_routing_of_trees_and_pruned_trees(task):
-    data = awkward_design(6, 240, task)
+@pytest.mark.parametrize("target", ["clf", "reg", "raw"])
+def test_saved_text_and_routing_of_trees_and_pruned_trees(target):
+    data, task = awkward_design(6, 240, target), TASK[target]
     X = with_unseen_levels(data)
     tree = fit_tree(data, 8, 2, task)
     ref = oracle.fit_tree(data, 8, 2, task)
@@ -172,9 +218,9 @@ def test_saved_text_and_routing_of_trees_and_pruned_trees(task):
         assert np.array_equal(t.apply(X), r.apply(X))
 
 
-@pytest.mark.parametrize("task", ["clf", "reg"])
-def test_saved_text_and_routing_of_forests(task):
-    data = awkward_design(7, 200, task)
+@pytest.mark.parametrize("target", ["clf", "reg", "raw"])
+def test_saved_text_and_routing_of_forests(target):
+    data, task = awkward_design(7, 200, target), TASK[target]
     X = with_unseen_levels(data)
     # more than 8 trees, so that a pairwise sum would round differently
     forest = fit_forest(data, n_trees=12, max_depth=6, min_leaf=2, seed=3, task=task)
@@ -186,12 +232,16 @@ def test_saved_text_and_routing_of_forests(task):
     assert np.array_equal(forest.predict(X), total / len(ref))
 
 
-@pytest.mark.parametrize("loss", ["squared", "logistic"])
-def test_saved_text_routing_and_leaf_encoding_of_gbdts(loss):
-    data = awkward_design(8, 200, "clf" if loss == "logistic" else "reg")
+@pytest.mark.parametrize(
+    "loss, target, depth",
+    [("squared", "reg", 3), ("logistic", "clf", 3), ("squared", "raw", 6)],
+    ids=["squared", "logistic", "squared-raw"],
+)
+def test_saved_text_routing_and_leaf_encoding_of_gbdts(loss, target, depth):
+    data = awkward_design(8, 200, target)
     X = with_unseen_levels(data)
-    model = fit_gbdt(data, n_trees=12, max_depth=3, learning_rate=0.3, loss=loss, min_leaf=4)
-    ref = oracle_gbdt_trees(data, model, 3, 4)
+    model = fit_gbdt(data, n_trees=12, max_depth=depth, learning_rate=0.3, loss=loss, min_leaf=4)
+    ref = oracle_gbdt_trees(data, model, depth, 4)
     assert text(model_to_dict(model)["trees"]) == text([oracle.tree_to_dict(t) for t in ref])
     score = np.full(len(X), model.base_score)
     encoded = np.zeros((len(X), sum(t.n_leaves for t in ref)))

@@ -7,7 +7,10 @@ recursively per node, and ``tree_to_dict`` writes the nested model format
 from it.  ``_best_split`` runs a stable argsort of every numeric feature
 and ``np.unique`` of every categorical feature at every node; the pruning
 loop routes the validation rows through the fold tree once per candidate
-alpha, and every collapse step recomputes every weakest link.
+alpha, and every collapse step recomputes every weakest link.  Trees grow
+node by node, recursively; a forest tree with feature pools grows depth by
+depth, left to right, to draw its pools in the stream ``fit_forest``
+states.
 """
 
 import math
@@ -16,7 +19,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from interestsim.mlcore.data import DesignMatrix
-from interestsim.mlcore.tree import _GAIN_EPS, _impurity
+
+_GAIN_EPS = 1e-12
+
+
+def _impurity(s: float, s2: float, n: int, task: str) -> float:
+    if task == "reg":
+        return max(s2 - s * s / n, 0.0)
+    return 2.0 * s * (n - s) / n  # Gini mass for binary s = sum(y)
 
 
 @dataclass
@@ -230,7 +240,7 @@ def _best_split(X, y, idx, features, categorical, min_leaf, task):
     return best
 
 
-def _grow(X, y, idx, depth, max_depth, min_leaf, task, categorical, feature_pool=None, rng=None):
+def _grow(X, y, idx, depth, max_depth, min_leaf, task, categorical):
     yv = y[idx]
     n = len(idx)
     s = float(yv.sum())
@@ -238,11 +248,7 @@ def _grow(X, y, idx, depth, max_depth, min_leaf, task, categorical, feature_pool
     node = TreeNode(value=s / n, n=n, impurity=_impurity(s, s2, n, task))
     if depth >= max_depth or n < 2 * min_leaf:
         return node
-    if feature_pool is None:
-        features = range(X.shape[1])
-    else:
-        features = feature_pool(rng)
-    best = _best_split(X, y, idx, features, categorical, min_leaf, task)
+    best = _best_split(X, y, idx, range(X.shape[1]), categorical, min_leaf, task)
     if best is None:
         return node
     _, j, thr, members = best
@@ -251,8 +257,8 @@ def _grow(X, y, idx, depth, max_depth, min_leaf, task, categorical, feature_pool
     node.feature = int(j)
     node.threshold = thr
     node.members = members
-    node.left = _grow(X, y, idx[go_left], depth + 1, max_depth, min_leaf, task, categorical, feature_pool, rng)
-    node.right = _grow(X, y, idx[~go_left], depth + 1, max_depth, min_leaf, task, categorical, feature_pool, rng)
+    node.left = _grow(X, y, idx[go_left], depth + 1, max_depth, min_leaf, task, categorical)
+    node.right = _grow(X, y, idx[~go_left], depth + 1, max_depth, min_leaf, task, categorical)
     return node
 
 
@@ -265,8 +271,43 @@ def fit_tree(data: DesignMatrix, max_depth: int = 10, min_leaf: int = 1, task: s
     return Tree(root, task, max_depth, min_leaf, data.n_cols, data.categorical)
 
 
+def _grow_breadth_first(X, y, idx, max_depth, min_leaf, task, categorical, k, rng):
+    """A forest tree: nodes made depth by depth, left to right.  At each
+    depth the open nodes (below max_depth, 2 * min_leaf rows or more, a
+    positive impurity) draw their feature pools from one (nodes x
+    features) uniform matrix, row i for the i-th: the columns of its k
+    smallest entries."""
+    root = TreeNode(value=0.0, n=0, impurity=0.0)
+    level = [(root, idx)]
+    for depth in range(max_depth + 1):
+        opened = []
+        for node, rows in level:
+            yv = y[rows]
+            s = float(yv.sum())
+            s2 = float((yv * yv).sum()) if task == "reg" else s
+            node.value, node.n, node.impurity = s / len(rows), len(rows), _impurity(s, s2, len(rows), task)
+            if depth < max_depth and len(rows) >= 2 * min_leaf and node.impurity > _GAIN_EPS:
+                opened.append((node, rows))
+        if not opened:
+            break
+        pools = np.sort(np.argsort(rng.random((len(opened), X.shape[1])), axis=1, kind="stable")[:, :k], axis=1)
+        level = []
+        for (node, rows), pool in zip(opened, pools):
+            best = _best_split(X, y, rows, pool.tolist(), categorical, min_leaf, task)
+            if best is None:
+                continue
+            _, j, thr, members = best
+            x = X[rows, j]
+            go_left = np.isin(x, members) if members is not None else x <= thr
+            node.feature, node.threshold, node.members = int(j), thr, members
+            node.left, node.right = TreeNode(0.0, 0, 0.0), TreeNode(0.0, 0, 0.0)
+            level += [(node.left, rows[go_left]), (node.right, rows[~go_left])]
+    return root
+
+
 def fit_forest_trees(data, n_trees, max_depth, min_leaf, k, bootstrap, seed, task) -> list[Tree]:
-    """The trees of ``fit_forest`` with a pool of k features per node."""
+    """The trees of ``fit_forest`` with a pool of k features per node,
+    drawn depth by depth; with k = p every node scans every feature."""
     p = data.n_cols
     trees = []
     for child in np.random.SeedSequence(seed).spawn(n_trees):
@@ -276,14 +317,11 @@ def fit_forest_trees(data, n_trees, max_depth, min_leaf, k, bootstrap, seed, tas
         else:
             idx = np.arange(data.n_rows)
         if k < p:
-            def pool(r, _k=k, _p=p):
-                return np.sort(r.choice(_p, size=_k, replace=False))
+            root = _grow_breadth_first(
+                data.X, data.y, idx, max_depth, min_leaf, task, set(data.categorical), k, rng
+            )
         else:
-            pool = None
-        root = _grow(
-            data.X, data.y, idx, 0, max_depth, min_leaf, task, set(data.categorical),
-            feature_pool=pool, rng=rng,
-        )
+            root = _grow(data.X, data.y, idx, 0, max_depth, min_leaf, task, set(data.categorical))
         _assign_leaf_indices(root)
         trees.append(Tree(root, task, max_depth, min_leaf, p, data.categorical))
     return trees
