@@ -1,12 +1,13 @@
 """Random forests: bagged trees with per-split feature subsampling.
 
-Trees grow through the one grower in tree.py, depth by depth, the trees
-of a share together.  Each tree's stream is its own ``SeedSequence``
-child: it draws the tree's bootstrap rows, then, at each depth, the pools
-of the depth's open nodes, in left-to-right order, from one uniform
-(nodes x features) matrix: a node's pool is the columns of the about
-sqrt(p) smallest entries of its row.  A one-feature design has nothing to
-draw, so each of its trees presorts its bootstrap sample as fit_tree does.
+Trees grow through the one grower in tree.py, depth by depth, all of a
+forest's trees in one call, which batches them by rows.  Each tree's
+stream is its own ``SeedSequence`` child: it draws the tree's bootstrap
+rows, then, at each depth, the pools of the depth's open nodes, in
+left-to-right order, from one uniform (nodes x features) matrix: a node's
+pool is the columns of the about sqrt(p) smallest entries of its row.  A
+one-feature design has nothing to draw, so each of its trees presorts its
+bootstrap sample as fit_tree does.
 
 With a pool, each depth sorts only the sampled columns of its open nodes.
 Partitioning a presort of all columns per depth instead gave the same
@@ -15,11 +16,9 @@ benchmark forest (1,400 rows, 15 columns) and 558 against 514 ms for 4
 trees on 49,000 rows, on one CPU of a 2-vCPU VM (medians of 10 and 5
 alternating runs).
 
-A tree depends only on its stream, so the trees are grown with
-``_util.fork_map``: a contiguous share per CPU, in forked workers, which
-send the grown trees back, and the first share in the caller.  They come
-back in seed order, the same trees for any number of CPUs.  The arguments
-are checked once, before the fan-out.
+A tree depends only on its stream, not on the trees grown beside it, and
+the trees are returned in seed order.  The arguments are checked before
+any tree is grown.
 """
 
 from __future__ import annotations
@@ -29,7 +28,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .._util import cpu_shares, fork_map
 from .data import DesignMatrix, check_width
 from .tree import Tree, _check_growth, _Columns, _grow_trees, route
 
@@ -69,12 +67,7 @@ def fit_forest(
     k = max(1, round(math.sqrt(p)))
 
     cols = _Columns(data.X, data.categorical)
-
-    def grow(share: list[np.random.SeedSequence]) -> list[Tree]:
-        rngs = [np.random.default_rng(child) for child in share]
-        samples = [rng.integers(0, data.n_rows, size=data.n_rows) for rng in rngs]
-        grown = _grow_trees(cols, data.y, samples, max_depth, min_leaf, task, pool=k if k < p else None, rngs=rngs)
-        return [tree for tree, _ in grown]
-
-    shares = cpu_shares(np.random.SeedSequence(seed).spawn(n_trees))
-    return ForestModel([tree for share in fork_map(grow, shares) for tree in share], task, p, seed)
+    rngs = [np.random.default_rng(child) for child in np.random.SeedSequence(seed).spawn(n_trees)]
+    samples = [rng.integers(0, data.n_rows, size=data.n_rows) for rng in rngs]
+    grown = _grow_trees(cols, data.y, samples, max_depth, min_leaf, task, pool=k if k < p else None, rngs=rngs)
+    return ForestModel([tree for tree, _ in grown], task, p, seed)

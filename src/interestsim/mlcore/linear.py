@@ -7,19 +7,15 @@ with an unpenalized intercept.  Every fit is a lambda path (``_fit_path``)
 on standardized, centred rows: ``fit_linear`` fits one lambda on its
 design, and ``fit_linear_cv`` runs one path per fold on the fold's rows of
 its one design, centred by their means (which moves only the intercept).
-The folds are independent, so ``fit_linear_cv`` fans them out over the
-CPUs with ``_util.fork_map``; each worker returns its folds' validation
-losses, the caller sums them in fold order and refits on all rows itself,
-so the CV table, the chosen lambda and the model are those of a serial
-loop, bit for bit, for any number of CPUs.  ``fit_linear``, which the
-benchmark harness hooks, never runs in a worker.
+The folds run one after another in the caller, which sums their
+validation losses in fold order and then refits on all rows.
 
 ``fit_linear`` and ``fit_linear_cv`` run with one BLAS thread (see
-``_util._one_blas_thread``), as ``fork_map``'s items do.  OpenBLAS rounds
-its products, Z'Z and Z'r among them, differently under different thread
-counts, so fits, CV tables and certificates would otherwise depend on the
-BLAS thread count in their last bits; with one thread (where ``_util``
-finds OpenBLAS's thread control) they do not.
+``_util._one_blas_thread``).  OpenBLAS rounds its products, Z'Z and Z'r
+among them, differently under different thread counts, so fits, CV tables
+and certificates would otherwise depend on the BLAS thread count in their
+last bits; with one thread (where ``_util`` finds OpenBLAS's thread
+control) they do not.
 
 Both links have one exact inner solver, a lasso homotopy
 (``_lasso_path``), and one stopping rule each.  The identity link is one
@@ -48,7 +44,7 @@ import numpy as np
 from scipy.linalg.blas import dsyrk, dtrsv
 from scipy.linalg.lapack import dpotrf, dpotrs, dtrtri
 
-from .._util import _one_blas_thread, fork_map
+from .._util import _one_blas_thread
 from .data import DesignMatrix, check_width
 
 
@@ -573,12 +569,9 @@ def fit_linear_cv(
     its own lambda, so its bound is at least as loose as a fold fit's
     there.
 
-    The arguments are checked here, once, before the folds fan out.  Each
-    fold (its rows, path and summed validation loss) is one ``fork_map``
-    item, run in a forked worker or in the caller; the losses come back in
-    fold order and are added up in that order, as a serial loop adds them.
-    Only ``_fit_path`` runs in a worker, never ``fit_linear``: the refit
-    stays in the caller, after the CV's design is released."""
+    The arguments are checked here, once, before any fold is fit.  The
+    refit runs after the CV's design and the last fold's rows are
+    released."""
     if folds < 2:
         raise ValueError("folds must be >= 2")
     if data.n_rows < 2:
@@ -587,20 +580,16 @@ def fit_linear_cv(
     Z, y = _standardize(data)[3], data.y
     grid = default_lambda_grid(Z, y)
 
-    def fold_losses(fold):
-        train_idx, val_idx = fold
+    totals = {lam: 0.0 for lam in grid}
+    for train_idx, val_idx in _kfold_indices(data.n_rows, min(folds, data.n_rows), seed):
         Zt = Z[train_idx]
         m = Zt.mean(axis=0)
         Zt = np.asfortranarray(np.subtract(Zt, m, out=Zt))
         Zv, yv = Z[val_idx] - m, y[val_idx]
-        scores = [_decision(Zv, w, b) for w, b, *_ in _fit_path(Zt, y[train_idx], link, grid, max_iter)]
-        return [cv_loss(sigmoid(z) if link == "logistic" else z, yv, link) * len(val_idx) for z in scores]
-
-    totals = {lam: 0.0 for lam in grid}
-    for losses in fork_map(fold_losses, _kfold_indices(data.n_rows, min(folds, data.n_rows), seed)):
-        for lam, loss in zip(grid, losses):
-            totals[lam] += loss
-    del Z
+        for lam, (w, b, *_) in zip(grid, _fit_path(Zt, y[train_idx], link, grid, max_iter)):
+            z = _decision(Zv, w, b)
+            totals[lam] += cv_loss(sigmoid(z) if link == "logistic" else z, yv, link) * len(val_idx)
+    del Z, Zt, Zv
     # minimize CV loss; ties prefer the larger lambda (sparser model)
     best = grid[0]
     for lam in grid:

@@ -178,10 +178,10 @@ def test_prediction_row_order_equivariance():
 
 
 def test_forest_validates_task_and_min_leaf(monkeypatch):
-    def no_fan_out(*args):
-        raise AssertionError("reached the tree fan-out")
+    def no_work(*args):
+        raise AssertionError("reached the forest's column coding")
 
-    monkeypatch.setattr(forest_module, "fork_map", no_fan_out)
+    monkeypatch.setattr(forest_module, "_Columns", no_work)
     X, y = regression_data(12)
     with pytest.raises(ValueError, match="task"):
         fit_forest(dm(X, y), n_trees=2, task="classification")

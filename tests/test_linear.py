@@ -1,3 +1,4 @@
+import contextlib
 import os
 
 import numpy as np
@@ -10,10 +11,14 @@ from interestsim.mlcore import (
     ConvergenceError,
     DesignMatrix,
     encode_leaves,
+    fit_forest,
     fit_gbdt,
+    fit_hybrid,
     fit_linear,
     fit_linear_cv,
+    fit_tree,
     linear,
+    prune_tree,
     sigmoid,
 )
 
@@ -537,9 +542,8 @@ def _assert_same_model(new, old):
 
 
 def _record_fold_paths(monkeypatch):
-    """Run ``fit_linear_cv``'s folds in the caller and record every
-    ``_fit_path`` call it makes as (Z, y, lambdas, path): the folds' in fold
-    order, then the refit's."""
+    """Record every ``_fit_path`` call ``fit_linear_cv`` makes as (Z, y,
+    lambdas, path): the folds' in fold order, then the refit's."""
     calls = []
     fit_path = linear._fit_path
 
@@ -548,7 +552,6 @@ def _record_fold_paths(monkeypatch):
         return calls[-1][3]
 
     monkeypatch.setattr(linear, "_fit_path", recording)
-    monkeypatch.setattr(linear, "fork_map", lambda fn, items: [fn(x) for x in items])
     return calls
 
 
@@ -610,7 +613,6 @@ def test_cv_standardizes_once_and_once_more_for_the_refit(folds, monkeypatch):
     calls = []
     standardize = linear._standardize
     monkeypatch.setattr(linear, "_standardize", lambda data: calls.append(data.n_rows) or standardize(data))
-    monkeypatch.setattr(linear, "fork_map", lambda fn, items: [fn(x) for x in items])
     X, y = random_regression(16)
     for link, target in (("identity", y), ("logistic", (y > np.median(y)).astype(float))):
         calls.clear()
@@ -783,19 +785,19 @@ def test_cv_rejects_fewer_than_two_folds(folds):
         fit_linear_cv(dm(X, y), "identity", folds=folds)
 
 
-def _no_fan_out(*args):
-    raise AssertionError("reached the fold fan-out")
+def _no_work(*args):
+    raise AssertionError("reached the design's standardization")
 
 
 @pytest.mark.parametrize("link", ["identity", "logistic"])
 def test_cv_rejects_one_row_before_fan_out(link, monkeypatch):
-    monkeypatch.setattr(linear, "fork_map", _no_fan_out)
+    monkeypatch.setattr(linear, "_standardize", _no_work)
     with pytest.raises(ValueError, match="at least 2 rows, got 1"):
         fit_linear_cv(dm([[0.5, 2.0]], [1.0]), link, folds=3)
 
 
 def test_cv_rejects_bad_link_and_targets_before_fan_out(monkeypatch):
-    monkeypatch.setattr(linear, "fork_map", _no_fan_out)
+    monkeypatch.setattr(linear, "_standardize", _no_work)
     X, y = random_regression(15)
     with pytest.raises(ValueError, match="link must be 'identity' or 'logistic', got 'probit'"):
         fit_linear_cv(dm(X, y), "probit", folds=3)
@@ -806,27 +808,32 @@ def test_cv_rejects_bad_link_and_targets_before_fan_out(monkeypatch):
 # -- one BLAS thread per linear fit ------------------------------------------------
 
 
-@pytest.mark.parametrize("link", ["identity", "logistic"])
-def test_linear_fits_run_with_one_blas_thread(link, monkeypatch, tmp_path):
-    from test_fork_map import blas_counts, use_cpus  # test_fork_map imports this module
+def blas_counts():
+    """This thread's count in each OpenBLAS loaded, read by setting it back."""
+    counts = []
+    for set_count in _util._openblas_libraries():
+        n = set_count(1)
+        set_count(n)
+        counts.append(n)
+    return counts
 
+
+@pytest.mark.parametrize("link", ["identity", "logistic"])
+def test_linear_fits_run_with_one_blas_thread(link, monkeypatch):
     libraries = _util._openblas_libraries()
     if not libraries:
         pytest.skip("no OpenBLAS with openblas_set_num_threads_local is loaded")
-    use_cpus(monkeypatch, 2)
-    # every _fit_path call, in the caller or a fork_map child, appends its
-    # process and BLAS counts to a file that outlives the child
-    seen = tmp_path / "seen.txt"
+    # every _fit_path call records its process and BLAS counts
+    calls = []
     fit_path = linear._fit_path
 
     def recording(*args):
-        with open(seen, "a") as fh:
-            fh.write(f"{os.getpid()} {blas_counts()}\n")
+        calls.append((os.getpid(), blas_counts()))
         return fit_path(*args)
 
     monkeypatch.setattr(linear, "_fit_path", recording)
     data = _path_data("categorical", link)
-    before = [set_count(2) for set_count, _ in libraries]  # a caller with two threads
+    before = [set_count(2) for set_count in libraries]  # a caller with two threads
     try:
         for fit in (lambda: fit_linear(data, link, 0.01), lambda: fit_linear_cv(data, link, folds=3, seed=4)):
             fit()
@@ -838,10 +845,60 @@ def test_linear_fits_run_with_one_blas_thread(link, monkeypatch, tmp_path):
             fit_linear_cv(data, link, folds=3, seed=4, max_iter=1)
         assert blas_counts() == [2] * len(libraries)
     finally:
-        for (set_count, _), n in zip(libraries, before):
+        for set_count, n in zip(libraries, before):
             set_count(n)
-    calls = [line.split(" ", 1) for line in seen.read_text().splitlines()]
     # each fit_linear call solves one path, each fit_linear_cv call three folds and its refit
-    assert len(calls) == 2 * (1 + 3 + 1)
-    assert {pid for pid, _ in calls} > {str(os.getpid())}  # a child ran a fold too
-    assert {counts for _, counts in calls} == {str([1] * len(libraries))}
+    assert calls == [(os.getpid(), [1] * len(libraries))] * (2 * (1 + 3 + 1))
+
+
+def test_nested_one_blas_thread_blocks_leave_the_count_to_the_outermost(monkeypatch):
+    # only the outermost block sets the count and restores the caller's,
+    # on an exception too; a nested one makes no call into OpenBLAS
+    libraries = _util._openblas_libraries()
+    if not libraries:
+        pytest.skip("no OpenBLAS with openblas_set_num_threads_local is loaded")
+    calls = []
+    set_blas_threads = _util._set_blas_threads
+    monkeypatch.setattr(_util, "_set_blas_threads", lambda *args: calls.append(args[1]) or set_blas_threads(*args))
+    before = [set_count(2) for set_count in libraries]  # a caller with two threads
+    try:
+        for fail in (False, True):
+            calls.clear()
+            with pytest.raises(ZeroDivisionError) if fail else contextlib.nullcontext():
+                with _util._one_blas_thread():
+                    assert calls == [[1] * len(libraries)]
+                    with _util._one_blas_thread():
+                        with _util._one_blas_thread():
+                            assert blas_counts() == [1] * len(libraries)
+                            if fail:
+                                1 / 0
+                        assert blas_counts() == [1] * len(libraries)
+                    assert len(calls) == 1
+            assert calls == [[1] * len(libraries), [2] * len(libraries)]
+            assert blas_counts() == [2] * len(libraries)
+    finally:
+        for set_count, n in zip(libraries, before):
+            set_count(n)
+
+
+def test_openblas_libraries_are_looked_up_once_per_process():
+    # every outermost _one_blas_thread block reads them; the first lookup is kept
+    assert _util._openblas_libraries() is _util._openblas_libraries()
+
+
+def test_no_fit_forks(monkeypatch):
+    # the cross-validated and bagged fits run in the caller's process,
+    # however many CPUs it may use
+    def no_fork():
+        raise AssertionError("a fit forked")
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(os, "fork", no_fork)
+    for link in ("identity", "logistic"):
+        fit_linear_cv(_path_data("categorical", link), link, folds=3, seed=4)
+    for task, link in (("clf", "logistic"), ("reg", "identity")):
+        data = _path_data("categorical", link, n=120)
+        fit_forest(data, n_trees=4, max_depth=4, seed=8, task=task)
+        fit_hybrid(data, task, gbdt_params={"n_trees": 3, "max_depth": 2}, folds=3)
+    data = _path_data("categorical", "identity", n=120)
+    prune_tree(fit_tree(data, max_depth=5, min_leaf=4), data, folds=3)
