@@ -40,8 +40,9 @@ class HybridModel:
 def _distinct_leaf_design(leaves: np.ndarray, data: DesignMatrix):
     """[distinct leaf columns, X], plus the leaf columns kept (the first of
     each set of equal columns) and, for every leaf column, the position of
-    its kept equal among them."""
-    _, first, inverse = np.unique(leaves, axis=1, return_index=True, return_inverse=True)
+    its kept equal among them.  Columns compare as bits, eight rows a byte."""
+    bits = np.packbits(leaves != 0, axis=0)
+    _, first, inverse = np.unique(bits, axis=1, return_index=True, return_inverse=True)
     kept = np.sort(first)
     rep = np.searchsorted(kept, first[inverse.ravel()])
     X = np.hstack([leaves[:, kept], data.X])

@@ -329,3 +329,27 @@ def test_convergence_error_carries_a_full_width_model():
     augmented = np.hstack([encode_leaves(fit_gbdt(dm(X, y), loss="squared", n_trees=8), X), X])
     assert len(model.weights) == len(model.feature_names) == augmented.shape[1]
     assert model.predict(augmented).shape == (len(X),)
+
+
+@pytest.mark.parametrize("n", [1, 7, 9, 13, 17])
+def test_distinct_leaf_columns_on_packed_bits_at_awkward_row_counts(n):
+    # row counts that leave the last packed byte part padding, and columns
+    # that differ only in their last row, so only that padded byte tells
+    # them apart
+    rng = np.random.default_rng(n)
+    base = (rng.random((n, 6)) < 0.5).astype(float)
+    last = np.zeros((n, 2))
+    last[-1, 1] = 1.0  # all-zero, and one only in the last row
+    flipped = base[:, :2].copy()
+    flipped[-1] = 1.0 - flipped[-1]
+    leaves = np.hstack([base, last, flipped, base[:, ::-1], last[:, ::-1]])
+    data = dm(rng.random((n, 2)), rng.random(n))
+    design, kept, rep = _distinct_leaf_design(leaves, data)
+    first = {}
+    for j in range(leaves.shape[1]):
+        first.setdefault(leaves[:, j].tobytes(), j)
+    ref_kept = np.array(sorted(first.values()))
+    ref_rep = np.searchsorted(ref_kept, [first[leaves[:, j].tobytes()] for j in range(leaves.shape[1])])
+    assert np.array_equal(kept, ref_kept)
+    assert np.array_equal(rep, ref_rep)
+    assert np.array_equal(design.X, np.hstack([leaves[:, ref_kept], data.X]))

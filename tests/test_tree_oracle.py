@@ -20,6 +20,7 @@ from interestsim.mlcore import (
     prune_tree,
 )
 from interestsim.mlcore.linear import sigmoid
+from interestsim.mlcore import gbdt as gbdt_module
 from interestsim.mlcore import tree as tree_module
 from interestsim.mlcore.tree import _Columns, _cv_losses, _grow_trees
 
@@ -252,3 +253,45 @@ def test_saved_text_routing_and_leaf_encoding_of_gbdts(loss, target, depth):
         offset += t.n_leaves
     assert np.array_equal(model.decision_function(X), score)
     assert np.array_equal(encode_leaves(model, X), encoded)
+
+
+@pytest.mark.parametrize("attr", ["value", "leaf"])
+def test_one_route_over_trees_of_every_depth_past_one_block(attr):
+    # a root leaf, a stump and a deep pruned tree with categorical splits,
+    # routed together: the root leaf is already where it ends, and the
+    # stump's entries sit at their leaves while the deep tree's still move
+    noisy = awkward_design(6, 240, "reg")
+    # a step in column 2 and a level of categorical column 3 that pruning keeps
+    y = np.round(2 * noisy.X[:, 2] + 2.0 * (noisy.X[:, 3] % 10 == 1) + 0.1 * noisy.y, 1)
+    data = DesignMatrix(noisy.X, y, noisy.categorical)
+    constant = DesignMatrix(data.X, np.full(data.n_rows, 0.5), data.categorical)
+    X = with_unseen_levels(awkward_design(10, tree_module._BLOCK + 4, "reg"))[: 2 * tree_module._BLOCK + 7]
+    pruned = prune_tree(fit_tree(data, 8, 2), data, 5)
+    trees = [fit_tree(constant, 4), fit_tree(data, 1), pruned]
+    ref_pruned, _, _ = oracle.prune_tree(oracle.fit_tree(data, 8, 2), data, 5)
+    refs = [oracle.fit_tree(constant, 4), oracle.fit_tree(data, 1), ref_pruned]
+    assert [t.n_leaves for t in trees] == [1, 2, ref_pruned.n_leaves]
+    assert len(pruned.cat_node) > 0 and pruned.n_leaves > 8
+    for t, r in zip(trees, refs):
+        assert text(model_to_dict(t)["tree"]) == text(oracle.tree_to_dict(r))
+    if attr == "value":
+        expected = np.column_stack([r.predict(X) for r in refs])
+    else:  # leaf numbers run on across the trees
+        offsets = np.cumsum([0] + [r.n_leaves for r in refs])
+        expected = np.column_stack([r.apply(X) + o for r, o in zip(refs, offsets)])
+    routed = tree_module.route(trees, X, attr)
+    assert routed.dtype == (np.float64 if attr == "value" else np.intp)
+    assert np.array_equal(routed, expected)
+    empty = tree_module.route([], X, attr)
+    assert empty.shape == (len(X), 0)
+    assert empty.dtype == routed.dtype
+
+
+@pytest.mark.parametrize("loss, target", [("squared", "raw"), ("logistic", "clf")])
+def test_grower_leaves_are_the_routed_leaves(loss, target):
+    # fit_gbdt updates each stage's scores from the leaves the grower put
+    # the rows in; routing X through the fitted trees gives the same loss
+    data = awkward_design(11, 300, target)
+    model = fit_gbdt(data, n_trees=10, max_depth=4, learning_rate=0.3, loss=loss, min_leaf=3)
+    assert any(len(t.cat_node) for t in model.trees)
+    assert model.train_losses[-1] == gbdt_module._mean_loss(data.y, model.decision_function(data.X), loss)
