@@ -8,7 +8,9 @@ fit runs with one BLAS thread (see ``mlcore.linear``).  The model files
 (format 3) and ``reports/models.json`` give each linear, l1linear and
 hybrid fit its converged flag, ``n_sweeps`` (its homotopy steps under both
 links) and its optimality certificate under both links;
-``reports/models.json`` gives each tree-based row its ``n_leaves``.
+``reports/models.json`` gives each hybrid row its ``cv_table`` (CV loss
+per lambda, keyed by ``repr(lambda)`` as in the model files), and it and
+``reports/ablation.json`` give each tree-based row its ``n_leaves``.
 """
 
 from __future__ import annotations
@@ -235,7 +237,6 @@ def cmd_evaluate(args) -> int:
         raise ValueError("test samples carry no labels")
     X, _, _ = samples.feature_matrix()
     scores = mlcore.predict(model, X)
-    sims = samples.labels
     label_mean = meta.get("label_mean")
     if label_mean is None:
         raise ValueError("model file lacks train_meta.label_mean; was it written by `train`?")
@@ -248,14 +249,8 @@ def cmd_evaluate(args) -> int:
         "model_kind": meta.get("model_kind"),
         "profile_kind": samples.kind,
         "n_test": len(samples),
+        **evalkit.held_out_metric(args.task, scores, samples.labels, label_mean),
     }
-    if args.task == "clf":
-        labels = sims > label_mean
-        report["threshold"] = label_mean
-        report["auc"] = evalkit.auc(scores, labels)
-    else:
-        report["train_mean"] = label_mean
-        report["reduced_mae_pct"] = evalkit.reduced_mae_ratio(scores, sims, label_mean)
     out = Path(args.report)
     out.parent.mkdir(parents=True, exist_ok=True)
     with open(out, "w", encoding="utf-8") as fh:
@@ -363,47 +358,37 @@ def cmd_recommend(args) -> int:
 # -- pipeline -----------------------------------------------------------------
 
 
-def _leaf_count(model) -> int | None:
-    """Leaves of a tree-based model: a pruned tree's, the total over a
-    forest's or a GBDT's trees, and a hybrid's leaf-encoding width."""
-    if isinstance(model, mlcore.HybridModel):
-        return model.encoder.encoded_width
-    if isinstance(model, mlcore.Tree):
-        return model.n_leaves
-    if isinstance(model, (mlcore.ForestModel, mlcore.GbdtModel)):
-        return sum(tree.n_leaves for tree in model.trees)
-    return None
+def _model_table(samples, seed: int):
+    """(report, model) for each row of the model table: the six kinds on
+    the ptp samples per task, one protocol per task, the hybrid encoding
+    with that task's GBDT row; then the rtp and vbp reg hybrids."""
+    for task in ("clf", "reg"):
+        p = evalkit.protocol(samples["ptp"], task, seed=seed)
+        models = {}
+        for kind in mlcore.MODEL_KINDS:
+            if kind == "hybrid":
+                models[kind] = mlcore.fit_hybrid(p.train, models["gbdt"])
+            else:
+                models[kind] = evalkit.fit_model(kind, p.train, task, seed=seed)
+            yield p.report(kind, models[kind]), models[kind]
+    for kind in ("rtp", "vbp"):
+        yield evalkit.run_protocol(samples[kind], "hybrid", "reg", seed=seed)
 
 
 def _pipeline_models(out: Path, samples, seed: int, log) -> dict:
-    """Train/evaluate the model table and the per-kind hybrids."""
-    results = []
-
-    def record(report: dict, model) -> None:
-        leaves = _leaf_count(model)
-        if leaves is not None:
-            report["n_leaves"] = leaves
-        results.append(report)
-
+    """Train/evaluate the model table, save its hybrids and return the reg
+    hybrid of each profile kind."""
     models_dir = out / "models"
     models_dir.mkdir(parents=True, exist_ok=True)
-    hybrids = {}
-    for task in ("clf", "reg"):
-        for kind_name in mlcore.MODEL_KINDS:
-            report, model = evalkit.run_protocol(samples["ptp"], kind_name, task, seed=seed)
-            metric = report.get("auc", report.get("reduced_mae_pct"))
-            log(f"  {kind_name:8s} {task} ptp -> {metric:.4f}")
-            record(report, model)
-            if kind_name == "hybrid":
-                mlcore.save_model(model, models_dir / f"hybrid_{task}_ptp.json")
-                if task == "reg":
-                    hybrids["ptp"] = model
-    for kind in ("rtp", "vbp"):
-        report, model = evalkit.run_protocol(samples[kind], "hybrid", "reg", seed=seed)
-        log(f"  hybrid   reg {kind} -> {report['reduced_mae_pct']:.4f}")
-        record(report, model)
-        mlcore.save_model(model, models_dir / f"hybrid_reg_{kind}.json")
-        hybrids[kind] = model
+    results, hybrids = [], {}
+    for report, model in _model_table(samples, seed):
+        metric = report.get("auc", report.get("reduced_mae_pct"))
+        log(f"  {report['model']:8s} {report['task']} {report['kind']} -> {metric:.4f}")
+        results.append(report)
+        if report["model"] == "hybrid":
+            mlcore.save_model(model, models_dir / f"hybrid_{report['task']}_{report['kind']}.json")
+            if report["task"] == "reg":
+                hybrids[report["kind"]] = model
     with open(out / "reports" / "models.json", "w", encoding="utf-8") as fh:
         json.dump(results, fh, sort_keys=True, indent=2)
         fh.write("\n")

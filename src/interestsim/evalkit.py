@@ -1,5 +1,10 @@
 """Experiment protocol and correlation-study machinery: splits, metrics,
-mean-threshold binarization, bucketed similarity tables."""
+mean-threshold binarization, bucketed similarity tables.
+
+``protocol`` splits and labels a sample table once per task.  Each model
+of the table is fitted on its ``train`` design, and ``Protocol.report``
+scores it on the held-out rows with ``held_out_metric``, the metric the
+``evaluate`` command computes too; ``run_protocol`` does both for one model."""
 
 from __future__ import annotations
 
@@ -229,7 +234,8 @@ MODEL_DEFAULTS = {
 
 
 def fit_model(kind: str, data: DesignMatrix, task: str, folds: int = 10, seed: int = 0):
-    """Train one of the six model kinds with protocol defaults."""
+    """Train one of the six model kinds with protocol defaults; the hybrid
+    encodes with the GBDT this function fits for ``gbdt``."""
     if kind not in mlcore.MODEL_KINDS:
         raise ValueError(f"unknown model kind {kind!r}; choose from {mlcore.MODEL_KINDS}")
     link = "logistic" if task == "clf" else "identity"
@@ -246,20 +252,60 @@ def fit_model(kind: str, data: DesignMatrix, task: str, folds: int = 10, seed: i
     if kind == "gbdt":
         loss = "logistic" if task == "clf" else "squared"
         return mlcore.fit_gbdt(data, loss=loss, seed=seed, **MODEL_DEFAULTS["gbdt"])
-    gbdt_params = {**MODEL_DEFAULTS["gbdt"], "seed": seed}
-    return mlcore.fit_hybrid(data, task=task, gbdt_params=gbdt_params, folds=folds)
+    return mlcore.fit_hybrid(data, fit_model("gbdt", data, task, folds, seed), folds=folds)
 
 
-def run_protocol(
-    samples: SampleTable,
-    model_kind: str,
-    task: str,
-    seed: int = 0,
-    categories=None,
-    folds: int = 10,
-) -> tuple[dict, object]:
-    """70/30 split, mean-threshold binarization for classification, CV
-    inside training for model selection, metric on the held-out test."""
+def held_out_metric(task: str, scores, sims, train_mean: float) -> dict:
+    """The test metric: the AUC of the labels ``sims > train_mean`` (clf)
+    or the percent MAE reduction over predicting ``train_mean`` (reg)."""
+    if task == "clf":
+        return {"threshold": train_mean, "auc": auc(scores, np.asarray(sims) > train_mean)}
+    return {"train_mean": train_mean, "reduced_mae_pct": reduced_mae_ratio(scores, sims, train_mean)}
+
+
+@dataclass(frozen=True)
+class Protocol:
+    """A sample table split and labeled for one task; the labeling's
+    threshold, the mean training similarity, is also the reg baseline."""
+
+    samples: SampleTable
+    task: str
+    seed: int
+    categories: tuple[str, ...]
+    split: Split
+    labeling: BinaryLabeling
+    train: DesignMatrix
+    test_X: np.ndarray
+
+    def report(self, kind: str, model) -> dict:
+        """The held-out metric of ``model``, fitted on ``train``, with its
+        lambda, solver diagnostics, CV table, pruning alpha and leaf count."""
+        split, sims = self.split, self.samples.labels
+        report = {"model": kind, "task": self.task, "kind": self.samples.kind, "seed": self.seed,
+                  "categories": list(self.categories), "n_train": len(split.train), "n_test": len(split.test),
+                  **held_out_metric(self.task, mlcore.predict(model, self.test_X), sims[split.test],
+                                    self.labeling.threshold)}
+        hybrid = isinstance(model, mlcore.HybridModel)
+        linear = model.linear if hybrid else model
+        if isinstance(linear, mlcore.LinearModel):  # n_sweeps counts homotopy steps under both links
+            report.update({"lambda": linear.l1_lambda, "converged": linear.converged, "n_sweeps": linear.n_sweeps,
+                           "certificate": linear.certificate})
+        if hybrid:  # keyed as in the model files
+            report["cv_table"] = {repr(k): v for k, v in model.cv_table.items()}
+            report["n_leaves"] = model.encoder.encoded_width
+        elif isinstance(model, mlcore.Tree):
+            report["n_leaves"] = model.n_leaves
+            if model.pruning_alpha is not None:
+                report["pruning_alpha"] = model.pruning_alpha
+        elif isinstance(model, (mlcore.ForestModel, mlcore.GbdtModel)):
+            report["n_leaves"] = sum(tree.n_leaves for tree in model.trees)
+        return report
+
+
+def protocol(samples: SampleTable, task: str, seed: int = 0, categories=None) -> Protocol:
+    """70/30 split and, for classification, mean-threshold binarization,
+    checked to leave both classes in both parts before any model is
+    fitted; CV for model selection then runs inside the training rows."""
     if task not in ("clf", "reg"):
         raise ValueError(f"task must be 'clf' or 'reg', got {task!r}")
     if samples.labels is None:
@@ -267,41 +313,22 @@ def run_protocol(
     X, cat_idx, names = samples.feature_matrix(categories)
     sims = samples.labels
     split = train_test_split(len(samples), seed)
-    report: dict = {
-        "model": model_kind,
-        "task": task,
-        "kind": samples.kind,
-        "seed": seed,
-        "categories": list(categories) if categories is not None else ["demographic", "social", "interest"],
-        "n_train": len(split.train),
-        "n_test": len(split.test),
-    }
-    if task == "clf":
-        labeling = BinaryLabeling.from_similarities(sims[split.train], sims)
-        y = labeling.labels
-        report["threshold"] = labeling.threshold
-        for part in (split.train, split.test):
-            if y[part].min() == y[part].max():
-                raise ValueError("AUC needs both classes present")
-    else:
-        y = sims
+    labeling = BinaryLabeling.from_similarities(sims[split.train], sims)
+    y = labeling.labels if task == "clf" else sims
+    if task == "clf" and any(y[part].min() == y[part].max() for part in (split.train, split.test)):
+        raise ValueError("AUC needs both classes present")
+    categories = ("demographic", "social", "interest") if categories is None else tuple(categories)
     train = DesignMatrix(X[split.train], y[split.train], cat_idx, names)
-    model = fit_model(model_kind, train, task, folds=folds, seed=seed)
-    scores = mlcore.predict(model, X[split.test])
-    if task == "clf":
-        report["auc"] = auc(scores, y[split.test])
-    else:
-        train_mean = float(np.mean(sims[split.train]))
-        report["train_mean"] = train_mean
-        report["reduced_mae_pct"] = reduced_mae_ratio(scores, sims[split.test], train_mean)
-    linear = model.linear if isinstance(model, mlcore.HybridModel) else model
-    if isinstance(linear, mlcore.LinearModel):  # lambda and the solver's diagnostics
-        # n_sweeps counts homotopy steps under both links
-        report.update({"lambda": linear.l1_lambda, "converged": linear.converged, "n_sweeps": linear.n_sweeps,
-                       "certificate": linear.certificate})
-    if hasattr(model, "pruning_alpha") and model.pruning_alpha is not None:
-        report["pruning_alpha"] = model.pruning_alpha
-    return report, model
+    return Protocol(samples, task, seed, categories, split, labeling, train, X[split.test])
+
+
+def run_protocol(samples: SampleTable, model_kind: str, task: str, seed: int = 0, categories=None,
+                 folds: int = 10) -> tuple[dict, object]:
+    """One model of ``model_kind`` fitted on the ``protocol``'s training
+    rows, and its report."""
+    p = protocol(samples, task, seed, categories)
+    model = fit_model(model_kind, p.train, task, folds=folds, seed=seed)
+    return p.report(model_kind, model), model
 
 
 CATEGORY_COMBINATIONS = (

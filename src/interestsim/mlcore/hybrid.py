@@ -1,5 +1,6 @@
-"""Hybrid model: GBDT leaf one-hots concatenated with the original
-features, fed to an L1-regularized linear model (lambda picked by CV).
+"""Hybrid model: the leaf one-hots of a fitted GBDT (the encoder, which
+the caller fits and passes in) concatenated with the original features,
+fed to an L1-regularized linear model (lambda picked by CV).
 
 Many leaf columns repeat an earlier one: trees that split on the same
 feature first send the same rows to a leaf.  The lasso is fitted once, on
@@ -19,7 +20,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .data import DesignMatrix, check_width
-from .gbdt import GbdtModel, encode_leaves, fit_gbdt
+from .gbdt import GbdtModel, encode_leaves
 # fit_linear is not called here; perfbench's boundary hooks rebind it here and test that
 from .linear import CategoricalEncoder, ConvergenceError, LinearModel, fit_linear, fit_linear_cv  # noqa: F401
 
@@ -75,34 +76,20 @@ def _full_width(model: LinearModel, kept: np.ndarray, rep: np.ndarray, data: Des
     )
 
 
-def fit_hybrid(
-    data: DesignMatrix,
-    task: str = "clf",
-    gbdt_params: dict | None = None,
-    folds: int = 10,
-    max_iter: int = 2000,
-) -> HybridModel:
-    """Encoder first, then CV-selected lasso / L1-logistic on
-    [leaf one-hots, original features], fitted on the distinct leaf
-    columns and mapped back to all of them: the linear ``certificate`` is
-    S / S(0, 0) of the fit on the distinct leaf columns."""
-    if task not in ("clf", "reg"):
-        raise ValueError(f"task must be 'clf' or 'reg', got {task!r}")
-    params = gbdt_params or {}
-    loss = "logistic" if task == "clf" else "squared"
-    encoder = fit_gbdt(data, loss=loss, **params)
+def fit_hybrid(data: DesignMatrix, encoder: GbdtModel, folds: int = 10, max_iter: int = 2000) -> HybridModel:
+    """CV-selected lasso / L1-logistic on [leaf one-hots of ``encoder``,
+    original features], fitted on the distinct leaf columns and mapped back
+    to all of them: the linear ``certificate`` is S / S(0, 0) of the fit on
+    the distinct leaf columns.  The link follows the encoder's loss (logistic
+    or identity) and the CV folds are drawn with the encoder's seed; an
+    encoder of another width than ``data`` raises ``ValueError`` before any
+    linear fit."""
     design, kept, rep = _distinct_leaf_design(encode_leaves(encoder, data.X), data)
-    link = "logistic" if task == "clf" else "identity"
+    link = "logistic" if encoder.loss == "logistic" else "identity"
     try:
-        linear, cv_table = fit_linear_cv(design, link, folds=folds, seed=params.get("seed", 0), max_iter=max_iter)
+        linear, cv_table = fit_linear_cv(design, link, folds=folds, seed=encoder.seed, max_iter=max_iter)
     except ConvergenceError as err:
         err.model = _full_width(err.model, kept, rep, data)
         raise
     linear = _full_width(linear, kept, rep, data)
-    return HybridModel(
-        encoder=encoder,
-        linear=linear,
-        n_raw_features=data.n_cols,
-        chosen_lambda=linear.l1_lambda,
-        cv_table=cv_table,
-    )
+    return HybridModel(encoder, linear, data.n_cols, linear.l1_lambda, cv_table)

@@ -1,7 +1,7 @@
 import pytest
 
 from interestsim.corpus import Corpus, UserRecord, VideoRecord
-from interestsim.mlcore import encode_leaves, fit_gbdt, fit_linear
+from interestsim.mlcore import encode_leaves, fit_linear
 from interestsim.mlcore.hybrid import HybridModel, _distinct_leaf_design, _full_width
 from interestsim.synthgen import GenConfig, generate
 
@@ -21,12 +21,11 @@ def corpus_from_records(users, videos, views, friends, memberships, messages, re
     )
 
 
-def one_lambda_hybrid(data, task, gbdt_params, lam):
-    """A hybrid whose lasso is fitted at ``lam`` alone (no CV), from
-    ``fit_hybrid``'s own steps: the encoder, the distinct leaf columns and
-    the map back to every leaf column."""
-    loss, link = ("logistic", "logistic") if task == "clf" else ("squared", "identity")
-    encoder = fit_gbdt(data, loss=loss, **gbdt_params)
+def one_lambda_hybrid(data, encoder, lam):
+    """A hybrid on ``encoder`` whose lasso is fitted at ``lam`` alone (no
+    CV), from ``fit_hybrid``'s own steps: the distinct leaf columns and the
+    map back to every leaf column."""
+    link = "logistic" if encoder.loss == "logistic" else "identity"
     design, kept, rep = _distinct_leaf_design(encode_leaves(encoder, data.X), data)
     linear = _full_width(fit_linear(design, link, lam, max_iter=2000), kept, rep, data)
     return HybridModel(encoder, linear, data.n_cols, lam, {lam: float("nan")})

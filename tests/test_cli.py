@@ -2,6 +2,7 @@ import argparse
 import csv
 import hashlib
 import json
+import sys
 
 import pytest
 
@@ -226,8 +227,8 @@ PIPELINE_DIGESTS = {
     "models/hybrid_reg_ptp.json": "c41d00d79e397d62",
     "models/hybrid_reg_rtp.json": "db9ff0e16de9ff52",
     "models/hybrid_reg_vbp.json": "51d29529e0240476",
-    "reports/ablation.json": "3ca4fe5c2f7621aa",
-    "reports/models.json": "786e5e8d948a370e",
+    "reports/ablation.json": "00dfa7938c1ef8c7",
+    "reports/models.json": "8974ae82e24633ff",
     "reports/recommend.csv": "aeb2d54693862f32",
     "samples/test_ptp.csv": "e5b17b22c92410c2",
     "samples/test_rtp.csv": "e124b7dd873a6af1",
@@ -290,8 +291,21 @@ def test_pipeline_runs_end_to_end(tmp_path, monkeypatch):
         "pairs": 3000, "rec_targets": 40, "rec_candidates": 100,
     }
     monkeypatch.setitem(cli.PRESETS, "small", preset)
+    # count the GBDT fits wherever a module of the package holds fit_gbdt
+    fit_gbdt, fits = mlcore.fit_gbdt, []
+
+    def counted(*args, **kwargs):
+        fits.append(1)
+        return fit_gbdt(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("interestsim") and getattr(module, "fit_gbdt", None) is fit_gbdt:
+            monkeypatch.setattr(module, "fit_gbdt", counted)
     out = tmp_path / "run"
     assert main(["pipeline", "--preset", "small", "--seed", "42", "--out", str(out)]) == 0
+    # one GBDT per task serves as its table row and its ptp hybrid's encoder;
+    # the rtp and vbp hybrids fit their own
+    assert len(fits) == 4
     reports = out / "reports"
     rows = json.loads((reports / "models.json").read_text())
     assert len(rows) == 14
@@ -299,7 +313,13 @@ def test_pipeline_runs_end_to_end(tmp_path, monkeypatch):
     for row in rows:
         assert (row["model"] in ("tree", "forest", "gbdt", "hybrid")) == ("n_leaves" in row)
         assert row.get("n_leaves", 1) > 0
-    assert len(json.loads((reports / "ablation.json").read_text())) == 7
+        # each hybrid row reports its CV table as its model file does
+        assert (row["model"] == "hybrid") == ("cv_table" in row)
+        if "cv_table" in row:
+            name = f"hybrid_{row['task']}_{row['kind']}.json"
+            assert row["cv_table"] == json.loads((out / "models" / name).read_text())["cv_table"]
+    ablation = json.loads((reports / "ablation.json").read_text())
+    assert len(ablation) == 7 and all(row["n_leaves"] > 0 for row in ablation)
     with open(reports / "recommend.csv", newline="") as fh:
         assert len(list(csv.DictReader(fh))) == 200
     assert len(list((out / "study").glob("*.csv"))) == 13

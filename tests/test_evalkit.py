@@ -7,6 +7,8 @@ from interestsim.evalkit import (
     BinaryLabeling,
     auc,
     bucket_similarity,
+    fit_model,
+    protocol,
     reduced_mae_ratio,
     run_protocol,
     sample_pairs,
@@ -258,6 +260,10 @@ def test_protocol_deterministic(protocol_samples):
     r2, _ = run_protocol(protocol_samples, "linear", "clf", seed=0)
     assert r1 == r2
     assert 0.5 < r1["auc"] <= 1.0
+    # one protocol serves many fits: its report of a model fitted on its
+    # training rows is run_protocol's
+    p = protocol(protocol_samples, "clf", seed=0)
+    assert p.report("linear", fit_model("linear", p.train, "clf")) == r1
 
 
 def test_protocol_regression_beats_constant(protocol_samples):
@@ -276,3 +282,6 @@ def test_protocol_constant_labels_rejected(protocol_samples):
     )
     with pytest.raises(ValueError):
         run_protocol(table, "linear", "clf", seed=0)
+    # the split rejects them before any model is fitted
+    with pytest.raises(ValueError, match="both classes"):
+        protocol(table, "clf", seed=0)

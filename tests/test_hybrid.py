@@ -24,7 +24,7 @@ from interestsim.mlcore import (
     save_model,
     sigmoid,
 )
-from interestsim.mlcore import linear
+from interestsim.mlcore import hybrid as hybrid_module, linear
 from interestsim.mlcore.hybrid import _distinct_leaf_design
 
 import path_oracle
@@ -46,7 +46,7 @@ def nonlinear_data(seed, n=400):
 def test_zero_tree_encoder_reduces_to_linear():
     X, y = nonlinear_data(0)
     data = dm(X, y)
-    hybrid = fit_hybrid(data, task="reg", gbdt_params={"n_trees": 0}, folds=3)
+    hybrid = fit_hybrid(data, fit_gbdt(data, loss="squared", n_trees=0), folds=3)
     plain, cv_table = fit_linear_cv(data, "identity", folds=3, seed=0)
     assert hybrid.cv_table == cv_table
     assert hybrid.chosen_lambda == plain.l1_lambda
@@ -59,14 +59,16 @@ def test_single_lambda_grid_is_selected():
     # a constant target grows one-leaf trees and has lambda_max 0, so the
     # default grid is [0.0]
     X, _ = nonlinear_data(1)
-    hybrid = fit_hybrid(dm(X, np.full(len(X), 0.7)), task="reg", gbdt_params={"n_trees": 5}, folds=3)
+    data = dm(X, np.full(len(X), 0.7))
+    hybrid = fit_hybrid(data, fit_gbdt(data, loss="squared", n_trees=5), folds=3)
     assert hybrid.chosen_lambda == 0.0
     assert list(hybrid.cv_table) == [0.0]
 
 
 def test_coefficient_count_is_leaves_plus_originals():
     X, y = nonlinear_data(2)
-    hybrid = fit_hybrid(dm(X, y), task="reg", gbdt_params={"n_trees": 8}, folds=3)
+    data = dm(X, y)
+    hybrid = fit_hybrid(data, fit_gbdt(data, loss="squared", n_trees=8), folds=3)
     total_leaves = sum(t.n_leaves for t in hybrid.encoder.trees)
     assert len(hybrid.linear.weights) == total_leaves + X.shape[1]
 
@@ -75,7 +77,7 @@ def test_hybrid_classification_beats_plain_linear_on_nonlinear_signal():
     X, y = nonlinear_data(3, n=600)
     yb = (y > np.median(y)).astype(float)
     data = dm(X, yb)
-    hybrid = fit_hybrid(data, task="clf", gbdt_params={"n_trees": 20}, folds=4)
+    hybrid = fit_hybrid(data, fit_gbdt(data, loss="logistic", n_trees=20), folds=4)
     linear = fit_linear(data, "logistic", l1_lambda=0.0)
     from interestsim.evalkit import auc
 
@@ -85,9 +87,26 @@ def test_hybrid_classification_beats_plain_linear_on_nonlinear_signal():
 
 def test_hybrid_predict_width_checked():
     X, y = nonlinear_data(4)
-    hybrid = fit_hybrid(dm(X, y), task="reg", gbdt_params={"n_trees": 3}, folds=3)
+    data = dm(X, y)
+    hybrid = fit_hybrid(data, fit_gbdt(data, loss="squared", n_trees=3), folds=3)
     with pytest.raises(ValueError):
         hybrid.predict(X[:, :3])
+
+
+def test_hybrid_keeps_its_encoder_and_checks_its_width(monkeypatch):
+    X, y = nonlinear_data(4)
+    data = dm(X, y)
+    enc = fit_gbdt(data, loss="squared", n_trees=3)
+    assert fit_hybrid(data, enc, folds=3).encoder is enc
+
+    def no_linear_fit(*args, **kwargs):
+        raise AssertionError("a linear fit ran")
+
+    monkeypatch.setattr(hybrid_module, "fit_linear_cv", no_linear_fit)
+    with pytest.raises(ValueError, match="expected 6 feature columns"):
+        fit_hybrid(dm(X[:, :5], y), enc, folds=3)
+    with pytest.raises(ValueError, match="expected 5 feature columns"):
+        fit_hybrid(data, fit_gbdt(dm(X[:, :5], y), loss="squared", n_trees=3), folds=3)
 
 
 def test_predict_dispatch_and_errors():
@@ -98,7 +117,7 @@ def test_predict_dispatch_and_errors():
         fit_forest(data, n_trees=3, seed=0),
         fit_gbdt(data, n_trees=3),
         fit_linear(data, "identity", l1_lambda=0.05),
-        fit_hybrid(data, task="reg", gbdt_params={"n_trees": 2}, folds=3),
+        fit_hybrid(data, fit_gbdt(data, loss="squared", n_trees=2), folds=3),
     ]
     for m in models:
         out = predict(m, X)
@@ -128,7 +147,7 @@ def test_serialization_roundtrip(tmp_path, builder):
     elif builder == "linear":
         model = fit_linear(data, "identity", l1_lambda=0.01)
     else:
-        model = fit_hybrid(data, task="reg", gbdt_params={"n_trees": 3}, folds=3)
+        model = fit_hybrid(data, fit_gbdt(data, loss="squared", n_trees=3), folds=3)
     path = tmp_path / "model.json"
     save_model(model, path)
     back = load_model(path)
@@ -159,7 +178,7 @@ def test_certificate_survives_serialization_and_format_2_still_loads(tmp_path, b
         model = fit_linear(data, "logistic", l1_lambda=0.01)
         fitted = model
     else:
-        model = fit_hybrid(data, task="clf", gbdt_params={"n_trees": 3}, folds=3)
+        model = fit_hybrid(data, fit_gbdt(data, loss="logistic", n_trees=3), folds=3)
         fitted = model.linear
     assert fitted.converged and 0.0 < fitted.certificate <= 0.005
     path = tmp_path / "model.json"
@@ -182,7 +201,7 @@ def test_certificate_survives_serialization_and_format_2_still_loads(tmp_path, b
 def test_hybrid_certificate_is_that_of_its_fit_on_the_distinct_leaf_columns():
     X, y = nonlinear_data(9)
     data = dm(X, (y > np.median(y)).astype(float))
-    hybrid = fit_hybrid(data, task="clf", gbdt_params={"n_trees": 12, "max_depth": 3}, folds=3)
+    hybrid = fit_hybrid(data, fit_gbdt(data, loss="logistic", n_trees=12, max_depth=3), folds=3)
     model = hybrid.linear
     leaves = encode_leaves(hybrid.encoder, X)
     design, kept, _ = _distinct_leaf_design(leaves, data)
@@ -212,7 +231,7 @@ def test_unsupported_version_rejected(tmp_path):
 _THREAD_FIT = """
 import json
 import numpy as np
-from interestsim.mlcore import DesignMatrix, fit_hybrid, fit_linear_cv
+from interestsim.mlcore import DesignMatrix, fit_gbdt, fit_hybrid, fit_linear_cv
 
 def fields(m, table=None):
     return {"weights": m.weights.tobytes().hex(), "intercept": float(m.intercept).hex(), "n_sweeps": m.n_sweeps,
@@ -223,7 +242,8 @@ rng = np.random.default_rng(10)
 X = rng.random((1500, 6))
 signal = np.sin(4 * X[:, 0]) + (X[:, 1] > 0.5) * X[:, 2] + 0.5 * X[:, 3]
 y = (signal + 0.3 * rng.normal(size=1500) > np.median(signal)).astype(float)
-fits = [fields(fit_hybrid(DesignMatrix(X, y, ()), task="clf", gbdt_params={"n_trees": 12}, folds=2).linear)]
+data = DesignMatrix(X, y, ())
+fits = [fields(fit_hybrid(data, fit_gbdt(data, loss="logistic", n_trees=12), folds=2).linear)]
 X = rng.normal(size=(2500, 200))
 signal = X[:, :20] @ rng.normal(size=20)
 for link, y in (("identity", signal + rng.normal(size=2500)),
@@ -271,15 +291,15 @@ def test_duplicate_leaf_columns_fit_once(task):
     if task == "clf":
         y = (y > np.median(y)).astype(float)
     link = "logistic" if task == "clf" else "identity"
-    params = {"n_trees": 12, "max_depth": 3}
+    encoder = fit_gbdt(dm(X, y), loss="logistic" if task == "clf" else "squared", n_trees=12, max_depth=3)
     if task == "reg":
-        hybrid = fit_hybrid(dm(X, y), task, params, folds=3)
+        hybrid = fit_hybrid(dm(X, y), encoder, folds=3)
         lam = hybrid.chosen_lambda
     else:
         # at a fixed lambda: the certified refit at the CV's lambda stops
         # 2.0e-3 relative above the optimum, outside the bound checked below
         lam = 0.05
-        hybrid = one_lambda_hybrid(dm(X, y), task, params, lam)
+        hybrid = one_lambda_hybrid(dm(X, y), encoder, lam)
     leaves = encode_leaves(hybrid.encoder, X)
     first = {}
     for j in range(leaves.shape[1]):
@@ -321,12 +341,13 @@ def test_duplicate_leaf_columns_fit_once(task):
 
 def test_convergence_error_carries_a_full_width_model():
     X, y = nonlinear_data(11)
+    encoder = fit_gbdt(dm(X, y), loss="squared", n_trees=8)
     with pytest.raises(ConvergenceError) as exc:
-        fit_hybrid(dm(X, y), task="reg", gbdt_params={"n_trees": 8}, folds=3, max_iter=1)
+        fit_hybrid(dm(X, y), encoder, folds=3, max_iter=1)
     model = exc.value.model
     assert model.n_sweeps == 1
-    # the same encoder fit_hybrid built: the model reads its whole augmented design
-    augmented = np.hstack([encode_leaves(fit_gbdt(dm(X, y), loss="squared", n_trees=8), X), X])
+    # the model reads its encoder's whole augmented design
+    augmented = np.hstack([encode_leaves(encoder, X), X])
     assert len(model.weights) == len(model.feature_names) == augmented.shape[1]
     assert model.predict(augmented).shape == (len(X),)
 

@@ -899,6 +899,7 @@ def test_no_fit_forks(monkeypatch):
     for task, link in (("clf", "logistic"), ("reg", "identity")):
         data = _path_data("categorical", link, n=120)
         fit_forest(data, n_trees=4, max_depth=4, seed=8, task=task)
-        fit_hybrid(data, task, gbdt_params={"n_trees": 3, "max_depth": 2}, folds=3)
+        encoder = fit_gbdt(data, loss="logistic" if task == "clf" else "squared", n_trees=3, max_depth=2)
+        fit_hybrid(data, encoder, folds=3)
     data = _path_data("categorical", "identity", n=120)
     prune_tree(fit_tree(data, max_depth=5, min_leaf=4), data, folds=3)

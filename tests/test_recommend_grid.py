@@ -65,7 +65,8 @@ def grid_case():
         kind: fit_gbdt(build_training_set(c, 600, kind, 1).to_design(), loss="squared", **gbdt)
         for kind in ("ptp", "vbp")
     }
-    models["rtp"] = fit_hybrid(build_training_set(c, 600, "rtp", 2).to_design(), "reg", gbdt)
+    rtp = build_training_set(c, 600, "rtp", 2).to_design()
+    models["rtp"] = fit_hybrid(rtp, fit_gbdt(rtp, loss="squared", **gbdt))
     strategies = [PredictedSim(kind, models[kind]) for kind in ("ptp", "rtp", "vbp")] + [
         OracleSim("ptp"),
         OracleSim("rtp"),
