@@ -16,7 +16,6 @@ from __future__ import annotations
 import ctypes
 import functools
 import hashlib
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 
@@ -78,24 +77,15 @@ def _set_blas_threads(libraries: tuple, counts: list) -> list:
     return [set_count(n) for set_count, n in zip(libraries, counts)]
 
 
-_blas_entries = threading.local()  # .depth: the _one_blas_thread blocks open in this thread
-
-
 @contextmanager
 def _one_blas_thread():
     """Run the block, or the decorated function, with one BLAS thread in
-    this thread, and restore the count after.  The count is thread-local.
-    Only the outermost block of a thread sets and restores it: a nested
-    one (the refit's ``fit_linear`` in ``fit_linear_cv``, say) finds one
-    thread set and leaves it."""
-    depth = getattr(_blas_entries, "depth", 0)
-    if depth == 0:
-        libraries = _openblas_libraries()
-        before = _set_blas_threads(libraries, [1] * len(libraries))
-    _blas_entries.depth = depth + 1
+    this thread, and restore the count it found after.  The count is
+    thread-local, and a nested block (the refit's ``fit_linear`` in
+    ``fit_linear_cv``, say) finds one and restores one."""
+    libraries = _openblas_libraries()
+    before = _set_blas_threads(libraries, [1] * len(libraries))
     try:
         yield
     finally:
-        _blas_entries.depth = depth
-        if depth == 0:
-            _set_blas_threads(libraries, before)
+        _set_blas_threads(libraries, before)

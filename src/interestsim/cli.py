@@ -5,9 +5,10 @@ Every subcommand writes a manifest (tool version, resolved config,
 sha256 of inputs) beside its outputs; all outputs are byte-stable for a
 fixed seed, the model files too, for any BLAS thread count: every linear
 fit runs with one BLAS thread (see ``mlcore.linear``).  The model files
-(format 3) and ``reports/models.json`` give each linear, l1linear and
+(format 4) and ``reports/models.json`` give each linear, l1linear and
 hybrid fit its converged flag, ``n_sweeps`` (its homotopy steps under both
-links) and its optimality certificate under both links;
+links) and its optimality certificate under both links, each that of the
+stored model (a hybrid's, of its lasso on the leaf columns it keeps);
 ``reports/models.json`` gives each hybrid row its ``cv_table`` (CV loss
 per lambda, keyed by ``repr(lambda)`` as in the model files), and it and
 ``reports/ablation.json`` give each tree-based row its ``n_leaves``.

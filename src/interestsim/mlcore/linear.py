@@ -117,7 +117,7 @@ class LinearModel:
     n_raw_features: int
     converged: bool = True
     n_sweeps: int = 0  # homotopy steps, under both links (the name is kept for the model files)
-    certificate: float | None = None  # S(w, b) / S(0, 0) at exit (see _fit_path), a hybrid's on its distinct leaves
+    certificate: float | None = None  # S(w, b) / S(0, 0) at exit (see _fit_path)
 
     def decision_function(self, X: np.ndarray) -> np.ndarray:
         X = check_width(X, self.n_raw_features)

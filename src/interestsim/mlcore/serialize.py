@@ -1,7 +1,9 @@
 """Versioned JSON serialization for every model family.
 
-Format 3 adds a linear model's ``certificate``; format 2 files still load,
-with ``certificate`` None.
+Format 4 stores a hybrid as its fitted parts: the encoder, the leaf
+columns ``kept`` and the lasso fitted on them.  Formats 2 and 3 still
+load: their hybrids' lassos read every leaf column, so they load with
+``kept`` all of them, and format 2 has no ``certificate`` (None).
 """
 
 from __future__ import annotations
@@ -17,8 +19,8 @@ from .hybrid import HybridModel
 from .linear import CategoricalEncoder, LinearModel
 from .tree import Tree
 
-FORMAT_VERSION = 3
-READABLE_VERSIONS = (2, FORMAT_VERSION)
+FORMAT_VERSION = 4
+READABLE_VERSIONS = (2, 3, FORMAT_VERSION)
 
 
 def _tree_to_dict(tree: Tree) -> dict:
@@ -156,8 +158,7 @@ def model_to_dict(model) -> dict:
         return {
             "format_version": FORMAT_VERSION,
             "model_type": "hybrid",
-            "n_raw_features": model.n_raw_features,
-            "chosen_lambda": model.chosen_lambda,
+            "kept": model.kept.tolist(),
             "cv_table": {repr(k): v for k, v in model.cv_table.items()},
             "encoder": model_to_dict(model.encoder),
             "linear": _linear_to_dict(model.linear),
@@ -188,11 +189,14 @@ def model_from_dict(d: dict):
     if kind == "linear":
         return _linear_from_dict(d["linear"])
     if kind == "hybrid":
+        encoder = model_from_dict(d["encoder"])
+        kept = np.asarray(d["kept"] if version >= 4 else range(encoder.encoded_width), dtype=np.intp)
+        if np.any(np.diff(kept) <= 0) or np.any(kept < 0) or np.any(kept >= encoder.encoded_width):
+            raise ValueError(f"kept leaf columns must ascend below the encoder's {encoder.encoded_width}")
         return HybridModel(
-            encoder=model_from_dict(d["encoder"]),
+            encoder=encoder,
+            kept=kept,
             linear=_linear_from_dict(d["linear"]),
-            n_raw_features=d["n_raw_features"],
-            chosen_lambda=d["chosen_lambda"],
             cv_table={float(k): v for k, v in d["cv_table"].items()},
         )
     raise ValueError(f"unknown model type {kind!r}")

@@ -1,8 +1,6 @@
 import pytest
 
 from interestsim.corpus import Corpus, UserRecord, VideoRecord
-from interestsim.mlcore import encode_leaves, fit_linear
-from interestsim.mlcore.hybrid import HybridModel, _distinct_leaf_design, _full_width
 from interestsim.synthgen import GenConfig, generate
 
 
@@ -19,16 +17,6 @@ def corpus_from_records(users, videos, views, friends, memberships, messages, re
         [(a, b, day, count) for (a, b), days in messages.items() for day, count in days.items()],
         report=report,
     )
-
-
-def one_lambda_hybrid(data, encoder, lam):
-    """A hybrid on ``encoder`` whose lasso is fitted at ``lam`` alone (no
-    CV), from ``fit_hybrid``'s own steps: the distinct leaf columns and the
-    map back to every leaf column."""
-    link = "logistic" if encoder.loss == "logistic" else "identity"
-    design, kept, rep = _distinct_leaf_design(encode_leaves(encoder, data.X), data)
-    linear = _full_width(fit_linear(design, link, lam, max_iter=2000), kept, rep, data)
-    return HybridModel(encoder, linear, data.n_cols, lam, {lam: float("nan")})
 
 
 def make_corpus(

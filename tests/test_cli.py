@@ -223,10 +223,10 @@ def test_train_rejects_fewer_than_two_folds(tmp_path, tiny_corpus, capsys, model
 # rounded to 9 significant digits (the CSVs already write %.9g).  The
 # manifests, which hold the run's paths, are left out.
 PIPELINE_DIGESTS = {
-    "models/hybrid_clf_ptp.json": "2a853d18f9f2642d",
-    "models/hybrid_reg_ptp.json": "c41d00d79e397d62",
-    "models/hybrid_reg_rtp.json": "db9ff0e16de9ff52",
-    "models/hybrid_reg_vbp.json": "51d29529e0240476",
+    "models/hybrid_clf_ptp.json": "07f2a912e6a18870",
+    "models/hybrid_reg_ptp.json": "2b30a87adbb5a135",
+    "models/hybrid_reg_rtp.json": "2043f16a5f86633f",
+    "models/hybrid_reg_vbp.json": "28c94fb7104702fc",
     "reports/ablation.json": "00dfa7938c1ef8c7",
     "reports/models.json": "8974ae82e24633ff",
     "reports/recommend.csv": "aeb2d54693862f32",

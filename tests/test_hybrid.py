@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -24,11 +25,13 @@ from interestsim.mlcore import (
     save_model,
     sigmoid,
 )
+from interestsim import _util
 from interestsim.mlcore import hybrid as hybrid_module, linear
-from interestsim.mlcore.hybrid import _distinct_leaf_design
+from interestsim.mlcore.hybrid import _distinct_leaf_columns
 
 import path_oracle
-from conftest import one_lambda_hybrid
+
+DATA = Path(__file__).parent / "data"
 
 
 def dm(X, y, categorical=()):
@@ -49,7 +52,7 @@ def test_zero_tree_encoder_reduces_to_linear():
     hybrid = fit_hybrid(data, fit_gbdt(data, loss="squared", n_trees=0), folds=3)
     plain, cv_table = fit_linear_cv(data, "identity", folds=3, seed=0)
     assert hybrid.cv_table == cv_table
-    assert hybrid.chosen_lambda == plain.l1_lambda
+    assert hybrid.linear.l1_lambda == plain.l1_lambda
     assert np.allclose(hybrid.linear.weights, plain.weights)
     assert hybrid.linear.intercept == pytest.approx(plain.intercept)
     assert np.allclose(hybrid.predict(X), plain.predict(X))
@@ -61,7 +64,7 @@ def test_single_lambda_grid_is_selected():
     X, _ = nonlinear_data(1)
     data = dm(X, np.full(len(X), 0.7))
     hybrid = fit_hybrid(data, fit_gbdt(data, loss="squared", n_trees=5), folds=3)
-    assert hybrid.chosen_lambda == 0.0
+    assert hybrid.linear.l1_lambda == 0.0
     assert list(hybrid.cv_table) == [0.0]
 
 
@@ -70,7 +73,8 @@ def test_coefficient_count_is_leaves_plus_originals():
     data = dm(X, y)
     hybrid = fit_hybrid(data, fit_gbdt(data, loss="squared", n_trees=8), folds=3)
     total_leaves = sum(t.n_leaves for t in hybrid.encoder.trees)
-    assert len(hybrid.linear.weights) == total_leaves + X.shape[1]
+    assert 0 < len(hybrid.kept) <= total_leaves
+    assert len(hybrid.linear.weights) == len(hybrid.kept) + X.shape[1]
 
 
 def test_hybrid_classification_beats_plain_linear_on_nonlinear_signal():
@@ -184,39 +188,81 @@ def test_certificate_survives_serialization_and_format_2_still_loads(tmp_path, b
     path = tmp_path / "model.json"
     save_model(model, path)
     payload = json.loads(path.read_text())
-    assert payload["format_version"] == 3
+    assert payload["format_version"] == 4
     back = load_model(path)
     assert (back if builder == "linear" else back.linear).certificate == fitted.certificate
-    # a format-2 file is a format-3 file without the certificate
+    if builder == "hybrid":  # a format-2 or format-3 hybrid is the fixture's (see below)
+        return
+    # a format-2 linear model is a format-4 one without the certificate
     payload["format_version"] = 2
     del payload["linear"]["certificate"]
     path.write_text(json.dumps(payload))
     old = load_model(path)
-    old_linear = old if builder == "linear" else old.linear
-    assert old_linear.certificate is None
-    assert (old_linear.converged, old_linear.n_sweeps) == (fitted.converged, fitted.n_sweeps)
+    assert old.certificate is None
+    assert (old.converged, old.n_sweeps) == (fitted.converged, fitted.n_sweeps)
     assert np.array_equal(predict(old, X), predict(model, X))
 
 
-def test_hybrid_certificate_is_that_of_its_fit_on_the_distinct_leaf_columns():
+@pytest.mark.parametrize("version", [3, 2])
+def test_format_3_hybrid_loads_with_every_leaf_column_kept(tmp_path, version):
+    # a format-3 hybrid, with its predictions on its training rows, both
+    # written by the format-3 code: its lasso reads every leaf column, with
+    # weight 0 on the repeats, and still predicts every bit; a format-2 file
+    # is the same without the certificate
+    payload = json.loads((DATA / "hybrid-format3.json").read_text())
+    rows = json.loads((DATA / "hybrid-format3-rows.json").read_text())
+    X = np.array([[float.fromhex(v) for v in row] for row in rows["X"]])
+    expected = np.array([float.fromhex(v) for v in rows["predictions"]])
+    if version == 2:
+        payload["format_version"] = 2
+        del payload["linear"]["certificate"]
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(payload))
+    model = load_model(path)
+    assert np.array_equal(model.kept, np.arange(model.encoder.encoded_width))
+    assert model.linear.certificate == (None if version == 2 else payload["linear"]["certificate"])
+    assert np.array_equal(predict(model, X), expected)
+    # saved again, it is a format-4 file that predicts the same
+    save_model(model, path)
+    assert json.loads(path.read_text())["format_version"] == 4
+    assert np.array_equal(predict(load_model(path), X), expected)
+
+
+@pytest.mark.parametrize("kept", [[3, 1], [-1, 2], [0, 21]])
+def test_kept_leaf_columns_are_checked_on_load(tmp_path, kept):
+    payload = json.loads((DATA / "hybrid-format3.json").read_text())
+    payload["format_version"] = 4
+    payload["kept"] = kept
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ValueError, match="kept leaf columns"):
+        load_model(path)
+
+
+@pytest.mark.parametrize("task", ["clf", "reg"])
+def test_stored_hybrid_certificate_is_that_of_its_lasso(tmp_path, task):
     X, y = nonlinear_data(9)
-    data = dm(X, (y > np.median(y)).astype(float))
-    hybrid = fit_hybrid(data, fit_gbdt(data, loss="logistic", n_trees=12, max_depth=3), folds=3)
-    model = hybrid.linear
-    leaves = encode_leaves(hybrid.encoder, X)
-    design, kept, _ = _distinct_leaf_design(leaves, data)
-    assert len(kept) < leaves.shape[1]
-    # S / S(0, 0) at the model's lambda, both read on [distinct leaf columns,
-    # X] standardized as the refit saw it
-    w = model.weights[np.concatenate([kept, leaves.shape[1] + np.arange(X.shape[1])])]
-    Z = linear._standardize(design)[3]
-    p = sigmoid(Z @ w + model.intercept)
-    s = linear._subgradient_norm(Z.T @ (p - data.y) / len(X), float(np.mean(p - data.y)), w, model.l1_lambda)
-    s0 = path_oracle.cold_start_subgradient(design, model.l1_lambda, "logistic")
+    if task == "clf":
+        y = (y > np.median(y)).astype(float)
+    data = dm(X, y)
+    encoder = fit_gbdt(data, loss="logistic" if task == "clf" else "squared", n_trees=12, max_depth=3)
+    path = tmp_path / "model.json"
+    save_model(fit_hybrid(data, encoder, folds=3), path)
+    back = load_model(path)
+    model = back.linear
+    leaves = encode_leaves(back.encoder, X)
+    assert len(back.kept) < leaves.shape[1]
+    # S / S(0, 0) at the model's lambda, on the design it reads,
+    # standardized as the fit saw it
+    design = dm(np.hstack([leaves[:, back.kept], X]), y)
+    Z = np.asfortranarray(linear._standardize(design)[3])
+    with _util._one_blas_thread():
+        z = Z @ model.weights + model.intercept
+        p = sigmoid(z) if task == "clf" else z
+        g = Z.T @ (p - y) / len(y)
+    s = linear._subgradient_norm(g, float(np.mean(p - y)), model.weights, model.l1_lambda)
+    s0 = path_oracle.cold_start_subgradient(design, model.l1_lambda, model.link)
     assert s / s0 == pytest.approx(model.certificate, rel=1e-9)
-    # on every leaf column S(0, 0) sums over the repeated ones too
-    full = path_oracle.cold_start_subgradient(dm(np.hstack([leaves, X]), data.y), model.l1_lambda, "logistic")
-    assert s / full != pytest.approx(model.certificate, rel=1e-3)
 
 
 def test_unsupported_version_rejected(tmp_path):
@@ -292,14 +338,7 @@ def test_duplicate_leaf_columns_fit_once(task):
         y = (y > np.median(y)).astype(float)
     link = "logistic" if task == "clf" else "identity"
     encoder = fit_gbdt(dm(X, y), loss="logistic" if task == "clf" else "squared", n_trees=12, max_depth=3)
-    if task == "reg":
-        hybrid = fit_hybrid(dm(X, y), encoder, folds=3)
-        lam = hybrid.chosen_lambda
-    else:
-        # at a fixed lambda: the certified refit at the CV's lambda stops
-        # 2.0e-3 relative above the optimum, outside the bound checked below
-        lam = 0.05
-        hybrid = one_lambda_hybrid(dm(X, y), encoder, lam)
+    hybrid = fit_hybrid(dm(X, y), encoder, folds=3)
     leaves = encode_leaves(hybrid.encoder, X)
     first = {}
     for j in range(leaves.shape[1]):
@@ -307,23 +346,29 @@ def test_duplicate_leaf_columns_fit_once(task):
     kept = np.array(sorted(first.values()))
     repeats = np.setdiff1d(np.arange(leaves.shape[1]), kept)
     assert len(repeats) > 0
-    w = hybrid.linear.weights
-    assert len(w) == leaves.shape[1] + X.shape[1]
-    assert np.all(w[repeats] == 0.0)
+    assert np.array_equal(hybrid.kept, kept)
 
-    distinct = fit_linear(dm(np.hstack([leaves[:, kept], X]), y), link, lam, max_iter=2000)
-    assert np.array_equal(w[np.concatenate([kept, leaves.shape[1] + np.arange(X.shape[1])])], distinct.weights)
+    # the stored lasso is fit_linear's on [distinct leaf columns, X], bit for bit
+    narrow = dm(np.hstack([leaves[:, kept], X]), y)
+    lam = hybrid.linear.l1_lambda
+    distinct = fit_linear(narrow, link, lam, max_iter=2000)
+    assert np.array_equal(hybrid.linear.weights, distinct.weights)
     assert hybrid.linear.intercept == distinct.intercept
-    # the same coefficients; only the grouping of each row's terms differs
-    np.testing.assert_allclose(
-        hybrid.predict(X), distinct.predict(np.hstack([leaves[:, kept], X])), rtol=1e-12, atol=1e-12
-    )
+    assert hybrid.linear.certificate == distinct.certificate
+    assert hybrid.linear.feature_names[: len(kept)] == tuple(f"leaf{j}" for j in kept)
+    assert np.array_equal(hybrid.predict(X), distinct.predict(narrow.X))
 
-    augmented = np.hstack([leaves, X])
+    if task == "clf":
+        # at a fixed lambda: the certified refit at the CV's lambda stops
+        # 2.0e-3 relative above the optimum, outside the bound checked below
+        lam = 0.05
+        distinct = fit_linear(narrow, link, lam, max_iter=2000)
+    # the same lasso on every leaf column, with weight 0 on the repeats,
+    # standardized as a full-width fit is: the same predictions, up to the
+    # grouping of each row's terms, and the full-width optimum
+    augmented = dm(np.hstack([leaves, X]), y)
     if task == "reg":
-        full = fit_linear(dm(augmented, y), link, lam, max_iter=2000)
-        ours = _penalized_objective(hybrid.linear, augmented, y)
-        assert ours == pytest.approx(_penalized_objective(full, augmented, y), rel=1e-12)
+        reference = fit_linear(augmented, link, lam, max_iter=2000)
     else:
         # A certified fit_linear on every leaf column is no reference: its
         # S(0, 0) sums over the repeated columns, so its bound is looser
@@ -332,24 +377,37 @@ def test_duplicate_leaf_columns_fit_once(task):
         # (0.26195), the certified stop leaves a gap of 1.5e-4 relative.  The
         # convexity bound F - F* <= S * max|(w, b) - (w*, b*)| holds at any
         # iterate, so only the gap is checked.
-        [ref] = path_oracle.coefficient_test_chain(dm(augmented, y), [lam], 20_000, 1e-10)
-        assert ref.converged
-        ours = _penalized_objective(hybrid.linear, augmented, y)
-        best = _penalized_objective(ref, augmented, y)
+        [reference] = path_oracle.coefficient_test_chain(augmented, [lam], 20_000, 1e-10)
+        assert reference.converged
+    narrow_cols = np.concatenate([kept, leaves.shape[1] + np.arange(X.shape[1])])
+    for scale in ("mu", "sigma"):
+        np.testing.assert_allclose(getattr(reference, scale)[narrow_cols], getattr(distinct, scale), rtol=1e-12)
+    weights = np.zeros(augmented.n_cols)
+    weights[narrow_cols] = distinct.weights
+    expanded = dataclasses.replace(reference, weights=weights, intercept=distinct.intercept)
+    np.testing.assert_allclose(expanded.predict(augmented.X), distinct.predict(narrow.X), rtol=1e-12, atol=1e-12)
+    ours = _penalized_objective(expanded, augmented.X, y)
+    best = _penalized_objective(reference, augmented.X, y)
+    if task == "reg":
+        assert ours == pytest.approx(best, rel=1e-12)
+    else:
         assert 0.0 <= ours - best <= 5e-4 * best
 
 
-def test_convergence_error_carries_a_full_width_model():
+def test_convergence_error_carries_the_narrow_lasso():
     X, y = nonlinear_data(11)
     encoder = fit_gbdt(dm(X, y), loss="squared", n_trees=8)
     with pytest.raises(ConvergenceError) as exc:
         fit_hybrid(dm(X, y), encoder, folds=3, max_iter=1)
     model = exc.value.model
     assert model.n_sweeps == 1
-    # the model reads its encoder's whole augmented design
-    augmented = np.hstack([encode_leaves(encoder, X), X])
-    assert len(model.weights) == len(model.feature_names) == augmented.shape[1]
-    assert model.predict(augmented).shape == (len(X),)
+    # the model reads the distinct leaf columns and the original features
+    leaves = encode_leaves(encoder, X)
+    kept = _distinct_leaf_columns(leaves)
+    narrow = np.hstack([leaves[:, kept], X])
+    assert len(model.weights) == len(model.feature_names) == narrow.shape[1] < leaves.shape[1] + X.shape[1]
+    assert model.feature_names[: len(kept)] == tuple(f"leaf{j}" for j in kept)
+    assert model.predict(narrow).shape == (len(X),)
 
 
 @pytest.mark.parametrize("n", [1, 7, 9, 13, 17])
@@ -364,13 +422,7 @@ def test_distinct_leaf_columns_on_packed_bits_at_awkward_row_counts(n):
     flipped = base[:, :2].copy()
     flipped[-1] = 1.0 - flipped[-1]
     leaves = np.hstack([base, last, flipped, base[:, ::-1], last[:, ::-1]])
-    data = dm(rng.random((n, 2)), rng.random(n))
-    design, kept, rep = _distinct_leaf_design(leaves, data)
     first = {}
     for j in range(leaves.shape[1]):
         first.setdefault(leaves[:, j].tobytes(), j)
-    ref_kept = np.array(sorted(first.values()))
-    ref_rep = np.searchsorted(ref_kept, [first[leaves[:, j].tobytes()] for j in range(leaves.shape[1])])
-    assert np.array_equal(kept, ref_kept)
-    assert np.array_equal(rep, ref_rep)
-    assert np.array_equal(design.X, np.hstack([leaves[:, ref_kept], data.X]))
+    assert np.array_equal(_distinct_leaf_columns(leaves), sorted(first.values()))

@@ -851,30 +851,27 @@ def test_linear_fits_run_with_one_blas_thread(link, monkeypatch):
     assert calls == [(os.getpid(), [1] * len(libraries))] * (2 * (1 + 3 + 1))
 
 
-def test_nested_one_blas_thread_blocks_leave_the_count_to_the_outermost(monkeypatch):
-    # only the outermost block sets the count and restores the caller's,
-    # on an exception too; a nested one makes no call into OpenBLAS
+def test_nested_one_blas_thread_blocks_leave_the_count_to_the_outermost():
+    # each block sets one thread and restores the count it found, so the
+    # count is 1 at every depth and the caller's after the outermost block,
+    # on an exception too
     libraries = _util._openblas_libraries()
     if not libraries:
         pytest.skip("no OpenBLAS with openblas_set_num_threads_local is loaded")
-    calls = []
-    set_blas_threads = _util._set_blas_threads
-    monkeypatch.setattr(_util, "_set_blas_threads", lambda *args: calls.append(args[1]) or set_blas_threads(*args))
     before = [set_count(2) for set_count in libraries]  # a caller with two threads
     try:
         for fail in (False, True):
-            calls.clear()
             with pytest.raises(ZeroDivisionError) if fail else contextlib.nullcontext():
                 with _util._one_blas_thread():
-                    assert calls == [[1] * len(libraries)]
+                    assert blas_counts() == [1] * len(libraries)
                     with _util._one_blas_thread():
+                        assert blas_counts() == [1] * len(libraries)
                         with _util._one_blas_thread():
                             assert blas_counts() == [1] * len(libraries)
                             if fail:
                                 1 / 0
                         assert blas_counts() == [1] * len(libraries)
-                    assert len(calls) == 1
-            assert calls == [[1] * len(libraries), [2] * len(libraries)]
+                    assert blas_counts() == [1] * len(libraries)
             assert blas_counts() == [2] * len(libraries)
     finally:
         for set_count, n in zip(libraries, before):
@@ -882,7 +879,7 @@ def test_nested_one_blas_thread_blocks_leave_the_count_to_the_outermost(monkeypa
 
 
 def test_openblas_libraries_are_looked_up_once_per_process():
-    # every outermost _one_blas_thread block reads them; the first lookup is kept
+    # every _one_blas_thread block reads them; the first lookup is kept
     assert _util._openblas_libraries() is _util._openblas_libraries()
 
 
