@@ -2,22 +2,28 @@
 study, recommend, and the end-to-end pipeline runner.
 
 Every subcommand writes a manifest (tool version, resolved config,
-sha256 of inputs) beside its outputs; all outputs are byte-stable for a
-fixed seed, the model files too, for any BLAS thread count: every linear
-fit runs with one BLAS thread (see ``mlcore.linear``).  The model files
-(format 4) and ``reports/models.json`` give each linear, l1linear and
-hybrid fit its converged flag, ``n_sweeps`` (its homotopy steps under both
-links) and its optimality certificate under both links, each that of the
-stored model (a hybrid's, of its lasso on the leaf columns it keeps);
-``reports/models.json`` gives each hybrid row its ``cv_table`` (CV loss
-per lambda, keyed by ``repr(lambda)`` as in the model files), and it and
-``reports/ablation.json`` give each tree-based row its ``n_leaves``.
+sha256 of inputs and outputs) beside its outputs; the pipeline's lists
+every file the run writes.  All outputs are byte-stable for a fixed seed,
+the model files too, for any BLAS thread count: every linear fit runs
+with one BLAS thread (see ``mlcore.linear``).  ``corpus.write_csv``
+writes every CSV file and ``write_json`` every JSON file but the JSON
+lines of ``profile``.  Every model file, ``train``'s and the pipeline
+hybrids', is ``mlcore.model_to_dict`` of its model plus a ``train_meta``
+(model kind, task, profile kind, ``label_mean``, ``n_samples``, seed),
+which ``evaluate`` and ``recommend --model`` check before they predict.
+The model files (format 4) and ``reports/models.json`` give each linear,
+l1linear and hybrid fit its converged flag, ``n_sweeps`` (its homotopy
+steps under both links) and its optimality certificate under both links,
+each that of the stored model (a hybrid's, of its lasso on the leaf
+columns it keeps); ``reports/models.json`` gives each hybrid row its
+``cv_table`` (CV loss per lambda, keyed by ``repr(lambda)`` as in the
+model files), and it and ``reports/ablation.json`` give each tree-based
+row its ``n_leaves``.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import functools
 import hashlib
@@ -28,7 +34,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, evalkit, mlcore, recommend as rec
-from .corpus import CSV_NAMES, Corpus, active_users, load_corpus, write_corpus
+from .corpus import CSV_NAMES, Corpus, active_users, load_corpus, write_corpus, write_csv
 from .pairfeat import SampleTable, build_training_set, read_samples, write_samples
 from .profiling import KINDS, self_similarity
 from .synthgen import GenConfig, generate
@@ -47,6 +53,42 @@ PRESETS = {
     },
 }
 
+# Each generate and recommend flag, named as its --config key, and the
+# config field it sets, in the parser's order; the flag's default and type
+# are the field's.  A preset's generate keys and its "rec_" keys map alike.
+GENERATE_FLAGS = {
+    "seed": "seed",
+    "users": "n_users",
+    "videos": "n_videos",
+    "tags": "n_tags",
+    "topics": "n_topics",
+    "cities": "n_cities",
+    "groups": "n_groups",
+    "zipf": "zipf_exponent",
+    "friend_interest": "friend_interest",
+    "message_interest": "message_interest",
+    "group_topic": "group_topic",
+    "gender_skew": "gender_topic_skew",
+    "view_rate": "daily_view_rate",
+    "inactive_fraction": "inactive_fraction",
+    "drift": "interest_drift",
+}
+RECOMMEND_FLAGS = {"K": "k_values", "N": "n_values", "targets": "n_targets", "candidates": "n_candidates", "seed": "seed"}
+
+
+def _config(cls, flags: dict, values: dict, **fixed):
+    """A ``cls`` with the field of each flag in ``values`` set to its value,
+    and ``fixed``; every other field keeps its default."""
+    return cls(**{field: values[flag] for flag, field in flags.items() if flag in values}, **fixed)
+
+
+def _add_config_flags(parser: argparse.ArgumentParser, cls, flags: dict) -> None:
+    defaults = cls()
+    for flag, field in flags.items():
+        default = getattr(defaults, field)
+        parse = _parse_int_list if isinstance(default, tuple) else type(default)
+        parser.add_argument(f"--{flag.replace('_', '-')}", type=parse, default=default)
+
 
 def _sha256(path: Path) -> str:
     h = hashlib.sha256()
@@ -56,21 +98,27 @@ def _sha256(path: Path) -> str:
     return h.hexdigest()
 
 
+def write_json(path, payload, indent: int | None = 2) -> None:
+    """``payload`` as JSON with sorted keys and a closing newline: indented,
+    as reports and manifests are, or compact (``indent=None``), as model
+    files are."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, sort_keys=True, indent=indent, separators=(",", ":") if indent is None else None)
+        fh.write("\n")
+
+
 def write_manifest(target, command: str, config: dict, inputs: list[Path], outputs: list[Path] = ()) -> None:
     """Config snapshot + input/output checksums + tool version, beside
     outputs."""
     target = Path(target)
     path = target / "manifest.json" if target.is_dir() else target.with_name(target.name + ".manifest.json")
-    payload = {
+    write_json(path, {
         "tool_version": __version__,
         "command": command,
         "config": config,
         "inputs": {str(p): _sha256(Path(p)) for p in sorted(str(x) for x in inputs)},
         "outputs": {str(p): _sha256(Path(p)) for p in sorted(str(x) for x in outputs)},
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    })
 
 
 def _parse_window(text: str) -> tuple[int, int]:
@@ -111,23 +159,7 @@ def _corpus_files(directory: Path) -> list[Path]:
 
 
 def cmd_generate(args) -> int:
-    cfg = GenConfig(
-        seed=args.seed,
-        n_users=args.users,
-        n_videos=args.videos,
-        n_tags=args.tags,
-        n_topics=args.topics,
-        n_cities=args.cities,
-        n_groups=args.groups,
-        zipf_exponent=args.zipf,
-        friend_interest=args.friend_interest,
-        message_interest=args.message_interest,
-        group_topic=args.group_topic,
-        gender_topic_skew=args.gender_skew,
-        daily_view_rate=args.view_rate,
-        inactive_fraction=args.inactive_fraction,
-        interest_drift=args.drift,
-    )
+    cfg = _config(GenConfig, GENERATE_FLAGS, vars(args))
     corpus, _ = generate(cfg)
     out = Path(args.out)
     write_corpus(corpus, out)
@@ -196,23 +228,41 @@ def _train_model(samples: SampleTable, model_kind: str, task: str, seed: int, fo
     return model, labeling.threshold
 
 
+def _write_model_file(path, model, model_kind: str, task: str, profile_kind: str, label_mean: float, n_samples: int,
+                     seed: int) -> None:
+    """A model file: ``mlcore.model_to_dict(model)`` and the ``train_meta``
+    that ``evaluate`` and ``recommend --model`` check; ``label_mean`` is
+    the mean training similarity, the clf threshold and reg baseline."""
+    meta = {"model_kind": model_kind, "task": task, "profile_kind": profile_kind, "label_mean": label_mean,
+            "n_samples": n_samples, "seed": seed}
+    write_json(path, {**mlcore.model_to_dict(model), "train_meta": meta}, indent=None)
+
+
+def _read_model_file(path, profile_kind: str, task: str | None = None) -> tuple[object, dict]:
+    """The model of a model file and its ``train_meta``, checked before the
+    model is read: it must hold the task, profile kind and label mean, name
+    ``profile_kind`` and, when given, ``task``."""
+    with open(path, encoding="utf-8") as fh:
+        payload = json.load(fh)
+    meta = payload.get("train_meta")
+    if meta is None:
+        raise ValueError("model file lacks train_meta; was it written by `train` or `pipeline`?")
+    for field in ("task", "profile_kind", "label_mean"):
+        if field not in meta:
+            raise ValueError(f"model file lacks train_meta.{field}")
+    if task is not None and meta["task"] != task:
+        raise ValueError(f"model was trained for task {meta['task']!r}, not {task!r}")
+    if meta["profile_kind"] != profile_kind:
+        raise ValueError(f"model was trained on {meta['profile_kind']!r} samples, not {profile_kind!r}")
+    return mlcore.model_from_dict(payload), meta
+
+
 def cmd_train(args) -> int:
     samples = read_samples(args.infile)
     model, label_mean = _train_model(samples, args.model, args.task, args.seed, args.folds)
-    payload = mlcore.model_to_dict(model)
-    payload["train_meta"] = {
-        "model_kind": args.model,
-        "task": args.task,
-        "profile_kind": samples.kind,
-        "label_mean": label_mean,
-        "n_samples": len(samples),
-        "seed": args.seed,
-    }
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    with open(out, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True, separators=(",", ":"))
-        fh.write("\n")
+    _write_model_file(out, model, args.model, args.task, samples.kind, label_mean, len(samples), args.seed)
     write_manifest(
         out,
         "train",
@@ -224,39 +274,22 @@ def cmd_train(args) -> int:
     return 0
 
 
-def load_model_file(path) -> tuple[object, dict]:
-    with open(path, encoding="utf-8") as fh:
-        payload = json.load(fh)
-    meta = payload.get("train_meta", {})
-    return mlcore.model_from_dict(payload), meta
-
-
 def cmd_evaluate(args) -> int:
-    model, meta = load_model_file(args.model)
     samples = read_samples(args.test)
     if samples.labels is None:
         raise ValueError("test samples carry no labels")
+    model, meta = _read_model_file(args.model, samples.kind, args.task)
     X, _, _ = samples.feature_matrix()
-    scores = mlcore.predict(model, X)
-    label_mean = meta.get("label_mean")
-    if label_mean is None:
-        raise ValueError("model file lacks train_meta.label_mean; was it written by `train`?")
-    if meta.get("task") != args.task:
-        raise ValueError(f"model was trained for task {meta.get('task')!r}, not {args.task!r}")
-    if meta.get("profile_kind") != samples.kind:
-        raise ValueError(f"model was trained on {meta.get('profile_kind')!r} samples, not {samples.kind!r}")
     report = {
         "task": args.task,
         "model_kind": meta.get("model_kind"),
         "profile_kind": samples.kind,
         "n_test": len(samples),
-        **evalkit.held_out_metric(args.task, scores, samples.labels, label_mean),
+        **evalkit.held_out_metric(args.task, mlcore.predict(model, X), samples.labels, meta["label_mean"]),
     }
     out = Path(args.report)
     out.parent.mkdir(parents=True, exist_ok=True)
-    with open(out, "w", encoding="utf-8") as fh:
-        json.dump(report, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    write_json(out, report)
     write_manifest(out, "evaluate", {"task": args.task, "model": str(args.model), "test": str(args.test)}, [Path(args.model), Path(args.test)], [out])
     metric = report.get("auc", report.get("reduced_mae_pct"))
     print(f"evaluate: {args.task} metric = {metric:.4f} -> {out}")
@@ -304,11 +337,7 @@ def _make_strategy(name: str, model_path=None):
         kind = name.split("-", 1)[1]
         if model_path is None:
             raise ValueError(f"strategy {name} needs --model")
-        model, meta = load_model_file(model_path)
-        # a model without train_meta (a pipeline hybrid) names no kind
-        if meta.get("profile_kind", kind) != kind:
-            raise ValueError(f"model was trained on {meta['profile_kind']!r} samples, not {kind!r}")
-        return rec.PredictedSim(kind, model)
+        return rec.PredictedSim(kind, _read_model_file(model_path, kind)[0])
     if name.startswith("oracle-"):
         return rec.OracleSim(name.split("-", 1)[1])
     return {
@@ -323,14 +352,7 @@ def _make_strategy(name: str, model_path=None):
 def cmd_recommend(args) -> int:
     corpus = load_corpus(args.corpus)
     strategy = _make_strategy(args.strategy, args.model)
-    cfg = rec.ExperimentConfig(
-        n_targets=args.targets,
-        n_candidates=args.candidates,
-        k_values=args.K,
-        n_values=args.N,
-        seed=args.seed,
-    )
-    rows = rec.run_experiment(corpus, cfg, [strategy])
+    rows = rec.run_experiment(corpus, _config(rec.ExperimentConfig, RECOMMEND_FLAGS, vars(args)), [strategy])
     out = Path(args.report)
     out.parent.mkdir(parents=True, exist_ok=True)
     rec.write_report(rows, out)
@@ -340,15 +362,7 @@ def cmd_recommend(args) -> int:
     write_manifest(
         out,
         "recommend",
-        {
-            "strategy": args.strategy,
-            "K": list(args.K),
-            "N": list(args.N),
-            "targets": args.targets,
-            "candidates": args.candidates,
-            "seed": args.seed,
-            "corpus": str(args.corpus),
-        },
+        {"strategy": args.strategy, **{flag: getattr(args, flag) for flag in RECOMMEND_FLAGS}, "corpus": str(args.corpus)},
         inputs,
         [out],
     )
@@ -387,12 +401,13 @@ def _pipeline_models(out: Path, samples, seed: int, log) -> dict:
         log(f"  {report['model']:8s} {report['task']} {report['kind']} -> {metric:.4f}")
         results.append(report)
         if report["model"] == "hybrid":
-            mlcore.save_model(model, models_dir / f"hybrid_{report['task']}_{report['kind']}.json")
-            if report["task"] == "reg":
-                hybrids[report["kind"]] = model
-    with open(out / "reports" / "models.json", "w", encoding="utf-8") as fh:
-        json.dump(results, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+            task, kind = report["task"], report["kind"]
+            label_mean = report["threshold" if task == "clf" else "train_mean"]
+            _write_model_file(models_dir / f"hybrid_{task}_{kind}.json", model, "hybrid", task, kind, label_mean,
+                              report["n_train"], report["seed"])
+            if task == "reg":
+                hybrids[kind] = model
+    write_json(out / "reports" / "models.json", results)
     return hybrids
 
 
@@ -405,17 +420,8 @@ def cmd_pipeline(args) -> int:
         print(msg, flush=True)
 
     seed = args.seed
-    cfg = GenConfig(
-        seed=seed,
-        n_users=preset["users"],
-        n_videos=preset["videos"],
-        n_tags=preset["tags"],
-        n_topics=preset["topics"],
-        n_cities=preset["cities"],
-        n_groups=preset["groups"],
-    )
     log(f"pipeline[{args.preset}]: generating corpus (seed {seed})")
-    corpus, _ = generate(cfg)
+    corpus, _ = generate(_config(GenConfig, GENERATE_FLAGS, preset, seed=seed))
     write_corpus(corpus, out / "corpus")
 
     log("pipeline: profiling day-0 PTP/RTP")
@@ -439,10 +445,7 @@ def cmd_pipeline(args) -> int:
     hybrids = _pipeline_models(out, samples_full, seed, log)
 
     log("pipeline: feature-combination ablation (clf, ptp)")
-    ablation = evalkit.ablation_sweep(samples_full["ptp"], task="clf", seed=seed)
-    with open(out / "reports" / "ablation.json", "w", encoding="utf-8") as fh:
-        json.dump(ablation, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    write_json(out / "reports" / "ablation.json", evalkit.ablation_sweep(samples_full["ptp"], task="clf", seed=seed))
 
     log("pipeline: correlation study tables")
     study_dir = out / "study"
@@ -461,23 +464,13 @@ def cmd_pipeline(args) -> int:
     log("pipeline: recommendation grid")
     strategies = [rec.PredictedSim(k, hybrids[k]) for k in KINDS]
     strategies += [rec.OracleSim("ptp"), rec.OracleSim("rtp"), rec.DemographicSim(), rec.FriendFilter(), rec.PastLongTerm(), rec.RandomK(), rec.GlobalPopularity()]
-    cfg_rec = rec.ExperimentConfig(
-        n_targets=preset["rec_targets"],
-        n_candidates=preset["rec_candidates"],
-        k_values=(10, 15),
-        n_values=tuple(range(10, 101, 10)),
-        seed=seed,
-    )
+    rec_preset = {key.removeprefix("rec_"): value for key, value in preset.items() if key.startswith("rec_")}
+    cfg_rec = _config(rec.ExperimentConfig, RECOMMEND_FLAGS, rec_preset, k_values=(10, 15), seed=seed)
     rows = rec.run_experiment(corpus, cfg_rec, strategies)
     rec.write_report(rows, out / "reports" / "recommend.csv")
 
-    write_manifest(
-        out,
-        "pipeline",
-        {"preset": args.preset, "seed": seed, **preset},
-        [],
-        sorted((out / "reports").glob("*")) + sorted((out / "samples").glob("*.csv")) + sorted((out / "study").glob("*.csv")),
-    )
+    outputs = [path for path in out.rglob("*") if path.is_file() and path != out / "manifest.json"]
+    write_manifest(out, "pipeline", {"preset": args.preset, "seed": seed, **preset}, [], outputs)
     log(f"pipeline: done -> {out}")
     return 0
 
@@ -487,15 +480,15 @@ def _selfsim_table(corpus: Corpus, seed: int, path: Path) -> None:
     actives = sorted(active_users(corpus, (0, 0)))
     rng = np.random.default_rng(seed)
     cohort = rng.choice(np.asarray(actives), size=min(400, len(actives)), replace=False)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["kind", "lag", "mean_self_similarity", "count", "stderr"])
-        for kind in ("ptp", "rtp"):
-            sims = self_similarity(corpus, cohort, kind, lags)
-            for lag, column in zip(lags, sims.T):
-                vals = column[~np.isnan(column)]
-                se = float(vals.std(ddof=1) / np.sqrt(len(vals))) if len(vals) > 1 else 0.0
-                writer.writerow([kind, lag, "%.9g" % vals.mean(), len(vals), "%.9g" % se])
+    rows = []
+    for kind in ("ptp", "rtp"):
+        sims = self_similarity(corpus, cohort, kind, lags)
+        for lag, column in zip(lags, sims.T):
+            vals = column[~np.isnan(column)]
+            se = float(vals.std(ddof=1) / np.sqrt(len(vals))) if len(vals) > 1 else 0.0
+            rows.append((kind, lag, vals.mean(), len(vals), se))
+    header = ["kind", "lag", "mean_self_similarity", "count", "stderr"]
+    write_csv(path, header, list(zip(*rows)), ["%s", "%s", "%.9g", "%s", "%.9g"])
 
 
 # -- parser -------------------------------------------------------------------
@@ -516,21 +509,7 @@ def build_parser(strict: bool = True) -> argparse.ArgumentParser:
 
     p = add_parser("generate", help="generate a seeded synthetic corpus")
     p.add_argument("--config", help="key=value config file; flags override")
-    p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--users", type=int, default=1000)
-    p.add_argument("--videos", type=int, default=400)
-    p.add_argument("--tags", type=int, default=120)
-    p.add_argument("--topics", type=int, default=12)
-    p.add_argument("--cities", type=int, default=8)
-    p.add_argument("--groups", type=int, default=24)
-    p.add_argument("--zipf", type=float, default=1.1)
-    p.add_argument("--friend-interest", type=float, default=0.8)
-    p.add_argument("--message-interest", type=float, default=0.8)
-    p.add_argument("--group-topic", type=float, default=0.8)
-    p.add_argument("--gender-skew", type=float, default=0.6)
-    p.add_argument("--view-rate", type=float, default=4.0)
-    p.add_argument("--inactive-fraction", type=float, default=0.1)
-    p.add_argument("--drift", type=float, default=0.05)
+    _add_config_flags(p, GenConfig, GENERATE_FLAGS)
     p.add_argument("--out", required=strict)
     p.set_defaults(func=cmd_generate)
 
@@ -581,11 +560,7 @@ def build_parser(strict: bool = True) -> argparse.ArgumentParser:
     p.add_argument("--corpus", required=strict)
     p.add_argument("--strategy", choices=STRATEGY_NAMES, required=strict)
     p.add_argument("--model", help="model.json for predicted-* strategies")
-    p.add_argument("--K", type=_parse_int_list, default=(15,))
-    p.add_argument("--N", type=_parse_int_list, default=tuple(range(10, 101, 10)))
-    p.add_argument("--targets", type=int, default=2000)
-    p.add_argument("--candidates", type=int, default=5000)
-    p.add_argument("--seed", type=int, default=0)
+    _add_config_flags(p, rec.ExperimentConfig, RECOMMEND_FLAGS)
     p.add_argument("--report", required=strict)
     p.set_defaults(func=cmd_recommend)
 

@@ -518,25 +518,43 @@ def load_corpus(directory: str | Path) -> Corpus:
     return c
 
 
+def write_csv(path: str | Path, header: list[str], columns, formats: list[str] | None = None) -> None:
+    """A CSV file: ``header``, then one row per entry of the aligned
+    ``columns``, every field formatted in one ``%`` call by its column's
+    entry of ``formats`` (default ``%s``).  Fields of a column of strings
+    are quoted minimally, as the ``csv`` module's writer quotes them with
+    a ``"\\n"`` line terminator: one holding a comma, a quote or a newline
+    is quoted, with its quotes doubled."""
+    table = np.empty((len(columns[0]), len(columns)), dtype=object)
+    for j, column in enumerate(columns):
+        column = np.asarray(column)
+        table[:, j] = list(map(_quoted, column.tolist())) if column.dtype.kind == "U" else column
+    row = ",".join(formats or ["%s"] * len(columns)) + "\n"
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write(",".join(header) + "\n")
+        fh.write(row * len(table) % tuple(table.ravel().tolist()))
+
+
+def _quoted(field: str) -> str:
+    if "," in field or '"' in field or "\n" in field:
+        return '"' + field.replace('"', '""') + '"'
+    return field
+
+
 def write_corpus(c: Corpus, directory: str | Path) -> None:
     """Write the six corpus CSV files from ``c.tables``, sorted by primary key (bit-stable)."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-
-    def dump(name: str, header: list[str], table: np.ndarray) -> None:
-        """The rows of ``table``, formatted in one call as ``csv.writer`` would."""
-        with open(directory / CSV_NAMES[name], "w", newline="", encoding="utf-8") as fh:
-            fh.write(",".join(header) + "\n")
-            fh.write((",".join(["%s"] * len(header)) + "\n") * len(table) % tuple(table.ravel().tolist()))
-
     t = c.tables
-    users = t.users.astype(object)
-    users[:, 1] = np.array(GENDERS, dtype=object)[t.users[:, 1]]
-    dump("users", ["user_id", "gender", "age", "city_id"], users)
     tags, bounds = list(map(str, t.video_tags[:, 1].tolist())), c.video_tags.indptr.tolist()
-    tag_lists = map(tags.__getitem__, map(slice, bounds, bounds[1:]))
-    dump("videos", ["video_id", "tags"], np.array([c.video_ids, list(map("|".join, tag_lists))], dtype=object).T)
-    dump("views", ["user_id", "video_id", "day"], t.views)
-    dump("friends", ["user_a", "user_b"], t.friends)
-    dump("groups", ["user_id", "group_id"], t.memberships)
-    dump("messages", ["user_a", "user_b", "day", "count"], t.messages)
+    tag_lists = list(map("|".join, map(tags.__getitem__, map(slice, bounds, bounds[1:]))))
+    genders = np.array(GENDERS)[t.users[:, 1]]
+    for name, header, columns in (
+        ("users", ["user_id", "gender", "age", "city_id"], (t.users[:, 0], genders, *t.users[:, 2:].T)),
+        ("videos", ["video_id", "tags"], (c.video_ids, tag_lists)),
+        ("views", ["user_id", "video_id", "day"], t.views.T),
+        ("friends", ["user_a", "user_b"], t.friends.T),
+        ("groups", ["user_id", "group_id"], t.memberships.T),
+        ("messages", ["user_a", "user_b", "day", "count"], t.messages.T),
+    ):
+        write_csv(directory / CSV_NAMES[name], header, columns)

@@ -16,9 +16,9 @@ import scipy.sparse as sp
 from scipy.stats import rankdata
 
 from . import mlcore
-from .corpus import Corpus
+from .corpus import Corpus, write_csv
 from .mlcore import DesignMatrix
-from .pairfeat import PairFeaturizer, SampleTable
+from .pairfeat import PairFeaturizer, SampleTable, ordered_pairs
 
 
 TRAIN_FRACTION = 0.7  # the paper's 70/30 split
@@ -85,13 +85,8 @@ class BucketTable:
     rows: list[tuple[str, float, int, float]]  # (bucket, mean, count, stderr)
 
     def to_csv(self, path) -> None:
-        import csv
-
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["bucket", "mean_similarity", "count", "stderr"])
-            for bucket, mean, count, stderr in self.rows:
-                writer.writerow([bucket, "%.9g" % mean, count, "%.9g" % stderr])
+        header = ["bucket", "mean_similarity", "count", "stderr"]
+        write_csv(path, header, list(zip(*self.rows)), ["%s", "%.9g", "%s", "%.9g"])
 
 
 BUCKET_KEYS = (
@@ -117,7 +112,6 @@ def study_population(key: str) -> str:
 def sample_pairs(c: Corpus, n: int, seed: int, among: str = "random") -> tuple[np.ndarray, np.ndarray]:
     """Pairs for a correlation study: uniform ordered pairs, or friend
     edges (message features only exist between friends)."""
-    rng = np.random.default_rng(seed)
     ids = np.asarray(c.user_ids, dtype=np.int64)
     if among == "friends":
         # rows ascend with user id, so the row-major upper triangle lists
@@ -126,16 +120,13 @@ def sample_pairs(c: Corpus, n: int, seed: int, among: str = "random") -> tuple[n
         upper.sort_indices()
         if upper.nnz == 0:
             raise ValueError("corpus has no friend edges")
-        idx = rng.integers(0, upper.nnz, size=n)
+        idx = np.random.default_rng(seed).integers(0, upper.nnz, size=n)
         return np.repeat(ids, np.diff(upper.indptr))[idx], ids[upper.indices[idx]]
     if among != "random":
         raise ValueError(f"among must be 'random' or 'friends', got {among!r}")
     if len(ids) < 2:
         raise ValueError("need at least two users")
-    a = rng.integers(0, len(ids), size=n)
-    shift = rng.integers(1, len(ids), size=n)
-    b = (a + shift) % len(ids)
-    return ids[a], ids[b]
+    return ordered_pairs(ids, n, seed)
 
 
 def _aggregate(codes: np.ndarray, name, values: np.ndarray, key_name: str) -> BucketTable:

@@ -16,7 +16,7 @@ from .linear import (
     fit_linear_cv,
     sigmoid,
 )
-from .serialize import load_model, model_from_dict, model_to_dict, save_model
+from .serialize import model_from_dict, model_to_dict
 from .tree import Tree, fit_tree, prune_tree
 
 MODEL_KINDS = ("linear", "l1linear", "tree", "forest", "gbdt", "hybrid")
@@ -46,11 +46,9 @@ __all__ = [
     "fit_linear",
     "fit_linear_cv",
     "fit_tree",
-    "load_model",
     "model_from_dict",
     "model_to_dict",
     "predict",
     "prune_tree",
-    "save_model",
     "sigmoid",
 ]

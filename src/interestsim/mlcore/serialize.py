@@ -1,4 +1,5 @@
-"""Versioned JSON serialization for every model family.
+"""Versioned JSON-ready dicts for every model family; the CLI writes a
+model file as one such dict with its ``train_meta``.
 
 Format 4 stores a hybrid as its fitted parts: the encoder, the leaf
 columns ``kept`` and the lasso fitted on them.  Formats 2 and 3 still
@@ -8,7 +9,6 @@ load: their hybrids' lassos read every leaf column, so they load with
 
 from __future__ import annotations
 
-import json
 import math
 
 import numpy as np
@@ -201,13 +201,3 @@ def model_from_dict(d: dict):
         )
     raise ValueError(f"unknown model type {kind!r}")
 
-
-def save_model(model, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(model_to_dict(model), fh, sort_keys=True, separators=(",", ":"))
-        fh.write("\n")
-
-
-def load_model(path):
-    with open(path, encoding="utf-8") as fh:
-        return model_from_dict(json.load(fh))

@@ -8,14 +8,13 @@ helper is the active side and contributes its day-0 profile.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .corpus import Corpus, Window, _Table, active_users, pair_entries
+from .corpus import Corpus, Window, _Table, active_users, pair_entries, write_csv
 from .mlcore.data import DesignMatrix
 from .profiling import (
     KINDS,
@@ -408,6 +407,16 @@ def extract_columns(fz: PairFeaturizer, targets, helpers, threads: int = 1) -> d
     return {key: np.concatenate([p[key] for p in parts]) for key in parts[0]}
 
 
+def ordered_pairs(ids: np.ndarray, n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """``n`` uniform ordered pairs of distinct entries of ``ids`` (at least
+    two): draw each first entry's index, then each pair's shift from 1 to
+    ``len(ids) - 1`` to the second's, cyclically."""
+    rng = np.random.default_rng(seed)
+    first = rng.integers(0, len(ids), size=n)
+    second = (first + rng.integers(1, len(ids), size=n)) % len(ids)
+    return ids[first], ids[second]
+
+
 def build_training_set(c: Corpus, n_pairs: int, kind: str, seed: int, threads: int = 1) -> SampleTable:
     """Uniform ordered pairs of day-0-active users with day-0 labels."""
     if n_pairs < 1:
@@ -415,14 +424,7 @@ def build_training_set(c: Corpus, n_pairs: int, kind: str, seed: int, threads: i
     actives = sorted(active_users(c, DAY0))
     if len(actives) < 2:
         raise ValueError("need at least two day-0-active users")
-    rng = np.random.default_rng(seed)
-    ids = np.asarray(actives, dtype=np.int64)
-    n = len(ids)
-    t_idx = rng.integers(0, n, size=n_pairs)
-    shift = rng.integers(1, n, size=n_pairs)
-    h_idx = (t_idx + shift) % n
-    targets = ids[t_idx]
-    helpers = ids[h_idx]
+    targets, helpers = ordered_pairs(np.asarray(actives, dtype=np.int64), n_pairs, seed)
     fz = PairFeaturizer(c, kind)
     columns = extract_columns(fz, targets, helpers, threads)
     labels = fz.label_similarity(targets, helpers)
@@ -432,8 +434,6 @@ def build_training_set(c: Corpus, n_pairs: int, kind: str, seed: int, threads: i
 CSV_HEADER = ["target", "helper", "kind", "label_sim", *FEATURE_COLUMNS]
 
 _INT_COLUMNS = {
-    "target",
-    "helper",
     "age_target",
     "age_helper",
     "city_target",
@@ -450,18 +450,15 @@ _INT_COLUMNS = {
 
 
 def write_samples(table: SampleTable, path) -> None:
-    """Samples as CSV, floats at 9 significant digits."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(CSV_HEADER)
-        cols = table.columns
-        for i in range(len(table)):
-            row = [int(cols["target"][i]), int(cols["helper"][i]), table.kind]
-            row.append("%.9g" % table.labels[i] if table.labels is not None else "")
-            for name in FEATURE_COLUMNS:
-                v = cols[name][i]
-                row.append(int(v) if name in _INT_COLUMNS else "%.9g" % v)
-            writer.writerow(row)
+    """Samples as CSV, floats at 9 significant digits; the label field is blank without labels."""
+    n = len(table)
+    labels = [""] * n if table.labels is None else table.labels
+    columns = [table.columns["target"], table.columns["helper"], [table.kind] * n, labels]
+    formats = ["%d", "%d", "%s", "%s" if table.labels is None else "%.9g"]
+    for name in FEATURE_COLUMNS:
+        columns.append(table.columns[name])
+        formats.append("%d" if name in _INT_COLUMNS else "%.9g")
+    write_csv(path, CSV_HEADER, columns, formats)
 
 
 def read_samples(path) -> SampleTable:

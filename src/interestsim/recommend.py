@@ -32,14 +32,13 @@ same helpers.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 
 from ._util import subrng
-from .corpus import Corpus, active_users
+from .corpus import Corpus, active_users, write_csv
 from .mlcore import predict as model_predict
 from .pairfeat import DAY0, PAST_WINDOW, PairFeaturizer, SampleTable
 
@@ -368,18 +367,5 @@ def run_experiment(c: Corpus, cfg: ExperimentConfig, strategies) -> list[dict]:
 
 
 def write_report(rows: list[dict], path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["strategy", "K", "N", "precision", "recall", "f_measure", "diversification"])
-        for r in rows:
-            writer.writerow(
-                [
-                    r["strategy"],
-                    r["K"],
-                    r["N"],
-                    "%.9g" % r["precision"],
-                    "%.9g" % r["recall"],
-                    "%.9g" % r["f_measure"],
-                    "%.9g" % r["diversification"],
-                ]
-            )
+    header = ["strategy", "K", "N", "precision", "recall", "f_measure", "diversification"]
+    write_csv(path, header, [[r[name] for r in rows] for name in header], ["%s"] * 3 + ["%.9g"] * 4)

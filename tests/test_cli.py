@@ -1,5 +1,6 @@
 import argparse
 import csv
+import dataclasses
 import hashlib
 import json
 import sys
@@ -7,11 +8,12 @@ import sys
 import pytest
 
 from interestsim import cli
-from interestsim.cli import _parse_int_list, _selfsim_table, main, write_profiles
+from interestsim.cli import _parse_int_list, _selfsim_table, main, write_json, write_profiles
 from interestsim import evalkit, mlcore
 from interestsim.corpus import write_corpus
 from interestsim.pairfeat import read_samples
 from interestsim.profiling import ProfileIndex
+from interestsim.recommend import ExperimentConfig
 from interestsim.synthgen import GenConfig, generate
 
 from selfsim_oracle import selfsim_table
@@ -117,15 +119,27 @@ def test_recommend_rejects_a_model_of_another_profile_kind(tmp_path, tiny_corpus
     samples, model, bare = tmp_path / "samples.csv", tmp_path / "model.json", tmp_path / "bare.json"
     assert main(["featurize", "--corpus", str(corpus_dir), "--pairs", "300", "--out", str(samples)]) == 0
     assert main(["train", "--model", "linear", "--task", "reg", "--in", str(samples), "--out", str(model)]) == 0
-    # a model saved without train_meta, as the pipeline saves its hybrids
-    mlcore.save_model(evalkit.fit_model("linear", read_samples(samples).to_design(), "reg"), bare)
+    # a model file without train_meta names no profile kind
+    write_json(bare, mlcore.model_to_dict(evalkit.fit_model("linear", read_samples(samples).to_design(), "reg")), indent=None)
     recommend = ["recommend", "--corpus", str(corpus_dir), "--targets", "5", "--candidates", "20", "--K", "3", "--N", "5"]
     report = tmp_path / "report.csv"
     assert main(recommend + ["--strategy", "predicted-rtp", "--model", str(model), "--report", str(report)]) == 1
     assert "trained on 'ptp' samples, not 'rtp'" in capsys.readouterr().err
     assert not report.exists()
     assert main(recommend + ["--strategy", "predicted-ptp", "--model", str(model), "--report", str(report)]) == 0
-    assert main(recommend + ["--strategy", "predicted-rtp", "--model", str(bare), "--report", str(report)]) == 0
+    assert main(recommend + ["--strategy", "predicted-rtp", "--model", str(bare), "--report", str(report)]) == 1
+    assert "model file lacks train_meta" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, cls, flags", [
+    (["generate", "--out", "corpus"], GenConfig, cli.GENERATE_FLAGS),
+    (["recommend", "--corpus", "corpus", "--strategy", "random", "--report", "r.csv"], ExperimentConfig, cli.RECOMMEND_FLAGS),
+])
+def test_flag_defaults_are_the_config_defaults(argv, cls, flags):
+    """Every field of the config has a flag, and the parser's defaults make the default config."""
+    assert sorted(flags.values()) == sorted(field.name for field in dataclasses.fields(cls))
+    args = cli.build_parser().parse_args(argv)
+    assert cli._config(cls, flags, vars(args)) == cls()
 
 
 @pytest.mark.parametrize("bins", ["0", "-1"])
@@ -223,10 +237,10 @@ def test_train_rejects_fewer_than_two_folds(tmp_path, tiny_corpus, capsys, model
 # rounded to 9 significant digits (the CSVs already write %.9g).  The
 # manifests, which hold the run's paths, are left out.
 PIPELINE_DIGESTS = {
-    "models/hybrid_clf_ptp.json": "07f2a912e6a18870",
-    "models/hybrid_reg_ptp.json": "2b30a87adbb5a135",
-    "models/hybrid_reg_rtp.json": "2043f16a5f86633f",
-    "models/hybrid_reg_vbp.json": "28c94fb7104702fc",
+    "models/hybrid_clf_ptp.json": "6e38edd2010e83a0",
+    "models/hybrid_reg_ptp.json": "ef5b4434aa49d251",
+    "models/hybrid_reg_rtp.json": "1352e0bc36ea2e20",
+    "models/hybrid_reg_vbp.json": "97509b28b3349a9d",
     "reports/ablation.json": "00dfa7938c1ef8c7",
     "reports/models.json": "8974ae82e24633ff",
     "reports/recommend.csv": "aeb2d54693862f32",
@@ -327,10 +341,23 @@ def test_pipeline_runs_end_to_end(tmp_path, monkeypatch):
     assert sorted(p.name for p in (out / "models").glob("*.json")) == [
         "hybrid_clf_ptp.json", "hybrid_reg_ptp.json", "hybrid_reg_rtp.json", "hybrid_reg_vbp.json"
     ]
-    # The manifest hashes the files as it writes them, so this checks the
-    # manifest's listing, not the outputs' content.
+    # every model file is one that `evaluate` reads and that scores its
+    # table row's metric on the test samples, whose 9-digit rounding the
+    # row's metric does not see
+    for row in rows:
+        if row["model"] == "hybrid":
+            model = out / "models" / f"hybrid_{row['task']}_{row['kind']}.json"
+            report = tmp_path / f"evaluate_{model.name}"
+            test = out / "samples" / f"test_{row['kind']}.csv"
+            assert main(["evaluate", "--model", str(model), "--test", str(test), "--task", row["task"],
+                         "--report", str(report)]) == 0
+            metric = "auc" if row["task"] == "clf" else "reduced_mae_pct"
+            assert json.loads(report.read_text())[metric] == pytest.approx(row[metric], rel=1e-7)
+    # The manifest lists every file the run wrote, and hashes each as it
+    # writes the manifest, so this checks the listing, not the content.
     outputs = json.loads((out / "manifest.json").read_text())["outputs"]
-    assert len(outputs) == 3 + 6 + 13
+    assert sorted(outputs) == sorted(str(p) for p in out.rglob("*") if p.is_file() and p.name != "manifest.json")
+    assert len(outputs) == 6 + 2 * 2 + 4 + 3 + 6 + 13
     for path, digest in outputs.items():
         with open(path, "rb") as fh:
             assert hashlib.sha256(fh.read()).hexdigest() == digest

@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from interestsim.corpus import (
     active_users,
     load_corpus,
     write_corpus,
+    write_csv,
 )
 from interestsim.synthgen import GenConfig, generate
 
@@ -152,6 +155,17 @@ def test_roundtrip_identity(tmp_path, small_corpus):
     write_corpus(loaded, second)
     for name in ["users.csv", "videos.csv", "views.csv", "friends.csv", "groups.csv", "messages.csv"]:
         assert (tmp_path / name).read_bytes() == (second / name).read_bytes()
+
+
+def test_write_csv_quotes_string_fields_as_the_csv_module_does(tmp_path):
+    texts = ["plain", "a,b", 'say "hi"', "two\nlines", "", " padded ", "x|y", '"']
+    numbers = [0.1 * i for i in range(len(texts))]
+    write_csv(tmp_path / "one_call.csv", ["text", "n", "x"], [texts, range(len(texts)), numbers], ["%s", "%d", "%.9g"])
+    with open(tmp_path / "by_row.csv", "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["text", "n", "x"])
+        writer.writerows([text, i, "%.9g" % x] for i, (text, x) in enumerate(zip(texts, numbers)))
+    assert (tmp_path / "one_call.csv").read_bytes() == (tmp_path / "by_row.csv").read_bytes()
 
 
 def test_corpus_requires_users():

@@ -19,19 +19,29 @@ from interestsim.mlcore import (
     fit_linear,
     fit_linear_cv,
     fit_tree,
-    load_model,
+    model_from_dict,
+    model_to_dict,
     predict,
     prune_tree,
-    save_model,
     sigmoid,
 )
 from interestsim import _util
+from interestsim.cli import write_json
 from interestsim.mlcore import hybrid as hybrid_module, linear
 from interestsim.mlcore.hybrid import _distinct_leaf_columns
 
 import path_oracle
 
 DATA = Path(__file__).parent / "data"
+
+
+def save_model(model, path):
+    """A model file without the ``train_meta`` the command line adds."""
+    write_json(path, model_to_dict(model), indent=None)
+
+
+def load_model(path):
+    return model_from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
 
 
 def dm(X, y, categorical=()):
