@@ -450,14 +450,16 @@ _INT_COLUMNS = {
 
 
 def write_samples(table: SampleTable, path) -> None:
-    """Samples as CSV, floats at 9 significant digits; the label field is blank without labels."""
+    """Samples as CSV, each float as its ``repr`` (the shortest text that reads
+    back as the same double, so ``read_samples`` returns the table written);
+    the label field is blank without labels."""
     n = len(table)
     labels = [""] * n if table.labels is None else table.labels
     columns = [table.columns["target"], table.columns["helper"], [table.kind] * n, labels]
-    formats = ["%d", "%d", "%s", "%s" if table.labels is None else "%.9g"]
+    formats = ["%d", "%d", "%s", "%s" if table.labels is None else "%r"]
     for name in FEATURE_COLUMNS:
         columns.append(table.columns[name])
-        formats.append("%d" if name in _INT_COLUMNS else "%.9g")
+        formats.append("%d" if name in _INT_COLUMNS else "%r")
     write_csv(path, CSV_HEADER, columns, formats)
 
 

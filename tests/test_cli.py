@@ -234,8 +234,9 @@ def test_train_rejects_fewer_than_two_folds(tmp_path, tiny_corpus, capsys, model
 
 
 # The pipeline's outputs at seed 42 on the preset below, each file's floats
-# rounded to 9 significant digits (the CSVs already write %.9g).  The
-# manifests, which hold the run's paths, are left out.
+# rounded to 9 significant digits (the study and report CSVs write %.9g, the
+# samples each float's repr).  The manifests, which hold the run's paths,
+# are left out.
 PIPELINE_DIGESTS = {
     "models/hybrid_clf_ptp.json": "6e38edd2010e83a0",
     "models/hybrid_reg_ptp.json": "ef5b4434aa49d251",
@@ -342,8 +343,8 @@ def test_pipeline_runs_end_to_end(tmp_path, monkeypatch):
         "hybrid_clf_ptp.json", "hybrid_reg_ptp.json", "hybrid_reg_rtp.json", "hybrid_reg_vbp.json"
     ]
     # every model file is one that `evaluate` reads and that scores its
-    # table row's metric on the test samples, whose 9-digit rounding the
-    # row's metric does not see
+    # table row's metric, to the bit, on the test samples, whose floats
+    # read back as the doubles the pipeline scored
     for row in rows:
         if row["model"] == "hybrid":
             model = out / "models" / f"hybrid_{row['task']}_{row['kind']}.json"
@@ -352,7 +353,7 @@ def test_pipeline_runs_end_to_end(tmp_path, monkeypatch):
             assert main(["evaluate", "--model", str(model), "--test", str(test), "--task", row["task"],
                          "--report", str(report)]) == 0
             metric = "auc" if row["task"] == "clf" else "reduced_mae_pct"
-            assert json.loads(report.read_text())[metric] == pytest.approx(row[metric], rel=1e-7)
+            assert json.loads(report.read_text())[metric] == row[metric]
     # The manifest lists every file the run wrote, and hashes each as it
     # writes the manifest, so this checks the listing, not the content.
     outputs = json.loads((out / "manifest.json").read_text())["outputs"]

@@ -1,8 +1,11 @@
 import csv
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from interestsim import corpus
 from interestsim.corpus import (
     Corpus,
     FormatError,
@@ -60,6 +63,49 @@ def test_malformed_row_reports_file_and_line(tmp_path):
     write_csvs(tmp_path, "1,M,twenty,0\n", "10,5\n", "")
     with pytest.raises(FormatError, match="users.csv:2"):
         load_corpus(tmp_path)
+
+
+INT64_RANGE = r"\[-9223372036854775808, 9223372036854775807\]"
+
+
+@pytest.mark.parametrize(
+    "file, body, message",
+    [
+        ("views", "1,99999999999999999999,0\n", "views.csv:2: video_id is not an integer in {}: '99999999999999999999'"),
+        ("friends", "1,2\n-9223372036854775809,2\n", "friends.csv:3: user_a is not an integer in {}: '-9223372036854775809'"),
+        ("groups", "1,9223372036854775808\n", "groups.csv:2: group_id is not an integer in {}: '9223372036854775808'"),
+        ("messages", "1,2,-1,3\n1,2,-2,1\n1,2,-3,18446744073709551616\n",
+         "messages.csv:4: count is not an integer in {}: '18446744073709551616'"),
+    ],
+)
+def test_value_past_int64_is_a_format_error(tmp_path, file, body, message):
+    logs = {"views": "1,10,0\n", "friends": "1,2\n", "groups": "1,100\n", "messages": ""}
+    write_csvs(tmp_path, "1,M,20,0\n2,F,25,0\n", "10,5\n", **{**logs, file: body})
+    with pytest.raises(FormatError, match="^" + message.format(INT64_RANGE) + "$"):
+        load_corpus(tmp_path)
+
+
+def test_written_corpus_reads_its_integer_files_without_the_csv_module(tmp_path, small_corpus, monkeypatch):
+    c, _ = small_corpus
+    write_corpus(c, tmp_path)
+    readers = []
+
+    def reader(fh, *args, **kwargs):
+        readers.append(Path(fh.name).name)
+        return csv_reader(fh, *args, **kwargs)
+
+    csv_reader = csv.reader
+    monkeypatch.setattr(csv, "reader", reader)
+    assert load_corpus(tmp_path) == c
+    assert readers == ["users.csv", "videos.csv"]
+
+
+def test_header_only_integer_files_load_without_warnings(tmp_path):
+    write_csvs(tmp_path, "1,M,20,0\n", "10,5\n", "")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        c = load_corpus(tmp_path)
+    assert caught == [] and len(c.tables.views) == 0
 
 
 def test_dangling_foreign_key_lists_offenders(tmp_path):
@@ -353,3 +399,39 @@ def test_duplicate_user_id_rejected():
     users = [(1, 0, 20, 0), (2, 1, 25, 0), (1, 1, 30, 1)]
     with pytest.raises(IntegrityError, match=r"^duplicate user id 1$"):
         Corpus(users, [(10, 100)], [], [], [], [])
+
+
+def _lexsorted_distinct(table):
+    table = table[np.lexsort(table.T[::-1])]
+    return table[np.r_[True, (table[1:] != table[:-1]).any(axis=1)]]
+
+
+def test_tables_sort_as_lexsort_with_negative_and_extreme_ids():
+    big = 2**62
+    ids = np.array([-big, -big + 1, -7, -1, 0, 3, big - 1, big])
+    rng = np.random.default_rng(5)
+    users = np.column_stack((ids, ids % 2, 20 + np.arange(len(ids)), -ids % 3))
+    videos = np.array([-big, -2, 5, big])
+    video_tags = np.array([(-big, -big), (-big, 9), (-2, 0), (-2, big), (5, -big), (big, 0), (big, big), (5, 0)])
+    views = np.column_stack((rng.choice(ids, 400), rng.choice(videos, 400), rng.integers(-30, 1, 400)))
+    a, b = rng.choice(len(ids), (2, 60))
+    pairs = np.unique(np.column_stack((ids[np.minimum(a, b)], ids[np.maximum(a, b)]))[a != b], axis=0)
+    memberships = np.column_stack((rng.choice(ids, 50), rng.choice([-big, -3, big], 50)))
+    picks = rng.integers(0, len(pairs), 200)
+    messages = np.column_stack((pairs[picks], rng.integers(-30, 0, 200), rng.integers(1, 4, 200)))
+    c = Corpus(rng.permutation(users), rng.permutation(video_tags), views, rng.permutation(pairs), memberships, messages)
+    want_users = users[np.argsort(users[:, 0])]
+    keys = _lexsorted_distinct(messages[:, :3])
+    sums = [messages[(messages[:, :3] == key).all(axis=1), 3].sum() for key in keys]
+    want_messages = np.column_stack((keys, sums))
+    want = (want_users, *map(_lexsorted_distinct, (video_tags, views, pairs, memberships)), want_messages)
+    assert all(map(np.array_equal, c.tables, want))
+    assert len(c.tables.views) < len(views) and len(c.tables.messages) < len(messages)
+
+
+def test_row_key_orders_rows_and_raises_past_int64():
+    rows = np.array([[0, 1] * 31, [1, 0] * 31, [0, 0] * 31])
+    key = corpus._row_key(rows.T)  # 62 columns of two values each: 2**62 keys
+    assert np.array_equal(np.argsort(key), np.lexsort(rows.T[::-1]))
+    with pytest.raises(ValueError, match="row key needs 64 bits, past int64"):
+        corpus._row_key(np.column_stack((rows, rows[:, :1])).T)  # 2**63 keys

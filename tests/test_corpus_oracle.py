@@ -73,11 +73,28 @@ CASES = {
     "unknown_user": {"views": "1,10,0\n9,10,0\n"},
     "unknown_video": {"views": "1,10,0\n1,99,0\n"},
     "message_between_non_friends": {"messages": "1,3,-1,1\n"},
+    # where numpy's C parser and ``int`` might part ways
+    "whitespace_only_line": {"views": "1,10,0\n   \n1,11,-3\n"},
+    "tab_padded_field": {"views": "1,\t10,0\n1,11\t,-3\n", "friends": "\t1\t,2\n3,2\n1,4\n"},
+    "trailing_comma": {"friends": "1,2\n3,2,\n"},
+    "hash_inside_field": {"groups": "1,100\n2,1#00\n"},
+    "hash_before_field": {"messages": "1,2,-1,3\n#3,2,-5,2\n"},
+    "signed_zero_and_plus": {"views": "+1,10,-0\n1,+11,-3\n+2,10,-1\n", "friends": "1,2\n-0,2\n"},
+    "last_row_without_newline": {"messages": "1,2,-1,3\n3,2,-5,2", "groups": "1,100\n3,101"},
+    "header_only": {"groups": ""},
+    "header_only_without_newline": {"groups": "user_id,group_id"},
+    "bom_before_header": {"views": "\ufeffuser_id,video_id,day\n1,10,0\n"},
+    "separator_control_char": {"views": "1,10,0\n1,\x1c11,-3\n"},
+    "cr_line_ends": {"views": "1,10,0\r1,11,-3\r2,10,-1\r"},
+    "cr_blank_line": {"friends": "1,2\r\r3,x\n"},
+    "blank_line_before_bad_value": {"views": "1,10,0\n\n1,11,1\n"},
+    "cr_blank_line_before_bad_value": {"friends": "\r1,2\n3,3\n"},
+    "every_row_too_wide": {"views": "1,10,0,5\n1,11,-3,5\n"},
 }
 
 
 # cases whose files are written without the header
-RAW = {"header_mismatch", "missing_header"}
+RAW = {"header_mismatch", "missing_header", "header_only_without_newline", "bom_before_header"}
 
 
 def write_case(directory, name, line_end):
@@ -97,6 +114,7 @@ def outcome(load, directory):
     return c, c.report
 
 
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("line_end", ["\n", "\r\n"])
 @pytest.mark.parametrize("name", CASES)
 def test_load_matches_row_by_row_oracle(tmp_path, name, line_end):

@@ -203,15 +203,11 @@ def test_samples_csv_roundtrip(tmp_path, feature_corpus):
     back = read_samples(path)
     assert back.kind == "rtp"
     assert len(back) == len(table)
-    assert np.array_equal(back.columns["target"], table.columns["target"])
-    # floats survive at 9 significant digits
-    assert np.allclose(back.labels, table.labels, rtol=1e-8, atol=1e-10)
-    assert np.allclose(
-        back.columns["helper_individuality"],
-        table.columns["helper_individuality"],
-        rtol=1e-8,
-        atol=1e-10,
-    )
+    # every value reads back as the double written
+    assert np.array_equal(back.labels, table.labels)
+    assert back.columns.keys() == table.columns.keys()
+    for name, column in table.columns.items():
+        assert np.array_equal(back.columns[name], column), name
 
 
 def test_read_samples_names_the_bad_line(tmp_path, feature_corpus):
@@ -230,6 +226,13 @@ def test_read_samples_names_the_bad_line(tmp_path, feature_corpus):
     bad_target.write_text("\n".join([header, rows[0], "x" + rows[1], *rows[2:]]) + "\n")
     with pytest.raises(FormatError, match=r"^bad_target\.csv:3: target is not an integer: 'x"):
         read_samples(bad_target)
+    huge_helper = tmp_path / "huge_helper.csv"
+    fields = rows[1].split(",")
+    fields[1] = "9" * 20
+    huge_helper.write_text("\n".join([header, rows[0], ",".join(fields), *rows[2:]]) + "\n")
+    with pytest.raises(FormatError, match=r"^huge_helper\.csv:3: helper is not an integer in \[-9223372036854775808, "
+                                          r"9223372036854775807\]: '9{20}'$"):
+        read_samples(huge_helper)
     bad_float = tmp_path / "bad_float.csv"
     fields = rows[2].split(",")
     fields[-1] = "abc"
